@@ -65,6 +65,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.parse
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, Sequence
@@ -80,10 +81,13 @@ from ..metrics import LatencySummary
 from ..workload.query import Query
 from .engine import EstimateResponse
 from .plan import PlanResponse
-from . import protocol, wire
+from .schema import ERROR, OPERATIONS, from_json, pack, to_json, unpack
+from . import wire
 
 #: ``transport=`` choices: negotiate, or pin either transport.
 TRANSPORTS = ("auto", "json", "binary")
+
+_OPERATION = {op.name: op for op in OPERATIONS}
 
 
 class _HTTPPool:
@@ -450,7 +454,7 @@ class RemoteSketchServer:
             # The server answers transport-level failures with one
             # error frame and closes; never reuse this socket.
             pool.discard(sock)
-            message, code = wire.decode_error(reply_payload)
+            message, code = unpack(ERROR, reply_payload)
             if code == "protocol":
                 raise ProtocolError(f"binary {what}: {message}")
             raise RemoteServerError(f"binary {what}: {message}")
@@ -467,34 +471,36 @@ class RemoteSketchServer:
     # ------------------------------------------------------------------
     # the SketchService surface
     # ------------------------------------------------------------------
-    def estimate(
-        self, request: Query | str, sketch: str | None = None
-    ) -> EstimateResponse:
-        """One blocking round trip (binary frame or ``POST /v1/estimate``)."""
-        import time
+    def _round_trip(self, name: str, *request, n: int = 1):
+        """One ``OPERATIONS`` row over the negotiated transport.
 
+        ``request`` is the operation's request message in slots, ``n``
+        the number of requests it carries (for the latency split);
+        returns the operation's result.
+        """
+        op = _OPERATION[name]
         transport = self._active or self.negotiate_transport()
         t0 = time.perf_counter()
         if transport == "binary":
             reply_kind, payload = self._binary_call(
-                wire.KIND_ESTIMATE,
-                wire.encode_estimate_request(request, sketch),
-                "estimate",
+                op.request_kind, pack(op.request, *request), name
             )
-            if reply_kind != wire.KIND_RESPONSE:
+            if reply_kind != op.reply_kind:
                 raise ProtocolError(
-                    f"binary estimate answered frame kind 0x{reply_kind:02x}"
+                    f"binary {name} answered frame kind 0x{reply_kind:02x}"
                 )
-            response, server_ms = wire.decode_response(payload)
+            result, server_ms = unpack(op.response, payload)
         else:
-            body = self._http(
-                "POST",
-                "/v1/estimate",
-                protocol.estimate_request_to_wire(request, sketch),
-            )
-            response = protocol.response_from_wire(body)
-            server_ms = body.get("server_ms")
-        self._observe(server_ms, time.perf_counter() - t0)
+            body = self._http("POST", op.path, to_json(op.request, *request))
+            result, server_ms = from_json(op.response, body)
+        self._observe(server_ms, time.perf_counter() - t0, n)
+        return result
+
+    def estimate(
+        self, request: Query | str, sketch: str | None = None
+    ) -> EstimateResponse:
+        """One blocking round trip (binary frame or ``POST /v1/estimate``)."""
+        response = self._round_trip("estimate", request, sketch)
         return self._restore_request(response, request)
 
     def estimate_many(
@@ -502,39 +508,17 @@ class RemoteSketchServer:
     ) -> list[EstimateResponse]:
         """One round trip for a whole batch (binary batch frame or
         ``POST /v1/estimate_batch``)."""
-        import time
-
         requests = list(requests)
         if not requests:
             return []
-        transport = self._active or self.negotiate_transport()
-        t0 = time.perf_counter()
-        if transport == "binary":
-            reply_kind, payload = self._binary_call(
-                wire.KIND_BATCH,
-                wire.encode_batch_request(requests, sketch),
-                "estimate_batch",
-            )
-            if reply_kind != wire.KIND_BATCH_RESPONSE:
-                raise ProtocolError(
-                    f"binary estimate_batch answered frame "
-                    f"kind 0x{reply_kind:02x}"
-                )
-            responses, server_ms = wire.decode_batch_response(payload)
-        else:
-            body = self._http(
-                "POST",
-                "/v1/estimate_batch",
-                protocol.batch_request_to_wire(requests, sketch),
-            )
-            responses = protocol.batch_response_from_wire(body)
-            server_ms = body.get("server_ms")
+        responses = self._round_trip(
+            "estimate_batch", requests, sketch, n=len(requests)
+        )
         if len(responses) != len(requests):
             raise ProtocolError(
                 f"batch answered {len(responses)} responses "
                 f"for {len(requests)} requests"
             )
-        self._observe(server_ms, time.perf_counter() - t0, n=len(requests))
         return [
             self._restore_request(response, request)
             for response, request in zip(responses, requests)
@@ -609,37 +593,13 @@ class RemoteSketchServer:
         values; a server without the capability (feature-detected via
         ``/v1/healthz``) raises :class:`~repro.errors.RemoteServerError`.
         """
-        import time
-
         if not self.plan_capable():
             raise RemoteServerError(
                 f"server at {self.url} does not advertise the plan "
                 "advisory capability (/v1/plan)"
             )
-        transport = self._active or self.negotiate_transport()
-        t0 = time.perf_counter()
-        if transport == "binary":
-            reply_kind, payload = self._binary_call(
-                wire.KIND_PLAN,
-                wire.encode_plan_request(request, sketch),
-                "plan",
-            )
-            if reply_kind != wire.KIND_PLAN_RESPONSE:
-                raise ProtocolError(
-                    f"binary plan answered frame kind 0x{reply_kind:02x}"
-                )
-            response, server_ms = wire.decode_plan_response(payload)
-        else:
-            body = self._http(
-                "POST",
-                "/v1/plan",
-                protocol.plan_request_to_wire(request, sketch),
-            )
-            response = protocol.plan_response_from_wire(body)
-            server_ms = body.get("server_ms")
-        self._observe(server_ms, time.perf_counter() - t0)
-        response.request = request
-        return response
+        response = self._round_trip("plan", request, sketch)
+        return self._restore_request(response, request)
 
     def stats_summary(self) -> dict:
         """The server engine's telemetry snapshot: ``GET /v1/stats``
@@ -720,9 +680,7 @@ class RemoteSketchServer:
     # helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _restore_request(
-        response: EstimateResponse, original: Query | str
-    ) -> EstimateResponse:
+    def _restore_request(response, original: Query | str):
         """Hand back the caller's own request object.
 
         The wire round-trips requests losslessly (``parse_sql(to_sql(q))

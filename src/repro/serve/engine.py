@@ -44,13 +44,11 @@ consuming model time.  ``close()`` still drains every *accepted*
 request: shedding happens at the door or by explicit eviction, never
 by forgetting.
 
-**Telemetry.**  The engine wires its counters into
-:mod:`repro.metrics`: a queue-depth :class:`~repro.metrics.Gauge`,
-shed / deadline-miss :class:`~repro.metrics.Counter`\\ s, and
-:class:`~repro.metrics.LatencySummary` windows for per-chunk flush
-latency and queueing wait.  One :meth:`stats` call — shared by both
-facades — snapshots all of it plus the classic
-:class:`ServerStats` counters into a JSON-friendly dict.
+**Telemetry.**  Every count lives once, in :class:`ServerStats`;
+per-chunk flush latency and queueing wait are
+:class:`~repro.metrics.LatencySummary` windows.  One :meth:`stats`
+call — shared by both facades — snapshots all of it into a
+JSON-friendly dict.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import FeaturizationError, ReproError, SketchError
-from ..metrics import Counter, Gauge, LatencySummary
+from ..metrics import LatencySummary
 from ..workload.query import Query
 from ..demo.manager import SketchManager
 from .executor import EXECUTOR_NAMES, MP_START_METHODS, make_executor
@@ -476,10 +474,6 @@ class EstimationEngine:
             ttl_seconds=self.config.feature_cache_ttl_s,
         )
         self.executor = make_executor(self.config)
-        # repro.metrics primitives — the "wired" telemetry surface.
-        self.queue_depth_gauge = Gauge()
-        self.shed_counter = Counter()
-        self.deadline_counter = Counter()
         self.flush_latency = LatencySummary(window=self.config.latency_window)
         self.queue_wait = LatencySummary(window=self.config.latency_window)
 
@@ -494,7 +488,7 @@ class EstimationEngine:
         self._last_enqueue: dict[str, float] = {}
         # (sketch name, canonical query) -> its buffered _Pending (dedup)
         self._inflight: dict[tuple[str, Query], _Pending] = {}
-        self._depth = 0  # buffered computations (authoritative; gauge mirrors)
+        self._depth = 0  # buffered computations
         self._depth_high_water = 0  # lifetime peak of _depth
         # Fast-path cache hits recorded for the flush side to replay as
         # real cache.get()s: submitters only peek (read-only), but
@@ -790,7 +784,6 @@ class EstimationEngine:
         self._depth += 1
         if self._depth > self._depth_high_water:
             self._depth_high_water = self._depth
-        self.queue_depth_gauge.set(self._depth)
         # Wake the flush loop only when its schedule actually changes: a
         # previously empty buffer needs a deadline, a full one needs an
         # immediate flush.  Intermediate arrivals only push the idle
@@ -925,7 +918,6 @@ class EstimationEngine:
         )
         self.counters.n_shed += 1
         self.counters.n_errors += 1
-        self.shed_counter.inc()
         return False
 
     def _mark_shed_locked(self, response: EstimateResponse, message: str) -> None:
@@ -948,7 +940,6 @@ class EstimationEngine:
             self._last_enqueue.pop(oldest_name, None)
         self._drop_inflight_locked(oldest)
         self._depth -= 1
-        self.queue_depth_gauge.set(self._depth)
         self._mark_shed_locked(
             oldest.response,
             "request shed: evicted by a newer request "
@@ -956,7 +947,6 @@ class EstimationEngine:
         )
         self.counters.n_shed += oldest.waiters
         self.counters.n_errors += oldest.waiters
-        self.shed_counter.inc(oldest.waiters)
         return oldest
 
     # ------------------------------------------------------------------
@@ -1260,8 +1250,6 @@ class EstimationEngine:
                     self.queue_wait.observe(now - pending.enqueued_at)
                     self._drop_inflight_locked(pending)
                 taken.append((name, trigger, chunk))
-        if taken:
-            self.queue_depth_gauge.set(self._depth)
         return taken
 
     def _reroute(self, response: EstimateResponse) -> str | None:
@@ -1334,7 +1322,6 @@ class EstimationEngine:
                     response.code = CODE_DEADLINE
                     self.counters.n_deadline_missed += pending.waiters
                     self.counters.n_errors += pending.waiters
-                    self.deadline_counter.inc(pending.waiters)
             for _name, pending in expired:
                 pending.future.set_result(pending.response)
         if not jobs:
@@ -1368,14 +1355,14 @@ class EstimationEngine:
         """One JSON-friendly snapshot of the whole engine — the single
         telemetry call shared by both serving facades.
 
-        Combines the cumulative :class:`ServerStats` counters with the
-        :mod:`repro.metrics` primitives: the queue-depth gauge, the
-        shed / deadline-miss counters, and the p50/p95/p99 flush-latency
-        and queue-wait summaries.
+        Combines the cumulative :class:`ServerStats` counters and the
+        queue depth with the p50/p95/p99 flush-latency and queue-wait
+        summaries.
         """
         c = self.counters
         with self._lock:
             sketch_requests = dict(c.sketch_requests)
+            depth = self._depth
             depth_peak = self._depth_high_water
             swaps = self._swaps
             last_swap = None if self._last_swap is None else dict(self._last_swap)
@@ -1383,19 +1370,14 @@ class EstimationEngine:
         return {
             "executor": self.executor.name,
             "executor_workers": self.executor.workers,
-            # Read through the repro.metrics primitives, so the gauge
-            # and counters are the load-bearing source for this
-            # snapshot (the ServerStats ints remain the dataclass
-            # surface; both are updated together under the engine
-            # lock).
-            "queue_depth": int(self.queue_depth_gauge.value),
+            "queue_depth": depth,
             "queue_depth_peak": depth_peak,
             "max_queue_depth": self.config.max_queue_depth,
             "requests": c.n_requests,
             "answered": c.n_answered,
             "errors": c.n_errors,
-            "shed": self.shed_counter.value,
-            "deadline_missed": self.deadline_counter.value,
+            "shed": c.n_shed,
+            "deadline_missed": c.n_deadline_missed,
             "cache_hits": c.n_cache_hits,
             "fast_cache_hits": c.n_fast_cache_hits,
             "deduped": c.n_deduped,

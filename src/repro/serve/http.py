@@ -17,7 +17,9 @@ network front door therefore inherits every serving property of the
 in-process facades — admission control, deadlines, executors,
 telemetry — with zero engine changes.
 
-Endpoints (all JSON, schemas in :mod:`repro.serve.protocol`):
+Endpoints (all JSON; the three ``POST`` ones are the rows of
+:data:`repro.serve.schema.OPERATIONS`, which the handler looks up by
+path — their messages are declared there):
 
 =====================  ====================================================
 ``POST /v1/estimate``        one request envelope -> one response envelope
@@ -32,7 +34,7 @@ Endpoints (all JSON, schemas in :mod:`repro.serve.protocol`):
 
 Transport-level failures (malformed JSON, bad envelope, unknown path,
 closed server) answer with 4xx/5xx and a minimal
-:func:`~repro.serve.protocol.error_to_wire` body; *request-level*
+:data:`~repro.serve.schema.ERROR` body; *request-level*
 failures (parse/route/vocab/shed/deadline) are **HTTP 200** with
 ``ok=false`` and a structured ``code`` — the wire mirrors the
 in-process contract, where a response is always a value, never an
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ProtocolError, SketchError
@@ -59,12 +60,14 @@ from ..demo.manager import SketchManager
 from .async_server import AsyncSketchServer
 from .engine import ServeConfig
 from .feature_cache import FeatureCache
+from .schema import ERROR, OPERATIONS, PROTOCOL_VERSION, from_json, to_json
 from .wire import WIRE_VERSION, BinaryFrameServer
-from . import protocol
 
 #: Largest accepted request body, in bytes.  A batch of several
 #: thousand SQL strings fits comfortably; a runaway client does not.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+_BY_PATH = {op.path: op for op in OPERATIONS}
 
 
 def healthz_payload(service, transports: dict | None = None) -> dict:
@@ -119,7 +122,7 @@ def healthz_payload(service, transports: dict | None = None) -> dict:
 
     return {
         "status": "ok",
-        "protocol_version": protocol.PROTOCOL_VERSION,
+        "protocol_version": PROTOCOL_VERSION,
         "sketches": sorted(tables),
         "tables": tables,
         "pending": service.pending,
@@ -171,10 +174,13 @@ class _Handler(BaseHTTPRequestHandler):
         # connection and misparse the client's *next* request.  Closing
         # is always safe, and errors are rare enough not to optimize.
         self.close_connection = True
-        self._send_json(status, protocol.error_to_wire(message, code))
+        self._send_json(status, to_json(ERROR, message, code))
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise ProtocolError("Content-Length is not an integer") from None
         if length <= 0:
             raise ProtocolError("request body is empty")
         if length > MAX_BODY_BYTES:
@@ -191,38 +197,15 @@ class _Handler(BaseHTTPRequestHandler):
     # -- endpoints ------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
-            if self.path == "/v1/estimate":
-                payload = self._read_json()
-                sql, sketch = protocol.estimate_request_from_wire(payload)
-                t0 = time.perf_counter()
-                response = self.service.submit(sql, sketch).result()
-                server_ms = (time.perf_counter() - t0) * 1000.0
-                self._send_json(
-                    200, protocol.response_to_wire(response, server_ms)
-                )
-            elif self.path == "/v1/estimate_batch":
-                payload = self._read_json()
-                sqls, sketch = protocol.batch_request_from_wire(payload)
-                t0 = time.perf_counter()
-                futures = self.service.submit_many(sqls, sketch)
-                responses = [future.result() for future in futures]
-                server_ms = (time.perf_counter() - t0) * 1000.0
-                self._send_json(
-                    200, protocol.batch_response_to_wire(responses, server_ms)
-                )
-            elif self.path == "/v1/plan":
-                payload = self._read_json()
-                sql, sketch = protocol.plan_request_from_wire(payload)
-                t0 = time.perf_counter()
-                response = self.service.plan(sql, sketch)
-                server_ms = (time.perf_counter() - t0) * 1000.0
-                self._send_json(
-                    200, protocol.plan_response_to_wire(response, server_ms)
-                )
-            else:
+            op = _BY_PATH.get(self.path)
+            if op is None:
                 self._send_error_json(
                     404, f"unknown endpoint {self.path!r}", "not_found"
                 )
+                return
+            request = from_json(op.request, self._read_json())
+            answer = op.answer(self.service, request)
+            self._send_json(200, to_json(op.response, *answer))
         except ProtocolError as exc:
             self._send_error_json(400, str(exc), "protocol")
         except Exception as exc:  # pragma: no cover - defensive

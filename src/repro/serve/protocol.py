@@ -1,14 +1,16 @@
-"""The versioned wire protocol of the estimation service.
+"""The versioned JSON wire protocol of the estimation service.
 
 Every remote transport — the stdlib HTTP front door
 (:mod:`repro.serve.http`), the client SDK
 (:mod:`repro.serve.client`), and whatever gRPC/shard fan-out comes
-later — speaks the JSON schemas defined **here and only here**.  Both
-sides import the same ``to_wire``/``from_wire`` pairs, so the schema
-exists exactly once and a round trip is an identity:
+later — speaks the envelopes bound **here**.  The messages themselves
+are declared once, in :mod:`repro.serve.schema` (one field table per
+message in ``docs/serving.md``); each function below is one of them
+bound to the JSON codec, so both sides of the wire share one schema
+and a round trip is an identity:
 ``response_from_wire(response_to_wire(r)) == r`` for every response
 class the engine produces (ok, ``parse``, ``route``, ``vocab``,
-``shed``, ``deadline``, ``internal``).
+``shed``, ``deadline``, ``internal``), and likewise for plan responses.
 
 Envelopes
 ---------
@@ -18,16 +20,13 @@ receiver rejects other versions with
 :class:`~repro.errors.ProtocolError` — explicit version skew beats
 silent misparses when client and server are deployed independently.
 
-Request envelope (``POST /v1/estimate``)::
+Request envelope (``POST /v1/estimate`` and ``POST /v1/plan``)::
 
     {"protocol_version": 1, "sql": "SELECT COUNT(*) ...", "sketch": null}
 
 Batch request envelope (``POST /v1/estimate_batch``)::
 
     {"protocol_version": 1, "queries": ["SELECT ...", ...], "sketch": null}
-
-``sketch`` pins a named sketch (``null`` routes to the narrowest
-covering one) — the same semantics as the in-process facades.
 
 Response envelope: the structured
 :class:`~repro.serve.engine.EstimateResponse` serialization plus
@@ -38,20 +37,6 @@ server-side timing::
      "estimate": 1234.0, "cached": false, "error": null, "code": null,
      "token": 7, "server_ms": 1.7}
 
-``token`` is the serving sketch's process-local snapshot version (see
-``EstimateResponse.token``); ``null`` for responses that never reached
-a sketch.  It travels so hot-swap audits work across the wire, but is
-only comparable within one backend process.
-
-``request_kind`` records whether the in-process response carried raw
-SQL text (``"sql"``) or a canonical :class:`~repro.workload.query.Query`
-object (``"query"``); because ``parse_sql(to_sql(q)) == q`` holds for
-every valid query, ``from_wire`` reconstructs the exact original
-request object either way.  ``query`` is the canonical query's SQL
-text (``null`` when parsing failed).  ``server_ms`` is informational
-timing (not an ``EstimateResponse`` field): the server's measured
-handling time for the request or batch.
-
 Batch response envelope::
 
     {"protocol_version": 1, "responses": [<response envelope>, ...],
@@ -60,455 +45,90 @@ Batch response envelope::
 Error codes travel verbatim (``code`` is one of
 :data:`repro.serve.engine.RESPONSE_CODES` or ``null``), so a remote
 caller dispatches on the same constants a local caller does.
+``server_ms`` is envelope metadata, not a response field: the
+``*_from_wire`` functions return the response alone (read the timing
+from the payload, or use :func:`repro.serve.schema.from_json`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..errors import ProtocolError
 from ..workload.query import Query
-from .engine import EstimateResponse, RESPONSE_CODES
-
-#: The wire schema version this build speaks.  Bump on any breaking
-#: change to the envelopes below; receivers reject mismatches.
-PROTOCOL_VERSION = 1
-
-#: ``request_kind`` values: what the in-process ``request`` field held.
-_KIND_SQL = "sql"
-_KIND_QUERY = "query"
+from .engine import EstimateResponse
+from .plan import PlanResponse
+from . import schema
+from .schema import PROTOCOL_VERSION, check_version
 
 
-def _require(payload: dict, field: str, types, what: str):
-    """One validated field access; missing/mistyped raises ProtocolError."""
-    if field not in payload:
-        raise ProtocolError(f"{what} is missing required field {field!r}")
-    value = payload[field]
-    if not isinstance(value, types):
-        raise ProtocolError(
-            f"{what} field {field!r} has invalid type "
-            f"{type(value).__name__}"
-        )
-    return value
-
-
-def check_version(payload: dict, what: str) -> None:
-    """Reject payloads that are not dicts or speak another version."""
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"{what} must be a JSON object, got {type(payload).__name__}"
-        )
-    version = _require(payload, "protocol_version", int, what)
-    if isinstance(version, bool) or version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"{what} speaks protocol version {version!r}; "
-            f"this build speaks {PROTOCOL_VERSION}"
-        )
-
-
-def _sql_text(request: Query | str, memo: dict | None = None) -> str:
-    if not isinstance(request, Query):
-        return request
-    if memo is None:
-        return request.to_sql()
-    # Batches repeat canonical queries; render each distinct Query
-    # object once per envelope.
-    key = id(request)
-    sql = memo.get(key)
-    if sql is None:
-        sql = memo[key] = request.to_sql()
-    return sql
-
-
-# ----------------------------------------------------------------------
-# request envelopes
-# ----------------------------------------------------------------------
 def estimate_request_to_wire(
     request: Query | str, sketch: str | None = None
 ) -> dict:
     """Envelope for one estimation request (``POST /v1/estimate``)."""
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "sql": _sql_text(request),
-        "sketch": sketch,
-    }
+    return schema.to_json(schema.REQUEST, request, sketch)
 
 
 def estimate_request_from_wire(payload: dict) -> tuple[str, str | None]:
     """Validate a request envelope; returns ``(sql, pinned sketch)``."""
-    what = "estimate request"
-    check_version(payload, what)
-    sql = _require(payload, "sql", str, what)
-    sketch = payload.get("sketch")
-    if sketch is not None and not isinstance(sketch, str):
-        raise ProtocolError(f"{what} field 'sketch' must be a string or null")
-    return sql, sketch
+    return schema.from_json(schema.REQUEST, payload)
+
+
+#: ``POST /v1/plan`` takes the same envelope as ``POST /v1/estimate``.
+plan_request_to_wire = estimate_request_to_wire
+plan_request_from_wire = estimate_request_from_wire
 
 
 def batch_request_to_wire(
     requests: Sequence[Query | str], sketch: str | None = None
 ) -> dict:
     """Envelope for a batch request (``POST /v1/estimate_batch``)."""
-    memo: dict = {}
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "queries": [_sql_text(r, memo) for r in requests],
-        "sketch": sketch,
-    }
+    return schema.to_json(schema.BATCH_REQUEST, requests, sketch)
 
 
 def batch_request_from_wire(payload: dict) -> tuple[list[str], str | None]:
     """Validate a batch envelope; returns ``(sql list, pinned sketch)``."""
-    what = "estimate_batch request"
-    check_version(payload, what)
-    queries = _require(payload, "queries", list, what)
-    for i, sql in enumerate(queries):
-        if not isinstance(sql, str):
-            raise ProtocolError(
-                f"{what} queries[{i}] must be a string, "
-                f"got {type(sql).__name__}"
-            )
-    sketch = payload.get("sketch")
-    if sketch is not None and not isinstance(sketch, str):
-        raise ProtocolError(f"{what} field 'sketch' must be a string or null")
-    return list(queries), sketch
+    return schema.from_json(schema.BATCH_REQUEST, payload)
 
 
-# ----------------------------------------------------------------------
-# response envelopes
-# ----------------------------------------------------------------------
 def response_to_wire(
-    response: EstimateResponse,
-    server_ms: float | None = None,
-    *,
-    sql_memo: dict | None = None,
+    response: EstimateResponse, server_ms: float | None = None
 ) -> dict:
     """Serialize one :class:`EstimateResponse` (all outcome classes)."""
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "ok": response.ok,
-        "request": _sql_text(response.request, sql_memo),
-        "request_kind": (
-            _KIND_QUERY if isinstance(response.request, Query) else _KIND_SQL
-        ),
-        "query": (
-            None
-            if response.query is None
-            else _sql_text(response.query, sql_memo)
-        ),
-        "sketch": response.sketch,
-        "estimate": response.estimate,
-        "cached": response.cached,
-        "error": response.error,
-        "code": response.code,
-        "token": response.token,
-        "server_ms": server_ms,
-    }
+    return schema.to_json(schema.RESPONSE, response, server_ms)
 
 
-def _parse_memo(sql: str, memo: dict | None):
-    from ..db.sql import parse_sql
-
-    if memo is None:
-        return parse_sql(sql)
-    query = memo.get(sql)
-    if query is None:
-        query = memo[sql] = parse_sql(sql)
-    return query
-
-
-def response_from_wire(
-    payload: dict, *, parse_cache: dict | None = None
-) -> EstimateResponse:
-    """Reconstruct the exact :class:`EstimateResponse` a server produced.
-
-    ``parse_sql(to_sql(q)) == q`` makes the query fields lossless; the
-    ``server_ms`` timing is envelope metadata, not a response field
-    (read it from the payload directly if you need it).  ``parse_cache``
-    memoizes ``parse_sql`` per distinct SQL string — batches repeat
-    canonical queries, and re-parsing them dominates unmarshalling.
-    """
-    what = "estimate response"
-    check_version(payload, what)
-    kind = _require(payload, "request_kind", str, what)
-    if kind not in (_KIND_SQL, _KIND_QUERY):
-        raise ProtocolError(f"{what} has unknown request_kind {kind!r}")
-    request_sql = _require(payload, "request", str, what)
-    query_sql = payload.get("query")
-    if query_sql is not None and not isinstance(query_sql, str):
-        raise ProtocolError(f"{what} field 'query' must be a string or null")
-    estimate = payload.get("estimate")
-    if estimate is not None and not isinstance(estimate, (int, float)):
-        raise ProtocolError(f"{what} field 'estimate' must be a number or null")
-    error = payload.get("error")
-    if error is not None and not isinstance(error, str):
-        raise ProtocolError(f"{what} field 'error' must be a string or null")
-    code = payload.get("code")
-    if code is not None and code not in RESPONSE_CODES:
-        raise ProtocolError(f"{what} has unknown error code {code!r}")
-    if error is None and code is not None:
-        raise ProtocolError(f"{what} carries code {code!r} without an error")
-    sketch = payload.get("sketch")
-    if sketch is not None and not isinstance(sketch, str):
-        raise ProtocolError(f"{what} field 'sketch' must be a string or null")
-    token = payload.get("token")
-    if token is not None and (isinstance(token, bool) or not isinstance(token, int)):
-        raise ProtocolError(f"{what} field 'token' must be an integer or null")
-    try:
-        query = (
-            None if query_sql is None else _parse_memo(query_sql, parse_cache)
-        )
-        request: Query | str = (
-            _parse_memo(request_sql, parse_cache)
-            if kind == _KIND_QUERY
-            else request_sql
-        )
-    except Exception as exc:
-        raise ProtocolError(f"{what} carries unparseable SQL: {exc}") from exc
-    return EstimateResponse(
-        request=request,
-        query=query,
-        sketch=sketch,
-        estimate=None if estimate is None else float(estimate),
-        cached=bool(payload.get("cached", False)),
-        error=error,
-        code=code,
-        token=token,
-    )
+def response_from_wire(payload: dict) -> EstimateResponse:
+    """Reconstruct the exact :class:`EstimateResponse` a server produced."""
+    return schema.from_json(schema.RESPONSE, payload)[0]
 
 
 def batch_response_to_wire(
     responses: Sequence[EstimateResponse], server_ms: float | None = None
 ) -> dict:
     """Envelope for a batch of responses (one ``server_ms`` for all)."""
-    memo: dict = {}
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "responses": [response_to_wire(r, sql_memo=memo) for r in responses],
-        "server_ms": server_ms,
-    }
+    return schema.to_json(schema.BATCH_RESPONSE, responses, server_ms)
 
 
 def batch_response_from_wire(payload: dict) -> list[EstimateResponse]:
-    what = "estimate_batch response"
-    check_version(payload, what)
-    responses = _require(payload, "responses", list, what)
-    parse_cache: dict = {}
-    return [
-        response_from_wire(item, parse_cache=parse_cache)
-        for item in responses
-    ]
+    return schema.from_json(schema.BATCH_RESPONSE, payload)[0]
 
 
-# ----------------------------------------------------------------------
-# plan advisory envelopes (POST /v1/plan) — additive wire v1
-# ----------------------------------------------------------------------
-def plan_request_to_wire(request: Query | str, sketch: str | None = None) -> dict:
-    """Envelope for one plan advisory request (``POST /v1/plan``).
-
-    Same shape as an estimate request: one SQL text plus an optional
-    pinned sketch (``null`` routes every subplan to its narrowest
-    cover).
-    """
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "sql": _sql_text(request),
-        "sketch": sketch,
-    }
+def plan_response_to_wire(
+    response: PlanResponse, server_ms: float | None = None
+) -> dict:
+    """Serialize one :class:`~repro.serve.plan.PlanResponse`: the join
+    tree, every subplan estimate and the f64 timings, losslessly."""
+    return schema.to_json(schema.PLAN_RESPONSE, response, server_ms)
 
 
-def plan_request_from_wire(payload: dict) -> tuple[str, str | None]:
-    """Validate a plan request envelope; returns ``(sql, pinned sketch)``."""
-    what = "plan request"
-    check_version(payload, what)
-    sql = _require(payload, "sql", str, what)
-    sketch = payload.get("sketch")
-    if sketch is not None and not isinstance(sketch, str):
-        raise ProtocolError(f"{what} field 'sketch' must be a string or null")
-    return sql, sketch
-
-
-def _plan_node_to_wire(node):
-    """A join tree as nested JSON: leaves are alias strings, joins are
-    two-element ``[left, right]`` lists."""
-    from ..optimizer.plans import JoinNode
-
-    if isinstance(node, JoinNode):
-        return [_plan_node_to_wire(node.left), _plan_node_to_wire(node.right)]
-    return node.alias
-
-
-def _plan_node_from_wire(obj, what: str):
-    from ..optimizer.plans import JoinNode, LeafNode
-
-    if isinstance(obj, str):
-        return LeafNode(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return JoinNode(
-            _plan_node_from_wire(obj[0], what),
-            _plan_node_from_wire(obj[1], what),
-        )
-    raise ProtocolError(
-        f"{what} plan nodes must be alias strings or [left, right] "
-        f"pairs, got {type(obj).__name__}"
-    )
-
-
-def _optional_number(payload: dict, field: str, what: str) -> float | None:
-    value = payload.get(field)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{what} field {field!r} must be a number or null")
-    return float(value)
-
-
-def plan_response_to_wire(response, server_ms: float | None = None) -> dict:
-    """Serialize one :class:`~repro.serve.plan.PlanResponse`.
-
-    Exact round-trip identity holds
-    (``plan_response_from_wire(plan_response_to_wire(r)) == r``): the
-    join tree, every subplan estimate, and the f64 timings reconstruct
-    precisely.  ``server_ms`` is envelope metadata, as on the estimate
-    envelopes.
-    """
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "ok": response.ok,
-        "request": _sql_text(response.request),
-        "request_kind": (
-            _KIND_QUERY if isinstance(response.request, Query) else _KIND_SQL
-        ),
-        "query": None if response.query is None else _sql_text(response.query),
-        "sketch": response.sketch,
-        "plan": (
-            None if response.plan is None else _plan_node_to_wire(response.plan)
-        ),
-        "estimated_cost": response.estimated_cost,
-        "subplans": [
-            {
-                "aliases": list(s.aliases),
-                "estimate": s.estimate,
-                "cached": s.cached,
-                "degraded": s.degraded,
-                "code": s.code,
-                "error": s.error,
-            }
-            for s in response.subplans
-        ],
-        "error": response.error,
-        "code": response.code,
-        "estimate_ms": response.estimate_ms,
-        "enumerate_ms": response.enumerate_ms,
-        "server_ms": server_ms,
-    }
-
-
-def _subplan_from_wire(item, what: str):
-    from .plan import SubplanEstimate
-
-    if not isinstance(item, dict):
-        raise ProtocolError(
-            f"{what} subplans must be objects, got {type(item).__name__}"
-        )
-    aliases = _require(item, "aliases", list, what)
-    for alias in aliases:
-        if not isinstance(alias, str):
-            raise ProtocolError(f"{what} subplan aliases must be strings")
-    estimate = _require(item, "estimate", (int, float), what)
-    if isinstance(estimate, bool):
-        raise ProtocolError(f"{what} field 'estimate' must be a number")
-    code = item.get("code")
-    if code is not None and code not in RESPONSE_CODES:
-        raise ProtocolError(f"{what} subplan has unknown error code {code!r}")
-    error = item.get("error")
-    if error is not None and not isinstance(error, str):
-        raise ProtocolError(f"{what} subplan 'error' must be a string or null")
-    degraded = bool(item.get("degraded", False))
-    if degraded != (code is not None):
-        raise ProtocolError(
-            f"{what} subplan degradation and its code disagree"
-        )
-    return SubplanEstimate(
-        aliases=tuple(aliases),
-        estimate=float(estimate),
-        cached=bool(item.get("cached", False)),
-        degraded=degraded,
-        code=code,
-        error=error,
-    )
-
-
-def plan_response_from_wire(payload: dict):
+def plan_response_from_wire(payload: dict) -> PlanResponse:
     """Reconstruct the exact :class:`~repro.serve.plan.PlanResponse`."""
-    from .plan import PLAN_RESPONSE_CODES, PlanResponse
-
-    what = "plan response"
-    check_version(payload, what)
-    kind = _require(payload, "request_kind", str, what)
-    if kind not in (_KIND_SQL, _KIND_QUERY):
-        raise ProtocolError(f"{what} has unknown request_kind {kind!r}")
-    request_sql = _require(payload, "request", str, what)
-    query_sql = payload.get("query")
-    if query_sql is not None and not isinstance(query_sql, str):
-        raise ProtocolError(f"{what} field 'query' must be a string or null")
-    error = payload.get("error")
-    if error is not None and not isinstance(error, str):
-        raise ProtocolError(f"{what} field 'error' must be a string or null")
-    code = payload.get("code")
-    if code is not None and code not in PLAN_RESPONSE_CODES:
-        raise ProtocolError(f"{what} has unknown error code {code!r}")
-    if error is None and code is not None:
-        raise ProtocolError(f"{what} carries code {code!r} without an error")
-    sketch = payload.get("sketch")
-    if sketch is not None and not isinstance(sketch, str):
-        raise ProtocolError(f"{what} field 'sketch' must be a string or null")
-    estimated_cost = _optional_number(payload, "estimated_cost", what)
-    plan_obj = payload.get("plan")
-    if (plan_obj is None) != (error is not None):
-        raise ProtocolError(
-            f"{what} must carry exactly one of a plan or an error"
-        )
-    subplans = payload.get("subplans", [])
-    if not isinstance(subplans, list):
-        raise ProtocolError(f"{what} field 'subplans' must be a list")
-    try:
-        query = None if query_sql is None else _parse_memo(query_sql, None)
-        request: Query | str = (
-            _parse_memo(request_sql, None) if kind == _KIND_QUERY else request_sql
-        )
-    except Exception as exc:
-        raise ProtocolError(f"{what} carries unparseable SQL: {exc}") from exc
-    return PlanResponse(
-        request=request,
-        query=query,
-        sketch=sketch,
-        plan=None if plan_obj is None else _plan_node_from_wire(plan_obj, what),
-        estimated_cost=estimated_cost,
-        subplans=tuple(_subplan_from_wire(item, what) for item in subplans),
-        error=error,
-        code=code,
-        estimate_ms=_optional_number(payload, "estimate_ms", what),
-        enumerate_ms=_optional_number(payload, "enumerate_ms", what),
-    )
+    return schema.from_json(schema.PLAN_RESPONSE, payload)[0]
 
 
-# ----------------------------------------------------------------------
-# transport-level errors (HTTP 4xx/5xx bodies)
-# ----------------------------------------------------------------------
 def error_to_wire(message: str, code: str = "protocol") -> dict:
-    """Body of a non-2xx HTTP answer (bad envelope, unknown path, ...).
-
-    Distinct from a *request* failure: a malformed payload has no
-    request to attach an :class:`EstimateResponse` to, so the transport
-    itself answers with this minimal envelope.
-    """
-    return {
-        "protocol_version": PROTOCOL_VERSION,
-        "ok": False,
-        "error": message,
-        "code": code,
-    }
+    """Body of a non-2xx HTTP answer (bad envelope, unknown path, ...)."""
+    return schema.to_json(schema.ERROR, message, code)
 
 
 __all__ = [

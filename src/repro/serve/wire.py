@@ -30,10 +30,13 @@ the payload.  A connection that dies mid-frame raises
 the client SDK maps onto the :class:`~repro.errors.RemoteServerError`
 taxonomy — no hangs, no partially-decoded responses.
 
-Payload encodings are *specialized* per envelope (not a generic
-serializer): strings travel as u32-length-prefixed UTF-8 (``0xFFFFFFFF``
-encodes ``None``), floats as IEEE f64 (lossless — parity with the
-in-process value is exact), the closed ``code`` set as one enum byte.
+Payloads are the binary encoding of the messages declared in
+:mod:`repro.serve.schema` (strings as u32-length-prefixed UTF-8, floats
+as IEEE f64 — lossless, so parity with the in-process value is exact —
+the closed ``code`` set as one enum byte; slot and flag-bit tables in
+``docs/serving.md``); each ``encode_*`` / ``decode_*`` below is one of
+those messages bound to the binary codec.  The listener serves the
+rows of :data:`~repro.serve.schema.OPERATIONS`, looked up by frame kind.
 Negotiation: a front door running a :class:`BinaryFrameServer`
 advertises it under ``transports.binary.port`` in ``GET /v1/healthz``;
 clients that see the capability switch ``estimate``/``estimate_batch``
@@ -46,80 +49,33 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-import time
 
 from ..errors import ProtocolError
 from ..workload.query import Query
-from .engine import EstimateResponse, RESPONSE_CODES
-from .plan import PLAN_RESPONSE_CODES, PlanResponse, SubplanEstimate
+from .engine import EstimateResponse
+from .plan import PlanResponse
+from . import schema
+from .schema import (
+    KIND_BATCH,
+    KIND_BATCH_RESPONSE,
+    KIND_ERROR,
+    KIND_ESTIMATE,
+    KIND_PLAN,
+    KIND_PLAN_RESPONSE,
+    KIND_RESPONSE,
+    MAX_FRAME_BYTES,
+)
 
 #: Two-byte frame magic ("Sketch Binary").
 MAGIC = b"SB"
 
 #: Binary framing version; moves in lockstep with the JSON
-#: ``protocol_version`` (both serialize the same v1 envelopes).
+#: ``protocol_version`` (both serialize the same v1 messages).
 WIRE_VERSION = 1
 
-#: Largest accepted frame payload.  Matches the HTTP front door's body
-#: bound: a batch of several thousand SQL strings fits, a runaway or
-#: corrupt length prefix does not.
-MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-#: Frame kinds.
-KIND_ESTIMATE = 0x01        # client -> server: one request
-KIND_BATCH = 0x02           # client -> server: a batch of requests
-KIND_RESPONSE = 0x03        # server -> client: one response envelope
-KIND_BATCH_RESPONSE = 0x04  # server -> client: a batch response envelope
-KIND_ERROR = 0x05           # server -> client: transport-level failure
-KIND_PLAN = 0x06            # client -> server: one plan advisory request
-KIND_PLAN_RESPONSE = 0x07   # server -> client: a plan response envelope
-
 _HEADER = struct.Struct("!2sBBI")
-_F64 = struct.Struct("!d")
-_I64 = struct.Struct("!q")
-_U32 = struct.Struct("!I")
 
-#: ``None`` sentinel for optional strings (an impossible real length —
-#: it exceeds MAX_FRAME_BYTES).
-_NONE_LEN = 0xFFFFFFFF
-
-#: The closed response-code set as one byte (0 = no code).  Appending
-#: new codes is additive; re-ordering is a wire break (bump
-#: WIRE_VERSION).
-_CODE_TO_BYTE = {code: i + 1 for i, code in enumerate(RESPONSE_CODES)}
-_BYTE_TO_CODE = {i + 1: code for i, code in enumerate(RESPONSE_CODES)}
-
-# response flag bits
-_FLAG_KIND_QUERY = 0x01     # request_kind == "query" (else "sql")
-_FLAG_CACHED = 0x02
-_FLAG_HAS_ESTIMATE = 0x04
-_FLAG_HAS_TOKEN = 0x08
-_FLAG_HAS_SERVER_MS = 0x10
-
-#: The plan code set (engine codes + ``"plan"``) as one byte; same
-#: additive-append / no-reorder discipline as ``_CODE_TO_BYTE``.
-_PLAN_CODE_TO_BYTE = {code: i + 1 for i, code in enumerate(PLAN_RESPONSE_CODES)}
-_PLAN_BYTE_TO_CODE = {i + 1: code for i, code in enumerate(PLAN_RESPONSE_CODES)}
-
-# plan-response flag bits
-_PFLAG_KIND_QUERY = 0x01    # request_kind == "query" (else "sql")
-_PFLAG_HAS_PLAN = 0x02
-_PFLAG_HAS_COST = 0x04
-_PFLAG_HAS_ESTIMATE_MS = 0x08
-_PFLAG_HAS_ENUMERATE_MS = 0x10
-_PFLAG_HAS_SERVER_MS = 0x20
-
-# subplan flag bits
-_SPFLAG_CACHED = 0x01
-_SPFLAG_DEGRADED = 0x02
-
-# plan-tree node tags
-_NODE_LEAF = 0x00
-_NODE_JOIN = 0x01
-
-#: Join trees nest at most MAX_DP_RELATIONS deep in practice; a frame
-#: claiming more is corrupt (and would otherwise recurse unboundedly).
-_MAX_PLAN_DEPTH = 64
+_BY_KIND = {op.request_kind: op for op in schema.OPERATIONS}
 
 
 class TruncatedFrame(ProtocolError):
@@ -132,498 +88,67 @@ class TruncatedFrame(ProtocolError):
 
 
 # ----------------------------------------------------------------------
-# primitive encoders
-# ----------------------------------------------------------------------
-def _pack_str(out: list, value: str | None) -> None:
-    if value is None:
-        out.append(_U32.pack(_NONE_LEN))
-        return
-    raw = value.encode("utf-8")
-    out.append(_U32.pack(len(raw)))
-    out.append(raw)
-
-
-class _Reader:
-    """Cursor over one frame payload; any overrun is a ProtocolError."""
-
-    __slots__ = ("buf", "pos", "what")
-
-    def __init__(self, payload: bytes, what: str):
-        self.buf = payload
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
-            raise ProtocolError(
-                f"{self.what} payload is truncated "
-                f"(wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf)})"
-            )
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self.take(8))[0]
-
-    def string(self) -> str | None:
-        length = self.u32()
-        if length == _NONE_LEN:
-            return None
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"{self.what} carries an oversized string "
-                f"({length} bytes)"
-            )
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(
-                f"{self.what} carries invalid UTF-8: {exc}"
-            ) from exc
-
-    def require_str(self, field: str) -> str:
-        value = self.string()
-        if value is None:
-            raise ProtocolError(
-                f"{self.what} is missing required field {field!r}"
-            )
-        return value
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise ProtocolError(
-                f"{self.what} has {len(self.buf) - self.pos} "
-                "trailing payload byte(s)"
-            )
-
-
-def _sql_text(request: Query | str, memo: dict | None = None) -> str:
-    if not isinstance(request, Query):
-        return request
-    if memo is None:
-        return request.to_sql()
-    # Batches repeat canonical queries (dedup'd streams, templated
-    # workloads); render each distinct Query object once per envelope.
-    key = id(request)
-    sql = memo.get(key)
-    if sql is None:
-        sql = memo[key] = request.to_sql()
-    return sql
-
-
-def _parse_memo(sql: str, memo: dict):
-    """``parse_sql`` once per distinct SQL string per envelope.
-
-    Decoding a batch re-parses every response's request and canonical
-    query; a templated 512-request stream holds only a handful of
-    distinct strings, and parsing dominates unmarshalling without this.
-    """
-    query = memo.get(sql)
-    if query is None:
-        from ..db.sql import parse_sql
-
-        query = memo[sql] = parse_sql(sql)
-    return query
-
-
-# ----------------------------------------------------------------------
-# request envelopes
+# payloads: the schema's messages bound to the binary codec
 # ----------------------------------------------------------------------
 def encode_estimate_request(
     request: Query | str, sketch: str | None = None
 ) -> bytes:
-    out: list = []
-    _pack_str(out, _sql_text(request))
-    _pack_str(out, sketch)
-    return b"".join(out)
+    return schema.pack(schema.REQUEST, request, sketch)
 
 
 def decode_estimate_request(payload: bytes) -> tuple[str, str | None]:
-    r = _Reader(payload, "binary estimate request")
-    sql = r.require_str("sql")
-    sketch = r.string()
-    r.done()
-    return sql, sketch
+    return schema.unpack(schema.REQUEST, payload)
 
 
-def encode_batch_request(
-    requests, sketch: str | None = None
-) -> bytes:
-    out: list = [_U32.pack(len(requests))]
-    memo: dict = {}
-    for request in requests:
-        _pack_str(out, _sql_text(request, memo))
-    _pack_str(out, sketch)
-    return b"".join(out)
+#: ``KIND_PLAN`` carries the same payload as ``KIND_ESTIMATE``.
+encode_plan_request = encode_estimate_request
+decode_plan_request = decode_estimate_request
+
+
+def encode_batch_request(requests, sketch: str | None = None) -> bytes:
+    return schema.pack(schema.BATCH_REQUEST, requests, sketch)
 
 
 def decode_batch_request(payload: bytes) -> tuple[list[str], str | None]:
-    r = _Reader(payload, "binary estimate_batch request")
-    count = r.u32()
-    if count > MAX_FRAME_BYTES // 4:
-        raise ProtocolError(
-            f"binary estimate_batch request claims {count} queries"
-        )
-    sqls = [r.require_str(f"queries[{i}]") for i in range(count)]
-    sketch = r.string()
-    r.done()
-    return sqls, sketch
-
-
-# ----------------------------------------------------------------------
-# response envelopes
-# ----------------------------------------------------------------------
-def _encode_response_body(
-    out: list,
-    response: EstimateResponse,
-    server_ms: float | None,
-    memo: dict | None = None,
-) -> None:
-    flags = 0
-    if isinstance(response.request, Query):
-        flags |= _FLAG_KIND_QUERY
-    if response.cached:
-        flags |= _FLAG_CACHED
-    if response.estimate is not None:
-        flags |= _FLAG_HAS_ESTIMATE
-    if response.token is not None:
-        flags |= _FLAG_HAS_TOKEN
-    if server_ms is not None:
-        flags |= _FLAG_HAS_SERVER_MS
-    out.append(bytes((flags, _CODE_TO_BYTE.get(response.code, 0))))
-    _pack_str(out, _sql_text(response.request, memo))
-    _pack_str(
-        out,
-        None if response.query is None else _sql_text(response.query, memo),
-    )
-    _pack_str(out, response.sketch)
-    _pack_str(out, response.error)
-    if response.estimate is not None:
-        out.append(_F64.pack(float(response.estimate)))
-    if response.token is not None:
-        out.append(_I64.pack(int(response.token)))
-    if server_ms is not None:
-        out.append(_F64.pack(float(server_ms)))
-
-
-def _decode_response_body(
-    r: _Reader, parse_cache: dict
-) -> tuple[EstimateResponse, float | None]:
-    flags = r.u8()
-    code_byte = r.u8()
-    if code_byte and code_byte not in _BYTE_TO_CODE:
-        raise ProtocolError(
-            f"{r.what} has unknown error-code byte {code_byte}"
-        )
-    code = _BYTE_TO_CODE.get(code_byte)
-    request_sql = r.require_str("request")
-    query_sql = r.string()
-    sketch = r.string()
-    error = r.string()
-    estimate = r.f64() if flags & _FLAG_HAS_ESTIMATE else None
-    token = r.i64() if flags & _FLAG_HAS_TOKEN else None
-    server_ms = r.f64() if flags & _FLAG_HAS_SERVER_MS else None
-    if error is None and code is not None:
-        raise ProtocolError(f"{r.what} carries code {code!r} without an error")
-    try:
-        query = (
-            None if query_sql is None else _parse_memo(query_sql, parse_cache)
-        )
-        request: Query | str = (
-            _parse_memo(request_sql, parse_cache)
-            if flags & _FLAG_KIND_QUERY
-            else request_sql
-        )
-    except Exception as exc:
-        raise ProtocolError(f"{r.what} carries unparseable SQL: {exc}") from exc
-    return (
-        EstimateResponse(
-            request=request,
-            query=query,
-            sketch=sketch,
-            estimate=estimate,
-            cached=bool(flags & _FLAG_CACHED),
-            error=error,
-            code=code,
-            token=token,
-        ),
-        server_ms,
-    )
+    return schema.unpack(schema.BATCH_REQUEST, payload)
 
 
 def encode_response(
     response: EstimateResponse, server_ms: float | None = None
 ) -> bytes:
-    out: list = []
-    _encode_response_body(out, response, server_ms)
-    return b"".join(out)
+    return schema.pack(schema.RESPONSE, response, server_ms)
 
 
 def decode_response(payload: bytes) -> tuple[EstimateResponse, float | None]:
-    r = _Reader(payload, "binary estimate response")
-    response, server_ms = _decode_response_body(r, {})
-    r.done()
-    return response, server_ms
+    return schema.unpack(schema.RESPONSE, payload)
 
 
-def encode_batch_response(
-    responses, server_ms: float | None = None
-) -> bytes:
-    out: list = [_U32.pack(len(responses))]
-    memo: dict = {}
-    for i, response in enumerate(responses):
-        # server_ms is envelope metadata (one timing for the batch);
-        # carry it on the first body only, like the JSON envelope's
-        # single top-level field.
-        _encode_response_body(
-            out, response, server_ms if i == 0 else None, memo
-        )
-    return b"".join(out)
+def encode_batch_response(responses, server_ms: float | None = None) -> bytes:
+    return schema.pack(schema.BATCH_RESPONSE, responses, server_ms)
 
 
 def decode_batch_response(
     payload: bytes,
 ) -> tuple[list[EstimateResponse], float | None]:
-    r = _Reader(payload, "binary estimate_batch response")
-    count = r.u32()
-    if count > MAX_FRAME_BYTES // 4:
-        raise ProtocolError(
-            f"binary estimate_batch response claims {count} responses"
-        )
-    responses: list[EstimateResponse] = []
-    server_ms = None
-    parse_cache: dict = {}
-    for i in range(count):
-        response, ms = _decode_response_body(r, parse_cache)
-        if i == 0:
-            server_ms = ms
-        responses.append(response)
-    r.done()
-    return responses, server_ms
-
-
-# ----------------------------------------------------------------------
-# plan advisory envelopes (KIND_PLAN / KIND_PLAN_RESPONSE)
-# ----------------------------------------------------------------------
-def encode_plan_request(
-    request: Query | str, sketch: str | None = None
-) -> bytes:
-    out: list = []
-    _pack_str(out, _sql_text(request))
-    _pack_str(out, sketch)
-    return b"".join(out)
-
-
-def decode_plan_request(payload: bytes) -> tuple[str, str | None]:
-    r = _Reader(payload, "binary plan request")
-    sql = r.require_str("sql")
-    sketch = r.string()
-    r.done()
-    return sql, sketch
-
-
-def _encode_plan_node(out: list, node) -> None:
-    """Preorder tree walk: a leaf tag + alias, or a join tag + both
-    children."""
-    from ..optimizer.plans import JoinNode
-
-    if isinstance(node, JoinNode):
-        out.append(bytes((_NODE_JOIN,)))
-        _encode_plan_node(out, node.left)
-        _encode_plan_node(out, node.right)
-    else:
-        out.append(bytes((_NODE_LEAF,)))
-        _pack_str(out, node.alias)
-
-
-def _decode_plan_node(r: _Reader, depth: int = 0):
-    from ..optimizer.plans import JoinNode, LeafNode
-
-    if depth > _MAX_PLAN_DEPTH:
-        raise ProtocolError(
-            f"{r.what} plan tree nests deeper than {_MAX_PLAN_DEPTH}"
-        )
-    tag = r.u8()
-    if tag == _NODE_LEAF:
-        return LeafNode(r.require_str("alias"))
-    if tag == _NODE_JOIN:
-        left = _decode_plan_node(r, depth + 1)
-        right = _decode_plan_node(r, depth + 1)
-        return JoinNode(left, right)
-    raise ProtocolError(f"{r.what} has unknown plan-node tag 0x{tag:02x}")
+    return schema.unpack(schema.BATCH_RESPONSE, payload)
 
 
 def encode_plan_response(
     response: PlanResponse, server_ms: float | None = None
 ) -> bytes:
-    out: list = []
-    flags = 0
-    if isinstance(response.request, Query):
-        flags |= _PFLAG_KIND_QUERY
-    if response.plan is not None:
-        flags |= _PFLAG_HAS_PLAN
-    if response.estimated_cost is not None:
-        flags |= _PFLAG_HAS_COST
-    if response.estimate_ms is not None:
-        flags |= _PFLAG_HAS_ESTIMATE_MS
-    if response.enumerate_ms is not None:
-        flags |= _PFLAG_HAS_ENUMERATE_MS
-    if server_ms is not None:
-        flags |= _PFLAG_HAS_SERVER_MS
-    out.append(bytes((flags, _PLAN_CODE_TO_BYTE.get(response.code, 0))))
-    _pack_str(out, _sql_text(response.request))
-    _pack_str(
-        out, None if response.query is None else _sql_text(response.query)
-    )
-    _pack_str(out, response.sketch)
-    _pack_str(out, response.error)
-    if response.estimated_cost is not None:
-        out.append(_F64.pack(float(response.estimated_cost)))
-    if response.estimate_ms is not None:
-        out.append(_F64.pack(float(response.estimate_ms)))
-    if response.enumerate_ms is not None:
-        out.append(_F64.pack(float(response.enumerate_ms)))
-    if server_ms is not None:
-        out.append(_F64.pack(float(server_ms)))
-    if response.plan is not None:
-        _encode_plan_node(out, response.plan)
-    out.append(_U32.pack(len(response.subplans)))
-    for sub in response.subplans:
-        sub_flags = 0
-        if sub.cached:
-            sub_flags |= _SPFLAG_CACHED
-        if sub.degraded:
-            sub_flags |= _SPFLAG_DEGRADED
-        out.append(bytes((sub_flags, _CODE_TO_BYTE.get(sub.code, 0))))
-        out.append(_U32.pack(len(sub.aliases)))
-        for alias in sub.aliases:
-            _pack_str(out, alias)
-        out.append(_F64.pack(float(sub.estimate)))
-        _pack_str(out, sub.error)
-    return b"".join(out)
+    return schema.pack(schema.PLAN_RESPONSE, response, server_ms)
 
 
-def decode_plan_response(
-    payload: bytes,
-) -> tuple[PlanResponse, float | None]:
-    r = _Reader(payload, "binary plan response")
-    flags = r.u8()
-    code_byte = r.u8()
-    if code_byte and code_byte not in _PLAN_BYTE_TO_CODE:
-        raise ProtocolError(f"{r.what} has unknown error-code byte {code_byte}")
-    code = _PLAN_BYTE_TO_CODE.get(code_byte)
-    request_sql = r.require_str("request")
-    query_sql = r.string()
-    sketch = r.string()
-    error = r.string()
-    if error is None and code is not None:
-        raise ProtocolError(f"{r.what} carries code {code!r} without an error")
-    if bool(flags & _PFLAG_HAS_PLAN) == (error is not None):
-        raise ProtocolError(
-            f"{r.what} must carry exactly one of a plan or an error"
-        )
-    cost = r.f64() if flags & _PFLAG_HAS_COST else None
-    estimate_ms = r.f64() if flags & _PFLAG_HAS_ESTIMATE_MS else None
-    enumerate_ms = r.f64() if flags & _PFLAG_HAS_ENUMERATE_MS else None
-    server_ms = r.f64() if flags & _PFLAG_HAS_SERVER_MS else None
-    plan = _decode_plan_node(r) if flags & _PFLAG_HAS_PLAN else None
-    count = r.u32()
-    if count > MAX_FRAME_BYTES // 4:
-        raise ProtocolError(
-            f"binary plan response claims {count} subplans"
-        )
-    subplans: list[SubplanEstimate] = []
-    for _ in range(count):
-        sub_flags = r.u8()
-        sub_code_byte = r.u8()
-        if sub_code_byte and sub_code_byte not in _BYTE_TO_CODE:
-            raise ProtocolError(
-                f"{r.what} subplan has unknown error-code byte {sub_code_byte}"
-            )
-        sub_code = _BYTE_TO_CODE.get(sub_code_byte)
-        n_aliases = r.u32()
-        if n_aliases > MAX_FRAME_BYTES // 4:
-            raise ProtocolError(
-                f"binary plan response subplan claims {n_aliases} aliases"
-            )
-        aliases = tuple(
-            r.require_str(f"aliases[{i}]") for i in range(n_aliases)
-        )
-        estimate = r.f64()
-        sub_error = r.string()
-        degraded = bool(sub_flags & _SPFLAG_DEGRADED)
-        if degraded != (sub_code is not None):
-            raise ProtocolError(
-                f"{r.what} subplan degradation and its code disagree"
-            )
-        subplans.append(
-            SubplanEstimate(
-                aliases=aliases,
-                estimate=estimate,
-                cached=bool(sub_flags & _SPFLAG_CACHED),
-                degraded=degraded,
-                code=sub_code,
-                error=sub_error,
-            )
-        )
-    r.done()
-    parse_cache: dict = {}
-    try:
-        query = (
-            None if query_sql is None else _parse_memo(query_sql, parse_cache)
-        )
-        request: Query | str = (
-            _parse_memo(request_sql, parse_cache)
-            if flags & _PFLAG_KIND_QUERY
-            else request_sql
-        )
-    except Exception as exc:
-        raise ProtocolError(f"{r.what} carries unparseable SQL: {exc}") from exc
-    return (
-        PlanResponse(
-            request=request,
-            query=query,
-            sketch=sketch,
-            plan=plan,
-            estimated_cost=cost,
-            subplans=tuple(subplans),
-            error=error,
-            code=code,
-            estimate_ms=estimate_ms,
-            enumerate_ms=enumerate_ms,
-        ),
-        server_ms,
-    )
+def decode_plan_response(payload: bytes) -> tuple[PlanResponse, float | None]:
+    return schema.unpack(schema.PLAN_RESPONSE, payload)
 
 
-# ----------------------------------------------------------------------
-# transport-level errors
-# ----------------------------------------------------------------------
 def encode_error(message: str, code: str = "protocol") -> bytes:
-    out: list = []
-    _pack_str(out, message)
-    _pack_str(out, code)
-    return b"".join(out)
+    return schema.pack(schema.ERROR, message, code)
 
 
 def decode_error(payload: bytes) -> tuple[str, str]:
-    r = _Reader(payload, "binary error frame")
-    message = r.require_str("error")
-    code = r.require_str("code")
-    r.done()
-    return message, code
+    return schema.unpack(schema.ERROR, payload)
 
 
 # ----------------------------------------------------------------------
@@ -769,42 +294,14 @@ class BinaryFrameServer:
                     return  # clean disconnect between frames
                 kind, payload = frame
                 try:
-                    if kind == KIND_ESTIMATE:
-                        sql, sketch = decode_estimate_request(payload)
-                        t0 = time.perf_counter()
-                        response = self.service.submit(sql, sketch).result()
-                        server_ms = (time.perf_counter() - t0) * 1000.0
-                        write_frame(
-                            conn,
-                            KIND_RESPONSE,
-                            encode_response(response, server_ms),
-                        )
-                    elif kind == KIND_BATCH:
-                        sqls, sketch = decode_batch_request(payload)
-                        t0 = time.perf_counter()
-                        futures = self.service.submit_many(sqls, sketch)
-                        responses = [f.result() for f in futures]
-                        server_ms = (time.perf_counter() - t0) * 1000.0
-                        write_frame(
-                            conn,
-                            KIND_BATCH_RESPONSE,
-                            encode_batch_response(responses, server_ms),
-                        )
-                    elif kind == KIND_PLAN:
-                        sql, sketch = decode_plan_request(payload)
-                        t0 = time.perf_counter()
-                        response = self.service.plan(sql, sketch)
-                        server_ms = (time.perf_counter() - t0) * 1000.0
-                        write_frame(
-                            conn,
-                            KIND_PLAN_RESPONSE,
-                            encode_plan_response(response, server_ms),
-                        )
-                    else:
-                        self._answer_error(
-                            conn, f"unknown frame kind 0x{kind:02x}", "protocol"
-                        )
-                        return
+                    op = _BY_KIND.get(kind)
+                    if op is None:
+                        raise ProtocolError(f"unknown frame kind 0x{kind:02x}")
+                    request = schema.unpack(op.request, payload)
+                    answer = op.answer(self.service, request)
+                    write_frame(
+                        conn, op.reply_kind, schema.pack(op.response, *answer)
+                    )
                 except ProtocolError as exc:
                     self._answer_error(conn, str(exc), "protocol")
                     return

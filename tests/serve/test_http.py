@@ -255,6 +255,29 @@ class TestEndpoints:
             assert exc.code == 400
             assert json.loads(exc.read())["code"] == "protocol"
 
+    def test_malformed_content_length_is_400(self, served):
+        # A gateway reads 5xx as a dead backend; a header the client
+        # got wrong is the client's error, like any other bad envelope.
+        import socket
+
+        _manager, server, _client = served
+        with socket.create_connection(
+            (server.host, server.port), timeout=RESULT_TIMEOUT
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/estimate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: abc\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # the door closes after an error
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        payload = json.loads(body)
+        assert payload["code"] == "protocol" and payload["ok"] is False
+        assert "Content-Length" in payload["error"]
+
     def test_version_skew_is_400(self, served, workload):
         _manager, server, _client = served
         status, payload = _post_json(

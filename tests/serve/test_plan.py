@@ -359,12 +359,11 @@ class TestPlanEnvelopes:
         back, _ = wire.decode_plan_response(wire.encode_plan_response(response))
         assert back.plan == plan
 
-        out = []
-        wire._encode_plan_node(out, plan)
-        corrupt = b"\x01" * 100 + b"".join(out)  # 100 extra join tags
-        reader = wire._Reader(corrupt, "binary plan response")
-        with pytest.raises(ProtocolError):
-            wire._decode_plan_node(reader)
+        blob = wire.encode_plan_response(response)
+        tree_at = blob.index(b"\x01" * 8)  # the eight join tags, preorder
+        corrupt = blob[:tree_at] + b"\x01" * 100 + blob[tree_at:]
+        with pytest.raises(ProtocolError, match="nests deeper"):
+            wire.decode_plan_response(corrupt)
 
     def test_binary_rejects_unknown_code_byte(self):
         blob = bytearray(wire.encode_plan_response(_ok_response()))
