@@ -32,7 +32,7 @@ Every run writes machine-readable results to
 + pass) plus the human-readable ``bench_lifecycle.txt``.
 
 With ``--shm`` the served engine runs the zero-copy process path
-(``executor="process"`` with ``shm_snapshots`` + ``sticky_routing``):
+(``executor="process"`` with ``shm_snapshots``):
 the same drift/swap/rollback audit must hold when snapshots live in
 shared-memory segments, and an additional gate asserts the segment
 registry (and ``/dev/shm``) drained to empty after the rollback — a hot
@@ -159,7 +159,6 @@ def run(args) -> int:
                 executor="process",
                 executor_workers=2,
                 shm_snapshots=True,
-                sticky_routing=True,
             )
         else:
             serve_config = AsyncServeConfig(max_batch_size=64)
@@ -449,7 +448,7 @@ def main(argv=None) -> int:
                         help="smoke-test configuration for CI (seconds)")
     parser.add_argument("--shm", action="store_true",
                         help="serve through the zero-copy process engine "
-                        "(shm_snapshots + sticky_routing) and gate on no "
+                        "(process executor + shm_snapshots) and gate on no "
                         "leaked segments")
     args = parser.parse_args(argv)
     if args.tiny:

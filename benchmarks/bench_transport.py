@@ -21,8 +21,9 @@ Every path is parity-gated at 1e-12 against the in-process answers —
 a faster wire must not change a single number.
 
 The **shared-memory section** measures the other half of the zero-copy
-story: one process pool shipped pickled snapshots, one shipped
-:class:`~repro.serve.shm.SegmentDescriptor` handles.  Gates: the
+story: the same process executor once installing pickled snapshots and
+once installing :class:`~repro.serve.shm.SegmentDescriptor` handles —
+``shm_snapshots`` is the only thing that differs.  Gates: the
 descriptor crossing the process boundary is a fraction of the pickle
 blob, every worker actually maps the published segment
 (``/proc/<pid>/maps``) instead of holding a private copy, estimates are
@@ -69,6 +70,7 @@ from repro.serve import (  # noqa: E402
     live_segment_names,
 )
 from repro.serve.bench import apply_tiny_args  # noqa: E402
+from repro.serve.shm import SnapshotSegment  # noqa: E402
 from repro.workload import (  # noqa: E402
     JobLightConfig,
     generate_job_light,
@@ -231,10 +233,17 @@ def run(args) -> int:
     snapshot_blob_bytes = len(
         pickle.dumps(sketch.snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
     )
+    # The descriptor's size depends on the snapshot's layout only, so
+    # one published here stands for the one the executor ships.
+    probe = SnapshotSegment.publish(sketch.snapshot())
+    descriptor_bytes = len(
+        pickle.dumps(probe.descriptor, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    probe.unlink()
     shm_results: dict[str, dict] = {}
     for mode, flags in (
         ("pickle", {}),
-        ("shm", {"shm_snapshots": True, "sticky_routing": True}),
+        ("shm", {"shm_snapshots": True}),
     ):
         sketch.clear_cache()
         mode_config = ServeConfig(
@@ -246,29 +255,16 @@ def run(args) -> int:
             responses = server.serve(list(stream))
             seconds = time.perf_counter() - t0
             values = [r.estimate for r in responses]
-            executor = server.engine.executor
-            if flags:
-                pids = [
-                    pid
-                    for pool in executor._slot_pools
-                    if pool is not None
-                    for pid in pool._processes
-                ]
-                segments = sorted(live_segment_names())
-                mapped = (
-                    _workers_mapping_segment(pids, segments[0])
-                    if segments else []
-                )
-                descriptor_bytes = sum(
-                    len(pickle.dumps(seg_desc, protocol=pickle.HIGHEST_PROTOCOL))
-                    for seg_desc in (
-                        executor._segments[name].descriptor
-                        for name in executor._segments
-                    )
-                )
-            else:
-                pids = list(executor._pool._processes)
-                segments, mapped, descriptor_bytes = [], [], None
+            pids = [
+                slot["pid"]
+                for slot in server.engine.executor.slots()
+                if slot["pid"] is not None
+            ]
+            segments = sorted(live_segment_names())
+            mapped = (
+                _workers_mapping_segment(pids, segments[0])
+                if segments else []
+            )
             rss = _worker_rss_kb(pids)
             fallbacks = server.stats.n_executor_fallbacks
         shm_results[mode] = {
@@ -278,8 +274,7 @@ def run(args) -> int:
             "segments_live_while_serving": segments,
             "workers_mapping_segment": mapped,
             "shipped_bytes_per_worker": (
-                descriptor_bytes if descriptor_bytes is not None
-                else snapshot_blob_bytes
+                descriptor_bytes if flags else snapshot_blob_bytes
             ),
             "fallbacks": fallbacks,
             "max_rel_diff": _max_rel_diff(values, reference),

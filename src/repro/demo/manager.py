@@ -19,7 +19,6 @@ against *other* sketches can be interleaved freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -249,29 +248,6 @@ class SketchManager:
 
     def pending_builds(self) -> list[str]:
         return sorted(self._pending)
-
-    # ------------------------------------------------------------------
-    # estimation snapshots (process-pool serving workers)
-    # ------------------------------------------------------------------
-    def snapshot_payloads(self, names: Iterable[str] | None = None) -> dict[str, bytes]:
-        """Pickled estimation-only snapshots of registered sketches.
-
-        ``names`` defaults to every registered sketch.  Each payload is
-        a :class:`~repro.core.sketch.SketchSnapshot` pickled for
-        shipping into serving worker processes (see
-        :mod:`repro.serve.executor`); restoring one never retrains or
-        rebuilds anything.  Unknown names raise
-        :class:`~repro.errors.SketchError` like :meth:`get_sketch`.
-        """
-        import pickle
-
-        selected = self.list_sketches() if names is None else list(names)
-        return {
-            name: pickle.dumps(
-                self.get_sketch(name).snapshot(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            for name in selected
-        }
 
     # ------------------------------------------------------------------
     # querying

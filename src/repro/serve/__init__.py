@@ -69,7 +69,6 @@ from .executor import (
     EXECUTOR_NAMES,
     InlineExecutor,
     ProcessExecutor,
-    StickyProcessExecutor,
     ThreadExecutor,
     make_executor,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "EstimateResponse",
     "InlineExecutor",
     "ProcessExecutor",
-    "StickyProcessExecutor",
     "ServingBenchResult",
     "ThreadExecutor",
     "answer_chunk",

@@ -655,9 +655,9 @@ def run_executor_benchmark(
     stream measures dict lookups, not scale-out — and with no caches in
     play the sketch is **not** cleared between repeats, so this is a
     steady-state measurement (``clear_cache`` advances the sketch's
-    snapshot token, which would force the process executor to rebuild
-    its worker pool inside the timed region — a retrain cost, not a
-    serving cost).  Each executor runs ``repeats`` times (best run
+    snapshot token, which would make the process executor re-install
+    the sketch in its workers inside the timed region — a retrain
+    cost, not a serving cost).  Each executor runs ``repeats`` times (best run
     reported); one untimed warmup run builds pools and warms the
     per-worker mask memos and buffer pools for every executor alike.
     """

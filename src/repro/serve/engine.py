@@ -68,6 +68,13 @@ from ..demo.manager import SketchManager
 from .executor import EXECUTOR_NAMES, MP_START_METHODS, make_executor
 from .feature_cache import DEFAULT_FEATURE_CACHE_SIZE, FeatureCache
 
+#: Seconds an entry of the engine's own template feature cache lives
+#: (its size is ``DEFAULT_FEATURE_CACHE_SIZE``).  A caller who wants a
+#: different cache passes ``feature_cache=`` to the engine or a facade.
+FEATURE_CACHE_TTL_S = 600.0
+#: Recent observations kept by the wait / flush-latency summaries.
+LATENCY_WINDOW = 8192
+
 #: ``EstimateResponse.code`` for a request refused (or evicted) by
 #: admission control.
 CODE_SHED = "shed"
@@ -120,17 +127,13 @@ class ServeConfig:
 
     Execution: ``executor`` picks how micro-batches run — ``"inline"``
     (calling thread, the bit-identical default), ``"thread"`` (a
-    thread pool overlapping chunks), or ``"process"`` (a process pool
-    of ``executor_workers`` workers holding shipped weight snapshots;
-    ``mp_start_method`` overrides the multiprocessing start method,
-    default: the interpreter's platform default).  Two process-pool
-    refinements (both require ``executor="process"``):
-    ``shm_snapshots`` publishes snapshots as shared-memory segments
-    that workers map instead of unpickle-copy (zero per-worker copies;
-    see ``docs/performance.md``), and ``sticky_routing`` pins each
-    sketch to one dedicated worker so worker-side featurization state
-    stays warm across micro-batches (worker death degrades to the
-    re-ship path).
+    thread pool overlapping chunks), or ``"process"``
+    (``executor_workers`` long-lived worker processes holding installed
+    weight snapshots; ``mp_start_method`` overrides the multiprocessing
+    start method, default: the interpreter's platform default).
+    ``shm_snapshots`` (requires ``executor="process"``) publishes
+    snapshots as shared-memory segments that workers map instead of
+    unpickle-copy (zero per-worker copies; see ``docs/performance.md``).
 
     Admission: ``max_queue_depth`` bounds buffered computations
     (``None`` = unbounded); on overflow ``shed_policy`` either rejects
@@ -140,9 +143,7 @@ class ServeConfig:
 
     Caching: ``use_cache`` toggles the per-sketch result cache (and the
     submit-time fast path); ``dedup`` merges identical in-flight
-    queries; ``feature_cache_size``/``feature_cache_ttl_s`` bound the
-    shared template feature cache.  ``latency_window`` is the number of
-    recent observations kept by the wait/flush-latency summaries.
+    queries.
 
     Every field is validated at construction; bad values raise
     :class:`~repro.errors.SketchError` (a :class:`~repro.errors.ReproError`)
@@ -161,10 +162,6 @@ class ServeConfig:
     deadline_ms: float | None = None
     mp_start_method: str | None = None
     shm_snapshots: bool = False
-    sticky_routing: bool = False
-    feature_cache_size: int = DEFAULT_FEATURE_CACHE_SIZE
-    feature_cache_ttl_s: float | None = 600.0
-    latency_window: int = 8192
 
     def __post_init__(self):
         if self.max_batch_size <= 0:
@@ -216,20 +213,6 @@ class ServeConfig:
                 "shm_snapshots=True requires executor='process' "
                 f"(got executor={self.executor!r}); the inline/thread "
                 "paths already share the parent's arrays"
-            )
-        if self.sticky_routing and self.executor != "process":
-            raise SketchError(
-                "sticky_routing=True requires executor='process' "
-                f"(got executor={self.executor!r}); only process workers "
-                "hold per-worker state to pin"
-            )
-        if self.feature_cache_size < 0:
-            raise SketchError(
-                f"feature_cache_size must be >= 0, got {self.feature_cache_size}"
-            )
-        if self.latency_window <= 0:
-            raise SketchError(
-                f"latency_window must be positive, got {self.latency_window}"
             )
 
 
@@ -470,12 +453,12 @@ class EstimationEngine:
         self.config = config or ServeConfig()
         self.counters = ServerStats()
         self.feature_cache = feature_cache or FeatureCache(
-            maxsize=self.config.feature_cache_size,
-            ttl_seconds=self.config.feature_cache_ttl_s,
+            maxsize=DEFAULT_FEATURE_CACHE_SIZE,
+            ttl_seconds=FEATURE_CACHE_TTL_S,
         )
         self.executor = make_executor(self.config)
-        self.flush_latency = LatencySummary(window=self.config.latency_window)
-        self.queue_wait = LatencySummary(window=self.config.latency_window)
+        self.flush_latency = LatencySummary(window=LATENCY_WINDOW)
+        self.queue_wait = LatencySummary(window=LATENCY_WINDOW)
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)

@@ -19,49 +19,39 @@ implementations cover the scale spectrum:
   sketches overlap their Python-side featurization with each other's
   model time.  No serialization cost; worker threads run the exact
   inline path (the per-sketch caches are internally locked).
-* :class:`ProcessExecutor` — true multi-core scale-out.  Each worker
-  process receives a pickled
-  :class:`~repro.core.sketch.SketchSnapshot` per sketch — the compiled
+* :class:`ProcessExecutor` — true multi-core scale-out.  ``workers``
+  *slots*, each one long-lived worker process.  A worker holds an
+  estimation-only replica per sketch it serves, restored from a
+  :class:`~repro.core.sketch.SketchSnapshot` — the compiled
   :class:`~repro.nn.inference.InferenceSession` weight arrays plus the
-  materialized sample tables — restored once per (worker, sketch
-  generation); workers never retrain, rebuild samples, or touch
-  autograd.  The parent keeps the caches: it answers cache hits and
-  collapses duplicates before shipping only the distinct uncached
-  queries, and it writes the results back into the shared cache so
-  later requests hit without crossing a process boundary.  Snapshots
-  are re-shipped (by rebuilding the pool) when a sketch's
-  ``snapshot_token`` changes — a retrained or re-registered sketch can
-  never be served from stale worker weights.
-
-Two opt-in refinements reshape the process path (``ServeConfig``
-flags, both default-off):
-
-* ``shm_snapshots`` — snapshots are published once into
-  shared-memory segments (:mod:`repro.serve.shm`) and workers *map*
-  them as read-only views instead of unpickle-copying: per-worker
-  snapshot cost drops to page tables, and only a few-KB descriptor
-  crosses the process boundary.  Segment lifecycle follows
-  ``snapshot_token`` exactly as re-shipping does, so hot swaps retire
-  segments only after their pool generation is gone.
-* ``sticky_routing`` — :class:`StickyProcessExecutor` pins each sketch
-  to one dedicated worker, which keeps a worker-side template
-  :class:`~repro.serve.feature_cache.FeatureCache` warm across
-  micro-batches and re-ships single sketches via an install task
-  instead of pool rebuilds.
+  materialized sample tables; workers never retrain, rebuild samples,
+  or touch autograd.  The parent keeps the caches: it answers cache
+  hits and collapses duplicates before shipping only the distinct
+  uncached queries, and it writes the results back into the shared
+  cache so later requests hit without crossing a process boundary.
+  A sketch generation reaches a worker through a submitted *install
+  task* when its ``snapshot_token`` moved — never by restarting the
+  worker — so a retrained or re-registered sketch can never be served
+  from stale worker weights, and a hot swap costs one chunk and a bit.
+  With ``ServeConfig.shm_snapshots`` the install ships a few-KB
+  :class:`~repro.serve.shm.SegmentDescriptor` and the worker *maps*
+  the parent's shared-memory segment as read-only views instead of
+  unpickle-copying it.
 
 Executors are constructed from :class:`~repro.serve.engine.ServeConfig`
 via :func:`make_executor` (``config.executor`` by name); unknown names
 are rejected at config construction, so the factory never guesses.
 
-Failure behavior: a broken worker pool (a worker killed by the OOM
-killer, a pickling failure) degrades gracefully — the affected jobs
-fall back to the inline path in the parent, the pool is discarded and
+Failure behavior: a broken slot (a worker killed by the OOM killer, a
+pickling failure) degrades gracefully — only the jobs placed on it
+fall back to the inline path in the parent, the slot is discarded and
 lazily rebuilt on the next flush, and ``n_executor_fallbacks`` counts
 the events.  No future is ever abandoned through any of these paths.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import time
@@ -149,42 +139,46 @@ class ThreadExecutor(ChunkExecutor):
 
 
 # ----------------------------------------------------------------------
-# process-pool scale-out
+# process scale-out
 # ----------------------------------------------------------------------
 
 #: Worker-process registry: sketch name -> restored estimation-only
-#: DeepSketch.  Populated by the pool initializer; module-level so it
-#: survives across tasks.  Staleness is managed entirely parent-side
-#: (``ProcessExecutor._shipped`` vs ``snapshot_token``): a stale sketch
-#: means a new pool, never a worker-side check.
+#: DeepSketch.  Filled by install tasks; module-level so it survives
+#: across tasks.  Staleness is managed entirely parent-side (each
+#: slot's ``held`` map vs ``snapshot_token``): a stale or dropped
+#: sketch means an install or uninstall task, never a worker-side check.
 _WORKER_SKETCHES: dict = {}
 
 #: Shared-memory attachments backing shm-shipped sketches, kept so the
 #: mapping outlives the install call (sketch name -> AttachedSnapshot).
 _WORKER_ATTACHMENTS: dict = {}
 
-#: Sticky workers keep a worker-side template feature cache: the same
-#: sketch always lands on the same worker, so featurization state built
-#: for a query template is warm for the next micro-batch.  ``None``
-#: outside sticky mode (non-sticky pools are re-shipped wholesale on
-#: token changes; a cache keyed by featurizer identity would never hit
-#: across rebuilds anyway).
+#: Worker-side template feature cache.  Workers outlive sketch
+#: generations and a one-chunk round lands on the worker that already
+#: holds its sketch, so featurization state built for a query template
+#: is warm for the next micro-batch.
 _WORKER_FEATURE_CACHE = None
 
 
-def _install_sketch(name: str, payload) -> None:
-    """(Re)install one sketch in this worker from either payload kind.
+def _worker_init() -> None:
+    """Slot initializer: runs once in each new worker process."""
+    global _WORKER_FEATURE_CACHE
+    from .feature_cache import FeatureCache
+
+    _WORKER_FEATURE_CACHE = FeatureCache()
+
+
+def _worker_install(name: str, payload) -> int:
+    """Install task: (re)place one sketch in this worker; returns its pid.
 
     ``payload`` is a pickled :class:`~repro.core.sketch.SketchSnapshot`
     blob (the copy path) or a :class:`~repro.serve.shm.SegmentDescriptor`
     (the zero-copy path: attach the parent's segment and restore over
-    read-only views).  Replacing an shm-shipped sketch detaches its old
-    mapping first so a retired segment's memory is actually released.
+    read-only views).  The previous generation goes first, so a retired
+    segment's memory is actually released.
     """
-    previous = _WORKER_ATTACHMENTS.pop(name, None)
-    if previous is not None:
-        previous.detach()
-    if isinstance(payload, (bytes, bytearray)):
+    _worker_uninstall(name)
+    if isinstance(payload, bytes):
         _WORKER_SKETCHES[name] = pickle.loads(payload).restore()
     else:
         from .shm import AttachedSnapshot
@@ -192,32 +186,15 @@ def _install_sketch(name: str, payload) -> None:
         attachment = AttachedSnapshot(payload)
         _WORKER_ATTACHMENTS[name] = attachment
         _WORKER_SKETCHES[name] = attachment.sketch
+    return os.getpid()
 
 
-def _worker_init(payloads: dict, warm_features: bool = False) -> None:
-    """Pool initializer: restore every shipped sketch snapshot once."""
-    global _WORKER_FEATURE_CACHE
-    _WORKER_SKETCHES.clear()
-    for attachment in _WORKER_ATTACHMENTS.values():
+def _worker_uninstall(name: str) -> None:
+    """Uninstall task: drop one sketch's replica and its shm mapping."""
+    _WORKER_SKETCHES.pop(name, None)
+    attachment = _WORKER_ATTACHMENTS.pop(name, None)
+    if attachment is not None:
         attachment.detach()
-    _WORKER_ATTACHMENTS.clear()
-    if warm_features and _WORKER_FEATURE_CACHE is None:
-        from .feature_cache import FeatureCache
-
-        _WORKER_FEATURE_CACHE = FeatureCache()
-    for name, payload in payloads.items():
-        _install_sketch(name, payload)
-
-
-def _worker_install(name: str, payload) -> bool:
-    """Install task for sticky pools: runs *on* the slot's one worker.
-
-    Sticky slots ship sketches through a submitted task instead of a
-    pool rebuild, so a hot swap re-ships one sketch without tearing
-    down the worker (or its warm feature cache).
-    """
-    _install_sketch(name, payload)
-    return True
 
 
 def _worker_answer(sketch_name: str, queries: list) -> tuple[list, int]:
@@ -235,7 +212,7 @@ def _worker_answer(sketch_name: str, queries: list) -> tuple[list, int]:
     if sketch is None:
         raise RuntimeError(
             f"worker holds no snapshot for sketch {sketch_name!r}; "
-            "the parent should have rebuilt the pool"
+            "the parent should have installed it"
         )
     try:
         values = sketch.estimate_many(
@@ -263,12 +240,46 @@ def _worker_answer(sketch_name: str, queries: list) -> tuple[list, int]:
     return [(float(v), None, None) for v in values], 1
 
 
-class ProcessExecutor(ChunkExecutor):
-    """Process-pool executor: featurization + forwards across cores.
+class _Slot:
+    """One single-worker pool and what the parent knows its worker holds."""
 
-    The pool is built lazily on the first flush and rebuilt whenever a
-    referenced sketch is unshipped or its ``snapshot_token`` moved (a
-    retrain/rebuild).  ``start_method`` defaults to the interpreter's
+    __slots__ = ("pool", "pid", "held", "jobs", "installs")
+
+    def __init__(self):
+        self.pool: _ProcessPool | None = None  # created by the first install
+        self.pid: int | None = None
+        self.held: dict[str, int] = {}  # sketch name -> installed token
+        # Lifetime counts; they survive a rebuild of the worker.
+        self.jobs = 0
+        self.installs = 0
+
+
+class ProcessExecutor(ChunkExecutor):
+    """Process executor: featurization + forwards across cores.
+
+    ``workers`` *slots*; a slot is one lazily created single-worker
+    pool, and the parent records per slot which sketch generations
+    (``name -> snapshot_token``) its worker holds.
+
+    * **Install, never rebuild.**  A job for sketch *S* at token *T*
+      placed on a slot that does not hold (*S*, *T*) is preceded by an
+      install task on that slot.  Workers therefore outlive generation
+      changes — ``clear_cache()``, a hot swap, a newly registered
+      sketch — together with their warm buffers and feature cache.
+    * **Placement from what the round shows** (:meth:`_place`): a
+      one-chunk round stays on the slot that holds its sketch, a
+      many-chunk round spreads over every slot, and sketches taking
+      turns settle on a slot each.  Nothing is configured and nothing
+      is remembered beyond what the slots hold.
+    * **Only live generations are held.**  Each round first uninstalls
+      what the manager no longer serves — dropped names and superseded
+      generations — from every slot (worker replica, shm mapping,
+      parent bookkeeping) and retires its shipping payload and segment.
+    * **Failure containment is per slot.**  A dead worker fails only
+      the jobs placed on it over to the inline path; that slot is
+      discarded and lazily rebuilt, the other slots keep their workers.
+
+    ``start_method`` defaults to the interpreter's
     own platform default (``multiprocessing.get_start_method()`` —
     ``fork`` on Linux through 3.13, ``forkserver``/``spawn`` later and
     elsewhere), so this executor is never riskier than stdlib pools on
@@ -276,7 +287,7 @@ class ProcessExecutor(ChunkExecutor):
     ``fork`` is the only method that works from a REPL/stdin-driven
     parent (``spawn``/``forkserver`` re-import ``__main__``, which such
     parents don't have) but carries the classic fork-with-threads
-    caveats when the async facade's flush loop builds the pool;
+    caveats when the async facade's flush loop starts a worker;
     ``spawn``/``forkserver`` are thread-safe but degrade REPL parents
     to the inline fallback.  ``ServeConfig.mp_start_method`` overrides
     the choice per deployment.
@@ -295,171 +306,189 @@ class ProcessExecutor(ChunkExecutor):
         self.workers = int(workers)
         self.use_shm = bool(use_shm)
         self._start_method = start_method or multiprocessing.get_start_method()
-        self._pool: _ProcessPool | None = None
-        self._shipped: dict[str, int] = {}
-        #: sketch name -> live SnapshotSegment (shm mode only).  The
-        #: parent owns every segment: published on ship, unlinked when
-        #: the sketch's generation is retired (rebuild), discarded, or
-        #: closed — the ``snapshot_token``-tied lifecycle that keeps
-        #: the hot-swap zero-stale guarantee.
-        self._segments: dict = {}
+        self._slots = [_Slot() for _ in range(self.workers)]
+        #: sketch name -> (token, payload, segment) of its live
+        #: generation: the pickled snapshot, or (shm mode) the
+        #: descriptor of the parent-owned SnapshotSegment.  Built once
+        #: per generation, shared by every slot that installs it.
+        self._shipments: dict[str, tuple] = {}
         self._lock = threading.Lock()
 
-    # -- shared-memory segment lifecycle --------------------------------
-    def _shm_payloads(self, ship: dict) -> dict:
-        """Descriptors for every shipped sketch, publishing as needed.
+    def slots(self) -> list[dict]:
+        """Read-only view of the slots, in index order.
 
-        Reuses the current segment when the sketch's token is
-        unchanged (alternating traffic must not republish), publishes a
-        new segment otherwise, and unlinks every replaced/dropped
-        segment.  Callers guarantee the previous pool is already shut
-        down (or its workers have detached), so an unlink here frees
-        the memory as soon as lingering mappings close.
+        Per slot: the worker's ``pid`` (``None`` before its first
+        install and after a discard), the ``sketches`` it holds
+        (``name -> snapshot_token``), and the lifetime number of
+        ``jobs`` dispatched to and ``installs`` performed on it.
         """
-        from .shm import SnapshotSegment
+        with self._lock:
+            return [
+                {
+                    "pid": slot.pid,
+                    "sketches": dict(slot.held),
+                    "jobs": slot.jobs,
+                    "installs": slot.installs,
+                }
+                for slot in self._slots
+            ]
 
-        payloads: dict = {}
-        segments: dict = {}
-        for name in sorted(ship):
-            sketch = ship[name]
-            segment = self._segments.get(name)
-            if segment is None or segment.token != sketch.snapshot_token:
-                segment = SnapshotSegment.publish(sketch.snapshot())
-            segments[name] = segment
-            payloads[name] = segment.descriptor
-        for name, segment in self._segments.items():
-            if segments.get(name) is not segment:
-                segment.unlink()
-        self._segments = segments
-        return payloads
+    # -- shipping: one payload (and segment) per live generation --------
+    def _payload(self, name: str, sketch, token: int):
+        """What an install task ships for the live generation of ``name``.
 
-    def _unlink_segments(self) -> None:
-        segments, self._segments = self._segments, {}
-        for segment in segments.values():
+        Snapshots the *exact* sketch object the round is answering with
+        (not re-fetched from the manager — a hot swap racing the round
+        could otherwise ship the new version recorded under the old
+        version's token, producing a mixed-version batch).  The round
+        has already retired every superseded shipment
+        (:meth:`_release_retired`), so one found here is ``token``'s.
+        """
+        shipment = self._shipments.get(name)
+        if shipment is None:
+            snapshot = sketch.snapshot()
+            if self.use_shm:
+                from .shm import SnapshotSegment
+
+                segment = SnapshotSegment.publish(snapshot)
+                shipment = (token, segment.descriptor, segment)
+            else:
+                blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+                shipment = (token, blob, None)
+            self._shipments[name] = shipment
+        return shipment[1]
+
+    def _retire(self, name: str) -> None:
+        """Forget a generation's payload; unlink its segment.
+
+        POSIX keeps an unlinked segment alive for existing mappings, so
+        a worker that still maps it is unaffected and the name is gone
+        now.
+        """
+        _token, _payload, segment = self._shipments.pop(name)
+        if segment is not None:
             segment.unlink()
 
-    # -- pool lifecycle -------------------------------------------------
-    def _ensure_pool(self, engine, needed: dict[str, object]) -> _ProcessPool:
-        """The live pool, rebuilt if any needed sketch is missing/stale.
-
-        ``needed`` maps sketch name -> the *exact* sketch object this
-        round is answering with.  On a rebuild, those objects are
-        snapshotted directly (not re-fetched from the manager — a hot
-        swap racing the round could otherwise ship the new version
-        recorded under the old version's token, producing a
-        mixed-version batch).  Previously shipped sketches that are
-        still registered and current ride along, so alternating traffic
-        between sketches does not thrash the pool.
-        """
-        with self._lock:
-            if self._pool is not None and all(
-                self._shipped.get(name) == sketch.snapshot_token
-                for name, sketch in needed.items()
-            ):
-                return self._pool
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            ship = dict(needed)
-            for name, token in self._shipped.items():
-                if name in ship:
-                    continue
-                try:
-                    sketch = engine.manager.get_sketch(name)
-                except SketchError:
-                    continue
-                if sketch.snapshot_token == token:
-                    ship[name] = sketch
-            if self.use_shm:
-                payloads = self._shm_payloads(ship)
-            else:
-                payloads = {
-                    name: pickle.dumps(
-                        ship[name].snapshot(), protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    for name in sorted(ship)
-                }
+    # -- slot lifecycle -------------------------------------------------
+    def _install(self, slot: _Slot, name: str, sketch, token: int) -> None:
+        """Make ``slot``'s worker hold (``name``, ``token``)."""
+        if slot.held.get(name) == token:
+            return
+        if slot.pool is None:
             import multiprocessing
 
-            context = multiprocessing.get_context(self._start_method)
-            self._pool = _ProcessPool(
-                max_workers=self.workers,
-                mp_context=context,
+            slot.pool = _ProcessPool(
+                max_workers=1,
+                mp_context=multiprocessing.get_context(self._start_method),
                 initializer=_worker_init,
-                initargs=(payloads, False),
             )
-            self._shipped = {
-                name: sketch.snapshot_token for name, sketch in ship.items()
-            }
-            return self._pool
+        payload = self._payload(name, sketch, token)
+        slot.pid = slot.pool.submit(_worker_install, name, payload).result()
+        slot.held[name] = token
+        slot.installs += 1
 
-    def _discard_pool(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._shipped = {}
-            # Unlink before the workers are necessarily gone: POSIX
-            # keeps an unlinked segment alive for existing mappings, so
-            # dying workers are unaffected and the name is gone now.
-            self._unlink_segments()
+    def _discard_slot(self, slot: _Slot, wait: bool = False) -> None:
+        pool, slot.pool, slot.pid, slot.held = slot.pool, None, None, {}
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=not wait)
+
+    def _release_retired(self, engine, fetched: dict) -> None:
+        """Uninstall every generation the manager no longer serves.
+
+        ``fetched`` holds the (sketch, token) pairs this round answers
+        with; every other held name is looked up now.  A dropped name
+        has no live token, so its replicas go from every slot holding
+        them — create / drop cycles would otherwise grow the workers
+        for ever.
+        """
+        live = {name: token for name, (_sketch, token) in fetched.items()}
+        held = set(self._shipments).union(*(slot.held for slot in self._slots))
+        for name in held.difference(live):
+            try:
+                live[name] = engine.manager.get_sketch(name).snapshot_token
+            except SketchError:
+                live[name] = None
+        for slot in self._slots:
+            retired = [n for n, token in slot.held.items() if token != live[n]]
+            try:
+                for name in retired:
+                    slot.pool.submit(_worker_uninstall, name).result()
+                    del slot.held[name]
+            except Exception:
+                self._discard_slot(slot)
+        for name in [n for n, s in self._shipments.items() if s[0] != live[n]]:
+            self._retire(name)
+
+    def _place(self, name: str, token: int, load: list[int]) -> _Slot:
+        """Pick the slot for the next job of a round and count it there.
+
+        Among the slots with the fewest jobs of *this round* (``load``),
+        prefer one that already holds (``name``, ``token``), then the
+        one holding the fewest sketches, then the lowest index.
+        """
+        index = min(
+            range(self.workers),
+            key=lambda i: (
+                load[i],
+                self._slots[i].held.get(name) != token,
+                len(self._slots[i].held),
+                i,
+            ),
+        )
+        load[index] += 1
+        return self._slots[index]
 
     # -- the flush path -------------------------------------------------
     def run(self, engine, jobs) -> None:
+        from .engine import CODE_ROUTE
+
+        # One fetch per name per round: every job of the round for one
+        # sketch is answered by the same object at the same token.
+        fetched: dict[str, tuple] = {}
         ready = []
-        needed: dict[str, object] = {}
         for job in jobs:
             try:
-                sketch = engine.manager.get_sketch(job.sketch)
+                if job.sketch not in fetched:
+                    sketch = engine.manager.get_sketch(job.sketch)
+                    fetched[job.sketch] = (sketch, sketch.snapshot_token)
             except SketchError as exc:
                 # Dropped between routing and flushing: same isolation
                 # as the inline path.
-                from .engine import CODE_ROUTE
-
                 for response in job.responses:
                     response.error = str(exc)
                     response.code = CODE_ROUTE
                 engine.complete_job(job)
                 continue
-            needed[job.sketch] = sketch
-            ready.append((job, sketch))
-        if not ready:
-            return
-        try:
-            pool = self._ensure_pool(engine, needed)
-        except Exception:
-            # Pool cannot be (re)built — run the round inline instead of
-            # failing requests over an infrastructure hiccup.
-            engine.count_executor_fallback(len(ready))
-            for job, _ in ready:
-                engine.run_job_inline(job)
-            return
+            ready.append((job, *fetched[job.sketch]))
         dispatched = []
-        broken = False
-        for job, sketch in ready:
-            if not broken:
+        with self._lock:
+            self._release_retired(engine, fetched)
+            load = [0] * self.workers
+            for job, sketch, token in ready:
+                slot = self._place(job.sketch, token, load)
                 try:
-                    dispatched.append(
-                        (job, sketch, self._dispatch(engine, pool, job, sketch))
+                    self._install(slot, job.sketch, sketch, token)
+                    state = self._dispatch(
+                        engine, slot.pool, job, sketch, token
                     )
-                    continue
                 except Exception:
-                    # A pool that broke while idle (worker OOM-killed
-                    # between rounds) surfaces here at submit time:
-                    # discard it so the next flush rebuilds, and finish
-                    # this round inline.
-                    self._discard_pool()
-                    broken = True
-            engine.count_executor_fallback(1)
-            engine.run_job_inline(job)
-        for job, sketch, state in dispatched:
-            self._collect(engine, job, sketch, state)
+                    # This slot is broken (worker died, install or
+                    # submit failed): contain the damage to its own
+                    # jobs and rebuild it lazily.
+                    self._discard_slot(slot)
+                    engine.count_executor_fallback(1)
+                    engine.run_job_inline(job)
+                    continue
+                slot.jobs += 1
+                dispatched.append((job, sketch, slot, state))
+        for job, sketch, slot, state in dispatched:
+            self._collect(engine, job, sketch, slot, state)
 
-    def _dispatch(self, engine, pool, job, sketch):
+    def _dispatch(self, engine, pool, job, sketch, token):
         """Parent-side cache/dedup, then ship distinct uncached queries.
 
         Mirrors ``DeepSketch.estimate_many``'s batch construction (cache
-        hits answered here, duplicates collapsed onto one slot, distinct
+        hits answered here, duplicates collapsed onto one entry, distinct
         queries in first-occurrence order) so the worker's micro-batch is
         the same batch the inline path would have run.
 
@@ -472,14 +501,13 @@ class ProcessExecutor(ChunkExecutor):
         """
         t0 = time.perf_counter()
         use_cache = engine.config.use_cache
-        token = sketch.snapshot_token
-        slots: list[int | None] = []
+        indices: list[int | None] = []  # per response: its query in distinct
         distinct: list = []
-        slot_of: dict = {}
+        index_of: dict = {}
         n_cached = 0
         for response in job.responses:
             # Version accounting: this parent-side sketch object (and the
-            # worker snapshot shipped under the same token) answers the
+            # worker replica installed under the same token) answers the
             # whole job — cache hits here, forwards in the worker.
             response.token = token
             hit = sketch.cache.get(response.query) if use_cache else None
@@ -487,19 +515,19 @@ class ProcessExecutor(ChunkExecutor):
                 response.cached = True
                 response.estimate = float(hit)
                 n_cached += 1
-                slots.append(None)
+                indices.append(None)
                 continue
-            slot = slot_of.get(response.query)
-            if slot is None:
-                slot = len(distinct)
+            index = index_of.get(response.query)
+            if index is None:
+                index = len(distinct)
                 distinct.append(response.query)
-                slot_of[response.query] = slot
-            slots.append(slot)
+                index_of[response.query] = index
+            indices.append(index)
         future = pool.submit(_worker_answer, job.sketch, distinct) if distinct else None
-        return t0, slots, future, n_cached
+        return t0, indices, future, n_cached
 
-    def _collect(self, engine, job, sketch, state, on_broken=None) -> None:
-        t0, slots, future, n_cached = state
+    def _collect(self, engine, job, sketch, slot: _Slot, state) -> None:
+        t0, indices, future, n_cached = state
         use_cache = engine.config.use_cache
         n_forwards = 0
         if future is not None:
@@ -507,18 +535,19 @@ class ProcessExecutor(ChunkExecutor):
                 results, n_forwards = future.result()
             except (Exception, CancelledError):
                 # CancelledError is Exception-derived on current
-                # CPython, but a sibling job's _discard_pool cancels
+                # CPython, but a sibling job's _discard_slot cancels
                 # queued futures — name it so the no-stranded-futures
                 # chain survives any future exception-hierarchy move.
-                # Worker or transport failure: the pool may be broken —
-                # discard it (or, sticky, just this job's slot) and
-                # answer the model portion inline.
-                (on_broken or self._discard_pool)()
+                # Worker or transport failure: this job's slot may be
+                # broken — discard it and answer the model portion
+                # inline.
+                with self._lock:
+                    self._discard_slot(slot)
                 engine.count_executor_fallback(1)
                 subset = [
                     r
-                    for r, slot in zip(job.responses, slots)
-                    if slot is not None
+                    for r, index in zip(job.responses, indices)
+                    if index is not None
                 ]
                 # answer_subset records this job's flush latency itself
                 # (one observation per job, like every other path).
@@ -526,10 +555,10 @@ class ProcessExecutor(ChunkExecutor):
                 engine.merge_chunk_stats(n_cache_hits=n_cached)
                 engine.complete_job(job)
                 return
-            for response, slot in zip(job.responses, slots):
-                if slot is None:
+            for response, index in zip(job.responses, indices):
+                if index is None:
                     continue
-                value, error, code = results[slot]
+                value, error, code = results[index]
                 if error is not None:
                     response.error = error
                     response.code = code
@@ -545,173 +574,10 @@ class ProcessExecutor(ChunkExecutor):
 
     def close(self) -> None:
         with self._lock:
-            pool, self._pool = self._pool, None
-            self._shipped = {}
-            self._unlink_segments()
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-class StickyProcessExecutor(ProcessExecutor):
-    """Process executor with sketch-to-worker pinning ("sticky routing").
-
-    ``workers`` independent single-worker pools ("slots"); each sketch
-    is assigned to one slot on first sight (least-loaded wins) and
-    every later micro-batch for it runs on that same worker.  Pinning
-    buys two things the shared pool cannot offer:
-
-    * **Warm worker state.**  Each slot's worker keeps a module-level
-      :class:`~repro.serve.feature_cache.FeatureCache`; since the same
-      sketch (same featurizer) always lands there, template features
-      built for one micro-batch are hits for the next.  The shared
-      pool's workers can't do this usefully — any of them may see any
-      sketch, and rebuilds discard the worker anyway.
-    * **Rebuild-free re-shipping.**  A hot swap ships the new snapshot
-      to one slot via a submitted :func:`_worker_install` task instead
-      of tearing down the whole pool — other sketches' slots (and
-      their warm caches) are untouched.
-
-    Failure containment is per slot: a dead worker fails only its own
-    sketches' jobs over to the inline path, its slot is discarded and
-    lazily rebuilt, and the next round re-ships exactly like the
-    shared pool's recovery — the degradation ladder is unchanged, just
-    narrower.  Composes with ``use_shm`` (descriptors install instead
-    of blobs).
-    """
-
-    name = "process-sticky"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: str | None = None,
-        use_shm: bool = False,
-    ):
-        super().__init__(
-            workers=workers, start_method=start_method, use_shm=use_shm
-        )
-        self._slot_pools: list[_ProcessPool | None] = [None] * self.workers
-        self._slot_shipped: list[dict[str, int]] = [
-            {} for _ in range(self.workers)
-        ]
-        self._assignment: dict[str, int] = {}
-
-    # -- slot lifecycle -------------------------------------------------
-    def _slot_of(self, name: str) -> int:
-        slot = self._assignment.get(name)
-        if slot is None:
-            load = [0] * self.workers
-            for assigned in self._assignment.values():
-                load[assigned] += 1
-            slot = load.index(min(load))
-            self._assignment[name] = slot
-        return slot
-
-    def _slot_pool(self, slot: int) -> _ProcessPool:
-        pool = self._slot_pools[slot]
-        if pool is None:
-            import multiprocessing
-
-            context = multiprocessing.get_context(self._start_method)
-            pool = _ProcessPool(
-                max_workers=1,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=({}, True),
-            )
-            self._slot_pools[slot] = pool
-            self._slot_shipped[slot] = {}
-        return pool
-
-    def _discard_slot(self, slot: int) -> None:
-        pool, self._slot_pools[slot] = self._slot_pools[slot], None
-        self._slot_shipped[slot] = {}
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _install(self, pool, slot: int, name: str, sketch) -> None:
-        """Ship ``sketch`` to its slot if the worker's copy is stale."""
-        token = sketch.snapshot_token
-        if self._slot_shipped[slot].get(name) == token:
-            return
-        if self.use_shm:
-            from .shm import SnapshotSegment
-
-            segment = self._segments.get(name)
-            retired = None
-            if segment is None or segment.token != token:
-                retired = segment
-                segment = SnapshotSegment.publish(sketch.snapshot())
-                self._segments[name] = segment
-            payload = segment.descriptor
-        else:
-            retired = None
-            payload = pickle.dumps(
-                sketch.snapshot(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        pool.submit(_worker_install, name, payload).result()
-        self._slot_shipped[slot][name] = token
-        if retired is not None:
-            # The install above detached the only worker mapping the
-            # old generation, so this unlink releases it fully.
-            retired.unlink()
-
-    # -- the flush path -------------------------------------------------
-    def run(self, engine, jobs) -> None:
-        ready = []
-        for job in jobs:
-            try:
-                sketch = engine.manager.get_sketch(job.sketch)
-            except SketchError as exc:
-                from .engine import CODE_ROUTE
-
-                for response in job.responses:
-                    response.error = str(exc)
-                    response.code = CODE_ROUTE
-                engine.complete_job(job)
-                continue
-            ready.append((job, sketch))
-        dispatched = []
-        with self._lock:
-            for job, sketch in ready:
-                slot = self._slot_of(job.sketch)
-                try:
-                    pool = self._slot_pool(slot)
-                    self._install(pool, slot, job.sketch, sketch)
-                    state = self._dispatch(engine, pool, job, sketch)
-                except Exception:
-                    # This slot is broken (worker died, install or
-                    # submit failed): contain the damage to its own
-                    # jobs and rebuild it lazily next round.
-                    self._discard_slot(slot)
-                    engine.count_executor_fallback(1)
-                    engine.run_job_inline(job)
-                    continue
-                dispatched.append((job, sketch, slot, state))
-        for job, sketch, slot, state in dispatched:
-            self._collect(
-                engine, job, sketch, state,
-                on_broken=lambda slot=slot: self._discard_slot(slot),
-            )
-
-    def _discard_pool(self) -> None:
-        # The shared-pool recovery hook, repurposed slot-wide: only
-        # reachable through paths that already hold no slot state.
-        with self._lock:
-            for slot in range(self.workers):
-                self._discard_slot(slot)
-            self._shipped = {}
-            self._unlink_segments()
-
-    def close(self) -> None:
-        with self._lock:
-            pools = list(self._slot_pools)
-            self._slot_pools = [None] * self.workers
-            self._slot_shipped = [{} for _ in range(self.workers)]
-            self._unlink_segments()
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            for slot in self._slots:
+                self._discard_slot(slot, wait=True)
+            for name in list(self._shipments):
+                self._retire(name)
 
 
 def make_executor(config) -> ChunkExecutor:
@@ -721,15 +587,10 @@ def make_executor(config) -> ChunkExecutor:
     if config.executor == "thread":
         return ThreadExecutor(workers=config.executor_workers)
     if config.executor == "process":
-        cls = (
-            StickyProcessExecutor
-            if getattr(config, "sticky_routing", False)
-            else ProcessExecutor
-        )
-        return cls(
+        return ProcessExecutor(
             workers=config.executor_workers,
             start_method=config.mp_start_method,
-            use_shm=getattr(config, "shm_snapshots", False),
+            use_shm=config.shm_snapshots,
         )
     raise SketchError(f"unknown executor {config.executor!r}")  # pragma: no cover
 
@@ -741,6 +602,5 @@ __all__ = [
     "InlineExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "StickyProcessExecutor",
     "make_executor",
 ]

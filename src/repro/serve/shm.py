@@ -25,11 +25,12 @@ Lifecycle — the part that has to be exact (see ``docs/performance.md``):
   creates it, copies the arrays in once, and registers it in a
   module-level live-segment registry; :meth:`SnapshotSegment.unlink`
   removes the ``/dev/shm`` entry and deregisters.  The executor ties
-  this to ``snapshot_token``: a hot swap publishes the new version's
-  segment, rebuilds the pool, and only then unlinks the retired one —
-  workers still mapping an unlinked segment keep a valid mapping until
-  they close it (POSIX semantics), so PR 8's zero-stale barrier is
-  unaffected.
+  this to ``snapshot_token``: one live segment per sketch name; the
+  round after a hot swap uninstalls the retired generation from the
+  workers, unlinks its segment and publishes the new version's —
+  a worker still mapping an unlinked segment keeps a valid mapping
+  until it closes it (POSIX semantics), so PR 8's zero-stale barrier
+  is unaffected.
 * CPython 3.11's ``resource_tracker`` registers *every* attach for
   cleanup, so a dying worker's tracker would unlink segments the
   parent still serves from.  Both sides therefore deregister

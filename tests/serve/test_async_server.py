@@ -348,8 +348,6 @@ class TestConfigAndHelpers:
             AsyncServeConfig(max_batch_size=0)
         with pytest.raises(SketchError):
             AsyncServeConfig(max_wait_ms=-1.0)
-        with pytest.raises(SketchError):
-            AsyncServeConfig(latency_window=0)
 
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]

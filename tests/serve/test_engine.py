@@ -61,8 +61,6 @@ class TestConfigValidation:
             {"deadline_ms": 0.0},
             {"deadline_ms": -5.0},
             {"mp_start_method": "teleport"},
-            {"feature_cache_size": -1},
-            {"latency_window": 0},
         ],
     )
     def test_bad_values_raise_repro_error(self, kwargs):

@@ -1,12 +1,27 @@
-"""Executors: inline/thread/process parity, snapshot shipping, staleness."""
+"""Executors: one contract for all four modes, then the slot counts.
 
+``TestExecutorContract`` states what every executor owes the engine
+and runs it over ``inline``, ``thread``, ``process`` and ``process`` +
+``shm_snapshots``.  ``TestSlotPlacement`` pins the process executor's
+install / placement / release behaviour by exact counts read through
+``ProcessExecutor.slots()``.
+"""
+
+import dataclasses
+import os
 import pickle
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.sketch import DeepSketch
 from repro.demo import SketchManager
 from repro.serve import (
+    CODE_ROUTE,
+    CODE_VOCAB,
     AsyncServeConfig,
     AsyncSketchServer,
     InlineExecutor,
@@ -14,14 +29,27 @@ from repro.serve import (
     ServeConfig,
     SketchServer,
     ThreadExecutor,
+    live_segment_names,
     make_executor,
 )
-from repro.workload import spec_for_imdb
+from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
 
-#: Acceptance bound: inline vs thread vs process estimates.
+#: Acceptance bound: inline vs thread estimates (the process modes run
+#: the same bytes over the same batches and are held to equality).
 PARITY_RTOL = 1e-12
 RESULT_TIMEOUT = 60.0
+
+#: The four ways a deployment can run micro-batches.
+MODES = {
+    "inline": {"executor": "inline"},
+    "thread": {"executor": "thread", "executor_workers": 2},
+    "process": {"executor": "process", "executor_workers": 2},
+    "process+shm": {
+        "executor": "process", "executor_workers": 2, "shm_snapshots": True,
+    },
+}
+PROCESS_MODES = ["process", "process+shm"]
 
 
 @pytest.fixture()
@@ -40,14 +68,35 @@ def workload(imdb_small):
     return gen.draw_many(32)
 
 
-def serve_with(manager, workload, **config_kwargs):
-    with SketchServer(manager, ServeConfig(**config_kwargs)) as server:
-        responses = server.serve(list(workload))
-        stats = server.stats
+@pytest.fixture(autouse=True)
+def no_leaked_segments():
+    """No test here may leave a shared-memory segment behind."""
+    assert live_segment_names() == set()
+    yield
+    assert live_segment_names() == set()
+
+
+def config_for(mode: str) -> ServeConfig:
+    return ServeConfig(max_batch_size=8, use_cache=False, **MODES[mode])
+
+
+def clone(sketch, name: str | None = None) -> DeepSketch:
+    """An independent replica with its own snapshot token (and name)."""
+    replica = DeepSketch.from_bytes(sketch.to_bytes())
+    return replica if name is None else dataclasses.replace(replica, name=name)
+
+
+def serve_all(server, queries, sketch=None) -> list[float]:
+    responses = server.serve(list(queries), sketch)
     assert all(r.ok for r in responses), [
         r.error for r in responses if not r.ok
     ][:3]
-    return np.array([r.estimate for r in responses]), stats
+    return [r.estimate for r in responses]
+
+
+def kill(pids) -> None:
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
 
 
 class TestFactory:
@@ -61,47 +110,284 @@ class TestFactory:
             ServeConfig(executor="process", executor_workers=3)
         )
         assert executor.workers == 3
+        assert executor.slots() == [
+            {"pid": None, "sketches": {}, "jobs": 0, "installs": 0}
+        ] * 3
         executor.close()
 
 
-class TestExecutorParity:
-    """Satellite/acceptance: inline vs thread vs process <= 1e-12."""
+@pytest.mark.parametrize("mode", list(MODES))
+class TestExecutorContract:
+    """What every executor owes the engine, whichever way it runs."""
 
-    def test_thread_matches_inline(self, manager, workload, trained_sketch):
-        sketch, _ = trained_sketch
-        inline, _ = serve_with(
-            manager, workload, executor="inline", max_batch_size=8,
-            use_cache=False,
-        )
-        sketch.clear_cache()
-        threaded, stats = serve_with(
-            manager, workload, executor="thread", executor_workers=2,
-            max_batch_size=8, use_cache=False,
-        )
-        np.testing.assert_allclose(threaded, inline, rtol=PARITY_RTOL, atol=0.0)
-        assert stats.n_executor_fallbacks == 0
-
-    def test_process_matches_inline(self, manager, workload, trained_sketch):
-        sketch, _ = trained_sketch
-        inline, _ = serve_with(
-            manager, workload, executor="inline", max_batch_size=8,
-            use_cache=False,
-        )
-        sketch.clear_cache()
-        processed, stats = serve_with(
-            manager, workload, executor="process", executor_workers=2,
-            max_batch_size=8, use_cache=False,
-        )
-        np.testing.assert_allclose(processed, inline, rtol=PARITY_RTOL, atol=0.0)
-        # The pool really ran: no degraded-to-inline chunks.
+    def test_answers_equal_the_inline_path(self, manager, workload, mode):
+        with SketchServer(manager, config_for("inline")) as server:
+            inline = serve_all(server, workload)
+        manager.get_sketch("test-sketch").clear_cache()
+        with SketchServer(manager, config_for(mode)) as server:
+            values = serve_all(server, workload)
+            stats = server.stats
+        if mode == "thread":
+            np.testing.assert_allclose(
+                values, inline, rtol=PARITY_RTOL, atol=0.0
+            )
+        else:
+            # same bytes (copied or mapped) over the same batches:
+            # identity, not approximation
+            assert values == inline
+        # The executor really ran: no degraded-to-inline chunks.
         assert stats.n_executor_fallbacks == 0
         assert stats.n_forward_batches >= 4
 
-    def test_process_with_cache_and_duplicates(self, manager, workload, trained_sketch):
+    def test_featurization_failure_fails_only_its_own_request(
+        self, manager, workload, mode
+    ):
+        bad = Query(
+            tables=(TableRef("title", "t"),),
+            predicates=(Predicate("t", "episode_nr", "=", 1),),
+        )
+        with SketchServer(manager, config_for(mode)) as server:
+            responses = server.serve([workload[0], bad, workload[1]])
+        assert responses[0].ok and responses[2].ok
+        assert not responses[1].ok
+        assert responses[1].code == CODE_VOCAB
+
+    def test_sketch_dropped_before_its_flush_answers_route(
+        self, manager, workload, mode
+    ):
+        with SketchServer(manager, config_for(mode)) as server:
+            futures = server.submit_many(list(workload[:12]))
+            manager.drop_sketch("test-sketch")
+            responses = server.flush()
+        assert all(f.done() for f in futures)
+        assert [r.code for r in responses] == [CODE_ROUTE] * 12
+
+    def test_no_round_mixes_generations_across_a_swap(
+        self, manager, workload, mode
+    ):
+        original = manager.get_sketch("test-sketch")
+        replacement = clone(original)
+        for p in replacement.model.parameters():
+            p.data += 0.05  # a visibly different generation
+        expected = [
+            replacement.estimate(q, use_cache=False) for q in workload[16:]
+        ]
+        with SketchServer(manager, config_for(mode)) as server:
+            before = server.serve(list(workload[:16]))
+            server.engine.swap_sketch("test-sketch", replacement)
+            after = server.serve(list(workload[16:]))
+        assert all(r.ok for r in before + after)
+        assert {r.token for r in after} == {replacement.snapshot_token}
+        assert {r.token for r in before}.isdisjoint({r.token for r in after})
+        # ...and the stamped token tells the truth about the weights
+        np.testing.assert_allclose(
+            [r.estimate for r in after], expected, rtol=PARITY_RTOL, atol=0.0
+        )
+
+    def test_close_drains_every_accepted_request(self, manager, workload, mode):
+        server = SketchServer(manager, config_for(mode))
+        futures = server.submit_many(list(workload))
+        assert not any(f.done() for f in futures)
+        server.close()
+        assert all(f.done() for f in futures)
+        assert all(f.result().ok for f in futures)
+        if mode in PROCESS_MODES:
+            assert all(
+                slot["pid"] is None for slot in server.engine.executor.slots()
+            )
+
+
+@pytest.mark.parametrize("mode", PROCESS_MODES)
+class TestSlotPlacement:
+    """Install / placement / release, by count, through ``slots()``."""
+
+    def test_killed_workers_degrade_inline_and_recover(
+        self, manager, workload, mode
+    ):
+        # Kill every worker between rounds: the next flush must still
+        # answer every request (degrading to the inline path) and count
+        # the fallback, and the round after runs on fresh workers —
+        # never a BrokenProcessPool through a response.
+        with SketchServer(manager, config_for(mode)) as server:
+            executor = server.engine.executor
+            serve_all(server, workload)
+            killed = [slot["pid"] for slot in executor.slots()]
+            assert None not in killed
+            kill(killed)
+            serve_all(server, workload)
+            degraded = server.stats.n_executor_fallbacks
+            assert degraded >= 1
+            serve_all(server, workload)
+            assert server.stats.n_executor_fallbacks == degraded
+            recovered = [slot["pid"] for slot in executor.slots()]
+            assert None not in recovered
+            assert set(recovered).isdisjoint(killed)
+            if mode == "process+shm":
+                assert len(live_segment_names()) == 1  # reused, not leaked
+
+    def test_killing_one_worker_leaves_the_other_slot_alone(
+        self, manager, workload, mode
+    ):
+        with SketchServer(manager, config_for(mode)) as server:
+            executor = server.engine.executor
+            serve_all(server, workload)
+            victim, survivor = [slot["pid"] for slot in executor.slots()]
+            kill([victim])
+            serve_all(server, workload)
+            assert server.stats.n_executor_fallbacks >= 1
+            serve_all(server, workload)
+            first, second = executor.slots()
+            assert first["pid"] not in (None, victim)
+            assert second["pid"] == survivor
+            assert second["installs"] == 1
+
+    def test_generation_change_reships_to_the_same_workers(
+        self, manager, workload, mode
+    ):
+        sketch = manager.get_sketch("test-sketch")
+        with SketchServer(manager, config_for(mode)) as server:
+            executor = server.engine.executor
+            serve_all(server, workload)
+            before = executor.slots()
+            sketch.clear_cache()
+            serve_all(server, workload)
+            after = executor.slots()
+            assert server.stats.n_executor_fallbacks == 0
+        assert [s["pid"] for s in after] == [s["pid"] for s in before]
+        assert [s["installs"] for s in before] == [1, 1]
+        assert [s["installs"] for s in after] == [2, 2]
+        token = sketch.snapshot_token
+        assert [s["sketches"] for s in after] == [{"test-sketch": token}] * 2
+
+    def test_a_many_chunk_round_gives_every_slot_a_job(
+        self, manager, workload, mode
+    ):
+        with SketchServer(manager, config_for(mode)) as server:
+            serve_all(server, workload)  # 32 queries / 8 = 4 chunks, 2 slots
+            assert [s["jobs"] for s in server.engine.executor.slots()] == [2, 2]
+
+    def test_one_chunk_rounds_stay_on_the_slot_that_holds_the_sketch(
+        self, manager, workload, mode
+    ):
+        with SketchServer(manager, config_for(mode)) as server:
+            for start in range(0, 32, 4):  # eight rounds of one chunk
+                serve_all(server, workload[start:start + 4])
+            warm, idle = server.engine.executor.slots()
+        assert (warm["jobs"], warm["installs"]) == (8, 1)
+        assert idle == {"pid": None, "sketches": {}, "jobs": 0, "installs": 0}
+
+    def test_two_sketches_taking_turns_settle_on_a_slot_each(
+        self, manager, workload, mode
+    ):
+        manager.register_sketch(clone(manager.get_sketch("test-sketch"), "twin"))
+        with SketchServer(manager, config_for(mode)) as server:
+            for start in range(0, 32, 8):
+                for name in ("test-sketch", "twin"):
+                    serve_all(server, workload[start:start + 8], sketch=name)
+            slots = server.engine.executor.slots()
+        assert [sorted(s["sketches"]) for s in slots] == [
+            ["test-sketch"], ["twin"],
+        ]
+        assert [(s["jobs"], s["installs"]) for s in slots] == [(4, 1), (4, 1)]
+
+    def test_replicas_of_dropped_sketches_are_released(
+        self, manager, workload, mode
+    ):
+        # Create / serve / drop is the demo's workflow: a dropped name
+        # must leave every slot (and its segment must go) no later than
+        # the next round, or the workers grow for ever.
+        original = manager.get_sketch("test-sketch")
+        with SketchServer(manager, config_for(mode)) as server:
+            executor = server.engine.executor
+            for generation in range(4):
+                name = f"gen{generation}"
+                manager.register_sketch(clone(original, name))
+                serve_all(server, workload, sketch=name)
+                manager.drop_sketch(name)
+            serve_all(server, workload[:8], sketch="test-sketch")
+            held = [sorted(slot["sketches"]) for slot in executor.slots()]
+            assert held == [["test-sketch"], []]
+            assert server.stats.n_executor_fallbacks == 0
+            if mode == "process+shm":
+                assert len(live_segment_names()) == 1
+
+
+    def test_swaps_and_drops_under_live_load(self, manager, workload, mode):
+        # More slots than cores, a client that never pauses, and the
+        # manager changing underneath the rounds: every future resolves,
+        # the only failures are structured ``route`` answers for the
+        # name that is dropped, no worker dies, no response carries a
+        # token retired by a completed swap, and the slots end up
+        # holding live generations only.
+        original = manager.get_sketch("test-sketch")
+        manager.register_sketch(clone(original, "extra"))
+        config = AsyncServeConfig(
+            **{**MODES[mode], "executor_workers": 3},
+            max_batch_size=8, max_wait_ms=1.0, use_cache=False,
+        )
+        futures, observed = [], []
+        stop = threading.Event()
+
+        def observe(future):
+            observed.append((future.result().token, time.monotonic()))
+
+        def client(server):
+            start = 0
+            while not stop.is_set():
+                batch = server.submit_many(
+                    workload[start:start + 8], "test-sketch"
+                ) + server.submit_many(workload[:4], "extra")
+                for future in batch:
+                    future.add_done_callback(observe)
+                futures.extend(batch)
+                start = (start + 8) % 24
+                time.sleep(0.001)
+
+        swaps = []  # (retired token, time its swap completed)
+        with AsyncSketchServer(manager, config) as server:
+            thread = threading.Thread(target=client, args=(server,))
+            thread.start()
+            try:
+                for _ in range(4):
+                    time.sleep(0.03)
+                    live = manager.get_sketch("test-sketch")
+                    retired = live.snapshot_token
+                    server.engine.swap_sketch("test-sketch", clone(live))
+                    swaps.append((retired, time.monotonic()))
+                    manager.drop_sketch("extra")
+                    time.sleep(0.01)
+                    manager.register_sketch(clone(original, "extra"))
+            finally:
+                stop.set()
+                thread.join(RESULT_TIMEOUT)
+            assert not thread.is_alive()
+            responses = [f.result(RESULT_TIMEOUT) for f in futures]
+            # one round after the last change, so the release has run
+            assert server.submit(workload[0], "test-sketch").result(
+                RESULT_TIMEOUT
+            ).ok
+            slots = server.engine.executor.slots()
+            fallbacks = server.stats.n_executor_fallbacks
+        assert len(responses) > 100
+        assert all(r.ok or r.code == CODE_ROUTE for r in responses)
+        assert all(r.ok for r in responses if r.sketch == "test-sketch")
+        assert fallbacks == 0
+        for token, resolved_at in observed:
+            for retired, swapped_at in swaps:
+                assert not (token == retired and resolved_at > swapped_at)
+        live = {
+            name: manager.get_sketch(name).snapshot_token
+            for name in manager.list_sketches()
+        }
+        for slot in slots:
+            assert slot["sketches"].items() <= live.items()
+
+
+class TestExecutorParity:
+    def test_process_with_cache_and_duplicates(self, manager, workload):
         # Parent-side cache hits and duplicate collapsing around the
         # worker round-trip: duplicates answer identically and the
         # second flush is pure cache.
-        sketch, _ = trained_sketch
         stream = list(workload[:6]) * 3
         with SketchServer(
             manager,
@@ -121,10 +407,8 @@ class TestExecutorParity:
 
     def test_async_process_executor(self, manager, workload, trained_sketch):
         sketch, _ = trained_sketch
-        inline, _ = serve_with(
-            manager, workload, executor="inline", max_batch_size=8,
-            use_cache=False,
-        )
+        with SketchServer(manager, config_for("inline")) as server:
+            inline = serve_all(server, workload)
         sketch.clear_cache()
         config = AsyncServeConfig(
             executor="process", executor_workers=2, max_batch_size=8,
@@ -138,21 +422,6 @@ class TestExecutorParity:
             [r.estimate for r in responses], inline, rtol=PARITY_RTOL, atol=0.0
         )
         assert server.stats.n_executor_fallbacks == 0
-
-    def test_process_isolates_featurization_failures(self, manager, workload):
-        from repro.workload import Predicate, Query, TableRef
-
-        bad = Query(
-            tables=(TableRef("title", "t"),),
-            predicates=(Predicate("t", "episode_nr", "=", 1),),
-        )
-        with SketchServer(
-            manager,
-            ServeConfig(executor="process", executor_workers=2, use_cache=False),
-        ) as server:
-            responses = server.serve([workload[0], bad, workload[1]])
-        assert responses[0].ok and responses[2].ok
-        assert not responses[1].ok
 
 
 class TestSnapshotShipping:
@@ -215,41 +484,3 @@ class TestSnapshotShipping:
         sketch.clear_cache()
         second = sketch.snapshot_token
         assert second > first
-
-    def test_manager_snapshot_payloads_selects_names(self, manager):
-        payloads = manager.snapshot_payloads()
-        assert set(payloads) == {"test-sketch"}
-        assert isinstance(payloads["test-sketch"], bytes)
-        from repro.errors import SketchError
-
-        with pytest.raises(SketchError):
-            manager.snapshot_payloads(["ghost"])
-
-
-class TestPoolResilience:
-    def test_killed_workers_degrade_inline_and_recover(self, manager, workload):
-        # Kill the pool's workers between rounds: the next flush must
-        # still answer every request (degrading to the inline path),
-        # discard the broken pool, and rebuild it for later flushes —
-        # never surface BrokenProcessPool through a response.
-        import os
-        import signal
-
-        config = ServeConfig(
-            executor="process", executor_workers=2, max_batch_size=8,
-            use_cache=False,
-        )
-        with SketchServer(manager, config) as server:
-            first = server.serve(list(workload[:8]))
-            assert all(r.ok for r in first)
-            pool = server.engine.executor._pool
-            assert pool is not None
-            for pid in list(pool._processes):
-                os.kill(pid, signal.SIGKILL)
-            second = server.serve(list(workload[:8]))
-            assert all(r.ok for r in second), [
-                r.error for r in second if not r.ok
-            ][:3]
-            assert server.stats.n_executor_fallbacks >= 1
-            third = server.serve(list(workload[8:16]))
-            assert all(r.ok for r in third)

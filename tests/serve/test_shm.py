@@ -1,15 +1,15 @@
-"""Shared-memory snapshots + sticky routing: parity and lifecycle.
+"""Shared-memory snapshots: parity and segment lifecycle.
 
 The acceptance contract: the shm path answers bit-identically to the
 pickle path (same arrays, mapped not copied), segment lifecycle follows
-``snapshot_token`` — hot swaps retire old segments, worker crashes
-degrade to the inline path without leaking, and engine ``close()``
-leaves zero ``/dev/shm`` entries behind.
+``snapshot_token`` — hot swaps retire old segments — and engine
+``close()`` leaves zero ``/dev/shm`` entries behind.  Serving parity
+and crash recovery of the ``process`` + ``shm_snapshots`` mode are part
+of the executor contract in ``test_executors.py``.
 """
 
 import os
 import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -17,9 +17,9 @@ import pytest
 from repro.demo import SketchManager
 from repro.errors import SketchError
 from repro.serve import (
+    ProcessExecutor,
     ServeConfig,
     SketchServer,
-    StickyProcessExecutor,
     live_segment_names,
     make_executor,
 )
@@ -61,16 +61,6 @@ def no_leaked_segments():
     yield
     assert live_segment_names() == set()
     assert _dev_shm_entries() == []
-
-
-def serve_with(manager, workload, **config_kwargs):
-    with SketchServer(manager, ServeConfig(**config_kwargs)) as server:
-        responses = server.serve(list(workload))
-        stats = server.stats
-    assert all(r.ok for r in responses), [
-        r.error for r in responses if not r.ok
-    ][:3]
-    return np.array([r.estimate for r in responses]), stats
 
 
 # ----------------------------------------------------------------------
@@ -155,21 +145,19 @@ class TestSnapshotSegment:
 # config surface
 # ----------------------------------------------------------------------
 class TestConfigValidation:
-    @pytest.mark.parametrize("flag", ["shm_snapshots", "sticky_routing"])
     @pytest.mark.parametrize("executor", ["inline", "thread"])
-    def test_flags_require_the_process_executor(self, flag, executor):
+    def test_shm_snapshots_requires_the_process_executor(self, executor):
         with pytest.raises(SketchError, match="process"):
-            ServeConfig(executor=executor, **{flag: True})
+            ServeConfig(executor=executor, shm_snapshots=True)
 
-    def test_factory_builds_the_sticky_executor(self):
+    def test_factory_passes_the_flag_to_the_process_executor(self):
         executor = make_executor(
             ServeConfig(
-                executor="process", sticky_routing=True, shm_snapshots=True,
-                executor_workers=3,
+                executor="process", shm_snapshots=True, executor_workers=3,
             )
         )
-        assert isinstance(executor, StickyProcessExecutor)
-        assert executor.name == "process-sticky"
+        assert isinstance(executor, ProcessExecutor)
+        assert executor.name == "process"
         assert executor.use_shm and executor.workers == 3
         executor.close()
 
@@ -178,32 +166,6 @@ class TestConfigValidation:
 # end-to-end through the engine
 # ----------------------------------------------------------------------
 class TestShmServing:
-    @pytest.mark.parametrize(
-        "mode",
-        [
-            {"shm_snapshots": True},
-            {"sticky_routing": True},
-            {"shm_snapshots": True, "sticky_routing": True},
-        ],
-        ids=["shm", "sticky", "shm+sticky"],
-    )
-    def test_mode_matches_inline_exactly(
-        self, manager, workload, trained_sketch, mode
-    ):
-        sketch, _ = trained_sketch
-        inline, _ = serve_with(
-            manager, workload, executor="inline", max_batch_size=8,
-            use_cache=False,
-        )
-        sketch.clear_cache()
-        values, stats = serve_with(
-            manager, workload, executor="process", executor_workers=2,
-            max_batch_size=8, use_cache=False, **mode,
-        )
-        # mapped arrays are the same bytes: identity, not approximation
-        assert np.array_equal(values, inline)
-        assert stats.n_executor_fallbacks == 0
-
     def test_segments_live_while_serving_and_unlink_on_close(
         self, manager, workload
     ):
@@ -224,29 +186,36 @@ class TestShmServing:
         self, manager, workload, trained_sketch
     ):
         """A retrain mid-service publishes the new generation's segment
-        and unlinks the old one; answers track the new weights at the
+        and unlinks the old one — one live segment however many slots
+        had the sketch installed; answers track the new weights at the
         very next round and never leak the retired segment."""
         sketch, _ = trained_sketch
         config = ServeConfig(
             executor="process", executor_workers=2, shm_snapshots=True,
-            sticky_routing=True, use_cache=False, max_batch_size=8,
+            use_cache=False, max_batch_size=8,
         )
         with SketchServer(manager, config) as server:
-            before = [r.estimate for r in server.serve(workload[:8])]
+            executor = server.engine.executor
+            before = [r.estimate for r in server.serve(workload)]
+            # 4 chunks over 2 slots: both workers map the segment
+            assert [s["sketches"] for s in executor.slots()] == [
+                {"test-sketch": sketch.snapshot_token}
+            ] * 2
             first_gen = live_segment_names()
             assert len(first_gen) == 1
             for p in sketch.model.parameters():
                 p.data += 0.05
             sketch.clear_cache()
-            after = [r.estimate for r in server.serve(workload[:8])]
+            after = [r.estimate for r in server.serve(workload)]
+            assert [s["sketches"] for s in executor.slots()] == [
+                {"test-sketch": sketch.snapshot_token}
+            ] * 2
             second_gen = live_segment_names()
             assert len(second_gen) == 1
             assert second_gen != first_gen  # old generation unlinked
             assert set(_dev_shm_entries()) == second_gen
             sketch.clear_cache()
-            single = [
-                sketch.estimate(q, use_cache=False) for q in workload[:8]
-            ]
+            single = [sketch.estimate(q, use_cache=False) for q in workload]
         assert before != after
         np.testing.assert_allclose(after, single, rtol=PARITY_RTOL, atol=0.0)
         for p in sketch.model.parameters():
@@ -263,50 +232,3 @@ class TestShmServing:
             first = live_segment_names()
             server.serve(list(workload[8:16]))
             assert live_segment_names() == first  # no republish
-
-
-class TestCrashRecovery:
-    def test_killed_shm_workers_degrade_inline_and_recover(
-        self, manager, workload
-    ):
-        config = ServeConfig(
-            executor="process", executor_workers=2, shm_snapshots=True,
-            use_cache=False, max_batch_size=8,
-        )
-        with SketchServer(manager, config) as server:
-            first = server.serve(list(workload[:8]))
-            assert all(r.ok for r in first)
-            pool = server.engine.executor._pool
-            for pid in list(pool._processes):
-                os.kill(pid, signal.SIGKILL)
-            second = server.serve(list(workload[:8]))
-            assert all(r.ok for r in second), [
-                r.error for r in second if not r.ok
-            ][:3]
-            assert server.stats.n_executor_fallbacks >= 1
-            third = server.serve(list(workload[8:16]))
-            assert all(r.ok for r in third)
-            assert len(live_segment_names()) == 1  # rebuilt, not leaked
-
-    def test_killed_sticky_slot_degrades_inline_and_recovers(
-        self, manager, workload
-    ):
-        config = ServeConfig(
-            executor="process", executor_workers=2, shm_snapshots=True,
-            sticky_routing=True, use_cache=False, max_batch_size=8,
-        )
-        with SketchServer(manager, config) as server:
-            first = server.serve(list(workload[:8]))
-            assert all(r.ok for r in first)
-            executor = server.engine.executor
-            for pool in executor._slot_pools:
-                if pool is not None:
-                    for pid in list(pool._processes):
-                        os.kill(pid, signal.SIGKILL)
-            second = server.serve(list(workload[:8]))
-            assert all(r.ok for r in second), [
-                r.error for r in second if not r.ok
-            ][:3]
-            assert server.stats.n_executor_fallbacks >= 1
-            third = server.serve(list(workload[8:16]))
-            assert all(r.ok for r in third)
