@@ -28,7 +28,7 @@ from ..errors import SketchError
 from ..rng import SeedLike, make_rng, spawn
 from ..db.database import Database
 from ..db.executor import execute_count
-from ..sampling.bitmaps import query_bitmaps
+from ..sampling.bitmaps import batch_bitmaps
 from ..sampling.sampler import materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
 from ..workload.query import Query
@@ -210,10 +210,9 @@ class SketchBuilder:
             use_bitmaps=self.config.use_sample_bitmaps,
         )
         featurizer.fit_labels(labels)
-        features = [
-            featurizer.featurize_query(q, query_bitmaps(samples, q), db=self.db)
-            for q in kept
-        ]
+        features = featurizer.featurize_batch(
+            kept, batch_bitmaps(samples, kept), db=self.db
+        )
         normalized = featurizer.normalize_label(labels)
         dataset = TrainingSet(features, normalized)
         model = MSCN(

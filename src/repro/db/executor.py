@@ -108,7 +108,11 @@ def count_factorized(db: Database, query: Query) -> int:
     graph = build_join_graph(query)
     if not is_acyclic(graph):
         raise QueryError("count_factorized requires an acyclic join graph")
+    return _count_forest(db, query, graph)
 
+
+def _count_forest(db: Database, query: Query, graph) -> int:
+    """:func:`count_factorized` on a join graph already known acyclic."""
     import networkx as nx
 
     total = 1
@@ -367,5 +371,5 @@ def execute_count(db: Database, query: Query, method: str = "auto") -> int:
         raise QueryError(f"unknown execution method {method!r}")
     graph = build_join_graph(query)
     if is_acyclic(graph):
-        return count_factorized(db, query)
+        return _count_forest(db, query, graph)
     return count_hash_join(db, query)

@@ -11,8 +11,8 @@ set the MSCN model and its training loop need:
 * ``concat``, ``reshape``, and dropout-style masking via multiplication.
 
 Gradients flow through a recorded computation graph; :meth:`Tensor.backward`
-runs a topological sweep.  Correctness is property-tested against numerical
-differentiation in ``tests/nn/test_autodiff.py``.
+runs a topological sweep.  Every op is checked against central finite
+differences in ``tests/nn/test_gradcheck.py``.
 """
 
 from __future__ import annotations
@@ -245,6 +245,18 @@ class Tensor:
         out = Tensor(np.matmul(self.data, other.data), _parents=(self, other))
 
         def backward(g: np.ndarray) -> None:
+            if other.ndim == 2:
+                # A shared 2-D weight: one GEMM per gradient over the
+                # flattened (B*S, .) rows.  The batched form below would
+                # materialise a per-sample (B, D, H) weight gradient and
+                # then sum it over B.
+                g2d = g.reshape(-1, g.shape[-1])
+                if self.requires_grad:
+                    self._accumulate((g2d @ other.data.T).reshape(self.data.shape))
+                if other.requires_grad:
+                    x2d = self.data.reshape(-1, self.data.shape[-1])
+                    other._accumulate(x2d.T @ g2d)
+                return
             if self.requires_grad:
                 grad_self = np.matmul(g, np.swapaxes(other.data, -1, -2))
                 self._accumulate(_unbroadcast(grad_self, self.data.shape))

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import DeepSketch, SketchBuilder, SketchConfig, STAGES
+from repro.core import DeepSketch, SketchBuilder, SketchConfig, STAGES, Trainer, collate
 from repro.db import execute_count, parse_sql
 from repro.errors import FeaturizationError, SketchError
-from repro.workload import Predicate, Query, TableRef, spec_for_imdb
+from repro.sampling import query_bitmaps
+from repro.workload import (
+    Predicate,
+    Query,
+    TableRef,
+    TrainingQueryGenerator,
+    spec_for_imdb,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +54,40 @@ class TestBuilder:
         # train stage fires once per epoch
         assert sum(1 for e in events if e.stage == "train") == 2
         assert all(0.0 <= e.fraction <= 1.0 for e in events)
+
+    def test_training_set_equals_per_query_featurization(self, imdb_small, monkeypatch):
+        """The builder featurizes on the batch path; what it hands the
+        trainer is byte-equal to featurizing query by query."""
+        seen = {}
+        fit = Trainer.fit
+
+        def recording_fit(trainer, dataset, **kwargs):
+            seen["dataset"] = dataset
+            return fit(trainer, dataset, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", recording_fit)
+        queries = TrainingQueryGenerator(imdb_small, spec_for_imdb(), seed=3).draw_many(120)
+        sketch, _ = SketchBuilder(
+            imdb_small,
+            spec_for_imdb(),
+            config=SketchConfig(epochs=1, sample_size=50, hidden_units=8),
+        ).build("batch-path", training_queries=queries)
+
+        kept = [query for query in queries if execute_count(imdb_small, query) > 0]
+        per_query = collate(
+            [
+                sketch.featurizer.featurize_query(
+                    query, query_bitmaps(sketch.samples, query), db=imdb_small
+                )
+                for query in kept
+            ]
+        )
+        built = seen["dataset"].precollated()
+        assert len(seen["dataset"]) == len(kept)
+        for name in ("tables", "table_mask", "joins", "join_mask", "predicates", "predicate_mask"):
+            got, want = getattr(built, name), getattr(per_query, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_config_validation(self):
         with pytest.raises(SketchError):
@@ -106,7 +147,6 @@ class TestSketchEstimation:
     ):
         """The trained sketch must beat wild guessing on simple queries."""
         from repro.metrics import qerror
-        from repro.workload import TrainingQueryGenerator
 
         sketch, _ = sketch_and_report
         generator = TrainingQueryGenerator(imdb_small, spec_for_imdb(), seed=123)

@@ -97,6 +97,24 @@ class TestJoins:
         with pytest.raises(QueryError):
             execute_count(tiny_db, query, method="quantum")
 
+    def test_auto_builds_the_join_graph_once(self, tiny_db, monkeypatch):
+        """``auto`` hands the graph it tested to the factorized count."""
+        from repro.db import executor
+
+        calls = []
+        build = executor.build_join_graph
+        monkeypatch.setattr(
+            executor, "build_join_graph", lambda query: calls.append(query) or build(query)
+        )
+        query = q(
+            [TableRef("title", "t"), TableRef("movie_keyword", "mk")],
+            joins=[JoinEdge("mk", "movie_id", "t", "id")],
+        )
+        expected = count_hash_join(tiny_db, query)
+        calls.clear()
+        assert execute_count(tiny_db, query) == expected
+        assert len(calls) == 1
+
     def test_validation_unknown_column(self, tiny_db):
         query = q(
             [TableRef("title", "t")], predicates=[Predicate("t", "ghost", "=", 1)]
