@@ -65,10 +65,10 @@ from repro.core import SketchConfig, build_sketch  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
 from repro.serve import (  # noqa: E402
-    AsyncServeConfig,
     AsyncSketchServer,
     LifecycleConfig,
     LifecycleManager,
+    ServeConfig,
     SketchRegistry,
 )
 from repro.workload import (  # noqa: E402
@@ -154,14 +154,14 @@ def run(args) -> int:
         registry.save(sketch, note="initial build")
 
         if args.shm:
-            serve_config = AsyncServeConfig(
+            serve_config = ServeConfig(
                 max_batch_size=64,
                 executor="process",
                 executor_workers=2,
                 shm_snapshots=True,
             )
         else:
-            serve_config = AsyncServeConfig(max_batch_size=64)
+            serve_config = ServeConfig(max_batch_size=64)
         server = AsyncSketchServer(manager, serve_config).start()
         engine = server.engine
         lifecycle = LifecycleManager(

@@ -58,12 +58,21 @@ from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
 from repro.optimizer import PlanOptimizer  # noqa: E402
 from repro.serve import RemoteSketchServer, SketchHTTPServer  # noqa: E402
-from repro.serve.bench import apply_tiny_args  # noqa: E402
 from repro.workload import (  # noqa: E402
     JobLightConfig,
     generate_job_light,
     spec_for_imdb,
 )
+
+#: The ``--tiny`` smoke configuration (seconds, not minutes).
+TINY_PLAN_QUALITY_ARGS = {
+    "scale": 0.05,
+    "queries": 300,
+    "epochs": 2,
+    "samples": 50,
+    "hidden": 16,
+    "plan_queries": 24,
+}
 
 #: Cost-parity bound between the served plan and the in-process plan.
 PARITY_RTOL = 1e-12
@@ -315,8 +324,7 @@ def main(argv=None) -> int:
                         help="smoke-test configuration for CI (seconds)")
     args = parser.parse_args(argv)
     if args.tiny:
-        apply_tiny_args(args)
-        args.plan_queries = 24
+        vars(args).update(TINY_PLAN_QUALITY_ARGS)
     return run(args)
 
 

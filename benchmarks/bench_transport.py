@@ -69,13 +69,25 @@ from repro.serve import (  # noqa: E402
     SketchServer,
     live_segment_names,
 )
-from repro.serve.bench import apply_tiny_args  # noqa: E402
 from repro.serve.shm import SnapshotSegment  # noqa: E402
 from repro.workload import (  # noqa: E402
     JobLightConfig,
     generate_job_light,
     spec_for_imdb,
 )
+
+#: The ``--tiny`` smoke configuration: small enough for CI seconds,
+#: large enough to exercise batching, routing, and the cache.
+TINY_TRANSPORT_ARGS = {
+    "scale": 0.05,
+    "queries": 300,
+    "epochs": 2,
+    "samples": 50,
+    "hidden": 16,
+    "distinct": 12,
+    "batch": 64,
+    "singles": 32,
+}
 
 #: Parity bound between any transport and the in-process facade.
 PARITY_RTOL = 1e-12
@@ -433,8 +445,7 @@ def main(argv=None) -> int:
                         help="smoke-test configuration for CI (seconds)")
     args = parser.parse_args(argv)
     if args.tiny:
-        apply_tiny_args(args)
-        args.singles = 32
+        vars(args).update(TINY_TRANSPORT_ARGS)
     return run(args)
 
 

@@ -1,11 +1,10 @@
-"""Templated workloads: generalization splits + bursty serving stress.
+"""Templated workloads: template-level generalization splits.
 
 The paper's headline claim is that the learned estimator generalizes to
 queries it was not trained on.  A uniform query split only tests
 held-out *literals*; the DSB-style methodology splits by *template*, so
 the test side contains join/predicate shapes the model never saw.  This
-harness quantifies both, then stresses the serving tier with the same
-suite replayed as production-shaped traffic:
+harness quantifies both:
 
 * the **suite** — a seeded :class:`~repro.workload.suite.TemplateSuite`
   over the synthetic IMDb (range, string, IN, and BETWEEN-style
@@ -16,17 +15,15 @@ suite replayed as production-shaped traffic:
   training templates' instances, per-template q-error tails
   (p50/p95/p99/max) reported for held-out literals (**in-template**)
   and held-out templates (**cross-template**); the cross-template p99
-  is the worst per-template p99, never an average;
-* the **bursty stress scenario** — the suite replayed open-loop
-  (Zipf-skewed template mix, on/off bursts) through a
-  :class:`~repro.serve.gateway.SketchGateway` over live HTTP backends
-  with bounded queues, auditing the degradation contract: zero hung
-  futures, failures only as structured codes, queue bound held.
+  is the worst per-template p99, never an average.
 
-Correctness gates (determinism, both splits reported, stress audit) run
-in **every** configuration; there are no wall-clock gates — the
-q-error*quality* of a tiny sketch is reported, not gated, because a
-2-epoch CI model's tails are noise.
+The same suite replayed as bursty open-loop traffic against a gateway
+fleet is ``examples/workload_stress.py``.
+
+Correctness gates (determinism, both splits reported) run in **every**
+configuration; there are no wall-clock gates — the q-error *quality* of
+a tiny sketch is reported, not gated, because a 2-epoch CI model's tails
+are noise.
 
 Every run writes machine-readable results to
 ``benchmarks/results/BENCH_workloads.json`` (sections + config + gates
@@ -53,13 +50,10 @@ sys.path.insert(
 from repro.baselines.postgres import PostgresEstimator  # noqa: E402
 from repro.core import SketchConfig, run_generalization_experiment  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
-from repro.demo import SketchManager  # noqa: E402
 from repro.metrics import qerrors, summarize_qerrors  # noqa: E402
 from repro.rng import make_rng, spawn  # noqa: E402
-from repro.serve.bench import run_bursty_stress_benchmark  # noqa: E402
 from repro.workload import (  # noqa: E402
     SuiteConfig,
-    TrafficConfig,
     generate_template_suite,
     spec_for_imdb_templates,
 )
@@ -69,8 +63,7 @@ from repro.workload.splits import (  # noqa: E402
 )
 
 #: The ``--tiny`` smoke configuration: small enough for CI seconds,
-#: large enough that both split sides keep several templates and the
-#: bursty replay overruns the bounded queues.
+#: large enough that both split sides keep several templates.
 TINY_WORKLOADS_ARGS = {
     "scale": 0.06,
     "templates": 7,
@@ -79,8 +72,6 @@ TINY_WORKLOADS_ARGS = {
     "epochs": 2,
     "samples": 50,
     "hidden": 16,
-    "requests": 160,
-    "rate": 3000.0,
 }
 
 
@@ -243,31 +234,6 @@ def run(args) -> int:
             f"    {name:<16}: postgres p99 {pg['p99']:8.2f} vs {learned_txt}"
         )
 
-    # -- bursty gateway stress -----------------------------------------
-    print(
-        f"running bursty gateway stress ({args.requests} open-loop "
-        f"requests, {args.backends} backends, "
-        f"max_queue_depth={args.queue_depth})...",
-        file=sys.stderr,
-    )
-    manager = SketchManager(db=None)
-    manager.register_sketch(report.sketch)
-    stress = run_bursty_stress_benchmark(
-        manager,
-        "workload-bench",
-        labeled,
-        traffic=TrafficConfig(
-            n_requests=args.requests,
-            rate_qps=args.rate,
-            burst_on_s=0.02,
-            burst_off_s=0.03,
-        ),
-        n_backends=args.backends,
-        max_queue_depth=args.queue_depth,
-        max_batch_size=max(8, args.queue_depth // 2),
-        seed=args.seed + 1,
-    )
-    text_lines += ["", stress.report()]
     text = "\n".join(text_lines)
     print(text)
 
@@ -299,15 +265,6 @@ def run(args) -> int:
             _finite_tails(pg_in["per_template"])
             and _finite_tails(pg_cross["per_template"])
         ),
-        # The degradation contract under bursty open-loop load.
-        "stress_zero_hung_futures": stress.replay.zero_hung,
-        "stress_structured_codes_only": stress.replay.structured_only,
-        "stress_queue_bounded": stress.bounded,
-        "stress_served_any": stress.replay.n_ok > 0,
-        "stress_accounting": (
-            stress.replay.n_ok + stress.replay.n_failed
-            == stress.replay.n_requests
-        ),
     }
     ok = all(gates.values())
 
@@ -328,7 +285,6 @@ def run(args) -> int:
         },
         "generalization": gen_json,
         "baselines": baselines,
-        "stress": stress.audit(),
         "config": {
             "mode": "tiny" if args.tiny else "full",
             "scale": args.scale,
@@ -341,10 +297,6 @@ def run(args) -> int:
             "seed": args.seed,
             "test_fraction": args.test_fraction,
             "holdout_fraction": args.holdout_fraction,
-            "requests": args.requests,
-            "rate_qps": args.rate,
-            "backends": args.backends,
-            "queue_depth": args.queue_depth,
         },
         "gates": gates,
         "pass": ok,
@@ -365,14 +317,10 @@ def run(args) -> int:
         if not passed:
             print(f"FAIL: gate {gate!r} failed", file=sys.stderr)
     if ok:
-        shed = stress.replay.code_counts.get("shed", 0)
         print(
             f"PASS: cross-template p99 {report.cross_template_p99:.1f} "
             f"(in-template p99 {report.in_template.overall.p99:.1f}) over "
-            f"{len(report.test_templates)} held-out template(s); stress "
-            f"{stress.replay.n_ok}/{stress.n_requests} served, {shed} shed "
-            f"structured, 0 hung futures, queue peaks "
-            f"{stress.queue_depth_peaks} <= {stress.max_queue_depth}",
+            f"{len(report.test_templates)} held-out template(s)",
             file=sys.stderr,
         )
     return 0 if ok else 1
@@ -397,13 +345,6 @@ def main(argv=None) -> int:
                         type=float, default=0.2,
                         help="fraction of literals held out per training "
                         "template (the in-template test side)")
-    parser.add_argument("--requests", type=int, default=512,
-                        help="open-loop requests for the stress scenario")
-    parser.add_argument("--rate", type=float, default=3000.0,
-                        help="arrival rate inside ON windows (q/s)")
-    parser.add_argument("--backends", type=int, default=2)
-    parser.add_argument("--queue-depth", dest="queue_depth", type=int,
-                        default=16, help="per-backend max_queue_depth")
     parser.add_argument("--tiny", action="store_true",
                         help="smoke-test configuration for CI (seconds)")
     args = parser.parse_args(argv)

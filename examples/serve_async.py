@@ -33,8 +33,7 @@ sys.path.insert(
 from repro.core import SketchConfig  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
-from repro.serve import AsyncServeConfig, AsyncSketchServer  # noqa: E402
-from repro.serve.bench import tile_workload  # noqa: E402
+from repro.serve import AsyncSketchServer, ServeConfig  # noqa: E402
 from repro.workload import (  # noqa: E402
     JobLightConfig,
     generate_job_light,
@@ -131,9 +130,9 @@ def main(argv=None) -> int:
     distinct = generate_job_light(
         manager.db, JobLightConfig(n_queries=args.distinct, seed=1)
     )
-    workload = tile_workload(distinct, args.requests)
+    workload = [distinct[i % len(distinct)] for i in range(args.requests)]
 
-    config = AsyncServeConfig(max_wait_ms=args.max_wait_ms)
+    config = ServeConfig(max_wait_ms=args.max_wait_ms)
     with AsyncSketchServer(manager, config) as server:
         elapsed = run_clients(server, workload, args.clients)
         asyncio.run(run_asyncio_clients(server, distinct[: min(8, len(distinct))]))

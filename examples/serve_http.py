@@ -45,7 +45,6 @@ from repro.serve import (  # noqa: E402
     SketchServer,
     SketchService,
 )
-from repro.serve.bench import tile_workload  # noqa: E402
 from repro.workload import (  # noqa: E402
     JobLightConfig,
     generate_job_light,
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
     distinct = generate_job_light(
         manager.db, JobLightConfig(n_queries=args.distinct, seed=1)
     )
-    workload = tile_workload(distinct, args.requests)
+    workload = [distinct[i % len(distinct)] for i in range(args.requests)]
 
     # The in-process reference: the sync facade on the same manager.
     with SketchServer(manager, ServeConfig(use_cache=False)) as local:

@@ -35,10 +35,11 @@ sys.path.insert(
 from repro.core import SketchConfig  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
-from repro.serve.bench import run_bursty_stress_benchmark  # noqa: E402
+from repro.serve import ServeConfig, SketchGateway, SketchHTTPServer  # noqa: E402
 from repro.workload import (  # noqa: E402
     SuiteConfig,
     TrafficConfig,
+    TrafficShaper,
     generate_template_suite,
     spec_for_imdb,
 )
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
     # for the sketch; swap in spec_for_imdb_templates for deeper chains
     # (out-of-scope templates then fail with structured route codes).
     spec = spec_for_imdb(max_joins=2)
-    manager.create_sketch(
+    sketch, _ = manager.create_sketch(
         "imdb",
         spec,
         config=SketchConfig(
@@ -117,20 +118,48 @@ def main(argv=None) -> int:
         f"gateway (queue depth {args.queue_depth})...",
         file=sys.stderr,
     )
-    stress = run_bursty_stress_benchmark(
-        manager,
-        "imdb",
-        suite,
-        traffic=traffic,
-        n_backends=2,
-        max_queue_depth=args.queue_depth,
-        max_batch_size=max(8, args.queue_depth // 2),
-        seed=1,
-    )
+    # Backends run with caching and dedup off and a bounded queue, so
+    # every accepted request is real model work and the overflow sheds.
+    servers = []
+    for _ in range(2):
+        backend = SketchManager(db=None)
+        backend.register_sketch(sketch)
+        servers.append(
+            SketchHTTPServer(
+                backend,
+                ServeConfig(
+                    max_batch_size=max(8, args.queue_depth // 2),
+                    use_cache=False,
+                    dedup=False,
+                    max_queue_depth=args.queue_depth,
+                ),
+                port=0,
+            ).start()
+        )
+    try:
+        with SketchGateway(
+            [server.url for server in servers], health_interval_s=None
+        ) as gateway:
+            replay = TrafficShaper(suite, traffic, seed=1).replay(gateway)
+            stats = gateway.stats_summary()
+    finally:
+        for server in servers:
+            server.close()
+    peaks = [
+        int(summary["queue_depth_peak"])
+        for summary in stats["backends"].values()
+        if summary is not None
+    ]
+    bounded = all(peak <= args.queue_depth for peak in peaks)
 
-    print(stress.report())
-    print(json.dumps(stress.audit(), indent=2))
-    if not stress.ok:
+    audit = replay.audit()
+    audit.update(
+        queue_depth_peaks=peaks,
+        bounded=bounded,
+        n_failovers=int(stats["gateway"]["failovers"]),
+    )
+    print(json.dumps(audit, indent=2))
+    if not (replay.ok and bounded and replay.n_ok > 0):
         print("STRESS AUDIT FAILED", file=sys.stderr)
         return 1
     print("stress audit passed: zero hung futures, structured codes only, "

@@ -337,32 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lc_rollback.add_argument("--out", default=None,
                              help="write the restored sketch here so it "
                              "can be re-served")
-
-    bench = commands.add_parser(
-        "bench-serve",
-        help="measure single-query vs batched serving throughput",
-    )
-    bench.add_argument("--scale", type=float, default=0.3,
-                       help="synthetic IMDb scale factor")
-    bench.add_argument("--queries", type=int, default=2000,
-                       help="training queries for the benchmark sketch")
-    bench.add_argument("--epochs", type=int, default=4)
-    bench.add_argument("--samples", type=int, default=500)
-    bench.add_argument("--hidden", type=int, default=64)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--distinct", type=int, default=70,
-                       help="distinct JOB-light-style queries")
-    bench.add_argument("--batch", type=int, default=512,
-                       help="total requests (distinct queries tiled)")
-    bench.add_argument("--max-batch", type=int, default=256,
-                       help="micro-batch size per model forward pass")
-    bench.add_argument("--executor", choices=("inline", "thread", "process"),
-                       default="inline",
-                       help="executor for the serving-engine pass")
-    bench.add_argument("--workers", type=int, default=2,
-                       help="worker count for --executor thread/process")
-    bench.add_argument("--tiny", action="store_true",
-                       help="smoke-test configuration (seconds, not minutes)")
     return parser
 
 
@@ -548,7 +522,6 @@ def _cmd_serve(args) -> int:
 
     from .demo import SketchManager
     from .serve import (
-        AsyncServeConfig,
         AsyncSketchServer,
         ServeConfig,
         SketchServer,
@@ -572,7 +545,7 @@ def _cmd_serve(args) -> int:
     if args.use_async:
         server = AsyncSketchServer(
             manager,
-            AsyncServeConfig(max_wait_ms=args.max_wait_ms, **engine_knobs),
+            ServeConfig(max_wait_ms=args.max_wait_ms, **engine_knobs),
         )
         start = time.perf_counter()
         with server:
@@ -703,58 +676,6 @@ def _cmd_gateway(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    from .demo import SketchManager
-    from .serve import run_serving_benchmark
-    from .serve.bench import apply_tiny_args
-    from .workload import JobLightConfig, generate_job_light
-
-    if args.tiny:
-        apply_tiny_args(args)
-    db = load_dataset("imdb", scale=args.scale)
-    spec = _SPECS["imdb"]()
-    manager = SketchManager(db)
-    print(
-        f"building benchmark sketch (scale={args.scale}, "
-        f"{args.queries} training queries, {args.epochs} epochs)...",
-        file=sys.stderr,
-    )
-    manager.create_sketch(
-        "bench",
-        spec,
-        config=SketchConfig(
-            sample_size=args.samples,
-            n_training_queries=args.queries,
-            epochs=args.epochs,
-            hidden_units=args.hidden,
-            seed=args.seed,
-        ),
-    )
-    queries = generate_job_light(
-        db, JobLightConfig(n_queries=args.distinct, seed=args.seed + 1)
-    )
-    result = run_serving_benchmark(
-        manager, "bench", queries,
-        batch_size=args.batch, max_batch_size=args.max_batch,
-        executor=args.executor, executor_workers=args.workers,
-    )
-    print(result.report())
-    if result.n_errors:
-        print(
-            f"note: {result.n_errors}/{result.n_queries} served requests "
-            "errored (isolated per request)",
-            file=sys.stderr,
-        )
-    if result.all_failed:
-        print("error: every served request failed", file=sys.stderr)
-        return 1
-    if not result.identical:
-        print("error: batched estimates diverge from the single-query path",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _write_suite(suite, path: str) -> None:
     import json
 
@@ -856,12 +777,12 @@ def _cmd_workload_replay(args) -> int:
             result = shaper.replay(service)
     else:
         from .demo import SketchManager
-        from .serve import AsyncServeConfig, AsyncSketchServer
+        from .serve import AsyncSketchServer, ServeConfig
 
         manager = SketchManager(db=None)
         for path in args.sketches:
             manager.register_sketch(DeepSketch.load(path))
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=args.max_batch,
             max_queue_depth=args.max_queue_depth,
         )
@@ -975,7 +896,6 @@ _COMMANDS = {
     "gateway": _cmd_gateway,
     "workload": _cmd_workload,
     "lifecycle": _cmd_lifecycle,
-    "bench-serve": _cmd_bench_serve,
 }
 
 

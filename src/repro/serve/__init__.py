@@ -40,15 +40,14 @@ marshalling over that engine, so concurrent HTTP clients batch, dedup,
 and cache-hit together exactly like in-process submitters.
 
 All implementations produce estimates numerically identical to the
-single-query path (see :mod:`repro.serve.bench` for the parity caveat
-and the measurement harness) and share one telemetry snapshot —
+single-query path (see ``docs/serving.md`` § *Numerical parity caveat*)
+and share one telemetry snapshot —
 ``service.stats_summary()`` / ``EstimationEngine.stats()`` /
 ``GET /v1/stats`` — wired into :mod:`repro.metrics` gauges, counters,
 and latency summaries.
 """
 
-from .async_server import AsyncServeConfig, AsyncServerStats, AsyncSketchServer
-from .bench import ServingBenchResult, run_serving_benchmark, tile_workload
+from .async_server import AsyncSketchServer
 from .client import RemoteSketchServer
 from .engine import (
     CODE_DEADLINE,
@@ -98,8 +97,6 @@ __all__ = [
     "ServeConfig",
     "ServerStats",
     "AsyncSketchServer",
-    "AsyncServeConfig",
-    "AsyncServerStats",
     "RemoteSketchServer",
     "SketchGateway",
     "SketchHTTPServer",
@@ -127,13 +124,10 @@ __all__ = [
     "EstimateResponse",
     "InlineExecutor",
     "ProcessExecutor",
-    "ServingBenchResult",
     "ThreadExecutor",
     "answer_chunk",
     "make_executor",
     "prepare_request",
-    "run_serving_benchmark",
-    "tile_workload",
     "BinaryFrameServer",
     "WIRE_VERSION",
     "SegmentDescriptor",

@@ -42,11 +42,11 @@ the same engine and the same
 :func:`~repro.serve.engine.answer_chunk` pipeline — and therefore each
 sketch's compiled :class:`~repro.nn.inference.InferenceSession` — so
 estimates match ``DeepSketch.estimate`` to within the few-ULP BLAS
-rounding documented in :mod:`repro.serve.bench`.
+rounding documented in ``docs/serving.md`` § *Numerical parity caveat*.
 
 Typical use::
 
-    server = AsyncSketchServer(manager, AsyncServeConfig(max_wait_ms=2.0))
+    server = AsyncSketchServer(manager, ServeConfig(max_wait_ms=2.0))
     with server:                        # starts the flush loop
         future = server.submit("SELECT COUNT(*) FROM title t ...")
         response = future.result()      # resolves within ~max_wait_ms
@@ -58,35 +58,10 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable, Sequence
 
-from ..metrics import percentile
 from ..workload.query import Query
 from ..demo.manager import SketchManager
 from .engine import EstimationEngine, ServeConfig, ServerStats
 from .feature_cache import FeatureCache
-
-
-class AsyncServeConfig(ServeConfig):
-    """Alias of the engine's :class:`~repro.serve.engine.ServeConfig`.
-
-    Kept as a distinct name for readability at async call sites (and
-    for source compatibility with pre-engine code); the knobs are the
-    engine's — including the executor and admission-control fields that
-    used to be out of the async server's reach.
-
-    Migration note: the pre-engine sentinels ``max_wait_ms=0`` ("flush
-    as fast as the loop can spin") and ``min_idle_ms=0`` are now
-    rejected by validation — use a small positive wait (e.g. ``0.1``)
-    for spin-like flushing, and ``min_idle_ms=None`` to disable the
-    idle trigger.
-    """
-
-
-class AsyncServerStats(ServerStats):
-    """Alias of the engine's :class:`~repro.serve.engine.ServerStats`.
-
-    The flush/dedup counters this subclass used to add now live on the
-    unified stats block shared by both facades.
-    """
 
 
 class AsyncSketchServer:
@@ -106,11 +81,11 @@ class AsyncSketchServer:
     def __init__(
         self,
         manager: SketchManager,
-        config: AsyncServeConfig | None = None,
+        config: ServeConfig | None = None,
         feature_cache: FeatureCache | None = None,
     ):
         self.engine = EstimationEngine(
-            manager, config or AsyncServeConfig(), feature_cache
+            manager, config or ServeConfig(), feature_cache
         )
 
     # -- engine views ---------------------------------------------------
@@ -232,9 +207,4 @@ class AsyncSketchServer:
         return self.engine.wait_summary()
 
 
-__all__ = [
-    "AsyncServeConfig",
-    "AsyncServerStats",
-    "AsyncSketchServer",
-    "percentile",
-]
+__all__ = ["AsyncSketchServer"]

@@ -34,7 +34,7 @@ Numerical behavior: with the default inline executor the answers are
 bit-identical to the pre-engine ``SketchServer`` (same
 ``estimate_many`` micro-batches, same cache interaction); thread and
 process executors agree within the few-ULP BLAS rounding documented in
-:mod:`repro.serve.bench`.
+``docs/serving.md`` § *Numerical parity caveat*.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ import pytest
 
 from repro.demo import SketchManager
 from repro.errors import SketchError
-from repro.serve import AsyncServeConfig, AsyncSketchServer
-from repro.serve.async_server import percentile
+from repro.metrics import percentile
+from repro.serve import AsyncSketchServer, ServeConfig
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
 
@@ -42,7 +42,7 @@ class TestFlushTriggers:
     def test_max_wait_fires_with_partial_batch(self, manager, workload):
         # Far fewer requests than max_batch_size: only the time trigger
         # can flush them.
-        config = AsyncServeConfig(max_batch_size=64, max_wait_ms=40.0, min_idle_ms=None)
+        config = ServeConfig(max_batch_size=64, max_wait_ms=40.0, min_idle_ms=None)
         with AsyncSketchServer(manager, config) as server:
             futures = [server.submit(q) for q in workload[:3]]
             responses = results(futures)
@@ -53,7 +53,7 @@ class TestFlushTriggers:
     def test_full_batch_flushes_before_max_wait(self, manager, workload):
         # max_wait is far beyond the test timeout: only the size trigger
         # can resolve these futures in time.
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=4, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False,
         )
@@ -68,7 +68,7 @@ class TestFlushTriggers:
         # max_wait window; a single timed flush answers all of them with
         # one forward pass.
         n = 8
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=500.0, min_idle_ms=None,
             use_cache=False,
         )
@@ -99,7 +99,7 @@ class TestFlushTriggers:
     def test_idle_trigger_flushes_quiesced_burst_early(self, manager, workload):
         # max_wait is far beyond the test horizon; the burst must flush
         # via the idle trigger shortly after submissions stop.
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=5.0,
             use_cache=False,
         )
@@ -111,7 +111,7 @@ class TestFlushTriggers:
             assert server.stats.n_flushes_timed == 0
 
     def test_wait_summary_reflects_max_wait(self, manager, workload):
-        config = AsyncServeConfig(max_batch_size=64, max_wait_ms=30.0, min_idle_ms=None)
+        config = ServeConfig(max_batch_size=64, max_wait_ms=30.0, min_idle_ms=None)
         with AsyncSketchServer(manager, config) as server:
             results([server.submit(q) for q in workload[:2]])
         waits = server.wait_summary()
@@ -124,7 +124,7 @@ class TestFlushTriggers:
 
 class TestDedup:
     def test_dedup_returns_identical_objects(self, manager, workload):
-        config = AsyncServeConfig(max_wait_ms=200.0, min_idle_ms=None, use_cache=False)
+        config = ServeConfig(max_wait_ms=200.0, min_idle_ms=None, use_cache=False)
         with AsyncSketchServer(manager, config) as server:
             f1 = server.submit(workload[0])
             f2 = server.submit(workload[0])
@@ -137,7 +137,7 @@ class TestDedup:
 
     def test_dedup_spans_submitter_threads(self, manager, workload):
         n = 6
-        config = AsyncServeConfig(max_wait_ms=300.0, min_idle_ms=None, use_cache=False)
+        config = ServeConfig(max_wait_ms=300.0, min_idle_ms=None, use_cache=False)
         futures = [None] * n
         barrier = threading.Barrier(n)
         with AsyncSketchServer(manager, config) as server:
@@ -157,7 +157,7 @@ class TestDedup:
         assert server.stats.n_deduped == n - 1
 
     def test_dedup_can_be_disabled(self, manager, workload):
-        config = AsyncServeConfig(max_wait_ms=100.0, min_idle_ms=None, use_cache=False, dedup=False)
+        config = ServeConfig(max_wait_ms=100.0, min_idle_ms=None, use_cache=False, dedup=False)
         with AsyncSketchServer(manager, config) as server:
             f1 = server.submit(workload[0])
             f2 = server.submit(workload[0])
@@ -169,7 +169,7 @@ class TestDedup:
 
 class TestCaching:
     def test_repeat_query_resolves_at_submit(self, manager, workload):
-        config = AsyncServeConfig(max_wait_ms=20.0)
+        config = ServeConfig(max_wait_ms=20.0)
         with AsyncSketchServer(manager, config) as server:
             first = server.submit(workload[0]).result(RESULT_TIMEOUT)
             assert first.ok
@@ -188,7 +188,7 @@ class TestCaching:
         # A submit-time peek is read-only; the flush thread replays it
         # as a real cache.get() so hot entries stay at the MRU end.
         sketch, _ = trained_sketch
-        config = AsyncServeConfig(max_wait_ms=20.0)
+        config = ServeConfig(max_wait_ms=20.0)
         with AsyncSketchServer(manager, config) as server:
             server.submit(workload[0]).result(RESULT_TIMEOUT)  # warm it
             hits_before = sketch.cache.stats().hits
@@ -215,7 +215,7 @@ class TestCaching:
             tables=(TableRef("title", "t"),),
             predicates=(Predicate("t", "production_year", ">", 1995),),
         )
-        config = AsyncServeConfig(max_wait_ms=20.0)
+        config = ServeConfig(max_wait_ms=20.0)
         with AsyncSketchServer(manager, config) as server:
             assert server.submit(template_query).result(RESULT_TIMEOUT).ok
 
@@ -242,7 +242,7 @@ class TestShutdown:
     def test_close_drains_buffered_requests(self, manager, workload):
         # max_wait far beyond the test horizon: only the shutdown drain
         # can flush these.
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False,
         )
@@ -271,7 +271,7 @@ class TestShutdown:
         # uncancellable (moved to RUNNING at creation) — a client-side
         # cancel() must neither kill the flush loop via InvalidStateError
         # nor rob other waiters of their result.
-        config = AsyncServeConfig(max_wait_ms=50.0, min_idle_ms=None,
+        config = ServeConfig(max_wait_ms=50.0, min_idle_ms=None,
                                   use_cache=False)
         with AsyncSketchServer(manager, config) as server:
             f1 = server.submit(workload[0])
@@ -282,7 +282,7 @@ class TestShutdown:
             assert server.submit(workload[1]).result(RESULT_TIMEOUT).ok
 
     def test_context_manager_round_trip(self, manager, workload):
-        with AsyncSketchServer(manager, AsyncServeConfig(max_wait_ms=10.0)) as server:
+        with AsyncSketchServer(manager, ServeConfig(max_wait_ms=10.0)) as server:
             assert server.submit(workload[0]).result(RESULT_TIMEOUT).ok
         assert server.closed
 
@@ -290,7 +290,7 @@ class TestShutdown:
 class TestParityAndErrors:
     def test_estimates_match_single_query_path(self, manager, trained_sketch, workload):
         sketch, _ = trained_sketch
-        config = AsyncServeConfig(max_wait_ms=10.0, max_batch_size=8)
+        config = ServeConfig(max_wait_ms=10.0, max_batch_size=8)
         with AsyncSketchServer(manager, config) as server:
             responses = server.serve(workload[:20])
         assert all(r.ok for r in responses)
@@ -323,14 +323,14 @@ class TestParityAndErrors:
             tables=(TableRef("title", "t"),),
             predicates=(Predicate("t", "episode_nr", "=", 1),),
         )
-        config = AsyncServeConfig(max_wait_ms=50.0)
+        config = ServeConfig(max_wait_ms=50.0)
         with AsyncSketchServer(manager, config) as server:
             responses = server.serve([workload[0], bad, workload[1]])
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
 
     def test_asyncio_front_end(self, manager, workload):
-        config = AsyncServeConfig(max_wait_ms=20.0)
+        config = ServeConfig(max_wait_ms=20.0)
 
         async def run():
             with AsyncSketchServer(manager, config) as server:
@@ -345,9 +345,9 @@ class TestParityAndErrors:
 class TestConfigAndHelpers:
     def test_bad_config_rejected(self):
         with pytest.raises(SketchError):
-            AsyncServeConfig(max_batch_size=0)
+            ServeConfig(max_batch_size=0)
         with pytest.raises(SketchError):
-            AsyncServeConfig(max_wait_ms=-1.0)
+            ServeConfig(max_wait_ms=-1.0)
 
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]

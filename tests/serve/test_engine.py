@@ -13,7 +13,6 @@ from repro.metrics import LatencySummary
 from repro.serve import (
     CODE_DEADLINE,
     CODE_SHED,
-    AsyncServeConfig,
     AsyncSketchServer,
     ServeConfig,
     SketchServer,
@@ -67,7 +66,7 @@ class TestConfigValidation:
         with pytest.raises(ReproError):
             ServeConfig(**kwargs)
         with pytest.raises(ReproError):
-            AsyncServeConfig(**kwargs)
+            ServeConfig(**kwargs)
 
     def test_disabling_sentinels_are_valid(self):
         config = ServeConfig(
@@ -132,7 +131,7 @@ class TestAdmissionControlSync:
 
 class TestAdmissionControlAsync:
     def test_burst_beyond_depth_sheds_and_drains_accepted(self, manager, workload):
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, dedup=False, max_queue_depth=8,
         )
@@ -153,7 +152,7 @@ class TestAdmissionControlAsync:
         assert server.stats.n_answered + server.stats.n_errors == 20
 
     def test_queue_depth_gauge_tracks_buffered(self, manager, workload):
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, dedup=False,
         )
@@ -171,7 +170,7 @@ class TestDeadlines:
         # deadline, so by the time the engine would serve them the
         # requests have expired: they must resolve promptly (the loop
         # wakes at the deadline, not at max_wait) with code="deadline".
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, deadline_ms=20.0,
         )
@@ -209,7 +208,7 @@ class TestDeadlines:
         engine.close()
 
     def test_fast_requests_beat_their_deadline(self, manager, workload):
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_wait_ms=2.0, deadline_ms=10_000.0, use_cache=False,
         )
         with AsyncSketchServer(manager, config) as server:
@@ -223,7 +222,7 @@ class TestTelemetry:
         with SketchServer(manager) as sync_server:
             sync_server.serve(workload[:4])
             sync_summary = sync_server.stats_summary()
-        with AsyncSketchServer(manager, AsyncServeConfig(max_wait_ms=5.0)) as server:
+        with AsyncSketchServer(manager, ServeConfig(max_wait_ms=5.0)) as server:
             server.serve(workload[:4])
         async_summary = server.stats_summary()
         assert set(sync_summary) == set(async_summary)
@@ -266,7 +265,7 @@ class TestShutdownRaces:
     """Satellite: a submit racing close() is served or shed — never hung."""
 
     def test_concurrent_submits_during_close(self, manager, workload):
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=8, max_wait_ms=5.0, use_cache=False,
         )
         server = AsyncSketchServer(manager, config).start()
@@ -314,7 +313,7 @@ class TestShutdownRaces:
             server.submit_many(workload[:2])
 
     def test_close_with_bounded_queue_drains_accepted_only(self, manager, workload):
-        config = AsyncServeConfig(
+        config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, dedup=False, max_queue_depth=3,
         )
@@ -330,7 +329,7 @@ class TestShutdownRaces:
         # An unexpected exception inside the loop body must not kill
         # the flush thread and strand buffered futures — the loop backs
         # off and keeps serving.
-        config = AsyncServeConfig(max_wait_ms=5.0)
+        config = ServeConfig(max_wait_ms=5.0)
         server = AsyncSketchServer(manager, config).start()
         engine = server.engine
         original = engine._next_deadline_locked
@@ -427,7 +426,7 @@ class TestEngineViews:
         # lands; leaving the context drains, which is the flush.
         empty = SketchManager(imdb_small)
         with AsyncSketchServer(
-            empty, AsyncServeConfig(max_wait_ms=60_000.0, min_idle_ms=None)
+            empty, ServeConfig(max_wait_ms=60_000.0, min_idle_ms=None)
         ) as server:
             future = server.submit(workload[0])
             assert not future.done()

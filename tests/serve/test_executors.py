@@ -22,7 +22,6 @@ from repro.demo import SketchManager
 from repro.serve import (
     CODE_ROUTE,
     CODE_VOCAB,
-    AsyncServeConfig,
     AsyncSketchServer,
     InlineExecutor,
     ProcessExecutor,
@@ -321,7 +320,7 @@ class TestSlotPlacement:
         # holding live generations only.
         original = manager.get_sketch("test-sketch")
         manager.register_sketch(clone(original, "extra"))
-        config = AsyncServeConfig(
+        config = ServeConfig(
             **{**MODES[mode], "executor_workers": 3},
             max_batch_size=8, max_wait_ms=1.0, use_cache=False,
         )
@@ -410,7 +409,7 @@ class TestExecutorParity:
         with SketchServer(manager, config_for("inline")) as server:
             inline = serve_all(server, workload)
         sketch.clear_cache()
-        config = AsyncServeConfig(
+        config = ServeConfig(
             executor="process", executor_workers=2, max_batch_size=8,
             max_wait_ms=20.0, use_cache=False,
         )

@@ -26,7 +26,6 @@ from repro.core import DeepSketch, DriftReport, RefreshResult
 from repro.demo import SketchManager
 from repro.errors import RegistryError, SketchError
 from repro.serve import (
-    AsyncServeConfig,
     AsyncSketchServer,
     LifecycleConfig,
     LifecycleManager,
@@ -629,7 +628,7 @@ class TestSwapUnderConcurrentLoad:
             seed=5,
         )
         server = AsyncSketchServer(
-            manager, AsyncServeConfig(max_batch_size=32)
+            manager, ServeConfig(max_batch_size=32)
         ).start()
         lifecycle = LifecycleManager(
             server,
