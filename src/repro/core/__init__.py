@@ -3,6 +3,7 @@
 from .batches import Batch, TrainingSet, collate
 from .builder import (
     BuildReport,
+    PendingBuild,
     ProgressEvent,
     STAGES,
     SketchBuilder,
@@ -48,6 +49,7 @@ __all__ = [
     "SketchBuilder",
     "SketchConfig",
     "BuildReport",
+    "PendingBuild",
     "ProgressEvent",
     "STAGES",
     "build_sketch",

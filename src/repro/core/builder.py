@@ -12,6 +12,16 @@
 4. **Train** — featurize static query features and bitmaps, train the
    MSCN for the specified number of epochs.
 
+The pipeline is written once, here.  :meth:`SketchBuilder.start` runs
+steps 1-3, featurizes, and sets up the model and its trainer; the
+:class:`PendingBuild` it returns trains one epoch per
+:meth:`PendingBuild.step` and assembles the sketch and its
+:class:`BuildReport` after the last one.  :meth:`SketchBuilder.build`
+is ``start`` plus stepping to the end.  The demo's incremental build
+(:mod:`repro.demo.manager`) steps the same object between queries, and
+the shadow refresh (:func:`repro.core.maintenance.refresh_sketch`) runs
+the stage methods on a warm-started model.
+
 Queries with a true cardinality of zero are discarded before training,
 following the reference implementation (their log-label is undefined).
 """
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,17 +39,21 @@ from ..rng import SeedLike, make_rng, spawn
 from ..db.database import Database
 from ..db.executor import execute_count
 from ..sampling.bitmaps import batch_bitmaps
-from ..sampling.sampler import materialize_samples
+from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
 from ..workload.query import Query
 from .batches import TrainingSet
 from .featurization import Featurizer
 from .mscn import MSCN
 from .sketch import DeepSketch
-from .training import Trainer, TrainingConfig, TrainingResult
+from .training import EpochStats, Trainer, TrainingConfig, TrainingResult
 
 #: Pipeline stages, in order, as named in Figure 1a.
 STAGES = ("define", "generate", "execute", "train")
+
+#: Label execution runs in chunks of this many queries, one ``execute``
+#: progress event per chunk; models the demo's parallel HyPer instances.
+LABEL_CHUNK_SIZE = 500
 
 
 @dataclass(frozen=True)
@@ -53,9 +67,6 @@ class SketchConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
     loss: str = "qerror"
-    #: Chunk size for label execution; models the demo's parallel HyPer
-    #: instances (one progress event per chunk).
-    label_chunk_size: int = 500
     #: Ablation switch: train without the qualifying-sample bitmaps
     #: (static query features only).
     use_sample_bitmaps: bool = True
@@ -121,59 +132,23 @@ class SketchBuilder:
         self._progress(ProgressEvent(stage, current, total, message))
 
     # ------------------------------------------------------------------
-    # pipeline steps
+    # pipeline stages
     # ------------------------------------------------------------------
-    def _execute_labels(
-        self, queries: list[Query]
-    ) -> tuple[list[Query], np.ndarray]:
-        """True cardinalities for each query, dropping empty results."""
-        kept: list[Query] = []
-        labels: list[int] = []
-        chunk = max(self.config.label_chunk_size, 1)
-        for start in range(0, len(queries), chunk):
-            for query in queries[start : start + chunk]:
-                cardinality = execute_count(self.db, query)
-                if cardinality > 0:
-                    kept.append(query)
-                    labels.append(cardinality)
-            self._emit(
-                "execute",
-                min(start + chunk, len(queries)),
-                len(queries),
-                "executing training queries",
-            )
-        return kept, np.asarray(labels, dtype=np.float64)
-
-    def build(
-        self,
-        name: str,
-        seed: SeedLike = None,
-        training_queries: list[Query] | None = None,
-    ) -> tuple[DeepSketch, BuildReport]:
-        """Run all four stages and return the sketch plus a report.
-
-        ``training_queries`` replaces the uniform generator of step 2
-        with a user-supplied workload — the paper's "instead of
-        generating queries ... one could also use past user queries".
-        Each query must stay within the sketch's table subset.
-        """
-        rng = make_rng(self.config.seed if seed is None else seed)
-        sample_rng, query_rng, model_rng, train_rng = spawn(rng, 4)
-        report = BuildReport()
-
-        # 1 -- define: materialize the per-table samples.
-        start = time.perf_counter()
+    def define(self, seed: SeedLike) -> MaterializedSamples:
+        """Step 1: materialize the per-table samples."""
         self._emit("define", 0, 1, "materializing samples")
         samples = materialize_samples(
-            self.db, self.spec.tables, self.config.sample_size, seed=sample_rng
+            self.db, self.spec.tables, self.config.sample_size, seed=seed
         )
         self._emit("define", 1, 1)
-        report.stage_seconds["define"] = time.perf_counter() - start
+        return samples
 
-        # 2 -- training queries: generated uniformly, or a past workload.
-        start = time.perf_counter()
+    def generate(
+        self, seed: SeedLike, training_queries: list[Query] | None = None
+    ) -> list[Query]:
+        """Step 2: uniformly generated queries, or a past workload."""
         if training_queries is None:
-            generator = TrainingQueryGenerator(self.db, self.spec, seed=query_rng)
+            generator = TrainingQueryGenerator(self.db, self.spec, seed=seed)
             queries = generator.draw_many(self.config.n_training_queries)
         else:
             queries = list(training_queries)
@@ -185,44 +160,43 @@ class SketchBuilder:
                         f"workload query uses tables {sorted(outside)} outside "
                         f"the sketch's subset {sorted(allowed)}"
                     )
-        report.n_queries_generated = len(queries)
         self._emit("generate", len(queries), len(queries), "collected queries")
-        report.stage_seconds["generate"] = time.perf_counter() - start
+        return queries
 
-        # 3 -- execute: labels from the database, bitmaps from samples.
-        start = time.perf_counter()
-        kept, labels = self._execute_labels(queries)
-        report.n_zero_cardinality_dropped = len(queries) - len(kept)
-        if len(kept) < 10:
-            raise SketchError(
-                f"only {len(kept)} of {len(queries)} training queries had "
-                "non-zero results; increase n_training_queries or data size"
+    def execute(self, queries: list[Query]) -> tuple[list[Query], np.ndarray]:
+        """Step 3: true cardinalities for each query, dropping empty results."""
+        kept: list[Query] = []
+        labels: list[int] = []
+        for start in range(0, len(queries), LABEL_CHUNK_SIZE):
+            for query in queries[start : start + LABEL_CHUNK_SIZE]:
+                cardinality = execute_count(self.db, query)
+                if cardinality > 0:
+                    kept.append(query)
+                    labels.append(cardinality)
+            self._emit(
+                "execute",
+                min(start + LABEL_CHUNK_SIZE, len(queries)),
+                len(queries),
+                "executing training queries",
             )
-        report.max_training_cardinality = float(labels.max())
-        report.stage_seconds["execute"] = time.perf_counter() - start
+        return kept, np.asarray(labels, dtype=np.float64)
 
-        # 4 -- featurize and train.
-        start = time.perf_counter()
-        featurizer = Featurizer.build(
-            self.db,
-            self.spec,
-            self.config.sample_size,
-            use_bitmaps=self.config.use_sample_bitmaps,
-        )
-        featurizer.fit_labels(labels)
+    def training_set(
+        self,
+        featurizer: Featurizer,
+        samples: MaterializedSamples,
+        queries: list[Query],
+        labels: np.ndarray,
+    ) -> TrainingSet:
+        """Step 4's input: query features plus sample bitmaps, batched."""
         features = featurizer.featurize_batch(
-            kept, batch_bitmaps(samples, kept), db=self.db
+            queries, batch_bitmaps(samples, queries), db=self.db
         )
-        normalized = featurizer.normalize_label(labels)
-        dataset = TrainingSet(features, normalized)
-        model = MSCN(
-            table_dim=featurizer.table_dim,
-            join_dim=featurizer.join_dim,
-            predicate_dim=featurizer.predicate_dim,
-            hidden_units=self.config.hidden_units,
-            seed=model_rng,
-        )
-        trainer = Trainer(
+        return TrainingSet(features, featurizer.normalize_label(labels))
+
+    def trainer(self, model: MSCN, featurizer: Featurizer) -> Trainer:
+        """Step 4's optimization loop over ``model``, per this config."""
+        return Trainer(
             model,
             featurizer,
             TrainingConfig(
@@ -232,33 +206,148 @@ class SketchBuilder:
                 loss=self.config.loss,
             ),
         )
-        total_epochs = self.config.epochs
-        report.training = trainer.fit(
-            dataset,
-            callback=lambda stats: self._emit(
-                "train",
-                stats.epoch,
-                total_epochs,
-                f"epoch {stats.epoch}: val mean q-error {stats.val_qerror_mean:.2f}",
-            ),
-            seed=train_rng,
-        )
-        report.stage_seconds["train"] = time.perf_counter() - start
 
-        sketch = DeepSketch(
-            name=name,
-            featurizer=featurizer,
-            model=model,
-            samples=samples,
-            metadata={
-                "dataset": self.db.name,
-                "n_training_queries": len(kept),
-                "epochs": self.config.epochs,
-                "hidden_units": self.config.hidden_units,
-                "final_val_mean_qerror": report.training.final_val_mean_qerror,
-            },
+    # ------------------------------------------------------------------
+    # whole builds
+    # ------------------------------------------------------------------
+    def start(
+        self,
+        name: str,
+        seed: SeedLike = None,
+        training_queries: list[Query] | None = None,
+    ) -> PendingBuild:
+        """Steps 1-3, featurization, and the model; training is left to
+        :meth:`PendingBuild.step`.
+
+        ``training_queries`` replaces the uniform generator of step 2
+        with a user-supplied workload — the paper's "instead of
+        generating queries ... one could also use past user queries".
+        Each query must stay within the sketch's table subset.
+        """
+        rng = make_rng(self.config.seed if seed is None else seed)
+        sample_rng, query_rng, model_rng, train_rng = spawn(rng, 4)
+        report = BuildReport()
+
+        start = time.perf_counter()
+        samples = self.define(sample_rng)
+        report.stage_seconds["define"] = time.perf_counter() - start
+
+        start = time.perf_counter()
+        queries = self.generate(query_rng, training_queries)
+        report.n_queries_generated = len(queries)
+        report.stage_seconds["generate"] = time.perf_counter() - start
+
+        start = time.perf_counter()
+        kept, labels = self.execute(queries)
+        report.n_zero_cardinality_dropped = len(queries) - len(kept)
+        if len(kept) < 10:
+            raise SketchError(
+                f"only {len(kept)} of {len(queries)} training queries had "
+                "non-zero results; increase n_training_queries or data size"
+            )
+        report.max_training_cardinality = float(labels.max())
+        report.stage_seconds["execute"] = time.perf_counter() - start
+
+        # 4 -- featurize and set up the model; the epochs run in step().
+        start = time.perf_counter()
+        featurizer = Featurizer.build(
+            self.db,
+            self.spec,
+            self.config.sample_size,
+            use_bitmaps=self.config.use_sample_bitmaps,
         )
-        return sketch, report
+        featurizer.fit_labels(labels)
+        dataset = self.training_set(featurizer, samples, kept, labels)
+        model = MSCN(
+            table_dim=featurizer.table_dim,
+            join_dim=featurizer.join_dim,
+            predicate_dim=featurizer.predicate_dim,
+            hidden_units=self.config.hidden_units,
+            seed=model_rng,
+        )
+        report.training = TrainingResult()
+        trainer = self.trainer(model, featurizer)
+        loop = trainer.epochs(dataset, report.training, seed=train_rng)
+        report.stage_seconds["train"] = time.perf_counter() - start
+        metadata = {
+            "dataset": self.db.name,
+            "n_training_queries": len(kept),
+            "epochs": self.config.epochs,
+            "hidden_units": self.config.hidden_units,
+        }
+        return PendingBuild(self, name, featurizer, model, samples, metadata, report, loop)
+
+    def build(
+        self,
+        name: str,
+        seed: SeedLike = None,
+        training_queries: list[Query] | None = None,
+    ) -> tuple[DeepSketch, BuildReport]:
+        """Run all four stages and return the sketch plus a report
+        (:meth:`start`, then :meth:`PendingBuild.step` until finished)."""
+        pending = self.start(name, seed=seed, training_queries=training_queries)
+        while not pending.finished:
+            pending.step()
+        return pending.sketch, pending.report
+
+
+@dataclass
+class PendingBuild:
+    """A started build whose train stage advances one epoch per :meth:`step`.
+
+    ``report`` fills in as the build goes (``report.training`` gains an
+    epoch per step); ``sketch`` stays ``None`` until the last epoch ran.
+    """
+
+    builder: SketchBuilder
+    name: str
+    featurizer: Featurizer
+    model: MSCN
+    samples: MaterializedSamples
+    #: The sketch's metadata; the last step adds the final validation error.
+    metadata: dict
+    report: BuildReport
+    #: The trainer's epoch loop (:meth:`Trainer.epochs`) over the build's
+    #: training set, recording into ``report.training``.
+    loop: Iterator[EpochStats]
+    sketch: DeepSketch | None = None
+
+    @property
+    def finished(self) -> bool:
+        return self.sketch is not None
+
+    @property
+    def epoch_stats(self) -> list[EpochStats]:
+        return self.report.training.epochs
+
+    @property
+    def epochs_done(self) -> int:
+        return len(self.epoch_stats)
+
+    def step(self) -> EpochStats:
+        """Train one epoch; after the last one, assemble the sketch."""
+        if self.finished:
+            raise SketchError(f"build {self.name!r} has already finished")
+        start = time.perf_counter()
+        stats = next(self.loop)
+        self.builder._emit(
+            "train",
+            stats.epoch,
+            self.builder.config.epochs,
+            f"epoch {stats.epoch}: val mean q-error {stats.val_qerror_mean:.2f}",
+        )
+        self.report.stage_seconds["train"] += time.perf_counter() - start
+        training = self.report.training
+        if training.validation_summary is not None:  # that was the last epoch
+            self.metadata["final_val_mean_qerror"] = training.final_val_mean_qerror
+            self.sketch = DeepSketch(
+                name=self.name,
+                featurizer=self.featurizer,
+                model=self.model,
+                samples=self.samples,
+                metadata=self.metadata,
+            )
+        return stats
 
 
 def build_sketch(

@@ -14,6 +14,10 @@ blocks of that automation are implemented here:
   samples against the current database and continues training the
   *existing* network on freshly labelled queries (warm start), which is
   much cheaper than building from scratch when the change is moderate.
+  It samples, labels, featurizes and trains through the stage methods
+  of :class:`~repro.core.builder.SketchBuilder` — the same batched code
+  a build runs — and keeps only the warm start (the sketch's featurizer
+  and a copy of its model) and its own query count to itself.
   :func:`try_refresh_sketch` wraps it into a structured
   :class:`RefreshResult` so an automated watcher (see
   :mod:`repro.serve.lifecycle`) can record failures and retry with
@@ -31,14 +35,11 @@ from scipy import stats
 from ..errors import RefreshFailure
 from ..rng import SeedLike, make_rng, spawn
 from ..db.database import Database
-from ..db.executor import execute_count
 from ..db.types import DType
-from ..sampling.bitmaps import query_bitmaps
 from ..sampling.sampler import materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
-from .batches import TrainingSet
+from .builder import SketchBuilder, SketchConfig
 from .sketch import DeepSketch
-from .training import Trainer, TrainingConfig
 
 
 #: Number of head categories compared per string column; everything
@@ -198,18 +199,13 @@ def refresh_sketch(
         )
     rng = make_rng(seed)
     sample_rng, query_rng, train_rng = spawn(rng, 3)
-
-    samples = materialize_samples(
-        db, sketch.tables, sketch.samples.sample_size, seed=sample_rng
+    builder = SketchBuilder(
+        db, spec, SketchConfig(sample_size=sketch.samples.sample_size, epochs=epochs)
     )
-    generator = TrainingQueryGenerator(db, spec, seed=query_rng)
-    queries = generator.draw_many(n_queries)
-    kept, labels = [], []
-    for query in queries:
-        cardinality = execute_count(db, query)
-        if cardinality > 0:
-            kept.append(query)
-            labels.append(float(cardinality))
+
+    samples = builder.define(sample_rng)
+    queries = TrainingQueryGenerator(db, spec, seed=query_rng).draw_many(n_queries)
+    kept, labels = builder.execute(queries)
     if len(kept) < 10:
         raise RefreshFailure(
             f"only {len(kept)} non-empty fine-tuning queries; need at least 10",
@@ -217,15 +213,10 @@ def refresh_sketch(
         )
 
     featurizer = sketch.featurizer  # vocabularies and label bounds reused
-    features = [
-        featurizer.featurize_query(q, query_bitmaps(samples, q), db=db)
-        for q in kept
-    ]
-    normalized = featurizer.normalize_label(np.asarray(labels))
-
     model = copy.deepcopy(sketch.model)
-    trainer = Trainer(model, featurizer, TrainingConfig(epochs=epochs))
-    result = trainer.fit(TrainingSet(features, normalized), seed=train_rng)
+    result = builder.trainer(model, featurizer).fit(
+        builder.training_set(featurizer, samples, kept, labels), seed=train_rng
+    )
 
     metadata = dict(sketch.metadata)
     metadata["refreshed"] = True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -67,6 +67,7 @@ class TrainingResult:
 
     epochs: list[EpochStats] = field(default_factory=list)
     validation_summary: QErrorSummary | None = None
+    #: Sum of the epochs' wall time (callbacks excluded).
     total_seconds: float = 0.0
     #: True when early stopping ended the run before the epoch budget.
     stopped_early: bool = False
@@ -127,11 +128,25 @@ class Trainer:
         callback: EpochCallback | None = None,
         seed: SeedLike = None,
     ) -> TrainingResult:
-        """Train for the configured number of epochs.
+        """Train for the configured number of epochs (see :meth:`epochs`)."""
+        result = TrainingResult()
+        for stats in self.epochs(dataset, result, seed=seed):
+            if callback is not None:
+                callback(stats)
+        return result
+
+    def epochs(
+        self, dataset: TrainingSet, result: TrainingResult, seed: SeedLike = None
+    ) -> Iterator[EpochStats]:
+        """Train one epoch per iteration, recording each into ``result``.
 
         The dataset is split once into train/validation; validation
         q-error statistics are computed after every epoch (the quantity
         the paper watches to declare "25 epochs are usually enough").
+        The run ends at the epoch budget or when ``patience`` runs out;
+        its last epoch's validation errors fill
+        ``result.validation_summary``, so that field is set exactly when
+        the final epoch has been yielded.
         """
         if len(dataset) < 10:
             raise TrainingError(
@@ -139,8 +154,6 @@ class Trainer:
             )
         rng = make_rng(self.config.seed if seed is None else seed)
         train_set, val_set = dataset.split(self.config.validation_fraction, seed=rng)
-        result = TrainingResult()
-        start_all = time.perf_counter()
         best_val = float("inf")
         stale_epochs = 0
         for epoch in range(1, self.config.epochs + 1):
@@ -164,22 +177,19 @@ class Trainer:
                 seconds=time.perf_counter() - start,
             )
             result.epochs.append(stats)
-            if callback is not None:
-                callback(stats)
+            result.total_seconds += stats.seconds
             if self.config.patience is not None:
                 if stats.val_qerror_mean < best_val - 1e-9:
                     best_val = stats.val_qerror_mean
                     stale_epochs = 0
                 else:
                     stale_epochs += 1
-                    if stale_epochs >= self.config.patience:
-                        result.stopped_early = True
-                        break
-        result.total_seconds = time.perf_counter() - start_all
-        result.validation_summary = summarize_qerrors(
-            validation_qerrors(self.model, self.featurizer, val_set)
-        )
-        return result
+                    result.stopped_early = stale_epochs >= self.config.patience
+            if result.stopped_early or epoch == self.config.epochs:
+                result.validation_summary = summarize_qerrors(val_errors)
+            yield stats
+            if result.stopped_early:
+                return
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Programmatic demo backend (the web UI's substance, sans browser)."""
 
 from .advisor import SketchRecommendation, coverage_of, recommend_sketches
-from .manager import PendingBuild, SketchManager
+from ..core.builder import PendingBuild
+from .manager import SketchManager
 from .monitor import Monitor, MonitorEvent
 from .template_service import TemplateResult, TemplateSeries, run_template
 

@@ -11,50 +11,26 @@ Mirrors the workflow behind the paper's web interface (Section 3):
 * pre-built high-quality models — :meth:`SketchManager.register_sketch`;
 * querying a sketch — :meth:`SketchManager.query`.
 
-The incremental build runs the builder pipeline up front except for
-training, then advances one epoch per :meth:`step_build` call; queries
-against *other* sketches can be interleaved freely.
+The incremental build steps the builder's own build
+(:meth:`repro.core.builder.SketchBuilder.start`, then one
+:meth:`~repro.core.builder.PendingBuild.step` — one epoch — per
+:meth:`step_build` call), so it trains exactly the sketch
+:meth:`create_sketch` would; queries against *other* sketches can be
+interleaved freely.  Both paths record their progress in a
+:class:`Monitor`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import SketchError
-from ..rng import make_rng, spawn
 from ..db.database import Database
-from ..sampling.bitmaps import query_bitmaps
-from ..sampling.sampler import materialize_samples
-from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
+from ..workload.generator import WorkloadSpec
 from ..workload.query import Query
-from ..db.executor import execute_count
-from ..core.batches import TrainingSet
-from ..core.builder import BuildReport, SketchBuilder, SketchConfig
-from ..core.featurization import Featurizer
-from ..core.mscn import MSCN
+from ..core.builder import BuildReport, PendingBuild, SketchBuilder, SketchConfig
 from ..core.sketch import DeepSketch
-from ..core.training import Trainer, TrainingConfig
 from .monitor import Monitor
-
-
-@dataclass
-class PendingBuild:
-    """An in-progress incremental build (train stage epoch by epoch)."""
-
-    name: str
-    trainer: Trainer
-    dataset: TrainingSet
-    samples: object
-    featurizer: Featurizer
-    config: SketchConfig
-    epochs_done: int = 0
-    epoch_stats: list = field(default_factory=list)
-
-    @property
-    def finished(self) -> bool:
-        return self.epochs_done >= self.config.epochs
 
 
 class SketchManager:
@@ -133,7 +109,7 @@ class SketchManager:
             raise SketchError(f"no build was monitored for {name!r}") from None
 
     # ------------------------------------------------------------------
-    # synchronous build (steps 1-4 in one call)
+    # building: synchronous, or incremental (train while querying)
     # ------------------------------------------------------------------
     def create_sketch(
         self,
@@ -143,18 +119,10 @@ class SketchManager:
         seed: int | None = None,
     ) -> tuple[DeepSketch, BuildReport]:
         """Run the full Figure 1a pipeline and register the result."""
-        if name in self._sketches or name in self._pending:
-            raise SketchError(f"sketch {name!r} already exists")
-        monitor = Monitor()
-        builder = SketchBuilder(self.db, spec, config=config, progress=monitor.on_progress)
-        sketch, report = builder.build(name, seed=seed)
+        sketch, report = self._builder(name, spec, config).build(name, seed=seed)
         self._sketches[name] = sketch
-        self._monitors[name] = monitor
         return sketch, report
 
-    # ------------------------------------------------------------------
-    # incremental build (train while querying other sketches)
-    # ------------------------------------------------------------------
     def start_build(
         self,
         name: str,
@@ -162,89 +130,32 @@ class SketchManager:
         config: SketchConfig | None = None,
         seed: int | None = None,
     ) -> PendingBuild:
-        """Stages 1-3 plus featurization; training is left to step_build."""
-        if name in self._sketches or name in self._pending:
-            raise SketchError(f"sketch {name!r} already exists")
-        config = config or SketchConfig()
-        rng = make_rng(config.seed if seed is None else seed)
-        sample_rng, query_rng, model_rng, _ = spawn(rng, 4)
-
-        samples = materialize_samples(self.db, spec.tables, config.sample_size, seed=sample_rng)
-        generator = TrainingQueryGenerator(self.db, spec, seed=query_rng)
-        queries = generator.draw_many(config.n_training_queries)
-        kept: list[Query] = []
-        labels: list[float] = []
-        for query in queries:
-            cardinality = execute_count(self.db, query)
-            if cardinality > 0:
-                kept.append(query)
-                labels.append(float(cardinality))
-        if len(kept) < 10:
-            raise SketchError(
-                f"only {len(kept)} non-empty training queries; need at least 10"
-            )
-        featurizer = Featurizer.build(self.db, spec, config.sample_size)
-        featurizer.fit_labels(np.asarray(labels))
-        features = [
-            featurizer.featurize_query(q, query_bitmaps(samples, q), db=self.db)
-            for q in kept
-        ]
-        normalized = featurizer.normalize_label(np.asarray(labels))
-        model = MSCN(
-            table_dim=featurizer.table_dim,
-            join_dim=featurizer.join_dim,
-            predicate_dim=featurizer.predicate_dim,
-            hidden_units=config.hidden_units,
-            seed=model_rng,
-        )
-        trainer = Trainer(
-            model,
-            featurizer,
-            TrainingConfig(
-                epochs=1,  # step_build advances one epoch at a time
-                batch_size=config.batch_size,
-                learning_rate=config.learning_rate,
-                loss=config.loss,
-            ),
-        )
-        pending = PendingBuild(
-            name=name,
-            trainer=trainer,
-            dataset=TrainingSet(features, normalized),
-            samples=samples,
-            featurizer=featurizer,
-            config=config,
-        )
+        """Stages 1-3 plus featurization; each step_build trains one epoch."""
+        pending = self._builder(name, spec, config).start(name, seed=seed)
         self._pending[name] = pending
         return pending
 
     def step_build(self, name: str) -> PendingBuild:
-        """Advance a pending build by one epoch; finalize when done."""
+        """Advance a pending build by one epoch; register it when done."""
         try:
             pending = self._pending[name]
         except KeyError:
             raise SketchError(f"no pending build named {name!r}") from None
-        result = pending.trainer.fit(pending.dataset, seed=pending.epochs_done)
-        pending.epoch_stats.extend(result.epochs)
-        pending.epochs_done += 1
+        pending.step()
         if pending.finished:
-            self._finalize_build(pending)
+            pending.sketch.metadata["incremental"] = True
+            del self._pending[name]
+            self._sketches[name] = pending.sketch
         return pending
 
-    def _finalize_build(self, pending: PendingBuild) -> None:
-        sketch = DeepSketch(
-            name=pending.name,
-            featurizer=pending.featurizer,
-            model=pending.trainer.model,
-            samples=pending.samples,
-            metadata={
-                "dataset": self.db.name,
-                "epochs": pending.epochs_done,
-                "incremental": True,
-            },
-        )
-        del self._pending[pending.name]
-        self._sketches[pending.name] = sketch
+    def _builder(
+        self, name: str, spec: WorkloadSpec, config: SketchConfig | None
+    ) -> SketchBuilder:
+        """A builder for a new sketch ``name`` that reports to its monitor."""
+        if name in self._sketches or name in self._pending:
+            raise SketchError(f"sketch {name!r} already exists")
+        monitor = self._monitors[name] = Monitor()
+        return SketchBuilder(self.db, spec, config=config, progress=monitor.on_progress)
 
     def pending_builds(self) -> list[str]:
         return sorted(self._pending)

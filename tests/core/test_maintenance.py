@@ -222,7 +222,7 @@ class TestTryRefresh:
             raise RuntimeError("storage layer died")
 
         monkeypatch.setattr(
-            "repro.core.maintenance.materialize_samples", explode
+            "repro.core.builder.materialize_samples", explode
         )
         result = try_refresh_sketch(
             sketch, imdb_small, spec_for_imdb(), n_queries=100
@@ -231,6 +231,16 @@ class TestTryRefresh:
         assert result.code == "internal"
         assert "storage layer died" in result.error
         assert result.retryable
+
+    def test_too_few_requested_queries_is_insufficient(
+        self, imdb_small, trained_sketch
+    ):
+        sketch, _ = trained_sketch
+        result = try_refresh_sketch(
+            sketch, imdb_small, spec_for_imdb(), n_queries=5, seed=4
+        )
+        assert not result.ok
+        assert result.code == "insufficient_queries"
 
     def test_retryable_classification(self):
         retryable = RefreshResult(

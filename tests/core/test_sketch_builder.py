@@ -59,13 +59,13 @@ class TestBuilder:
         """The builder featurizes on the batch path; what it hands the
         trainer is byte-equal to featurizing query by query."""
         seen = {}
-        fit = Trainer.fit
+        epochs = Trainer.epochs
 
-        def recording_fit(trainer, dataset, **kwargs):
+        def recording_epochs(trainer, dataset, *args, **kwargs):
             seen["dataset"] = dataset
-            return fit(trainer, dataset, **kwargs)
+            return epochs(trainer, dataset, *args, **kwargs)
 
-        monkeypatch.setattr(Trainer, "fit", recording_fit)
+        monkeypatch.setattr(Trainer, "epochs", recording_epochs)
         queries = TrainingQueryGenerator(imdb_small, spec_for_imdb(), seed=3).draw_many(120)
         sketch, _ = SketchBuilder(
             imdb_small,
@@ -88,6 +88,26 @@ class TestBuilder:
             got, want = getattr(built, name), getattr(per_query, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    def test_start_then_steps_is_build(self, imdb_small):
+        config = SketchConfig(n_training_queries=100, epochs=2, sample_size=50, hidden_units=8)
+        events = []
+        pending = SketchBuilder(
+            imdb_small, spec_for_imdb(), config=config, progress=events.append
+        ).start("stepped", seed=5)
+        assert [e.stage for e in events] == ["define", "define", "generate", "execute"]
+        assert not pending.finished and pending.sketch is None
+        while not pending.finished:
+            pending.step()
+        assert pending.epochs_done == 2 and len(pending.report.training.epochs) == 2
+        with pytest.raises(SketchError):
+            pending.step()
+
+        built, report = SketchBuilder(imdb_small, spec_for_imdb(), config=config).build(
+            "stepped", seed=5
+        )
+        assert pending.sketch.to_bytes() == built.to_bytes()
+        assert set(pending.report.stage_seconds) == set(report.stage_seconds) == set(STAGES)
 
     def test_config_validation(self):
         with pytest.raises(SketchError):

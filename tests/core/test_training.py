@@ -8,11 +8,13 @@ from repro.core import (
     Featurizer,
     Trainer,
     TrainingConfig,
+    TrainingResult,
     TrainingSet,
     validation_qerrors,
 )
 from repro.core.featurization import QueryFeatures
 from repro.errors import TrainingError
+from repro.metrics import summarize_qerrors
 
 
 def synthetic_dataset(n=120, seed=0):
@@ -140,3 +142,47 @@ class TestEarlyStopping:
     def test_invalid_patience(self):
         with pytest.raises(TrainingError):
             TrainingConfig(patience=0)
+
+
+class TestValidationPasses:
+    """One validation pass per epoch; the summary reuses the last one."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from repro.core import training
+
+        seen = []
+        validate = training.validation_qerrors
+
+        def counting(*args, **kwargs):
+            seen.append(validate(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(training, "validation_qerrors", counting)
+        return seen
+
+    def make_trainer(self, featurizer, **config):
+        model = MSCN(table_dim=4, join_dim=3, predicate_dim=5, hidden_units=16, seed=0)
+        return Trainer(model, featurizer, TrainingConfig(batch_size=32, **config))
+
+    def test_full_budget(self, featurizer, passes):
+        result = self.make_trainer(featurizer, epochs=3).fit(synthetic_dataset())
+        assert len(passes) == len(result.epochs) == 3
+        assert result.validation_summary == summarize_qerrors(passes[-1])
+
+    def test_patience_stopped(self, featurizer, passes):
+        trainer = self.make_trainer(featurizer, epochs=40, patience=1)
+        result = trainer.fit(synthetic_dataset())
+        assert result.stopped_early
+        assert len(passes) == len(result.epochs) < 40
+        assert result.validation_summary == summarize_qerrors(passes[-1])
+
+    def test_summary_set_with_the_last_epoch_only(self, featurizer):
+        trainer = self.make_trainer(featurizer, epochs=3)
+        result = TrainingResult()
+        summaries = [
+            result.validation_summary
+            for _ in trainer.epochs(synthetic_dataset(), result, seed=1)
+        ]
+        assert summaries[:2] == [None, None]
+        assert summaries[2] is not None

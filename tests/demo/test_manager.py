@@ -1,8 +1,11 @@
 """SketchManager tests: the demo backend workflow."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.core import SketchConfig
+from repro.core import SketchConfig, TrainingSet
 from repro.demo import SketchManager
 from repro.errors import SketchError
 from repro.workload import spec_for_imdb
@@ -152,3 +155,55 @@ class TestIncrementalBuild:
         sketch = manager.get_sketch("inc4")
         assert sketch.metadata["incremental"] is True
         assert sketch.metadata["epochs"] == 2
+
+
+def _build_incrementally(manager, name, spec, config, seed=None):
+    manager.start_build(name, spec, config=config, seed=seed)
+    while manager.pending_builds():
+        manager.step_build(name)
+    return manager.get_sketch(name)
+
+
+class TestIncrementalIsTheSynchronousBuild:
+    """Stepping a build trains exactly the sketch create_sketch trains."""
+
+    def test_same_weights_as_create_sketch(self, manager, spec):
+        synchronous, _ = manager.create_sketch("sync", spec, config=FAST, seed=3)
+        stepped = _build_incrementally(manager, "stepped", spec, FAST, seed=3)
+        want = synchronous.model.state_dict()
+        got = stepped.model.state_dict()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_metadata_is_synchronous_plus_incremental(self, manager, spec):
+        synchronous, _ = manager.create_sketch("sync", spec, config=FAST, seed=3)
+        stepped = _build_incrementally(manager, "stepped", spec, FAST, seed=3)
+        assert stepped.metadata == {**synchronous.metadata, "incremental": True}
+
+    def test_sample_bitmap_switch_is_honoured(self, manager, spec):
+        config = dataclasses.replace(FAST, use_sample_bitmaps=False)
+        stepped = _build_incrementally(manager, "no-bitmaps", spec, config)
+        assert stepped.featurizer.use_bitmaps is False
+
+    def test_monitor_sees_every_stage(self, manager, spec):
+        manager.start_build("watched", spec, config=FAST)
+        monitor = manager.monitor_for("watched")
+        assert monitor.stages_seen() == ["define", "generate", "execute"]
+        for step in (1, 2):
+            manager.step_build("watched")
+            train = [e for e in monitor.events if e.stage == "train"]
+            assert [(e.current, e.total) for e in train] == [(i, 2) for i in range(1, step + 1)]
+        assert monitor.stages_seen() == ["define", "generate", "execute", "train"]
+
+    def test_validation_split_drawn_once(self, manager, spec, monkeypatch):
+        splits = []
+        split = TrainingSet.split
+
+        def counting_split(dataset, *args, **kwargs):
+            splits.append(len(dataset))
+            return split(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(TrainingSet, "split", counting_split)
+        _build_incrementally(manager, "one-split", spec, FAST)
+        assert len(splits) == 1
