@@ -65,11 +65,11 @@ from repro.core import SketchConfig, build_sketch  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
 from repro.serve import (  # noqa: E402
-    AsyncSketchServer,
     LifecycleConfig,
     LifecycleManager,
     ServeConfig,
     SketchRegistry,
+    SketchServer,
 )
 from repro.workload import (  # noqa: E402
     SuiteConfig,
@@ -162,7 +162,7 @@ def run(args) -> int:
             )
         else:
             serve_config = ServeConfig(max_batch_size=64)
-        server = AsyncSketchServer(manager, serve_config).start()
+        server = SketchServer(manager, serve_config).start()
         engine = server.engine
         lifecycle = LifecycleManager(
             server,

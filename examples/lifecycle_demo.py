@@ -42,11 +42,11 @@ from repro.core import SketchConfig, build_sketch  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
 from repro.serve import (  # noqa: E402
-    AsyncSketchServer,
     LifecycleConfig,
     LifecycleManager,
     ServeConfig,
     SketchRegistry,
+    SketchServer,
 )
 from repro.workload import spec_for_imdb  # noqa: E402
 
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
         v1 = registry.save(sketch, note="initial build")
         print(f"registry: saved v{v1} (active)", file=sys.stderr)
 
-        with AsyncSketchServer(manager, ServeConfig()) as server:
+        with SketchServer(manager, ServeConfig()).start() as server:
             lifecycle = LifecycleManager(
                 server,
                 db,

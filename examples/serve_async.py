@@ -1,9 +1,10 @@
-"""Concurrent clients against the asynchronous sketch server.
+"""Concurrent clients against a started sketch server.
 
 Demonstrates the latency-bounded serving loop end to end:
 
 1. build a small Deep Sketch over the synthetic IMDb,
-2. start an ``AsyncSketchServer`` (background flush loop),
+2. start a ``SketchServer`` (``start()`` hands flushing to a background
+   loop),
 3. fire a templated query stream from several client threads — each
    client submits requests and waits on futures, exactly like
    independent application threads would,
@@ -33,7 +34,7 @@ sys.path.insert(
 from repro.core import SketchConfig  # noqa: E402
 from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
 from repro.demo import SketchManager  # noqa: E402
-from repro.serve import AsyncSketchServer, ServeConfig  # noqa: E402
+from repro.serve import ServeConfig, SketchServer  # noqa: E402
 from repro.workload import (  # noqa: E402
     JobLightConfig,
     generate_job_light,
@@ -63,7 +64,7 @@ def build_manager(args) -> SketchManager:
     return manager
 
 
-def run_clients(server: AsyncSketchServer, workload, n_clients: int) -> float:
+def run_clients(server: SketchServer, workload, n_clients: int) -> float:
     """Each client thread submits its share and waits on the futures.
 
     Failures inside a client thread (timeouts, failed responses) are
@@ -99,7 +100,7 @@ def run_clients(server: AsyncSketchServer, workload, n_clients: int) -> float:
     return time.perf_counter() - start
 
 
-async def run_asyncio_clients(server: AsyncSketchServer, queries) -> None:
+async def run_asyncio_clients(server: SketchServer, queries) -> None:
     """The same server is awaitable from an event loop."""
     responses = await asyncio.gather(
         *[server.submit_async(q) for q in queries]
@@ -133,7 +134,7 @@ def main(argv=None) -> int:
     workload = [distinct[i % len(distinct)] for i in range(args.requests)]
 
     config = ServeConfig(max_wait_ms=args.max_wait_ms)
-    with AsyncSketchServer(manager, config) as server:
+    with SketchServer(manager, config).start() as server:
         elapsed = run_clients(server, workload, args.clients)
         asyncio.run(run_asyncio_clients(server, distinct[: min(8, len(distinct))]))
 

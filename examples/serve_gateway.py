@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     )
     workload = [distinct[i % len(distinct)] for i in range(args.requests)]
 
-    # The in-process reference: the sync facade on the same manager.
+    # The in-process reference: a caller-driven server on the same manager.
     with SketchServer(manager, ServeConfig(use_cache=False)) as local:
         reference = {
             query: r.estimate

@@ -120,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the per-sketch estimate cache")
     serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve through the asynchronous latency-bounded "
-                       "facade (background flush loop, request dedup, "
-                       "shared feature cache)")
+                       help="start the server's latency-bounded background "
+                       "flush loop instead of flushing the stream on the "
+                       "calling thread")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="async/http only: max queueing delay before a "
                        "partial micro-batch is flushed")
@@ -137,8 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission control: bound on buffered requests; "
                        "overload returns structured shed errors instead of "
                        "queueing without limit (meant for --async, where a "
-                       "background flusher drains while clients submit; the "
-                       "sync facade buffers the whole stream first, so a "
+                       "background flusher drains while clients submit; "
+                       "without it the whole stream is buffered first, so a "
                        "bound below the stream length sheds its tail)")
     serve.add_argument("--shed-policy", choices=("reject", "oldest"),
                        default="reject",
@@ -147,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline: requests waiting longer "
                        "resolve as structured deadline errors instead of "
-                       "consuming model time (meant for --async; the sync "
-                       "facade buffers the whole stream before one flush, "
+                       "consuming model time (meant for --async; without it "
+                       "the whole stream is buffered before one flush, "
                        "so a deadline shorter than that buffering window "
                        "expires the stream's head)")
 
@@ -521,11 +521,7 @@ def _cmd_serve(args) -> int:
     import time
 
     from .demo import SketchManager
-    from .serve import (
-        AsyncSketchServer,
-        ServeConfig,
-        SketchServer,
-    )
+    from .serve import ServeConfig, SketchServer
 
     manager = SketchManager(db=None)
     for path in args.sketches:
@@ -543,12 +539,12 @@ def _cmd_serve(args) -> int:
         return _cmd_serve_http(args, manager, engine_knobs)
     requests = _read_sql_lines(args.sql if args.sql is not None else "-")
     if args.use_async:
-        server = AsyncSketchServer(
+        server = SketchServer(
             manager,
             ServeConfig(max_wait_ms=args.max_wait_ms, **engine_knobs),
         )
         start = time.perf_counter()
-        with server:
+        with server.start():
             responses = server.serve(requests)
         elapsed = time.perf_counter() - start
     else:
@@ -777,7 +773,7 @@ def _cmd_workload_replay(args) -> int:
             result = shaper.replay(service)
     else:
         from .demo import SketchManager
-        from .serve import AsyncSketchServer, ServeConfig
+        from .serve import ServeConfig, SketchServer
 
         manager = SketchManager(db=None)
         for path in args.sketches:
@@ -786,7 +782,7 @@ def _cmd_workload_replay(args) -> int:
             max_batch_size=args.max_batch,
             max_queue_depth=args.max_queue_depth,
         )
-        with AsyncSketchServer(manager, config) as service:
+        with SketchServer(manager, config).start() as service:
             result = shaper.replay(service)
     print(json.dumps(result.audit(), indent=2))
     if not result.ok:

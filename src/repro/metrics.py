@@ -16,7 +16,7 @@ deque of recent observations).  The estimation engine
 (:class:`repro.serve.engine.EstimationEngine`) maintains one of each —
 a queue-depth gauge, shed/deadline-miss counters, and flush-latency /
 queue-wait summaries — and snapshots them through its single
-``stats()`` call, shared by both server facades.  All three classes are
+``stats()`` call behind every ``stats_summary()``.  All three classes are
 internally locked so submit threads, the flush loop, and executor
 worker threads can update them without external coordination.
 """

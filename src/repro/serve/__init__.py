@@ -8,14 +8,13 @@ is the :class:`SketchService` protocol — ``submit`` / ``submit_many`` /
 with interchangeable implementations, so swapping in-process serving
 for a network round trip is a one-line change:
 
-* :class:`SketchServer` — in-process, synchronous: caller-driven
-  flushes over an explicit queue (``submit``/``flush``) or a stream
-  (``serve``).  Right for offline streams and benchmarks.
-* :class:`AsyncSketchServer` — in-process, concurrent: thread-safe
-  ``submit()`` returning futures (``submit_async()`` for ``asyncio``),
-  with a background loop flushing under full/timed/idle/drain
-  triggers, bounding tail latency while sharing one flush across all
-  waiting clients.
+* :class:`SketchServer` — in-process.  Caller-driven until
+  :meth:`~SketchServer.start`: flushes happen on ``flush()`` (or inside
+  ``estimate`` / ``serve``), right for offline streams and benchmarks.
+  Started, a background loop flushes under full/timed/idle/drain
+  triggers and ``submit()`` is thread-safe (``submit_async()`` for
+  ``asyncio``), bounding tail latency while sharing one flush across
+  all waiting clients.
 * :class:`RemoteSketchServer` — the client SDK: the same surface over
   the versioned wire protocol (:mod:`repro.serve.protocol`) to a
   :class:`SketchHTTPServer` front door.
@@ -26,7 +25,7 @@ for a network round trip is a one-line change:
   ``SketchHTTPServer(service=gateway)`` and it speaks wire v1 on both
   sides.
 
-Underneath the facades sits one transport-agnostic
+Underneath every implementation sits one transport-agnostic
 :class:`EstimationEngine` — parse, route, dedup, result-cache fast
 path, **admission control** (bounded queue with structured shed
 responses and per-request deadlines), per-sketch micro-batching,
@@ -47,7 +46,6 @@ and share one telemetry snapshot —
 and latency summaries.
 """
 
-from .async_server import AsyncSketchServer
 from .client import RemoteSketchServer
 from .engine import (
     CODE_DEADLINE,
@@ -96,7 +94,6 @@ __all__ = [
     "SketchService",
     "ServeConfig",
     "ServerStats",
-    "AsyncSketchServer",
     "RemoteSketchServer",
     "SketchGateway",
     "SketchHTTPServer",

@@ -3,10 +3,9 @@
 The third :class:`~repro.serve.service.SketchService` implementation:
 the same ``submit`` / ``submit_many`` / ``estimate`` / ``serve`` /
 ``plan`` / ``stats_summary`` / ``close`` surface as the in-process
-facades, spoken
-over the versioned wire protocol to a
-:class:`~repro.serve.http.SketchHTTPServer`.  Swapping a local facade
-for remote serving is a one-line change::
+:class:`~repro.serve.server.SketchServer`, spoken over the versioned
+wire protocol to a :class:`~repro.serve.http.SketchHTTPServer`.
+Swapping the local server for remote serving is a one-line change::
 
     service = SketchServer(manager)                    # before
     service = RemoteSketchServer("http://host:8080")   # after
@@ -685,7 +684,7 @@ class RemoteSketchServer:
 
         The wire round-trips requests losslessly (``parse_sql(to_sql(q))
         == q``), but handing back the *identical* object the caller
-        passed matches the in-process facades exactly — response.request
+        passed matches the in-process server exactly — response.request
         is their request, not an equal reconstruction.
         """
         response.request = original

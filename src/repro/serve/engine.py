@@ -1,15 +1,13 @@
-"""The unified estimation engine behind both serving facades.
+"""The estimation engine behind every in-process server.
 
-Before this module existed, :class:`~repro.serve.server.SketchServer`
-and :class:`~repro.serve.async_server.AsyncSketchServer` each owned a
-copy of the request lifecycle — parse, route, dedup, cache, batch,
-flush, scatter — so every cross-cutting capability (admission control,
-deadlines, executors, metrics) had to be built twice.
 :class:`EstimationEngine` is the single, transport-agnostic
-implementation of that lifecycle; the two servers are now thin facades
-that differ only in *when* flushes happen (caller-driven vs a
-background loop) and in what ``submit`` returns (an index vs a
-future).
+implementation of the request lifecycle — parse, route, dedup, cache,
+batch, flush, scatter — and of every cross-cutting capability on it
+(admission control, deadlines, executors, metrics).
+:class:`~repro.serve.server.SketchServer` is a thin facade over it that
+only decides *who* flushes: the caller (:meth:`flush_pending`) until it
+is started, the engine's background loop (:meth:`start_loop`) after.
+Intake is the same either way.
 
 The lifecycle, in engine terms::
 
@@ -47,7 +45,7 @@ by forgetting.
 **Telemetry.**  Every count lives once, in :class:`ServerStats`;
 per-chunk flush latency and queueing wait are
 :class:`~repro.metrics.LatencySummary` windows.  One :meth:`stats`
-call — shared by both facades — snapshots all of it into a
+call snapshots all of it into a
 JSON-friendly dict.
 """
 
@@ -70,7 +68,7 @@ from .feature_cache import DEFAULT_FEATURE_CACHE_SIZE, FeatureCache
 
 #: Seconds an entry of the engine's own template feature cache lives
 #: (its size is ``DEFAULT_FEATURE_CACHE_SIZE``).  A caller who wants a
-#: different cache passes ``feature_cache=`` to the engine or a facade.
+#: different cache passes ``feature_cache=`` to the engine or a server.
 FEATURE_CACHE_TTL_S = 600.0
 #: Recent observations kept by the wait / flush-latency summaries.
 LATENCY_WINDOW = 8192
@@ -118,7 +116,7 @@ _UNROUTED = "\x00unrouted"
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """The engine's knobs — one config for both serving facades.
+    """The engine's knobs — one config for every way of serving.
 
     Batching: ``max_batch_size`` bounds each model micro-batch;
     ``max_wait_ms`` bounds how long the oldest buffered request may
@@ -259,7 +257,7 @@ class EstimateResponse:
 class ServerStats:
     """Cumulative counters over an engine's lifetime.
 
-    One instance is shared by the engine and whichever facade drives
+    One instance is shared by the engine and the server that drives
     it; ``n_requests == n_answered + n_errors`` at quiescence (shed and
     deadline-missed requests count toward ``n_errors`` and additionally
     toward their own counters).
@@ -436,8 +434,8 @@ class EstimationEngine:
     from any number of threads; all shared state (buffers, dedup map,
     counters) lives under one lock, and the caches the executors touch
     are internally synchronized.  The flush side runs either on a
-    caller's thread (:meth:`flush_pending`, the sync facade) or on the
-    engine's background loop (:meth:`start_loop`, the async facade) —
+    caller's thread (:meth:`flush_pending`, a caller-driven server) or on
+    the engine's background loop (:meth:`start_loop`, a started one) —
     never both for one engine.  :meth:`close` drains every accepted
     request before shutting the executor down, so no future returned by
     ``submit`` is ever abandoned.
@@ -510,22 +508,19 @@ class EstimationEngine:
     def start_loop(self) -> None:
         """Start the background flush loop (idempotent)."""
         with self._lock:
-            self._ensure_loop_locked()
-
-    def _ensure_loop_locked(self) -> None:
-        if self._closed:
-            raise SketchError("server is closed")
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._run, name="sketch-serve-flush", daemon=True
-            )
-            self._thread.start()
+            if self._closed:
+                raise SketchError("server is closed")
+            if self._thread is None or not self._thread.is_alive():
+                self._thread = threading.Thread(
+                    target=self._run, name="sketch-serve-flush", daemon=True
+                )
+                self._thread.start()
 
     def close(self, timeout: float | None = 30.0) -> None:
         """Drain every accepted request, then release the executor.
 
         Idempotent.  With the background loop running, the loop performs
-        the drain and is joined; without one (the sync facade), buffered
+        the drain and is joined; without one (caller-driven), buffered
         requests are flushed on the calling thread.  ``submit`` calls
         observing the closed flag raise :class:`~repro.errors.SketchError`;
         calls that won the race and were accepted are always answered.
@@ -584,9 +579,6 @@ class EstimationEngine:
         self,
         request: Query | str,
         sketch: str | None = None,
-        *,
-        coalesce: bool = True,
-        ensure_loop: bool = False,
     ) -> "Future[EstimateResponse]":
         """Enqueue one request; returns a future for its response.
 
@@ -596,22 +588,16 @@ class EstimationEngine:
         admission-control sheds.  A parseable request with no covering
         sketch is *deferred*, not failed: it buffers unrouted and is
         re-routed when its flush fires, so a sketch registered before
-        the flush serves it (route-at-flush).  ``coalesce=False``
-        (the sync facade) disables the submit-time cache fast path and
-        dedup so a caller-driven flush sees exactly one response object
-        per request; ``ensure_loop`` lazily starts the background loop
-        (the async facade).
+        the flush serves it (route-at-flush).
         """
         response = self.prepare(request, sketch)
-        hit = self._fast_hit(response) if coalesce else None
+        hit = self._fast_hit(response)
         gather: dict = {"resolved": [], "victims": [], "notify": False}
         with self._cond:
             if self._closed:
                 raise SketchError("server is closed")
-            if ensure_loop:
-                self._ensure_loop_locked()
             future = self._intake_one_locked(
-                response, hit, time.monotonic(), coalesce, gather
+                response, hit, time.monotonic(), gather
             )
             if gather["notify"]:
                 self._cond.notify_all()
@@ -626,9 +612,6 @@ class EstimationEngine:
         self,
         requests: Sequence[Query | str],
         sketch: str | None = None,
-        *,
-        coalesce: bool = True,
-        ensure_loop: bool = False,
     ) -> "list[Future[EstimateResponse]]":
         """Amortized intake: enqueue a whole batch under one lock.
 
@@ -648,21 +631,15 @@ class EstimationEngine:
         prepared = []
         for request in requests:
             response = self.prepare(request, sketch)
-            prepared.append(
-                (response, self._fast_hit(response) if coalesce else None)
-            )
+            prepared.append((response, self._fast_hit(response)))
         futures: list[Future[EstimateResponse]] = []
         gather: dict = {"resolved": [], "victims": [], "notify": False}
         with self._cond:
             if self._closed:
                 raise SketchError("server is closed")
-            if prepared and ensure_loop:
-                self._ensure_loop_locked()
             now = time.monotonic()
             for response, hit in prepared:
-                futures.append(
-                    self._intake_one_locked(response, hit, now, coalesce, gather)
-                )
+                futures.append(self._intake_one_locked(response, hit, now, gather))
             if gather["notify"]:
                 self._cond.notify_all()
             round_id = self._begin_round_locked(gather)
@@ -677,7 +654,6 @@ class EstimationEngine:
         response: EstimateResponse,
         hit: float | None,
         now: float,
-        coalesce: bool,
         gather: dict,
     ) -> "Future[EstimateResponse]":
         """The one intake path: stats, fast paths, dedup, admission, buffer.
@@ -731,7 +707,7 @@ class EstimationEngine:
             # peek and this locked intake: the peeked value belongs to a
             # retired version.  Fall through as a cache miss so the
             # flush answers it with the live version.
-        if not deferred and coalesce and self.config.dedup:
+        if not deferred and self.config.dedup:
             twin = self._inflight.get((response.sketch, response.query))
             if twin is not None and (
                 twin.deadline_at is None or now < twin.deadline_at
@@ -761,7 +737,7 @@ class EstimationEngine:
         buffer_key = _UNROUTED if deferred else response.sketch
         buffer = self._buffers.setdefault(buffer_key, deque())
         buffer.append(pending)
-        if not deferred and coalesce and self.config.dedup:
+        if not deferred and self.config.dedup:
             self._inflight[(response.sketch, response.query)] = pending
         self._last_enqueue[buffer_key] = now
         self._depth += 1
@@ -1059,7 +1035,7 @@ class EstimationEngine:
     def flush_pending(self) -> None:
         """Take and answer everything buffered, on the calling thread.
 
-        The caller-driven flush (sync facade).  All ready chunks of one
+        The caller-driven flush.  All ready chunks of one
         call form a single executor round, so a thread/process executor
         overlaps them across workers.
         """
@@ -1073,7 +1049,7 @@ class EstimationEngine:
         self._replay_touches()
 
     def _run(self) -> None:
-        """The background flush loop (async facade)."""
+        """The background flush loop (a started server)."""
         drained = False
         while not drained:
             try:
@@ -1336,7 +1312,7 @@ class EstimationEngine:
 
     def stats(self) -> dict:
         """One JSON-friendly snapshot of the whole engine — the single
-        telemetry call shared by both serving facades.
+        telemetry call behind every ``stats_summary()``.
 
         Combines the cumulative :class:`ServerStats` counters and the
         queue depth with the p50/p95/p99 flush-latency and queue-wait

@@ -287,7 +287,7 @@ class ProcessExecutor(ChunkExecutor):
     ``fork`` is the only method that works from a REPL/stdin-driven
     parent (``spawn``/``forkserver`` re-import ``__main__``, which such
     parents don't have) but carries the classic fork-with-threads
-    caveats when the async facade's flush loop starts a worker;
+    caveats when a started server's flush loop starts a worker;
     ``spawn``/``forkserver`` are thread-safe but degrade REPL parents
     to the inline fallback.  ``ServeConfig.mp_start_method`` overrides
     the choice per deployment.
@@ -495,7 +495,7 @@ class ProcessExecutor(ChunkExecutor):
         Scope note: collapsing is per job.  Duplicates split across two
         jobs of one caller-driven round dispatch before the first job's
         results land in the cache, so they may forward redundantly —
-        correct, just not free.  The async facade's intake dedup merges
+        correct, just not free.  The engine's intake dedup merges
         such duplicates before jobs are formed, which is where
         duplicate-heavy live traffic is expected.
         """

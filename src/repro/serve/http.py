@@ -5,8 +5,9 @@
 ROADMAP promised that "a server binding is mostly request/response
 marshalling" once the engine was transport-agnostic — this module is
 that binding, and nothing more: every request is marshalled onto an
-in-process :class:`~repro.serve.async_server.AsyncSketchServer`
-(engine + background flush loop) and the response marshalled back.
+in-process :class:`~repro.serve.server.SketchServer` (engine +
+background flush loop, started with the front door) and the response
+marshalled back.
 
 Because ``ThreadingHTTPServer`` handles each connection on its own
 thread and the engine's ``submit`` is thread-safe, **concurrent HTTP
@@ -14,7 +15,7 @@ clients batch together**: their requests land in the same per-sketch
 buffers, flush as shared micro-batches under the engine's triggers,
 dedup onto shared computations, and hit the same result cache.  The
 network front door therefore inherits every serving property of the
-in-process facades — admission control, deadlines, executors,
+in-process server — admission control, deadlines, executors,
 telemetry — with zero engine changes.
 
 Endpoints (all JSON; the three ``POST`` ones are the rows of
@@ -57,10 +58,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ProtocolError, SketchError
 from ..demo.manager import SketchManager
-from .async_server import AsyncSketchServer
 from .engine import ServeConfig
 from .feature_cache import FeatureCache
 from .schema import ERROR, OPERATIONS, PROTOCOL_VERSION, from_json, to_json
+from .server import SketchServer
 from .wire import WIRE_VERSION, BinaryFrameServer
 
 #: Largest accepted request body, in bytes.  A batch of several
@@ -138,8 +139,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Set by SketchHTTPServer on the server class it instantiates.  Any
     # SketchService works; the classic single-node front door binds an
-    # AsyncSketchServer, a gateway node binds a SketchGateway.
-    service: "AsyncSketchServer"
+    # started SketchServer, a gateway node binds a SketchGateway.
+    service: "SketchServer"
     quiet: bool = True
     # The owning front door's transport capabilities, advertised in
     # /v1/healthz for client/gateway negotiation.
@@ -238,9 +239,10 @@ class SketchHTTPServer:
     read :attr:`url` / :attr:`port` for the bound address) but does not
     serve; :meth:`start` (or entering the context manager) launches the
     acceptor thread.  All serving behavior is the wrapped
-    :class:`AsyncSketchServer`'s, configured by the same
-    :class:`~repro.serve.engine.ServeConfig` as the in-process facades
-    — executors, admission control, and deadlines apply to HTTP traffic
+    :class:`~repro.serve.server.SketchServer`'s (started with the front
+    door), configured by the same
+    :class:`~repro.serve.engine.ServeConfig` as in-process serving —
+    executors, admission control, and deadlines apply to HTTP traffic
     unchanged.
 
     :meth:`close` is idempotent and drains: the HTTP acceptor stops
@@ -269,7 +271,7 @@ class SketchHTTPServer:
         binary: bool = True,
     ):
         # Two construction modes: a manager (the front door builds and
-        # owns an AsyncSketchServer over it — the classic single-node
+        # owns a SketchServer over it — the classic single-node
         # path) or a ready-made ``service`` (any SketchService, e.g. a
         # SketchGateway — the front door only marshals for it).  Either
         # way the service is closed with the server.
@@ -278,7 +280,7 @@ class SketchHTTPServer:
                 "pass exactly one of a SketchManager or service="
             )
         if service is None:
-            self.service = AsyncSketchServer(manager, config, feature_cache)
+            self.service = SketchServer(manager, config, feature_cache)
         else:
             if config is not None or feature_cache is not None:
                 raise SketchError(

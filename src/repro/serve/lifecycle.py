@@ -155,7 +155,7 @@ class LifecycleManager:
     """Watch, shadow-refresh, and hot-swap the sketches of one engine.
 
     ``service`` is either an :class:`~repro.serve.engine.EstimationEngine`
-    or a facade exposing one as ``.engine`` (both serving facades do).
+    or a service exposing one as ``.engine`` (:class:`SketchServer` does).
     ``specs`` maps sketch name -> the
     :class:`~repro.workload.generator.WorkloadSpec` used to draw
     fine-tuning queries; only named sketches are managed.  ``probes``

@@ -11,7 +11,7 @@ cardinality served by a :class:`~repro.serve.service.SketchService`:
    (:func:`~repro.optimizer.enumerate.connected_subsets` — the exact
    subsets the DP will probe, plus the singletons the degraded
    fallback needs).
-2. **Batch** all subplan estimates through one ``submit_many`` call,
+2. **Batch** all subplan estimates through one ``serve`` call,
    so the whole plan costs exactly ONE ``estimate_batch`` round trip
    (cross-sketch dedup, the feature cache, and server-side
    micro-batching do the rest).
@@ -44,9 +44,9 @@ never an exception:
   the DP still returns a complete plan; callers that must not act on
   degraded advice check ``response.degraded``.
 
-Transport faults (connection loss to a remote service) raise through
-the futures exactly as they do for ``submit_many`` — the gateway and
-SDK layers map those onto their typed taxonomy.
+Transport faults (connection loss to a remote service) raise out of
+``serve`` exactly as they do for any batch — the gateway and SDK
+layers map those onto their typed taxonomy.
 """
 
 from __future__ import annotations
@@ -176,18 +176,14 @@ def plan_query(
     service,
     request: Query | str,
     sketch: str | None = None,
-    *,
-    flush=None,
 ) -> PlanResponse:
     """Advise a join order for ``request``, estimates served by ``service``.
 
     ``service`` is any :class:`~repro.serve.service.SketchService`;
     ``sketch`` pins every subplan estimate to a named sketch (default:
-    each subplan routes to its narrowest cover).  ``flush`` is the
-    sync facade's hook: a caller-driven service (no background loop)
-    passes its ``flush`` so the one batch actually resolves.
+    each subplan routes to its narrowest cover).
 
-    All subplan estimates travel as **one** ``submit_many`` batch —
+    All subplan estimates travel as **one** ``serve`` batch —
     one wire round trip against a remote service — before the DP runs
     on the injected answers.  See the module docs for the failure and
     degradation semantics.
@@ -213,12 +209,9 @@ def plan_query(
 
     # -- one batched estimation round trip -----------------------------
     t0 = time.perf_counter()
-    futures = service.submit_many(
+    responses = service.serve(
         [sub_query(query, subset) for subset in subsets], sketch
     )
-    if flush is not None:
-        flush()
-    responses = [future.result() for future in futures]
     estimate_s = time.perf_counter() - t0
 
     # Any route failure fails the whole plan: a sketch that covers the

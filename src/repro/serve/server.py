@@ -1,46 +1,58 @@
-"""The synchronous serving facade over the estimation engine.
+"""The in-process serving facade over the estimation engine.
 
-One of the three :class:`~repro.serve.service.SketchService`
-implementations (with :class:`~repro.serve.async_server.AsyncSketchServer`
-and :class:`~repro.serve.client.RemoteSketchServer`): ``submit`` returns
-a future, ``estimate`` blocks for one response, ``serve`` handles a
-whole stream — swapping this facade for a remote client is a one-line
-change.  Request lifecycle::
+One of the :class:`~repro.serve.service.SketchService` implementations
+(with :class:`~repro.serve.client.RemoteSketchServer` and
+:class:`~repro.serve.gateway.SketchGateway`): ``submit`` returns a
+future, ``estimate`` blocks for one response, ``serve`` handles a whole
+stream — swapping this facade for a remote client is a one-line change.
 
-    submit(sql | Query [, sketch])   # enqueue, cheap -> Future
-        -> flush()                   # one caller-driven engine flush
-            -> list[EstimateResponse]  # in submission order
+:class:`SketchServer` holds no lifecycle logic of its own: parsing,
+routing, the result-cache fast path, dedup, admission control,
+micro-batching, execution and scatter all live in
+:class:`~repro.serve.engine.EstimationEngine`.  The facade only decides
+*who flushes*:
 
-Since the engine refactor, :class:`SketchServer` holds no lifecycle
-logic of its own: parsing, routing, admission control, micro-batching,
-caching, and execution all live in
-:class:`~repro.serve.engine.EstimationEngine`, which this facade drives
-with caller-initiated flushes (no background thread, no submit-time
-coalescing — every request gets its own response object, answered when
-*you* flush).  That shape fits offline streams — a file of queries, a
-benchmark, a bulk re-estimation job.  For live concurrent traffic,
-where no single caller sees the whole stream and tail latency must be
-bounded, use :class:`repro.serve.async_server.AsyncSketchServer`: the
-same engine, driven by a background flush loop.
+* **Caller-driven** (the state after construction).  No thread runs;
+  futures resolve when *you* call :meth:`flush` (``estimate``, ``serve``
+  and ``plan`` flush for you).  That shape fits offline streams — a file
+  of queries, a benchmark, a bulk re-estimation job::
 
-The engine's executor applies here too: with
-``ServeConfig(executor="process")`` a single ``flush()`` fans its
-micro-batches out across worker processes.  Call :meth:`close` (or use
-the server as a context manager) when using a pooled executor so
-worker threads/processes are released; the default inline executor
-needs no cleanup.
+      server = SketchServer(manager)
+      futures = [server.submit(sql) for sql in stream]
+      responses = server.flush()          # in submission order
 
-Numerical behavior: with the default inline executor the answers are
-bit-identical to the pre-engine ``SketchServer`` (same
-``estimate_many`` micro-batches, same cache interaction); thread and
-process executors agree within the few-ULP BLAS rounding documented in
-``docs/serving.md`` § *Numerical parity caveat*.
+* **Background loop** (after :meth:`start`).  A daemon thread flushes
+  each per-sketch buffer when it is full, when its oldest request has
+  waited ``max_wait_ms``, when it has been idle ``min_idle_ms``, and on
+  ``close()``.  ``submit`` is thread-safe, so any number of client
+  threads (or ``asyncio`` tasks via :meth:`submit_async`) share one
+  flush — the shape for live concurrent traffic, where nobody sees the
+  whole stream and tail latency must be bounded::
+
+      with SketchServer(manager, ServeConfig(max_wait_ms=2.0)).start() as server:
+          response = server.submit("SELECT COUNT(*) FROM title t ...").result()
+      # leaving the context drains every buffered request, then stops
+
+Requests submitted before :meth:`start` are answered by the loop.
+There is no way back: a started server is never caller-driven again.
+
+The engine's executor applies in both states: with
+``ServeConfig(executor="process")`` one flush fans its micro-batches out
+across worker processes.  Call :meth:`close` (or use the server as a
+context manager) when using a pooled executor so worker threads and
+processes are released; the default inline executor needs no cleanup.
+
+Numerical behavior: estimates match ``DeepSketch.estimate`` within the
+few-ULP BLAS rounding documented in ``docs/serving.md`` § *Numerical
+parity caveat*, whichever state flushes them.
 """
 
 from __future__ import annotations
 
+import asyncio
 from typing import Iterable, Sequence
 
+from ..errors import SketchError
 from ..workload.query import Query
 from ..demo.manager import SketchManager
 from .engine import (
@@ -68,14 +80,13 @@ class SketchServer:
     ``feature_cache`` (a
     :class:`repro.serve.feature_cache.FeatureCache`) is optional and may
     be shared with other servers; it persists template structure rows
-    across flushes.  Not thread-safe: concurrent callers must serialize
-    around it (or use the async facade, which is).
+    across flushes.  Caller-driven, the server is not thread-safe:
+    concurrent callers must serialize around it, or :meth:`start` it.
 
     Telemetry: :attr:`stats` is the raw counter block
     (:class:`~repro.serve.engine.ServerStats`); :meth:`stats_summary`
     is the engine's one-call snapshot (queue-depth gauge, shed /
-    deadline counters, flush-latency percentiles), identical in shape
-    to the async facade's.
+    deadline counters, flush-latency percentiles).
     """
 
     def __init__(
@@ -87,7 +98,9 @@ class SketchServer:
         self.engine = EstimationEngine(
             manager, config or ServeConfig(), feature_cache
         )
+        # Futures a caller-driven flush() returns, in submission order.
         self._futures: list = []
+        self._started = False
 
     # -- engine views ---------------------------------------------------
     @property
@@ -107,9 +120,62 @@ class SketchServer:
         return self.engine.feature_cache
 
     def stats_summary(self) -> dict:
-        """The engine's one-call telemetry snapshot (both facades share
-        this shape; see :meth:`EstimationEngine.stats`)."""
+        """The engine's one-call telemetry snapshot (see
+        :meth:`EstimationEngine.stats`)."""
         return self.engine.stats()
+
+    def wait_summary(self) -> dict[str, float]:
+        """Queueing-wait percentiles (seconds) over the recent window.
+
+        The wait is submit-to-flush-start — the part of latency the
+        ``max_wait_ms`` trigger bounds; model time is excluded.  Fast
+        cache hits count as zero wait.
+        """
+        return self.engine.wait_summary()
+
+    @property
+    def pending(self) -> int:
+        """Buffered requests not yet taken by a flush (dedup'd count)."""
+        return self.engine.pending
+
+    @property
+    def started(self) -> bool:
+        """Whether a background loop (not the caller) flushes."""
+        return self._started
+
+    @property
+    def closed(self) -> bool:
+        return self.engine.closed
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> "SketchServer":
+        """Hand flushing to a background loop (idempotent); returns self.
+
+        Already-submitted requests are answered by the loop.
+        """
+        self.engine.start_loop()
+        self._started = True
+        self._futures = []
+        return self
+
+    def close(self, timeout: float | None = 30.0) -> None:
+        """Drain every buffered request, then release the loop and the
+        executor.
+
+        Idempotent.  Every future :meth:`submit` returned is resolved
+        first; ``submit`` calls after close raise
+        :class:`~repro.errors.SketchError`.
+        """
+        self.engine.close(timeout)
+        self._futures = []
+
+    def __enter__(self) -> "SketchServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # request intake
@@ -117,17 +183,18 @@ class SketchServer:
     def submit(self, request: Query | str, sketch: str | None = None):
         """Enqueue one request; returns its ``Future[EstimateResponse]``.
 
-        The future resolves at the next caller-driven :meth:`flush`
-        (this facade has no background loop).  ``sketch`` pins the
-        request to a named sketch; otherwise the request is routed to
-        the narrowest registered sketch covering its tables (decided at
-        flush time when nothing covers it yet — route-at-flush).
-        Parse failures — and admission-control sheds, when
-        ``max_queue_depth`` is set — resolve the future immediately
-        with a structured error response; nothing raises through it.
+        The future resolves at the next :meth:`flush` or, once the
+        server is started, within ~``max_wait_ms`` + model time.
+        ``sketch`` pins the request to a named sketch; otherwise the
+        request is routed to the narrowest registered sketch covering
+        its tables (decided at flush time when nothing covers it yet —
+        route-at-flush).  Parse failures, result-cache hits and — when
+        ``max_queue_depth`` is set — admission-control sheds resolve the
+        future immediately; nothing raises through it.
         """
-        future = self.engine.submit(request, sketch, coalesce=False)
-        self._futures.append(future)
+        future = self.engine.submit(request, sketch)
+        if not self._started:
+            self._futures.append(future)
         return future
 
     def submit_many(
@@ -136,29 +203,38 @@ class SketchServer:
         """Amortized intake: enqueue a whole batch under one engine lock.
 
         Semantically identical to calling :meth:`submit` per request;
-        returns the futures in submission order (resolved by the next
-        :meth:`flush`).
+        returns the futures in submission order.
         """
-        futures = self.engine.submit_many(list(requests), sketch, coalesce=False)
-        self._futures.extend(futures)
+        futures = self.engine.submit_many(list(requests), sketch)
+        if not self._started:
+            self._futures.extend(futures)
         return futures
+
+    async def submit_async(self, request: Query | str, sketch: str | None = None):
+        """``asyncio`` front-end of a started server: await one request
+        from an event loop."""
+        return await asyncio.wrap_future(self.submit(request, sketch))
 
     def estimate(
         self, request: Query | str, sketch: str | None = None
     ) -> EstimateResponse:
-        """Blocking one-shot convenience: submit, flush, return.
+        """Blocking one-shot convenience: submit and wait.
 
-        Note the facade semantics: the flush answers *everything*
-        pending on this server, exactly as an explicit :meth:`flush`
-        would (previously submitted futures resolve too).
+        Caller-driven, the wait is a :meth:`flush`, which answers
+        *everything* pending on this server (previously submitted
+        futures resolve too).
         """
         future = self.submit(request, sketch)
-        self.flush()
+        self._flush_if_caller_driven()
         return future.result()
 
-    @property
-    def pending(self) -> int:
-        return len(self._futures)
+    def serve(
+        self, requests: Iterable[Query | str], sketch: str | None = None
+    ) -> list[EstimateResponse]:
+        """Submit a stream and block for its responses (submission order)."""
+        futures = self.submit_many(list(requests), sketch)
+        self._flush_if_caller_driven()
+        return [future.result() for future in futures]
 
     def plan(self, request: Query | str, sketch: str | None = None):
         """Join-order advice: one batched estimation round for every
@@ -166,23 +242,15 @@ class SketchServer:
 
         Returns a structured
         :class:`~repro.serve.plan.PlanResponse` (never an exception for
-        request-level failures).  Facade semantics as with
-        :meth:`estimate`: the internal flush answers *everything*
-        pending on this server, not just the plan's subplan batch.
+        request-level failures).  Caller-driven, the batch is answered by
+        a :meth:`flush`, as with :meth:`serve`.
         """
         from .plan import plan_query
 
-        return plan_query(self, request, sketch, flush=self.flush)
-
-    def serve(
-        self, requests: Iterable[Query | str], sketch: str | None = None
-    ) -> list[EstimateResponse]:
-        """Submit a whole stream and flush it: the one-call batch API."""
-        self.submit_many(list(requests), sketch)
-        return self.flush()
+        return plan_query(self, request, sketch)
 
     # ------------------------------------------------------------------
-    # the batched answer path
+    # the caller-driven answer path
     # ------------------------------------------------------------------
     def flush(self) -> list[EstimateResponse]:
         """Answer every pending request; responses in submission order.
@@ -190,25 +258,18 @@ class SketchServer:
         One engine flush: per-sketch micro-batches of at most
         ``max_batch_size``, all dispatched to the configured executor as
         a single round (so thread/process executors overlap them).
+        Raises :class:`~repro.errors.SketchError` once the server is
+        started: its loop flushes then.
         """
+        if self._started:
+            raise SketchError("server was started: its background loop flushes")
         futures, self._futures = self._futures, []
         self.engine.flush_pending()
         return [future.result() for future in futures]
 
-    # ------------------------------------------------------------------
-    # lifecycle (pooled executors want an explicit release)
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Flush anything pending and release the executor (idempotent)."""
-        if not self.engine.closed:
+    def _flush_if_caller_driven(self) -> None:
+        if not self._started:
             self.flush()
-        self.engine.close()
-
-    def __enter__(self) -> "SketchServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 __all__ = [

@@ -2,19 +2,19 @@
 
 Three interchangeable implementations stand behind this protocol:
 
-* :class:`~repro.serve.server.SketchServer` — in-process, sync facade
-  (caller-driven flushes);
-* :class:`~repro.serve.async_server.AsyncSketchServer` — in-process,
-  background flush loop;
+* :class:`~repro.serve.server.SketchServer` — in-process; caller-driven
+  flushes until ``start()``, a background flush loop after;
 * :class:`~repro.serve.client.RemoteSketchServer` — the client SDK,
   speaking the versioned wire protocol
   (:mod:`repro.serve.protocol`) to an HTTP front door
-  (:mod:`repro.serve.http`).
+  (:mod:`repro.serve.http`);
+* :class:`~repro.serve.gateway.SketchGateway` — the same surface over
+  N backend front doors.
 
 Swapping local serving for remote serving is a one-line change::
 
-    service = SketchServer(manager)                  # in-process, sync
-    service = AsyncSketchServer(manager)             # in-process, loop
+    service = SketchServer(manager)                  # in-process, caller-driven
+    service = SketchServer(manager).start()          # in-process, loop
     service = RemoteSketchServer("http://host:8080") # over the wire
 
     with service:
@@ -31,8 +31,8 @@ The shared surface:
     arrive as ``ok=False`` responses with a
     :data:`~repro.serve.engine.RESPONSE_CODES` code).  *When* it
     resolves is the implementation's batching policy: at the next
-    caller-driven flush (sync facade), within ``~max_wait_ms`` (async
-    facade), or when the HTTP round trip completes (remote).
+    caller-driven flush, within ``~max_wait_ms`` (a started server), or
+    when the HTTP round trip completes (remote).
 ``submit_many(requests, sketch=None) -> list[Future[EstimateResponse]]``
     Amortized intake for a batch (one lock acquisition in process, one
     wire round trip remotely).

@@ -221,9 +221,10 @@ class TrafficShaper:
         """Submit the schedule open-loop against ``service`` and audit.
 
         ``service`` is any :class:`~repro.serve.service.SketchService`;
-        for the sync facade (which resolves futures only at a flush) the
-        shaper calls ``flush()`` once after the last submission, so the
-        audit semantics are identical across facades.
+        for a caller-driven :class:`~repro.serve.server.SketchServer`
+        (which resolves futures only at a flush) the shaper calls
+        ``flush()`` once after the last submission, so the audit
+        semantics are identical across services.
 
         ``on_response`` is an optional callable invoked once per
         *resolved* response, in collection order, with
@@ -255,8 +256,8 @@ class TrafficShaper:
                 lambda _f, box=done_at: box.append(time.perf_counter())
             )
             records.append((request.template, submitted, future, done_at))
-        if hasattr(service, "flush"):
-            service.flush()
+        if not getattr(service, "started", True):
+            service.flush()  # a caller-driven SketchServer
 
         latencies_ms: list[float] = []
         deadline = time.perf_counter() + cfg.timeout_s

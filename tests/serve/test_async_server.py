@@ -1,4 +1,5 @@
-"""AsyncSketchServer: flush triggers, dedup, drain, and parity."""
+"""A started SketchServer: background flush triggers, dedup, drain, and
+parity."""
 
 import asyncio
 import threading
@@ -10,7 +11,7 @@ import pytest
 from repro.demo import SketchManager
 from repro.errors import SketchError
 from repro.metrics import percentile
-from repro.serve import AsyncSketchServer, ServeConfig
+from repro.serve import ServeConfig, SketchServer
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
 
@@ -43,7 +44,7 @@ class TestFlushTriggers:
         # Far fewer requests than max_batch_size: only the time trigger
         # can flush them.
         config = ServeConfig(max_batch_size=64, max_wait_ms=40.0, min_idle_ms=None)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             futures = [server.submit(q) for q in workload[:3]]
             responses = results(futures)
         assert all(r.ok for r in responses)
@@ -57,7 +58,7 @@ class TestFlushTriggers:
             max_batch_size=4, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False,
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             futures = [server.submit(q) for q in workload[:4]]
             responses = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
             assert all(r.ok for r in responses)
@@ -75,7 +76,7 @@ class TestFlushTriggers:
         futures = [None] * n
         barrier = threading.Barrier(n)
 
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             def submit_one(i):
                 barrier.wait()
                 futures[i] = server.submit(workload[i])
@@ -103,7 +104,7 @@ class TestFlushTriggers:
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=5.0,
             use_cache=False,
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             futures = [server.submit(q) for q in workload[:3]]
             responses = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
             assert all(r.ok for r in responses)
@@ -112,7 +113,7 @@ class TestFlushTriggers:
 
     def test_wait_summary_reflects_max_wait(self, manager, workload):
         config = ServeConfig(max_batch_size=64, max_wait_ms=30.0, min_idle_ms=None)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             results([server.submit(q) for q in workload[:2]])
         waits = server.wait_summary()
         assert waits["count"] == 2.0
@@ -125,7 +126,7 @@ class TestFlushTriggers:
 class TestDedup:
     def test_dedup_returns_identical_objects(self, manager, workload):
         config = ServeConfig(max_wait_ms=200.0, min_idle_ms=None, use_cache=False)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             f1 = server.submit(workload[0])
             f2 = server.submit(workload[0])
             r1, r2 = f1.result(RESULT_TIMEOUT), f2.result(RESULT_TIMEOUT)
@@ -140,7 +141,7 @@ class TestDedup:
         config = ServeConfig(max_wait_ms=300.0, min_idle_ms=None, use_cache=False)
         futures = [None] * n
         barrier = threading.Barrier(n)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             def submit_one(i):
                 barrier.wait()
                 futures[i] = server.submit(workload[0])
@@ -158,7 +159,7 @@ class TestDedup:
 
     def test_dedup_can_be_disabled(self, manager, workload):
         config = ServeConfig(max_wait_ms=100.0, min_idle_ms=None, use_cache=False, dedup=False)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             f1 = server.submit(workload[0])
             f2 = server.submit(workload[0])
             r1, r2 = f1.result(RESULT_TIMEOUT), f2.result(RESULT_TIMEOUT)
@@ -170,7 +171,7 @@ class TestDedup:
 class TestCaching:
     def test_repeat_query_resolves_at_submit(self, manager, workload):
         config = ServeConfig(max_wait_ms=20.0)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             first = server.submit(workload[0]).result(RESULT_TIMEOUT)
             assert first.ok
             again = server.submit(workload[0])
@@ -189,7 +190,7 @@ class TestCaching:
         # as a real cache.get() so hot entries stay at the MRU end.
         sketch, _ = trained_sketch
         config = ServeConfig(max_wait_ms=20.0)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             server.submit(workload[0]).result(RESULT_TIMEOUT)  # warm it
             hits_before = sketch.cache.stats().hits
             assert server.submit(workload[0]).result(0).cached  # peek hit
@@ -216,7 +217,7 @@ class TestCaching:
             predicates=(Predicate("t", "production_year", ">", 1995),),
         )
         config = ServeConfig(max_wait_ms=20.0)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             assert server.submit(template_query).result(RESULT_TIMEOUT).ok
 
             builds = []
@@ -246,7 +247,7 @@ class TestShutdown:
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False,
         )
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         futures = [server.submit(q) for q in workload[:5]]
         server.close()
         responses = [f.result(timeout=1.0) for f in futures]  # already resolved
@@ -256,13 +257,13 @@ class TestShutdown:
         assert server.pending == 0
 
     def test_submit_after_close_raises(self, manager, workload):
-        server = AsyncSketchServer(manager).start()
+        server = SketchServer(manager).start()
         server.close()
         with pytest.raises(SketchError):
             server.submit(workload[0])
 
     def test_close_is_idempotent(self, manager):
-        server = AsyncSketchServer(manager).start()
+        server = SketchServer(manager).start()
         server.close()
         server.close()
 
@@ -273,7 +274,7 @@ class TestShutdown:
         # nor rob other waiters of their result.
         config = ServeConfig(max_wait_ms=50.0, min_idle_ms=None,
                                   use_cache=False)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             f1 = server.submit(workload[0])
             f2 = server.submit(workload[0])  # deduped twin, same future
             assert not f1.cancel()
@@ -282,7 +283,7 @@ class TestShutdown:
             assert server.submit(workload[1]).result(RESULT_TIMEOUT).ok
 
     def test_context_manager_round_trip(self, manager, workload):
-        with AsyncSketchServer(manager, ServeConfig(max_wait_ms=10.0)) as server:
+        with SketchServer(manager, ServeConfig(max_wait_ms=10.0)).start() as server:
             assert server.submit(workload[0]).result(RESULT_TIMEOUT).ok
         assert server.closed
 
@@ -291,7 +292,7 @@ class TestParityAndErrors:
     def test_estimates_match_single_query_path(self, manager, trained_sketch, workload):
         sketch, _ = trained_sketch
         config = ServeConfig(max_wait_ms=10.0, max_batch_size=8)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             responses = server.serve(workload[:20])
         assert all(r.ok for r in responses)
         sketch.clear_cache()
@@ -301,7 +302,7 @@ class TestParityAndErrors:
         )
 
     def test_malformed_sql_resolves_immediately(self, manager):
-        with AsyncSketchServer(manager) as server:
+        with SketchServer(manager).start() as server:
             future = server.submit("SELECT nonsense;")
             assert future.done()
             response = future.result(0)
@@ -313,7 +314,7 @@ class TestParityAndErrors:
         # still appear) and resolves with a structured route error at
         # its flush — bounded by ~max_wait_ms, never a hung future.
         outside = Query(tables=(TableRef("no_such_table", "x"),))
-        with AsyncSketchServer(manager) as server:
+        with SketchServer(manager).start() as server:
             response = server.submit(outside).result(RESULT_TIMEOUT)
         assert not response.ok
         assert "no registered sketch covers" in response.error
@@ -324,7 +325,7 @@ class TestParityAndErrors:
             predicates=(Predicate("t", "episode_nr", "=", 1),),
         )
         config = ServeConfig(max_wait_ms=50.0)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             responses = server.serve([workload[0], bad, workload[1]])
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
@@ -333,7 +334,7 @@ class TestParityAndErrors:
         config = ServeConfig(max_wait_ms=20.0)
 
         async def run():
-            with AsyncSketchServer(manager, config) as server:
+            with SketchServer(manager, config).start() as server:
                 return await asyncio.gather(
                     *[server.submit_async(q) for q in workload[:6]]
                 )

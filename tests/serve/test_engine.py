@@ -13,7 +13,6 @@ from repro.metrics import LatencySummary
 from repro.serve import (
     CODE_DEADLINE,
     CODE_SHED,
-    AsyncSketchServer,
     ServeConfig,
     SketchServer,
 )
@@ -135,7 +134,7 @@ class TestAdmissionControlAsync:
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, dedup=False, max_queue_depth=8,
         )
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         futures = [server.submit(q) for q in workload[:20]]
         # Shed futures resolve at submit time, before any flush.
         shed_now = [f for f in futures if f.done()]
@@ -156,7 +155,7 @@ class TestAdmissionControlAsync:
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, dedup=False,
         )
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         for query in workload[:5]:
             server.submit(query)
         assert server.stats_summary()["queue_depth"] == 5
@@ -174,7 +173,7 @@ class TestDeadlines:
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, deadline_ms=20.0,
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             t0 = time.monotonic()
             futures = [server.submit(q) for q in workload[:3]]
             responses = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
@@ -211,7 +210,7 @@ class TestDeadlines:
         config = ServeConfig(
             max_wait_ms=2.0, deadline_ms=10_000.0, use_cache=False,
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             response = server.submit(workload[0]).result(RESULT_TIMEOUT)
         assert response.ok
         assert server.stats.n_deadline_missed == 0
@@ -222,7 +221,7 @@ class TestTelemetry:
         with SketchServer(manager) as sync_server:
             sync_server.serve(workload[:4])
             sync_summary = sync_server.stats_summary()
-        with AsyncSketchServer(manager, ServeConfig(max_wait_ms=5.0)) as server:
+        with SketchServer(manager, ServeConfig(max_wait_ms=5.0)).start() as server:
             server.serve(workload[:4])
         async_summary = server.stats_summary()
         assert set(sync_summary) == set(async_summary)
@@ -268,7 +267,7 @@ class TestShutdownRaces:
         config = ServeConfig(
             max_batch_size=8, max_wait_ms=5.0, use_cache=False,
         )
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         n_threads = 8
         results: list = [None] * n_threads
         barrier = threading.Barrier(n_threads + 1)
@@ -305,7 +304,7 @@ class TestShutdownRaces:
         assert stats.n_requests == stats.n_answered + stats.n_errors
 
     def test_submit_after_close_raises_not_hangs(self, manager, workload):
-        server = AsyncSketchServer(manager).start()
+        server = SketchServer(manager).start()
         server.close()
         with pytest.raises(SketchError):
             server.submit(workload[0])
@@ -317,7 +316,7 @@ class TestShutdownRaces:
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
             use_cache=False, dedup=False, max_queue_depth=3,
         )
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         futures = [server.submit(q) for q in workload[:10]]
         server.close()
         responses = [f.result(timeout=1.0) for f in futures]
@@ -330,7 +329,7 @@ class TestShutdownRaces:
         # the flush thread and strand buffered futures — the loop backs
         # off and keeps serving.
         config = ServeConfig(max_wait_ms=5.0)
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         engine = server.engine
         original = engine._next_deadline_locked
         fired = []
@@ -361,16 +360,17 @@ class TestShutdownRaces:
 class TestEngineViews:
     def test_facades_share_one_engine_implementation(self, manager):
         sync_server = SketchServer(manager)
-        async_server = AsyncSketchServer(manager)
-        assert type(sync_server.engine) is type(async_server.engine)
+        started = SketchServer(manager).start()
+        assert type(sync_server.engine) is type(started.engine)
         assert sync_server.stats is sync_server.engine.counters
-        assert async_server.stats is async_server.engine.counters
+        assert started.stats is started.engine.counters
         assert sync_server.manager is manager
-        assert async_server.manager is manager
+        assert started.manager is manager
+        started.close()
 
     def test_sync_submit_returns_future_resolved_by_flush(self, manager, workload):
         # The SketchService surface: submit returns a future on every
-        # implementation; on the sync facade it resolves at flush time.
+        # implementation; caller-driven, it resolves at flush time.
         server = SketchServer(manager)
         first = server.submit(workload[0])
         second = server.submit(workload[1])
@@ -384,7 +384,7 @@ class TestEngineViews:
         server.close()
 
     def test_resolved_futures_are_futures(self, manager):
-        with AsyncSketchServer(manager) as server:
+        with SketchServer(manager).start() as server:
             future = server.submit("SELECT nonsense;")
             assert isinstance(future, Future)
             assert future.done()
@@ -421,13 +421,13 @@ class TestEngineViews:
         assert late.ok and late.sketch == "late"
 
     def test_route_at_flush_on_async_facade(self, imdb_small, workload):
-        # Same contract through the background-loop facade: a long
+        # Same contract through a started server: a long
         # max_wait keeps the flush from firing before the registration
         # lands; leaving the context drains, which is the flush.
         empty = SketchManager(imdb_small)
-        with AsyncSketchServer(
+        with SketchServer(
             empty, ServeConfig(max_wait_ms=60_000.0, min_idle_ms=None)
-        ) as server:
+        ).start() as server:
             future = server.submit(workload[0])
             assert not future.done()
             empty.register_sketch(self._build_late_sketch(imdb_small))

@@ -22,7 +22,6 @@ from repro.demo import SketchManager
 from repro.serve import (
     CODE_ROUTE,
     CODE_VOCAB,
-    AsyncSketchServer,
     InlineExecutor,
     ProcessExecutor,
     ServeConfig,
@@ -343,7 +342,7 @@ class TestSlotPlacement:
                 time.sleep(0.001)
 
         swaps = []  # (retired token, time its swap completed)
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             thread = threading.Thread(target=client, args=(server,))
             thread.start()
             try:
@@ -413,7 +412,7 @@ class TestExecutorParity:
             executor="process", executor_workers=2, max_batch_size=8,
             max_wait_ms=20.0, use_cache=False,
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             futures = server.submit_many(list(workload))
             responses = [f.result(RESULT_TIMEOUT) for f in futures]
         assert all(r.ok for r in responses)

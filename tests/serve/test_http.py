@@ -21,7 +21,6 @@ from repro.serve import (
     CODE_ROUTE,
     CODE_VOCAB,
     PROTOCOL_VERSION,
-    AsyncSketchServer,
     RemoteSketchServer,
     ServeConfig,
     SketchHTTPServer,
@@ -77,11 +76,11 @@ class TestServiceProtocol:
         manager, _server, client = served
         assert isinstance(client, SketchService)
         sync_server = SketchServer(manager)
-        async_server = AsyncSketchServer(manager)
+        started = SketchServer(manager).start()
         assert isinstance(sync_server, SketchService)
-        assert isinstance(async_server, SketchService)
+        assert isinstance(started, SketchService)
         sync_server.close()
-        async_server.close()
+        started.close()
 
     def test_a_random_object_does_not_conform(self):
         assert not isinstance(object(), SketchService)

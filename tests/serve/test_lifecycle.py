@@ -26,7 +26,6 @@ from repro.core import DeepSketch, DriftReport, RefreshResult
 from repro.demo import SketchManager
 from repro.errors import RegistryError, SketchError
 from repro.serve import (
-    AsyncSketchServer,
     LifecycleConfig,
     LifecycleManager,
     ServeConfig,
@@ -627,7 +626,7 @@ class TestSwapUnderConcurrentLoad:
             ),
             seed=5,
         )
-        server = AsyncSketchServer(
+        server = SketchServer(
             manager, ServeConfig(max_batch_size=32)
         ).start()
         lifecycle = LifecycleManager(

@@ -2,18 +2,16 @@
 envelopes, and end-to-end parity with the in-process optimizer.
 
 Three layers.  The stub layer drives :func:`plan_query` with a scripted
-service so the ONE-``submit_many``-per-plan contract, the failure
+service so the ONE-``serve``-per-plan contract, the failure
 codes, and the independence-assumption degradation are deterministic.
 The envelope layer proves exact round-trip identity of the plan
 envelopes on both codecs (JSON and binary frames).  The integration
-layer serves a trained sketch through every implementation — sync,
-async, HTTP (both transports), gateway — and gates that the served
+layer serves a trained sketch through every implementation — caller-
+driven, started, HTTP (both transports), gateway — and gates that the served
 plan is *identical* to the in-process ``PlanOptimizer`` plan, and that
 every failure path (including a backend dying mid-plan) resolves to a
 structured code.
 """
-
-from concurrent.futures import Future
 
 import pytest
 
@@ -28,7 +26,6 @@ from repro.serve import (
     CODE_SHED,
     PLAN_RESPONSE_CODES,
     RESPONSE_CODES,
-    AsyncSketchServer,
     EstimateResponse,
     PlanResponse,
     RemoteSketchServer,
@@ -63,7 +60,7 @@ JOIN_SQL = (
 
 
 class _StubService:
-    """Scripted SketchService: resolved futures, counted batches.
+    """Scripted SketchService: answered batches, counted.
 
     ``estimates`` maps alias frozensets to values; ``failures`` maps
     alias frozensets to (code, error) pairs that answer as structured
@@ -77,10 +74,10 @@ class _StubService:
         self.batch_calls = 0
         self.batch_sizes = []
 
-    def submit_many(self, requests, sketch=None):
+    def serve(self, requests, sketch=None):
         self.batch_calls += 1
         self.batch_sizes.append(len(requests))
-        futures = []
+        responses = []
         for request in requests:
             aliases = frozenset(request.aliases)
             response = EstimateResponse(
@@ -91,10 +88,8 @@ class _StubService:
                 response.code, response.error = self.failures[aliases]
             else:
                 response.estimate = self.estimates.get(aliases, 100.0)
-            future = Future()
-            future.set_result(response)
-            futures.append(future)
-        return futures
+            responses.append(response)
+        return responses
 
 
 class _ScriptedEstimator:
@@ -123,7 +118,7 @@ STAR_ESTIMATES = {
 
 class TestPlanQuery:
     def test_exactly_one_batch_round_trip(self):
-        """The acceptance gate: one plan = ONE submit_many call, sized
+        """The acceptance gate: one plan = ONE serve call, sized
         to the full connected-subset enumeration."""
         service = _StubService(STAR_ESTIMATES)
         query = star_query()
@@ -407,7 +402,7 @@ class TestServeParity:
 
     def test_async_facade_matches_plan_optimizer(self, plan_setup):
         manager, _sketch, query, reference = plan_setup
-        with AsyncSketchServer(manager) as server:
+        with SketchServer(manager).start() as server:
             response = server.plan(query)
         assert response.ok
         assert str(response.plan) == str(reference.plan)

@@ -26,12 +26,12 @@ from repro.demo import SketchManager
 from repro.errors import ProtocolError
 from repro.optimizer.plans import JoinNode, LeafNode
 from repro.serve import (
-    AsyncSketchServer,
     EstimateResponse,
     PlanResponse,
     RemoteSketchServer,
     ServeConfig,
     SketchHTTPServer,
+    SketchServer,
     SubplanEstimate,
     protocol,
     schema,
@@ -353,7 +353,7 @@ def door(imdb_small, trained_sketch):
     manager = SketchManager(imdb_small)
     manager.register_sketch(sketch)
     with SketchHTTPServer(manager, ServeConfig(), port=0) as server:
-        with AsyncSketchServer(manager, ServeConfig()) as direct:
+        with SketchServer(manager, ServeConfig()).start() as direct:
             yield server, direct
     sketch.clear_cache()
 

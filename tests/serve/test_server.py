@@ -1,4 +1,7 @@
-"""SketchServer: routing, micro-batching, caching, and error isolation."""
+"""SketchServer: routing, micro-batching, caching, error isolation, and
+the caller-driven / started states."""
+
+import time
 
 import numpy as np
 import pytest
@@ -65,7 +68,9 @@ class TestServe:
     def test_duplicate_heavy_stream_hits_cache(self, manager, workload):
         distinct = list(workload[:6])
         stream = [distinct[i % len(distinct)] for i in range(48)]
-        server = SketchServer(manager, ServeConfig(max_batch_size=16))
+        # dedup=False: intake dedup would merge every repeat before it
+        # reaches a micro-batch (see TestCoalescing).
+        server = SketchServer(manager, ServeConfig(max_batch_size=16, dedup=False))
         responses = server.serve(stream)
         assert all(r.ok for r in responses)
         # Later micro-batches find every query already cached.
@@ -153,7 +158,8 @@ class TestErrors:
             predicates=(Predicate("t", "episode_nr", "=", 1),),
         )
         good = workload[0]
-        server = SketchServer(manager)
+        # dedup=False keeps the duplicate in the poisoned micro-batch.
+        server = SketchServer(manager, ServeConfig(dedup=False))
         responses = server.serve([good, bad, good])
         assert responses[0].ok and responses[2].ok and not responses[1].ok
         assert responses[2].cached
@@ -195,6 +201,77 @@ class TestRouting:
             single_name, single_estimate = manager.route(query)
             assert name == single_name
             assert estimate == pytest.approx(single_estimate, rel=RTOL)
+
+
+class TestCoalescing:
+    """Caller-driven intake coalesces exactly as a started server's does."""
+
+    def test_repeats_merge_at_intake(self, manager, workload):
+        distinct = list(workload[:6])
+        stream = [distinct[i % len(distinct)] for i in range(48)]
+        server = SketchServer(manager, ServeConfig(max_batch_size=16))
+        responses = server.serve(stream)
+        assert all(r.ok for r in responses)
+        assert server.stats.n_deduped == 42
+        assert server.stats.n_forward_batches == 1
+        assert server.stats.n_answered == 48
+        # Every waiter on one computation gets the same response object.
+        assert all(r is responses[i % 6] for i, r in enumerate(responses))
+
+    def test_cached_repeat_resolves_at_submit(self, manager, workload):
+        server = SketchServer(manager)
+        (first,) = server.serve([workload[0]])
+        again = server.submit(workload[0])
+        assert again.done()  # no flush needed
+        assert again.result(0).cached
+        assert again.result(0).estimate == first.estimate
+        assert server.stats.n_fast_cache_hits == 1
+        assert server.flush() == [again.result(0)]
+
+    def test_serve_returns_only_its_own_stream(self, manager, workload):
+        server = SketchServer(manager)
+        earlier = server.submit(workload[0])
+        responses = server.serve(workload[1:3])
+        assert [r.request for r in responses] == list(workload[1:3])
+        assert earlier.done()  # the serve's flush answered it too
+        assert server.flush() == []
+
+
+class TestStart:
+    """Caller-driven until start(); a background loop flushes after."""
+
+    def test_futures_wait_for_the_caller_until_start(self, manager, workload):
+        config = ServeConfig(max_wait_ms=1.0, min_idle_ms=None)
+        with SketchServer(manager, config) as server:
+            future = server.submit(workload[0])
+            time.sleep(0.05)  # fifty max_waits: no loop is running
+            assert not server.started and not future.done()
+            assert server.start() is server and server.started
+            # Submitted before start(), answered by the loop.
+            assert future.result(timeout=30.0).ok
+            later = server.submit(workload[1])
+            assert later.result(timeout=30.0).ok
+        assert server.stats.n_flushes_forced == 0
+        assert server.stats.n_flushes_timed >= 1
+
+    def test_context_manager_does_not_start(self, manager):
+        with SketchServer(manager) as server:
+            assert not server.started
+        assert server.closed
+
+    def test_flush_after_start_raises(self, manager, workload):
+        with SketchServer(manager).start() as server:
+            with pytest.raises(SketchError, match="started"):
+                server.flush()
+            assert server.estimate(workload[0]).ok
+            assert [r.ok for r in server.serve(workload[1:4])] == [True] * 3
+            assert server.plan(workload[0]).ok
+
+    def test_start_after_close_raises(self, manager):
+        server = SketchServer(manager)
+        server.close()
+        with pytest.raises(SketchError):
+            server.start()
 
 
 class TestResponses:

@@ -159,14 +159,15 @@ class TestServe:
             "WHERE mk.movie_id=t.id AND t.production_year>2000;\n"
             "SELECT COUNT(*) FROM title t WHERE t.production_year>2000;\n"
         )
-        # --max-batch 2 puts the repeated query into a second micro-batch,
-        # where it is answered from the cache populated by the first.
+        # The repeated query is merged onto the first at intake, so one
+        # micro-batch of the two distinct queries answers all three.
         code = main(["serve", sketch_path, "--sql", str(sql_file), "--max-batch", "2"])
         captured = capsys.readouterr()
         assert code == 0
         lines = captured.out.strip().splitlines()
         assert len(lines) == 3  # one per query, comments/blanks skipped
-        assert "(cached)" in lines[2]  # third query repeats the first
+        assert lines[2] == lines[0]  # third query repeats the first
+        assert "1 forward batches" in captured.err
         assert "served 3/3" in captured.err
 
     def test_serve_isolates_bad_sql(self, sketch_path, tmp_path, capsys):
@@ -264,7 +265,7 @@ class TestServeFlags:
     def test_max_queue_depth_and_shed_policy_flags(
         self, sketch_path, sql_file, capsys
     ):
-        # Sync facade buffers the whole stream, so a depth bound below
+        # Without --async the whole stream is buffered, so a depth bound below
         # the stream length sheds — under "oldest", the head is evicted.
         code = main(
             ["serve", sketch_path, "--sql", sql_file,

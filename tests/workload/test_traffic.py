@@ -11,7 +11,7 @@ import pytest
 
 from repro.demo import SketchManager
 from repro.errors import ReproError
-from repro.serve import AsyncSketchServer, ServeConfig
+from repro.serve import ServeConfig, SketchServer
 from repro.serve.engine import RESPONSE_CODES
 from repro.workload import (
     SuiteConfig,
@@ -132,7 +132,7 @@ class TestReplayAsyncServer:
         shaper = TrafficShaper(
             suite, TrafficConfig(n_requests=80, **FAST), seed=11
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             result = shaper.replay(server)
         assert result.ok
         assert result.n_ok == result.n_requests == 80
@@ -155,7 +155,7 @@ class TestReplayAsyncServer:
         shaper = TrafficShaper(
             suite, TrafficConfig(n_requests=200, **FAST), seed=12
         )
-        server = AsyncSketchServer(manager, config).start()
+        server = SketchServer(manager, config).start()
         try:
             result = shaper.replay(server)
         finally:
@@ -183,7 +183,7 @@ class TestReplayAsyncServer:
         shaper = TrafficShaper(
             suite, TrafficConfig(n_requests=40, **FAST), seed=13
         )
-        with AsyncSketchServer(manager, config) as server:
+        with SketchServer(manager, config).start() as server:
             result = shaper.replay(server)
         assert result.zero_hung
         assert result.structured_only
