@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ReproError
 from ..db.database import Database
@@ -46,6 +45,39 @@ class CorrelationReport:
         )
 
 
+def pearson_chi2(table: np.ndarray) -> float:
+    """Pearson's chi-squared statistic of a contingency table (no
+    continuity correction) against the independence expectation
+    ``row_sum * col_sum / n``.  Every row and column sum must be > 0."""
+    table = np.asarray(table, dtype=float)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    return float(np.sum((table - expected) ** 2 / expected))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    bounds = np.r_[starts, values.size]
+    # Elements of run k hold sorted positions bounds[k] .. bounds[k+1]-1,
+    # so their mean 1-based rank is (bounds[k] + 1 + bounds[k+1]) / 2.
+    run_ranks = 0.5 * (bounds[:-1] + 1 + bounds[1:])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(run_ranks, np.diff(bounds))
+    return ranks
+
+
+def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rank correlation: Pearson's r on average ranks (NaN
+    when either side is constant)."""
+    ranks_a = _average_ranks(np.asarray(a))
+    ranks_b = _average_ranks(np.asarray(b))
+    if np.ptp(ranks_a) == 0 or np.ptp(ranks_b) == 0:
+        return float("nan")
+    return float(np.corrcoef(ranks_a, ranks_b)[0, 1])
+
+
 def cramers_v(codes_a: np.ndarray, codes_b: np.ndarray) -> float:
     """Cramér's V between two categorical code arrays (0 = independent,
     1 = fully determined)."""
@@ -59,7 +91,7 @@ def cramers_v(codes_a: np.ndarray, codes_b: np.ndarray) -> float:
         return 0.0
     table = np.zeros((len(a_vals), len(b_vals)))
     np.add.at(table, (a_inv, b_inv), 1.0)
-    chi2 = stats.chi2_contingency(table, correction=False)[0]
+    chi2 = pearson_chi2(table)
     n = table.sum()
     k = min(len(a_vals), len(b_vals))
     return float(np.sqrt(chi2 / (n * (k - 1))))
@@ -109,14 +141,14 @@ def analyze_imdb_correlations(db: Database) -> CorrelationReport:
         kw_counts[rows_kw[multi]] - 1
     )
     if multi.sum() > 2:
-        rho_kw = stats.spearmanr(rows_year[multi], loo_mean).statistic
+        rho_kw = spearman_rho(rows_year[multi], loo_mean)
     else:
         rho_kw = 0.0
 
     # Fan-out coupling between cast_info and movie_companies.
     ci_counts = _per_parent_counts(db, "cast_info", title.n_rows)
     mc_counts = _per_parent_counts(db, "movie_companies", title.n_rows)
-    rho_fanout = stats.spearmanr(ci_counts, mc_counts).statistic
+    rho_fanout = spearman_rho(ci_counts, mc_counts)
 
     # Keyword skew: share of the single most frequent keyword.
     top_share = float(kw_counts.max() / max(kw_counts.sum(), 1))

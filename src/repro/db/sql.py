@@ -22,6 +22,7 @@ query (property-tested).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from ..errors import ParseError
@@ -95,7 +96,12 @@ def _tokenize(sql: str) -> list[_Token]:
         if match is None:
             raise ParseError(f"unexpected character {sql[pos]!r}", position=pos)
         kind = match.lastgroup or ""
-        if kind != "ws":
+        if kind == "name":
+            # Identifiers end up in the query nodes that serving caches
+            # retain; interned, every cached query shares one string per
+            # table, alias and column name instead of holding its own.
+            tokens.append(_Token(kind, sys.intern(match.group()), pos))
+        elif kind != "ws":
             tokens.append(_Token(kind, match.group(), pos))
         pos = match.end()
     return tokens

@@ -97,10 +97,15 @@ class PredicateMaskMemo:
         key = (table_name, tuple(predicates))
         bitmap = self._selection_bitmaps.get(key)
         if bitmap is None:
-            table = self._samples.for_table(table_name)
-            mask = np.ones(table.n_rows, dtype=bool)
-            for pred in predicates:
-                mask = mask & self.predicate_mask(table_name, pred)
+            if len(predicates) == 1:
+                # Read-only like every bitmap here, so a one-predicate
+                # selection shares its predicate's cached mask.
+                mask = self.predicate_mask(table_name, predicates[0])
+            else:
+                table = self._samples.for_table(table_name)
+                mask = np.ones(table.n_rows, dtype=bool)
+                for pred in predicates:
+                    mask = mask & self.predicate_mask(table_name, pred)
             if len(mask) < self._samples.sample_size:
                 padded = np.zeros(self._samples.sample_size, dtype=bool)
                 padded[: len(mask)] = mask

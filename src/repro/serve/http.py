@@ -53,6 +53,7 @@ or from the CLI: ``repro serve sketch.bin --http --port 8080``.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -147,9 +148,12 @@ class _Handler(BaseHTTPRequestHandler):
     transports: dict = {"json": {}}
 
     # HTTP/1.1 keep-alive for clients that reuse connections (curl with
-    # several URLs, requests.Session, http.client).  The stdlib-urllib
-    # SDK opens one connection per request and is unaffected.
+    # several URLs, requests.Session, and the SDK's pool of
+    # http.client connections).
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: a response is one write
+    # (see _send_json), and nothing of it may wait for the peer's ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -165,8 +169,17 @@ class _Handler(BaseHTTPRequestHandler):
             # Closing without announcing it would leave an HTTP/1.1
             # client waiting on a connection it believes is reusable.
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would write the header block on its own and the
+        # body after it: two segments, the second held by Nagle until
+        # the client's delayed ACK (~40 ms a response).  Queue the blank
+        # line and the body behind the headers instead, so the whole
+        # response leaves in one write.  (An HTTP/0.9 request gets no
+        # header block, only the body.)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _send_error_json(self, status: int, message: str, code: str) -> None:
         # Error paths may leave an unread request body on the socket (an
@@ -372,6 +385,14 @@ class SketchHTTPServer:
         if self._binary is not None:
             self._binary.close()
         if self._thread is not None:
+            # shutdown() only raises a flag serve_forever() reads between
+            # 0.5 s polls.  Shutting the listening socket down wakes the
+            # poll at once (the accept() it triggers fails, which the
+            # loop ignores), so close() does not wait out the interval.
+            try:
+                self._httpd.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._httpd.shutdown()
             self._thread.join(5.0)
         self._httpd.server_close()

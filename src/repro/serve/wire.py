@@ -357,6 +357,13 @@ class BinaryFrameServer:
         if self._closed:
             return
         self._closed = True
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the acceptor leaves now rather
+        # than at the join timeout below.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

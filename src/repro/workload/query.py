@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
 Literal = int | float | str | tuple
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TableRef:
     """A base table with its alias, e.g. ``title t``."""
 
@@ -36,7 +36,7 @@ class TableRef:
         return f"{self.table} {self.alias}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class JoinEdge:
     """An equi-join ``left_alias.left_column = right_alias.right_column``.
 
@@ -124,7 +124,7 @@ def _canonical_in_members(members) -> tuple:
     return tuple(sorted(set(members)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     """A base-table selection ``alias.column <op> literal``.
 

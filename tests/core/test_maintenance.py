@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import detect_drift, refresh_sketch, try_refresh_sketch
-from repro.core.maintenance import RefreshResult, _categorical_tv
+from repro.core.maintenance import RefreshResult, _categorical_tv, ks_statistic
 from repro.datasets import ImdbConfig, generate_imdb
 from repro.errors import SketchError
 from repro.sampling import materialize_samples
 from repro.workload import spec_for_imdb
+from tests.helpers import pinned_statistics_inputs
 
 
 class TestDriftDetection:
@@ -19,6 +20,14 @@ class TestDriftDetection:
         report = detect_drift(sketch, imdb_small, seed=9)
         assert not report.is_stale(), report
         assert 0.0 <= report.max_drift() <= report.threshold
+        # The values scipy.stats.ks_2samp gave before the statistic
+        # moved to numpy (ks_statistic), exactly.
+        assert report.table_drift == {
+            "cast_info": 0.16, "movie_companies": 0.19, "movie_info": 0.14,
+            "movie_info_idx": 0.17, "movie_keyword": 0.1,
+            "title": 0.16137931034482758,
+        }
+        assert report.threshold == 0.24465894629054544
 
     def test_drift_on_shifted_database(self, trained_sketch):
         """A database regenerated with a shifted year distribution must
@@ -33,15 +42,45 @@ class TestDriftDetection:
         report = detect_drift(sketch, shifted, seed=9)
         assert report.is_stale(), report
         assert report.table_drift["title"] > report.threshold
+        assert report.table_drift == {
+            "cast_info": 0.16, "movie_companies": 0.16, "movie_info": 0.1,
+            "movie_info_idx": 0.13, "movie_keyword": 0.07,
+            "title": 0.696969696969697,
+        }
 
     def test_report_covers_all_tables(self, imdb_small, trained_sketch):
         sketch, _ = trained_sketch
         report = detect_drift(sketch, imdb_small, seed=1)
         assert set(report.table_drift) == set(sketch.tables)
+        assert report.table_drift["title"] == 0.2838095238095238
 
     def test_report_str(self, imdb_small, trained_sketch):
         sketch, _ = trained_sketch
         assert "max=" in str(detect_drift(sketch, imdb_small, seed=1))
+
+
+class TestKsStatistic:
+    """The numpy KS statistic, pinned to ``scipy.stats.ks_2samp`` values
+    (scipy 1.17.1) on fixed inputs."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        a, b, x, y = pinned_statistics_inputs()
+        return a, b, x.astype(float), y[:333].astype(float)
+
+    def test_continuous_samples(self, samples):
+        a, b, _, _ = samples
+        assert ks_statistic(a, b) == 0.08466666666666667
+        assert ks_statistic(b, a) == 0.08466666666666667
+
+    def test_tied_samples(self, samples):
+        _, _, x, y = samples
+        assert ks_statistic(x, y) == 0.030052552552552552
+
+    def test_identical_and_disjoint(self):
+        a = np.array([3.0, 1.0, 2.0])
+        assert ks_statistic(a, a) == 0.0
+        assert ks_statistic(a, a + 10.0) == 1.0
 
 
 def _fake_string_column(values, dictionary):

@@ -8,8 +8,11 @@ from repro.datasets.validation import (
     analyze_imdb_correlations,
     cramers_v,
     decorrelated_imdb,
+    pearson_chi2,
+    spearman_rho,
 )
 from repro.errors import ReproError
+from tests.helpers import pinned_statistics_inputs
 
 
 class TestCramersV:
@@ -37,6 +40,55 @@ class TestCramersV:
 
     def test_empty(self):
         assert cramers_v(np.empty(0), np.empty(0)) == 0.0
+
+
+class TestStatisticsPinned:
+    """The numpy chi-squared and Spearman statistics, pinned to the values
+    ``scipy.stats`` (1.17.1) returns on the same inputs."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return pinned_statistics_inputs()
+
+    def test_chi2_and_cramers_v(self, samples):
+        _, _, x, y = samples
+        table = np.zeros((7, 7))
+        np.add.at(table, (x, y), 1.0)
+        assert pearson_chi2(table) == pytest.approx(551.9974349024839, rel=1e-12)
+        assert cramers_v(x, y) == pytest.approx(0.4795820380387158, rel=1e-12)
+
+    def test_spearman_with_ties(self, samples):
+        _, _, x, y = samples
+        assert spearman_rho(x, y) == pytest.approx(0.2562597134336455, rel=1e-12)
+
+    def test_spearman_continuous(self, samples):
+        a, b, _, _ = samples
+        assert spearman_rho(a[:250], b) == pytest.approx(
+            0.0071782268516296256, rel=1e-12
+        )
+
+    def test_spearman_constant_input_is_nan(self):
+        assert np.isnan(spearman_rho(np.ones(5), np.arange(5)))
+
+    def test_correlation_reports(self, imdb_small):
+        expected = {
+            "original": (0.25646223720720596, 0.7161294861304432,
+                         0.45419197239528725, 0.29041429731925267),
+            "decorrelated": (0.08016374493443408, -0.1160748177243198,
+                             -0.02298153887867268, 0.2899142507145774),
+        }
+        for name, db in (
+            ("original", imdb_small),
+            ("decorrelated", decorrelated_imdb(imdb_small, seed=1)),
+        ):
+            report = analyze_imdb_correlations(db)
+            got = (
+                report.kind_year_cramers_v,
+                report.keyword_era_spearman,
+                report.fanout_spearman,
+                report.top_keyword_share,
+            )
+            assert got == pytest.approx(expected[name], rel=1e-12), name
 
 
 class TestCorrelationReport:

@@ -108,6 +108,23 @@ class TestParsing:
         assert "offset" in str(err.value)
 
 
+class TestIdentifierInterning:
+    def test_two_parses_share_identifier_strings(self):
+        # Built at run time so neither text shares constants with the
+        # other or with this module.
+        sql = "".join(["SELECT COUNT(*) FROM title t, movie_keyword mk ",
+                       "WHERE mk.movie_id=t.id AND t.production_year>2000;"])
+        first = parse_sql(sql)
+        second = parse_sql(sql[:-1] + " ;")
+        for a, b in zip(first.tables, second.tables):
+            assert a.table is b.table and a.alias is b.alias
+        ja, jb = first.joins[0], second.joins[0]
+        assert ja.left_column is jb.left_column
+        assert ja.right_column is jb.right_column
+        pa, pb = first.predicates[0], second.predicates[0]
+        assert pa.alias is pb.alias and pa.column is pb.column
+
+
 class TestPrinting:
     def test_string_escaping_roundtrip(self):
         q = Query(

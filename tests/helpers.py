@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.db import Database
 
 
@@ -55,3 +57,15 @@ def brute_force_count(db: Database, query) -> int:
         if ok:
             count += 1
     return count
+
+
+def pinned_statistics_inputs():
+    """The fixed inputs the numpy statistics are pinned on: two normal
+    samples ``a`` (300) and ``b`` (250), and two tied 7-category code
+    arrays ``x`` and ``y`` (400) with ``y`` dependent on ``x``."""
+    rng = np.random.default_rng(2026)
+    a = rng.normal(size=300)
+    b = rng.normal(0.2, 1.1, size=250)
+    x = rng.integers(0, 7, 400)
+    y = (x + rng.integers(0, 3, 400)) % 7
+    return a, b, x, y

@@ -56,6 +56,17 @@ class TestMemoization:
         batch_bitmaps(imdb_samples, workload, memo=memo)
         assert memo.evaluations == first  # nothing new to evaluate
 
+    def test_one_predicate_selection_is_the_cached_mask(self, imdb_samples):
+        # No ANDed copy per selection: a one-predicate bitmap is the
+        # predicate's memoized mask itself.
+        from repro.workload.query import Predicate
+
+        memo = PredicateMaskMemo(imdb_samples)
+        pred = Predicate("t", "production_year", ">", 2000)
+        bitmap = memo.selection_bitmap("title", [pred])
+        assert bitmap is memo.predicate_mask("title", pred)
+        assert memo.selection_bitmap("title", (pred,)) is bitmap
+
     def test_unfiltered_alias_bitmap_is_all_ones_over_sample(self, imdb_samples):
         from repro.workload.query import Query, TableRef
 

@@ -7,8 +7,11 @@ with the same structured codes, and all three implementations satisfy
 the ``SketchService`` protocol.
 """
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -444,4 +447,134 @@ class TestClientLifecycle:
         with pytest.raises((RemoteServerError, ProtocolError)):
             late.estimate(workload[0])
         late.close()
+        sketch.clear_cache()
+
+
+class _SendRecorder:
+    """A socket stand-in that records every payload the handler sends."""
+
+    def __init__(self, sock: socket.socket, sends: list):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data, *args):
+        self._sends.append(bytes(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._sends.append(bytes(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestOneSegmentResponses:
+    """Each response leaves in one write on a TCP_NODELAY socket.  A
+    header block and a body written separately put a second small
+    segment on the wire, which Nagle holds until the client's delayed
+    ACK: ~40 ms a request."""
+
+    @pytest.fixture()
+    def recorded(self, imdb_small, trained_sketch):
+        sketch, _ = trained_sketch
+        manager = SketchManager(imdb_small)
+        manager.register_sketch(sketch)
+        server = SketchHTTPServer(manager, ServeConfig(), port=0, binary=False)
+        sends: list[bytes] = []
+        nodelay: list[int] = []
+        base = server._httpd.RequestHandlerClass
+
+        class Recording(base):
+            def setup(self):
+                self.request = _SendRecorder(self.request, sends)
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+
+        server._httpd.RequestHandlerClass = Recording
+        with server:
+            yield server, sends, nodelay
+        sketch.clear_cache()
+
+    @staticmethod
+    def _split(raw: bytes) -> tuple[int, dict, dict]:
+        head, _, body = raw.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert len(body) == int(headers["Content-Length"])
+        return int(status_line.split()[1]), headers, json.loads(body)
+
+    def test_each_response_is_one_write(self, recorded, workload):
+        server, sends, nodelay = recorded
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=RESULT_TIMEOUT
+        )
+        try:
+            connection.request(
+                "POST", "/v1/estimate",
+                body=json.dumps({"protocol_version": PROTOCOL_VERSION,
+                                 "sql": workload[0].to_sql()}),
+                headers={"Content-Type": "application/json"},
+            )
+            reply = connection.getresponse()
+            assert reply.status == 200 and json.loads(reply.read())["ok"]
+            connection.request("GET", "/v1/healthz")
+            reply = connection.getresponse()
+            assert reply.status == 200 and reply.read()
+            connection.request(
+                "POST", "/v1/estimate", body=b"not json",
+                headers={"Content-Type": "application/json"},
+            )
+            reply = connection.getresponse()
+            assert reply.status == 400 and reply.read()
+        finally:
+            connection.close()
+
+        # one keep-alive connection, three responses, three writes
+        assert nodelay == [1]
+        assert len(sends) == 3, [raw[:40] for raw in sends]
+        (s1, _, estimate), (s2, _, health), (s3, headers, error) = map(
+            self._split, sends
+        )
+        assert (s1, s2, s3) == (200, 200, 400)
+        assert estimate["ok"] is True and health["status"] == "ok"
+        assert error["code"] == "protocol"
+        assert headers["Connection"] == "close"
+
+    def test_http09_request_gets_the_bare_body(self, recorded):
+        # HTTP/0.9 has no status line or headers: the body alone, in
+        # one write, then the connection closes.
+        server, sends, _nodelay = recorded
+        with socket.create_connection(
+            (server.host, server.port), timeout=RESULT_TIMEOUT
+        ) as sock:
+            sock.sendall(b"GET /v1/healthz\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert sends == [reply]
+        assert json.loads(reply)["status"] == "ok"
+
+
+class TestPromptClose:
+    def test_started_door_closes_without_waiting_on_its_acceptors(
+        self, imdb_small, trained_sketch
+    ):
+        # The binary acceptor blocks in accept() and the HTTP one polls
+        # every 0.5 s; close() must wake both rather than wait them out.
+        sketch, _ = trained_sketch
+        manager = SketchManager(imdb_small)
+        manager.register_sketch(sketch)
+        server = SketchHTTPServer(manager, ServeConfig(), port=0).start()
+        acceptors = (server._thread, server._binary._thread)
+        assert all(thread.is_alive() for thread in acceptors)
+        started = time.monotonic()
+        server.close()
+        elapsed = time.monotonic() - started
+        assert elapsed < 0.5, f"close() took {elapsed:.3f} s"
+        assert not any(thread.is_alive() for thread in acceptors)
         sketch.clear_cache()

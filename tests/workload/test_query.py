@@ -13,6 +13,34 @@ from repro.workload import (
 )
 
 
+class TestFootprint:
+    def test_query_nodes_have_no_instance_dict(self):
+        # Serving caches retain one set of nodes per distinct query;
+        # slotted nodes keep no per-instance __dict__.
+        nodes = (
+            TableRef("title", "t"),
+            JoinEdge("mk", "movie_id", "t", "id"),
+            Predicate("t", "production_year", ">", 2000),
+        )
+        for node in nodes:
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
+    def test_slotted_nodes_pickle_and_stay_frozen(self):
+        import pickle
+
+        from dataclasses import FrozenInstanceError
+
+        query = Query(
+            tables=(TableRef("title", "t"), TableRef("movie_keyword", "mk")),
+            joins=(JoinEdge("t", "id", "mk", "movie_id"),),
+            predicates=(Predicate("t", "production_year", "in", (2001, 1999)),),
+        )
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query and hash(clone) == hash(query)
+        with pytest.raises(FrozenInstanceError):
+            query.predicates[0].op = "="
+
+
 class TestJoinEdge:
     def test_canonical_order(self):
         a = JoinEdge("mk", "movie_id", "t", "id")
