@@ -37,7 +37,7 @@ import numpy as np
 from ..errors import SketchError
 from ..rng import SeedLike, make_rng, spawn
 from ..db.database import Database
-from ..db.executor import execute_count
+from ..db.executor import execute_counts
 from ..sampling.bitmaps import batch_bitmaps
 from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
@@ -53,6 +53,8 @@ STAGES = ("define", "generate", "execute", "train")
 
 #: Label execution runs in chunks of this many queries, one ``execute``
 #: progress event per chunk; models the demo's parallel HyPer instances.
+#: Each chunk is one :func:`~repro.db.executor.execute_counts` call, so
+#: the counting memo lives for one chunk.
 LABEL_CHUNK_SIZE = 500
 
 
@@ -168,8 +170,8 @@ class SketchBuilder:
         kept: list[Query] = []
         labels: list[int] = []
         for start in range(0, len(queries), LABEL_CHUNK_SIZE):
-            for query in queries[start : start + LABEL_CHUNK_SIZE]:
-                cardinality = execute_count(self.db, query)
+            chunk = queries[start : start + LABEL_CHUNK_SIZE]
+            for query, cardinality in zip(chunk, execute_counts(self.db, chunk)):
                 if cardinality > 0:
                     kept.append(query)
                     labels.append(cardinality)

@@ -11,6 +11,7 @@ from .executor import (
     count_factorized,
     count_hash_join,
     execute_count,
+    execute_counts,
     table_filter_mask,
 )
 from .schema import ColumnSchema, ForeignKey, TableSchema
@@ -36,6 +37,7 @@ __all__ = [
     "OPERATORS",
     "STRING_OPERATORS",
     "execute_count",
+    "execute_counts",
     "count_factorized",
     "count_hash_join",
     "table_filter_mask",

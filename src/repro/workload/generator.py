@@ -131,7 +131,7 @@ class TrainingQueryGenerator:
     # ------------------------------------------------------------------
     def _draw_join_structure(self) -> tuple[list[str], list[JoinEdge]]:
         n_joins = int(self.rng.integers(0, self.spec.max_joins + 1))
-        start = str(self.rng.choice(list(self.spec.tables)))
+        start = self.spec.tables[int(self.rng.integers(0, len(self.spec.tables)))]
         tables = [start]
         joins: list[JoinEdge] = []
         while len(joins) < n_joins:
@@ -188,7 +188,8 @@ class TrainingQueryGenerator:
                 if dtype is DType.STRING:
                     op = "="
                 else:
-                    op = str(self.rng.choice(list(self.spec.operators)))
+                    operators = self.spec.operators
+                    op = operators[int(self.rng.integers(0, len(operators)))]
                 predicates.append(
                     Predicate(
                         alias=self.spec.alias_of(table),

@@ -42,7 +42,7 @@ import numpy as np
 from ..errors import QueryError
 from ..rng import SeedLike, make_rng, spawn
 from ..db.database import Database
-from ..db.executor import execute_count
+from ..db.executor import execute_counts
 from ..db.types import DType
 from .generator import (
     WorkloadSpec,
@@ -216,17 +216,20 @@ class TemplateSuite:
     ) -> "TemplateSuite":
         """Execute every query against ``db`` and attach cardinalities.
 
+        All templates' queries are labelled in one
+        :func:`~repro.db.executor.execute_counts` call, so instances of
+        one template share its predicate masks and join messages.
         Zero-cardinality instances are dropped by default (their
         log-label is undefined, matching the sketch builder); templates
         left with fewer than ``min_queries_per_template`` labeled
         instances are dropped entirely.
         """
+        counts = iter(execute_counts(db, self.queries()))
         labeled: list[TemplateQueries] = []
         for entry in self.templates:
             kept: list[Query] = []
             cards: list[int] = []
-            for query in entry.queries:
-                cardinality = execute_count(db, query)
+            for query, cardinality in zip(entry.queries, counts):
                 if cardinality == 0 and drop_zero:
                     continue
                 kept.append(query)

@@ -15,6 +15,7 @@ from repro.db import (
     count_factorized,
     count_hash_join,
     execute_count,
+    execute_counts,
 )
 from repro.errors import QueryError
 from repro.workload import JoinEdge, Predicate, Query, TableRef
@@ -82,6 +83,19 @@ class TestJoins:
         query = q([TableRef("title", "t"), TableRef("movie_info", "mi")])
         assert execute_count(tiny_db, query) == 6 * 5
 
+    def test_cross_product_with_a_joined_component(self, tiny_db):
+        """The hash join filters each component by its own edges only."""
+        query = q(
+            [
+                TableRef("title", "t"),
+                TableRef("movie_keyword", "mk"),
+                TableRef("movie_info", "mi"),
+            ],
+            joins=[JoinEdge("mk", "movie_id", "t", "id")],
+        )
+        assert execute_count(tiny_db, query) == 8 * 5
+        assert count_hash_join(tiny_db, query) == 8 * 5
+
     def test_methods_agree(self, tiny_db):
         query = q(
             [TableRef("title", "t"), TableRef("movie_keyword", "mk")],
@@ -97,23 +111,56 @@ class TestJoins:
         with pytest.raises(QueryError):
             execute_count(tiny_db, query, method="quantum")
 
-    def test_auto_builds_the_join_graph_once(self, tiny_db, monkeypatch):
-        """``auto`` hands the graph it tested to the factorized count."""
-        from repro.db import executor
+    def test_counts_without_the_networkx_join_graph(self, tiny_db, monkeypatch):
+        """The counting core builds its own join graph, once per join
+        structure in a batch, and never the networkx one."""
+        from repro.db import executor, join_graph
 
+        def refuse(query):
+            raise AssertionError("the executor built a networkx join graph")
+
+        monkeypatch.setattr(join_graph, "build_join_graph", refuse)
         calls = []
-        build = executor.build_join_graph
+        own = executor._join_graph
         monkeypatch.setattr(
-            executor, "build_join_graph", lambda query: calls.append(query) or build(query)
+            executor, "_join_graph", lambda query: calls.append(query) or own(query)
         )
         query = q(
             [TableRef("title", "t"), TableRef("movie_keyword", "mk")],
             joins=[JoinEdge("mk", "movie_id", "t", "id")],
         )
-        expected = count_hash_join(tiny_db, query)
-        calls.clear()
-        assert execute_count(tiny_db, query) == expected
+        filtered = q(
+            [TableRef("title", "t"), TableRef("movie_keyword", "mk")],
+            joins=[JoinEdge("mk", "movie_id", "t", "id")],
+            predicates=[Predicate("mk", "keyword_id", "=", 7)],
+        )
+        assert execute_count(tiny_db, query) == 8
         assert len(calls) == 1
+        calls.clear()
+        assert execute_counts(tiny_db, [query, filtered, query]) == [8, 3, 8]
+        assert len(calls) == 1
+        assert count_factorized(tiny_db, query) == 8
+        assert count_hash_join(tiny_db, query) == 8
+
+    def test_trees_are_rooted_at_the_hub(self, tiny_db):
+        """Most joins wins; a tie goes to the smaller table."""
+        from repro.db import executor
+
+        def root(query):
+            (steps,) = executor._CountMemo(tiny_db)._plan(query)
+            return steps[-1].alias
+
+        pair = q(
+            [TableRef("title", "t"), TableRef("movie_keyword", "mk")],
+            joins=[JoinEdge("mk", "movie_id", "t", "id")],
+        )
+        chain = q(
+            [TableRef("movie_keyword", "mk"), TableRef("title", "t"),
+             TableRef("movie_info", "mi")],
+            joins=[JoinEdge("mk", "movie_id", "t", "id"), JoinEdge("mi", "movie_id", "t", "id")],
+        )
+        assert root(pair) == "t"  # 6 title rows vs 8 movie_keyword rows
+        assert root(chain) == "t"  # the only alias with two joins
 
     def test_validation_unknown_column(self, tiny_db):
         query = q(

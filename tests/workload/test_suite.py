@@ -202,6 +202,36 @@ class TestLabeling:
             for query, card in zip(entry.queries, entry.cardinalities):
                 assert card == execute_count(imdb, query) > 0
 
+    @pytest.mark.parametrize("drop_zero, min_queries", [(True, 1), (True, 15), (False, 1)])
+    def test_label_is_one_batch_call(self, request, suite, monkeypatch, drop_zero, min_queries):
+        """One ``execute_counts`` call labels every template; the kept
+        and dropped instances are those of labelling query by query."""
+        from repro.workload import suite as suite_module
+
+        imdb = request.getfixturevalue("imdb_small")
+        batches = []
+        counts = suite_module.execute_counts
+        monkeypatch.setattr(
+            suite_module,
+            "execute_counts",
+            lambda db, queries: batches.append(len(queries)) or counts(db, queries),
+        )
+        labeled = suite.label(imdb, drop_zero=drop_zero, min_queries_per_template=min_queries)
+        assert batches == [len(suite.queries())]
+
+        want = []
+        for entry in suite:
+            kept = [
+                (query, execute_count(imdb, query))
+                for query in entry.queries
+                if execute_count(imdb, query) > 0 or not drop_zero
+            ]
+            if len(kept) >= min_queries:
+                want.append((entry.name, kept))
+        assert [
+            (entry.name, list(zip(entry.queries, entry.cardinalities))) for entry in labeled
+        ] == want
+
     def test_label_drops_underpopulated_templates(self, request, suite):
         imdb = request.getfixturevalue("imdb_small")
         generous = suite.label(imdb, min_queries_per_template=1)
