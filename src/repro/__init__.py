@@ -22,22 +22,30 @@ Quickstart::
                     "WHERE mk.movie_id=t.id AND t.production_year>2010;")
 """
 
-from . import (
-    baselines,
-    core,
-    datasets,
-    db,
-    demo,
-    metrics,
-    nn,
-    optimizer,
-    sampling,
-    serve,
-    workload,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".core": ("DeepSketch", "SketchConfig", "build_sketch"),
+        ".errors": ("ReproError",),
+        ".metrics": ("QErrorSummary", "qerror", "summarize_qerrors"),
+    },
+    submodules=(
+        "baselines",
+        "core",
+        "datasets",
+        "db",
+        "demo",
+        "metrics",
+        "nn",
+        "optimizer",
+        "sampling",
+        "serve",
+        "workload",
+    ),
 )
-from .core import DeepSketch, SketchConfig, build_sketch
-from .errors import ReproError
-from .metrics import QErrorSummary, qerror, summarize_qerrors
 
 __version__ = "1.0.0"
 

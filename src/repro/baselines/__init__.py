@@ -1,16 +1,24 @@
 """Baseline cardinality estimators the paper compares against."""
 
-from .hyper import HyperEstimator
-from .postgres import (
-    DEFAULT_EQ_SEL,
-    DEFAULT_INEQ_SEL,
-    PostgresEstimator,
-    eq_selectivity,
-    predicate_selectivity,
-    range_selectivity,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".hyper": ("HyperEstimator",),
+        ".postgres": (
+            "DEFAULT_EQ_SEL",
+            "DEFAULT_INEQ_SEL",
+            "PostgresEstimator",
+            "eq_selectivity",
+            "predicate_selectivity",
+            "range_selectivity",
+        ),
+        ".sampling_only": ("SamplingEstimator",),
+        ".truth": ("TruthEstimator",),
+    },
 )
-from .sampling_only import SamplingEstimator
-from .truth import TruthEstimator
 
 __all__ = [
     "TruthEstimator",

@@ -30,7 +30,7 @@ import numpy as np
 from ..db.database import Database
 from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..db.executor import table_filter_mask
-from ..workload.query import Query
+from ..db.query import Query
 
 
 class HyperEstimator:

@@ -29,7 +29,7 @@ import numpy as np
 from ..db.database import Database
 from ..db.statistics import ColumnStatistics, TableStatistics, analyze_database
 from ..db.types import DType
-from ..workload.query import Predicate, Query
+from ..db.query import Predicate, Query
 
 #: PostgreSQL's hardwired defaults (src/include/utils/selfuncs.h).
 DEFAULT_EQ_SEL = 0.005

@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..db.database import Database
 from ..db.executor import execute_count, table_filter_mask
 from ..sampling.sampler import MaterializedSamples, materialize_samples
-from ..workload.query import Query
+from ..db.query import Query
 
 
 class SamplingEstimator:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..db.database import Database
 from ..db.executor import execute_count
-from ..workload.query import Query
+from ..db.query import Query
 
 
 class TruthEstimator:

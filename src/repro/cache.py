@@ -13,7 +13,7 @@ Two cache classes back the estimation and serving fast paths:
   sketch's vocabulary must not outlive a dropped/rebuilt sketch by more
   than the configured TTL.
 
-Keys must be hashable; :class:`~repro.workload.query.Query` qualifies
+Keys must be hashable; :class:`~repro.db.query.Query` qualifies
 because it is a frozen dataclass whose three sets are stored canonically
 sorted — two queries that differ only in clause order are one cache
 entry.  Both classes synchronize internally (a per-instance re-entrant

@@ -41,7 +41,7 @@ from ..db.executor import execute_counts
 from ..sampling.bitmaps import batch_bitmaps
 from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
-from ..workload.query import Query
+from ..db.query import Query
 from .batches import TrainingSet
 from .featurization import Featurizer
 from .mscn import MSCN

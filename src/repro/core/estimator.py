@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from ..workload.query import Query
+from ..db.query import Query
 
 
 @runtime_checkable

@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import FeaturizationError
 from ..db.database import Database
 from ..db.types import DType
-from ..workload.query import Query
+from ..db.query import Query
 from ..workload.generator import WorkloadSpec
 
 

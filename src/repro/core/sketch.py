@@ -6,7 +6,7 @@ network and a set of materialized samples." (paper, Sections 1 and 3)
 A sketch bundles the trained MSCN, the featurizer (vocabularies and
 normalization constants), and the materialized samples.  Its interface
 is a single call: consume a SQL query (or a structured
-:class:`~repro.workload.query.Query`), return a cardinality estimate.
+:class:`~repro.db.query.Query`), return a cardinality estimate.
 Sketches serialize to one compact binary payload — the paper's
 "small footprint size (a few MiBs)" — and estimation is pure in-memory
 arithmetic ("fast to query (within milliseconds)"): the forward pass
@@ -34,7 +34,7 @@ from ..sampling.sampler import (
     samples_from_payload,
     samples_to_payload,
 )
-from ..workload.query import Query
+from ..db.query import Query
 from .featurization import Featurizer
 from .batches import CollateScratch, collate
 from .mscn import MSCN

@@ -1,25 +1,38 @@
 """Synthetic datasets standing in for the demo's IMDb and TPC-H data."""
 
-from .imdb import (
-    ImdbConfig,
-    JOB_LIGHT_ALIASES,
-    JOB_LIGHT_PREDICATE_COLUMNS,
-    KIND_NAMES,
-    NAMED_KEYWORDS,
-    generate_imdb,
-)
-from .registry import (
-    clear_dataset_cache,
-    dataset_names,
-    load_dataset,
-    register_dataset,
-)
-from .tpch import TPCH_ALIASES, TPCH_PREDICATE_COLUMNS, TpchConfig, generate_tpch
-from .validation import (
-    CorrelationReport,
-    analyze_imdb_correlations,
-    cramers_v,
-    decorrelated_imdb,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".imdb": (
+            "ImdbConfig",
+            "JOB_LIGHT_ALIASES",
+            "JOB_LIGHT_PREDICATE_COLUMNS",
+            "KIND_NAMES",
+            "NAMED_KEYWORDS",
+            "generate_imdb",
+        ),
+        ".registry": (
+            "clear_dataset_cache",
+            "dataset_names",
+            "load_dataset",
+            "register_dataset",
+        ),
+        ".tpch": (
+            "TPCH_ALIASES",
+            "TPCH_PREDICATE_COLUMNS",
+            "TpchConfig",
+            "generate_tpch",
+        ),
+        ".validation": (
+            "CorrelationReport",
+            "analyze_imdb_correlations",
+            "cramers_v",
+            "decorrelated_imdb",
+        ),
+    },
 )
 
 __all__ = [

@@ -5,26 +5,34 @@ queries, a PK/FK catalog, per-column statistics, and a SQL subset
 parser/printer.
 """
 
-from .column import Column
-from .database import Database
-from .executor import (
-    count_factorized,
-    count_hash_join,
-    execute_count,
-    execute_counts,
-    table_filter_mask,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".column": ("Column",),
+        ".database": ("Database",),
+        ".executor": (
+            "count_factorized",
+            "count_hash_join",
+            "execute_count",
+            "execute_counts",
+            "table_filter_mask",
+        ),
+        ".schema": ("ColumnSchema", "ForeignKey", "TableSchema"),
+        ".sql": ("parse_sql", "to_sql"),
+        ".statistics": (
+            "ColumnStatistics",
+            "TableStatistics",
+            "analyze_column",
+            "analyze_database",
+            "analyze_table",
+        ),
+        ".table": ("Table",),
+        ".types": ("DType", "OPERATORS", "STRING_OPERATORS"),
+    },
 )
-from .schema import ColumnSchema, ForeignKey, TableSchema
-from .sql import parse_sql, to_sql
-from .statistics import (
-    ColumnStatistics,
-    TableStatistics,
-    analyze_column,
-    analyze_database,
-    analyze_table,
-)
-from .table import Table
-from .types import DType, OPERATORS, STRING_OPERATORS
 
 __all__ = [
     "Column",

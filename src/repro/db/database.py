@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import SchemaError
 from .schema import ForeignKey
 from .table import Table
@@ -65,14 +63,6 @@ class Database:
     # ------------------------------------------------------------------
     # join topology
     # ------------------------------------------------------------------
-    def schema_graph(self) -> nx.MultiGraph:
-        """Undirected multigraph of tables, one edge per foreign key."""
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(self.tables)
-        for fk in self.foreign_keys:
-            graph.add_edge(fk.table, fk.ref_table, fk=fk)
-        return graph
-
     def foreign_keys_between(self, table_a: str, table_b: str) -> list[ForeignKey]:
         """All FKs connecting two tables, in either direction."""
         return [

@@ -46,11 +46,11 @@ import numpy as np
 
 from ..errors import QueryError
 from .database import Database
-from .join_graph import PairJoin, pair_joins
+from .join_graph import Adjacency, PairJoin, build_join_graph
 from .table import Table
 
-if TYPE_CHECKING:  # pragma: no cover - avoids a db <-> workload import cycle
-    from ..workload.query import Predicate, Query
+if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
+    from .query import Predicate, Query
 
 
 # ----------------------------------------------------------------------
@@ -71,47 +71,6 @@ def _filtered_rows(db: Database, query: Query, alias: str) -> tuple[Table, np.nd
     table = db.table(query.alias_table(alias))
     mask = table_filter_mask(table, query.predicates_for(alias))
     return table, np.flatnonzero(mask)
-
-
-# ----------------------------------------------------------------------
-# join graph: adjacency plus union-find
-# ----------------------------------------------------------------------
-
-#: alias -> [(neighbor alias, composite join)], in join order.
-Adjacency = dict[str, list[tuple[str, PairJoin]]]
-
-
-def _join_graph(query: Query) -> tuple[Adjacency, list[list[str]], bool]:
-    """(adjacency, connected components, acyclic) of the alias graph.
-
-    Several join conditions between one alias pair form one composite
-    edge.  A union-find over the edges finds the components; an edge
-    whose ends are already connected closes a cycle.
-    """
-    aliases = query.aliases
-    leader = {alias: alias for alias in aliases}
-
-    def find(alias: str) -> str:
-        while leader[alias] != alias:
-            leader[alias] = leader[leader[alias]]
-            alias = leader[alias]
-        return alias
-
-    adjacency: Adjacency = {alias: [] for alias in aliases}
-    acyclic = True
-    for pair in pair_joins(query).values():
-        a, b = pair.alias_a, pair.alias_b
-        adjacency[a].append((b, pair))
-        adjacency[b].append((a, pair))
-        root_a, root_b = find(a), find(b)
-        if root_a == root_b:
-            acyclic = False
-        else:
-            leader[root_a] = root_b
-    components: dict[str, list[str]] = {}
-    for alias in aliases:
-        components.setdefault(find(alias), []).append(alias)
-    return adjacency, list(components.values()), acyclic
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +250,14 @@ class _CountMemo:
         key = (query.tables, query.joins)
         if key in self._plans:
             return self._plans[key]
-        adjacency, components, acyclic = _join_graph(query)
+        graph = build_join_graph(query)
         plan = None
-        if acyclic:
+        if graph.acyclic:
             tables = {ref.alias: ref.table for ref in query.tables}
-            plan = [self._tree(adjacency, tables, component) for component in components]
+            plan = [
+                self._tree(graph.adjacency, tables, component)
+                for component in graph.components
+            ]
         self._plans[key] = plan
         return plan
 
@@ -478,11 +440,11 @@ def count_hash_join(db: Database, query: Query, max_intermediate: int = 50_000_0
     joined pair by pair, then residual edges are applied as filters.
     ``max_intermediate`` guards against runaway intermediate results.
     """
-    adjacency, components, _ = _join_graph(query)
+    graph = build_join_graph(query)
     total = 1
-    for component in components:
+    for component in graph.components:
         count = _hash_join_component(
-            db, query, adjacency, sorted(component), max_intermediate
+            db, query, graph.adjacency, sorted(component), max_intermediate
         )
         if count == 0:
             return 0

@@ -1,4 +1,4 @@
-"""Alias-level join-graph analysis for the executor.
+"""Alias-level join-graph analysis for the executor and the enumerator.
 
 A query's join graph has one node per table alias and one edge per pair
 of joined aliases (several join conditions between the same pair are
@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from ..errors import QueryError
 
-if TYPE_CHECKING:  # pragma: no cover - avoids a db <-> workload import cycle
-    from ..workload.query import JoinEdge, Query
+if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
+    from .query import JoinEdge, Query
 
 
 @dataclass
@@ -65,26 +63,69 @@ def pair_joins(query: Query) -> dict[frozenset[str], PairJoin]:
     return pairs
 
 
-def build_join_graph(query: Query) -> nx.Graph:
-    """Simple alias graph with ``PairJoin`` payloads on the edges."""
-    graph = nx.Graph()
-    graph.add_nodes_from(query.aliases)
-    for key, pair in pair_joins(query).items():
-        a, b = sorted(key)
-        graph.add_edge(a, b, pair=pair)
-    return graph
+#: alias -> [(neighbor alias, composite join)], in join order.
+Adjacency = dict[str, list[tuple[str, PairJoin]]]
 
 
-def is_acyclic(graph: nx.Graph) -> bool:
+@dataclass(frozen=True)
+class JoinGraph:
+    """A query's alias graph: adjacency, components and shape.
+
+    ``adjacency`` maps each alias to its ``(neighbor, PairJoin)`` edges
+    in join order; ``components`` lists each connected component's
+    aliases in query alias order.
+    """
+
+    adjacency: Adjacency
+    components: list[list[str]]
+    acyclic: bool
+
+    def neighbors(self, alias: str) -> set[str]:
+        return {other for other, _ in self.adjacency[alias]}
+
+
+def build_join_graph(query: Query) -> JoinGraph:
+    """The alias graph of ``query``, one composite edge per joined pair.
+
+    A union-find over the edges finds the components; an edge whose
+    ends are already connected closes a cycle.
+    """
+    aliases = query.aliases
+    leader = {alias: alias for alias in aliases}
+
+    def find(alias: str) -> str:
+        while leader[alias] != alias:
+            leader[alias] = leader[leader[alias]]
+            alias = leader[alias]
+        return alias
+
+    adjacency: Adjacency = {alias: [] for alias in aliases}
+    acyclic = True
+    for pair in pair_joins(query).values():
+        a, b = pair.alias_a, pair.alias_b
+        adjacency[a].append((b, pair))
+        adjacency[b].append((a, pair))
+        root_a, root_b = find(a), find(b)
+        if root_a == root_b:
+            acyclic = False
+        else:
+            leader[root_a] = root_b
+    components: dict[str, list[str]] = {}
+    for alias in aliases:
+        components.setdefault(find(alias), []).append(alias)
+    return JoinGraph(adjacency, list(components.values()), acyclic)
+
+
+def is_acyclic(graph: JoinGraph) -> bool:
     """True when the (simple) alias graph is a forest."""
-    return nx.number_of_edges(graph) == nx.number_of_nodes(graph) - nx.number_connected_components(graph)
+    return graph.acyclic
 
 
-def connected_components(graph: nx.Graph) -> list[set[str]]:
-    return [set(c) for c in nx.connected_components(graph)]
+def connected_components(graph: JoinGraph) -> list[set[str]]:
+    return [set(c) for c in graph.components]
 
 
-def validate_join_graph(query: Query, require_connected: bool = False) -> nx.Graph:
+def validate_join_graph(query: Query, require_connected: bool = False) -> JoinGraph:
     """Build and sanity-check a query's join graph.
 
     With ``require_connected=True`` a disconnected graph (an implicit
@@ -92,7 +133,7 @@ def validate_join_graph(query: Query, require_connected: bool = False) -> nx.Gra
     connected queries, but the executor itself supports cross products.
     """
     graph = build_join_graph(query)
-    if require_connected and nx.number_connected_components(graph) > 1:
+    if require_connected and len(graph.components) > 1:
         raise QueryError(
             f"query joins are disconnected (cross product): {query.aliases}"
         )

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..workload.query import JoinEdge, Predicate, Query, TableRef
+from .query import JoinEdge, Predicate, Query, TableRef
 
 # ----------------------------------------------------------------------
 # printing

@@ -1,10 +1,26 @@
 """Programmatic demo backend (the web UI's substance, sans browser)."""
 
-from .advisor import SketchRecommendation, coverage_of, recommend_sketches
-from ..core.builder import PendingBuild
-from .manager import SketchManager
-from .monitor import Monitor, MonitorEvent
-from .template_service import TemplateResult, TemplateSeries, run_template
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".advisor": (
+            "SketchRecommendation",
+            "coverage_of",
+            "recommend_sketches",
+        ),
+        "..core.builder": ("PendingBuild",),
+        ".manager": ("SketchManager",),
+        ".monitor": ("Monitor", "MonitorEvent"),
+        ".template_service": (
+            "TemplateResult",
+            "TemplateSeries",
+            "run_template",
+        ),
+    },
+)
 
 __all__ = [
     "SketchManager",

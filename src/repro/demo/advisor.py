@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..workload.query import Query
+from ..db.query import Query
 
 
 @dataclass(frozen=True)

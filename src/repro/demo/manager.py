@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import SketchError
 from ..db.database import Database
 from ..workload.generator import WorkloadSpec
-from ..workload.query import Query
+from ..db.query import Query
 from ..core.builder import BuildReport, PendingBuild, SketchBuilder, SketchConfig
 from ..core.sketch import DeepSketch
 from .monitor import Monitor

@@ -13,20 +13,41 @@ Public surface:
 * serialization: :func:`save_module`, :func:`load_module`
 """
 
-from .functional import masked_mean
-from .inference import InferenceSession
-from .init import INITIALIZERS, kaiming_uniform, xavier_normal, xavier_uniform
-from .layers import Dropout, Linear, ReLU, Sequential, Sigmoid, Tanh, mlp
-from .loss import Loss, MSELoss, QErrorLoss
-from .module import Module
-from .optim import SGD, Adam, Optimizer
-from .serialize import (
-    load_module,
-    save_module,
-    state_dict_from_bytes,
-    state_dict_to_bytes,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".functional": ("masked_mean",),
+        ".inference": ("InferenceSession",),
+        ".init": (
+            "INITIALIZERS",
+            "kaiming_uniform",
+            "xavier_normal",
+            "xavier_uniform",
+        ),
+        ".layers": (
+            "Dropout",
+            "Linear",
+            "ReLU",
+            "Sequential",
+            "Sigmoid",
+            "Tanh",
+            "mlp",
+        ),
+        ".loss": ("Loss", "MSELoss", "QErrorLoss"),
+        ".module": ("Module",),
+        ".optim": ("SGD", "Adam", "Optimizer"),
+        ".serialize": (
+            "load_module",
+            "save_module",
+            "state_dict_from_bytes",
+            "state_dict_to_bytes",
+        ),
+        ".tensor": ("Tensor", "concat", "maximum", "stack_rows"),
+    },
 )
-from .tensor import Tensor, concat, maximum, stack_rows
 
 __all__ = [
     "Tensor",

@@ -1,7 +1,8 @@
 """Comparison-operator vocabulary shared by the engine and the query model.
 
-Lives in its own leaf module so that ``repro.db`` and ``repro.workload``
-can both import it without importing each other.
+Lives in its own leaf module so that the query model
+(``repro.db.query``) and the engine's types (``repro.db.types``) share
+it without importing each other.
 """
 
 #: Comparison operators the engine evaluates.  The paper's featurization

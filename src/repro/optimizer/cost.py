@@ -15,7 +15,7 @@ is scored.
 from __future__ import annotations
 
 from ..core.estimator import CardinalityEstimator
-from ..workload.query import Query
+from ..db.query import Query
 from .plans import PlanNode, sub_query
 
 

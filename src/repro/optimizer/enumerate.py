@@ -19,7 +19,7 @@ from itertools import combinations
 
 from ..errors import QueryError
 from ..db.join_graph import build_join_graph
-from ..workload.query import Query
+from ..db.query import Query
 from .cost import CardinalityCache
 from .plans import JoinNode, LeafNode, PlanNode
 
@@ -29,7 +29,7 @@ MAX_DP_RELATIONS = 10
 
 def _neighbors(query: Query) -> dict[str, set[str]]:
     graph = build_join_graph(query)
-    return {alias: set(graph.neighbors(alias)) for alias in query.aliases}
+    return {alias: graph.neighbors(alias) for alias in query.aliases}
 
 
 def _connected(aliases: frozenset[str], neighbors: dict[str, set[str]]) -> bool:

@@ -21,7 +21,7 @@ from ..baselines.truth import TruthEstimator
 from ..core.estimator import CardinalityEstimator
 from ..db.database import Database
 from ..errors import QueryError
-from ..workload.query import Query
+from ..db.query import Query
 from .cost import CardinalityCache, cout_cost
 from .enumerate import dp_optimal_plan, greedy_plan
 from .plans import PlanNode

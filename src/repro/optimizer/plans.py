@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import QueryError
-from ..workload.query import Query
+from ..db.query import Query
 
 
 class PlanNode:

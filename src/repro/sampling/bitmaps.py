@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cache import LRUCache
-from ..workload.query import Predicate, Query
+from ..db.query import Predicate, Query
 from ..db.executor import table_filter_mask
 from .sampler import MaterializedSamples
 

@@ -46,47 +46,55 @@ and share one telemetry snapshot —
 and latency summaries.
 """
 
-from .client import RemoteSketchServer
-from .engine import (
-    CODE_DEADLINE,
-    CODE_INTERNAL,
-    CODE_PARSE,
-    CODE_ROUTE,
-    CODE_SHED,
-    CODE_VOCAB,
-    RESPONSE_CODES,
-    EstimateResponse,
-    EstimationEngine,
-    ServeConfig,
-    ServerStats,
-    answer_chunk,
-    prepare_request,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".client": ("RemoteSketchServer",),
+        ".engine": (
+            "CODE_DEADLINE",
+            "CODE_INTERNAL",
+            "CODE_PARSE",
+            "CODE_ROUTE",
+            "CODE_SHED",
+            "CODE_VOCAB",
+            "RESPONSE_CODES",
+            "EstimateResponse",
+            "EstimationEngine",
+            "ServeConfig",
+            "ServerStats",
+            "answer_chunk",
+            "prepare_request",
+        ),
+        ".executor": (
+            "EXECUTOR_NAMES",
+            "InlineExecutor",
+            "ProcessExecutor",
+            "ThreadExecutor",
+            "make_executor",
+        ),
+        ".feature_cache": ("FeatureCache",),
+        ".gateway": ("SketchGateway",),
+        ".http": ("SketchHTTPServer", "healthz_payload"),
+        ".lifecycle": ("PHASES", "LifecycleConfig", "LifecycleManager"),
+        ".plan": (
+            "CODE_PLAN",
+            "PLAN_RESPONSE_CODES",
+            "PlanResponse",
+            "SubplanEstimate",
+            "plan_failure",
+            "plan_query",
+        ),
+        ".protocol": ("PROTOCOL_VERSION",),
+        ".registry": ("SketchRegistry",),
+        ".server": ("SketchServer",),
+        ".service": ("SketchService",),
+        ".shm": ("SegmentDescriptor", "SnapshotSegment", "live_segment_names"),
+        ".wire": ("WIRE_VERSION", "BinaryFrameServer"),
+    },
 )
-from .executor import (
-    EXECUTOR_NAMES,
-    InlineExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
-    make_executor,
-)
-from .feature_cache import FeatureCache
-from .gateway import SketchGateway
-from .http import SketchHTTPServer, healthz_payload
-from .lifecycle import PHASES, LifecycleConfig, LifecycleManager
-from .plan import (
-    CODE_PLAN,
-    PLAN_RESPONSE_CODES,
-    PlanResponse,
-    SubplanEstimate,
-    plan_failure,
-    plan_query,
-)
-from .protocol import PROTOCOL_VERSION
-from .registry import SketchRegistry
-from .server import SketchServer
-from .service import SketchService
-from .shm import SegmentDescriptor, SnapshotSegment, live_segment_names
-from .wire import WIRE_VERSION, BinaryFrameServer
 
 __all__ = [
     "EstimationEngine",

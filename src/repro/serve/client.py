@@ -77,7 +77,7 @@ from ..errors import (
     RemoteTimeoutError,
 )
 from ..metrics import LatencySummary
-from ..workload.query import Query
+from ..db.query import Query
 from .engine import EstimateResponse
 from .plan import PlanResponse
 from .schema import ERROR, OPERATIONS, from_json, pack, to_json, unpack

@@ -61,7 +61,7 @@ from typing import Sequence
 
 from ..errors import FeaturizationError, ReproError, SketchError
 from ..metrics import LatencySummary
-from ..workload.query import Query
+from ..db.query import Query
 from ..demo.manager import SketchManager
 from .executor import EXECUTOR_NAMES, MP_START_METHODS, make_executor
 from .feature_cache import DEFAULT_FEATURE_CACHE_SIZE, FeatureCache

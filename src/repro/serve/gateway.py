@@ -85,7 +85,7 @@ from ..errors import (
     SketchError,
 )
 from ..metrics import Counter, Gauge, LatencySummary
-from ..workload.query import Query
+from ..db.query import Query
 from .client import RemoteSketchServer
 from .engine import CODE_PARSE, CODE_ROUTE, CODE_SHED, EstimateResponse
 

@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import QueryError, ReproError
-from ..workload.query import Query
+from ..db.query import Query
 from ..optimizer.enumerate import connected_subsets, dp_optimal_plan
 from ..optimizer.plans import PlanNode, sub_query
 from .engine import CODE_PARSE, CODE_ROUTE, RESPONSE_CODES

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..workload.query import Query
+from ..db.query import Query
 from .engine import EstimateResponse
 from .plan import PlanResponse
 from . import schema

@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple
 from ..db.sql import parse_sql
 from ..errors import ProtocolError, QueryError
 from ..optimizer.plans import JoinNode, LeafNode
-from ..workload.query import Query
+from ..db.query import Query
 from .engine import RESPONSE_CODES, EstimateResponse
 from .plan import PLAN_RESPONSE_CODES, PlanResponse, SubplanEstimate
 

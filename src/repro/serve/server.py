@@ -49,11 +49,10 @@ parity caveat*, whichever state flushes them.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Iterable, Sequence
 
 from ..errors import SketchError
-from ..workload.query import Query
+from ..db.query import Query
 from ..demo.manager import SketchManager
 from .engine import (
     EstimateResponse,
@@ -213,6 +212,8 @@ class SketchServer:
     async def submit_async(self, request: Query | str, sketch: str | None = None):
         """``asyncio`` front-end of a started server: await one request
         from an event loop."""
+        import asyncio  # only an event loop's caller pays for the import
+
         return await asyncio.wrap_future(self.submit(request, sketch))
 
     def estimate(

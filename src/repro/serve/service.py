@@ -65,7 +65,7 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
-from ..workload.query import Query
+from ..db.query import Query
 from .engine import EstimateResponse
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only

