@@ -17,10 +17,10 @@ Keys must be hashable; :class:`~repro.db.query.Query` qualifies
 because it is a frozen dataclass whose three sets are stored canonically
 sorted — two queries that differ only in clause order are one cache
 entry.  Both classes synchronize internally (a per-instance re-entrant
-lock around every mutation and read): the serving executors answer
-micro-batches of the same sketch from multiple threads, so the
-per-sketch result cache and predicate-mask memo must tolerate
-concurrent ``get``/``put`` without corrupting the recency order.  The
+lock around every mutation and read): a server's submitting threads
+peek the per-sketch result cache while its flush thread writes it and
+the predicate-mask memo, so both must tolerate concurrent
+``peek``/``get``/``put`` without corrupting the recency order.  The
 lock is uncontended in single-threaded use and its cost is noise next
 to even one cached-model forward.
 """

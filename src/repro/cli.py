@@ -126,13 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="async/http only: max queueing delay before a "
                        "partial micro-batch is flushed")
-    serve.add_argument("--executor", choices=("inline", "thread", "process"),
+    serve.add_argument("--executor", choices=("inline", "process"),
                        default="inline",
                        help="where micro-batches execute: the calling/flush "
-                       "thread (inline), a thread pool, or a process pool "
-                       "of shipped weight snapshots (multi-core)")
+                       "thread (inline) or a process pool of shipped "
+                       "weight snapshots (multi-core)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="worker count for --executor thread/process")
+                       help="worker count for --executor process")
     serve.add_argument("--max-queue-depth", type=int, default=None,
                        help="admission control: bound on buffered requests; "
                        "overload returns structured shed errors instead of "
@@ -140,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "background flusher drains while clients submit; "
                        "without it the whole stream is buffered first, so a "
                        "bound below the stream length sheds its tail)")
-    serve.add_argument("--shed-policy", choices=("reject", "oldest"),
-                       default="reject",
-                       help="who loses when the queue is full: the new "
-                       "request (reject) or the longest-waiting one (oldest)")
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline: requests waiting longer "
                        "resolve as structured deadline errors instead of "
@@ -532,7 +528,6 @@ def _cmd_serve(args) -> int:
         executor=args.executor,
         executor_workers=args.workers,
         max_queue_depth=args.max_queue_depth,
-        shed_policy=args.shed_policy,
         deadline_ms=args.deadline_ms,
     )
     if args.http:

@@ -31,7 +31,7 @@ path, **admission control** (bounded queue with structured shed
 responses and per-request deadlines), per-sketch micro-batching,
 execution, scatter — and pluggable executors
 (:mod:`repro.serve.executor`): ``inline`` (calling thread;
-bit-identical to the pre-engine paths), ``thread``, or ``process``
+bit-identical to the pre-engine paths) or ``process``
 (true multi-core scale-out over shipped
 :class:`~repro.core.sketch.SketchSnapshot` weight replicas).  The HTTP
 front door (:mod:`repro.serve.http`) is pure request/response
@@ -72,7 +72,6 @@ __getattr__, __dir__ = lazy_exports(
             "EXECUTOR_NAMES",
             "InlineExecutor",
             "ProcessExecutor",
-            "ThreadExecutor",
             "make_executor",
         ),
         ".feature_cache": ("FeatureCache",),
@@ -129,7 +128,6 @@ __all__ = [
     "EstimateResponse",
     "InlineExecutor",
     "ProcessExecutor",
-    "ThreadExecutor",
     "answer_chunk",
     "make_executor",
     "prepare_request",

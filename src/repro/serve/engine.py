@@ -17,30 +17,25 @@ The lifecycle, in engine terms::
                time, so registrations racing the queue still win)
           ──> fast path (result-cache peek answers repeats instantly)
           ──> dedup (identical in-flight queries share one computation)
-          ──> admission (bounded queue: shed or evict per shed_policy)
+          ──> admission (bounded queue: the newcomer is shed on overflow)
           ──> buffer (per-sketch FIFO with flush triggers)
     flush ──> take ready chunks (full / timed / idle / drain / forced)
           ──> expire (requests past their deadline_ms resolve as
                structured deadline errors without touching the model)
           ──> execute (the pluggable Executor answers each chunk —
-               inline, thread pool, or process pool; see
-               repro.serve.executor)
+               inline or on a process pool; see repro.serve.executor)
           ──> scatter (futures resolve, per-waiter accounting, caches
                and telemetry update)
 
 **Admission control.**  ``max_queue_depth`` bounds the number of
 buffered (pending, not-yet-flushed) computations.  When the bound is
-hit, ``shed_policy`` decides who loses: ``"reject"`` sheds the *new*
-request, ``"oldest"`` evicts the longest-waiting buffered request in
-its favor (fresher traffic is usually more useful than a request that
-has already waited longest).  Either way the loser receives a
-*structured* :class:`EstimateResponse` — ``ok`` is false, ``code`` is
-``"shed"`` — at submit time, never an unbounded queue and never an
-exception through a future.  Requests past ``deadline_ms`` when their
+hit, the *new* request is shed: it receives a *structured*
+:class:`EstimateResponse` — ``ok`` is false, ``code`` is ``"shed"`` —
+at submit time, never an unbounded queue and never an exception
+through a future.  Requests past ``deadline_ms`` when their
 flush finally happens resolve with ``code="deadline"`` instead of
 consuming model time.  ``close()`` still drains every *accepted*
-request: shedding happens at the door or by explicit eviction, never
-by forgetting.
+request: shedding happens at the door, never by forgetting.
 
 **Telemetry.**  Every count lives once, in :class:`ServerStats`;
 per-chunk flush latency and queueing wait are
@@ -63,7 +58,7 @@ from ..errors import FeaturizationError, ReproError, SketchError
 from ..metrics import LatencySummary
 from ..db.query import Query
 from ..demo.manager import SketchManager
-from .executor import EXECUTOR_NAMES, MP_START_METHODS, make_executor
+from .executor import EXECUTOR_NAMES, make_executor
 from .feature_cache import DEFAULT_FEATURE_CACHE_SIZE, FeatureCache
 
 #: Seconds an entry of the engine's own template feature cache lives
@@ -73,8 +68,7 @@ FEATURE_CACHE_TTL_S = 600.0
 #: Recent observations kept by the wait / flush-latency summaries.
 LATENCY_WINDOW = 8192
 
-#: ``EstimateResponse.code`` for a request refused (or evicted) by
-#: admission control.
+#: ``EstimateResponse.code`` for a request refused by admission control.
 CODE_SHED = "shed"
 #: ``EstimateResponse.code`` for a request that outlived its
 #: ``deadline_ms`` in the queue.
@@ -103,9 +97,6 @@ RESPONSE_CODES = (
     CODE_INTERNAL,
 )
 
-#: Valid ``ServeConfig.shed_policy`` values.
-SHED_POLICIES = ("reject", "oldest")
-
 #: Reserved buffer key for requests that parsed cleanly but could not
 #: be routed at submit time.  They wait in this bucket and are
 #: re-routed when their flush fires — so a covering sketch registered
@@ -124,20 +115,17 @@ class ServeConfig:
     ``min_idle_ms`` flushes a quiesced burst early (``None`` disables).
 
     Execution: ``executor`` picks how micro-batches run — ``"inline"``
-    (calling thread, the bit-identical default), ``"thread"`` (a
-    thread pool overlapping chunks), or ``"process"``
+    (calling thread, the bit-identical default) or ``"process"``
     (``executor_workers`` long-lived worker processes holding installed
-    weight snapshots; ``mp_start_method`` overrides the multiprocessing
-    start method, default: the interpreter's platform default).
+    weight snapshots).
     ``shm_snapshots`` (requires ``executor="process"``) publishes
     snapshots as shared-memory segments that workers map instead of
     unpickle-copy (zero per-worker copies; see ``docs/performance.md``).
 
     Admission: ``max_queue_depth`` bounds buffered computations
-    (``None`` = unbounded); on overflow ``shed_policy`` either rejects
-    the newcomer (``"reject"``) or evicts the longest-waiting request
-    in its favor (``"oldest"``).  ``deadline_ms`` expires requests that
-    wait longer than this before their flush (``None`` = no deadline).
+    (``None`` = unbounded); on overflow the newcomer is shed.
+    ``deadline_ms`` expires requests that wait longer than this before
+    their flush (``None`` = no deadline).
 
     Caching: ``use_cache`` toggles the per-sketch result cache (and the
     submit-time fast path); ``dedup`` merges identical in-flight
@@ -156,9 +144,7 @@ class ServeConfig:
     executor: str = "inline"
     executor_workers: int = 2
     max_queue_depth: int | None = None
-    shed_policy: str = "reject"
     deadline_ms: float | None = None
-    mp_start_method: str | None = None
     shm_snapshots: bool = False
 
     def __post_init__(self):
@@ -189,28 +175,16 @@ class ServeConfig:
                 f"max_queue_depth must be positive (or None for unbounded), "
                 f"got {self.max_queue_depth}"
             )
-        if self.shed_policy not in SHED_POLICIES:
-            raise SketchError(
-                f"unknown shed_policy {self.shed_policy!r}; "
-                f"choose one of {', '.join(SHED_POLICIES)}"
-            )
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise SketchError(
                 f"deadline_ms must be positive (or None to disable), "
                 f"got {self.deadline_ms}"
             )
-        if self.mp_start_method is not None and (
-            self.mp_start_method not in MP_START_METHODS
-        ):
-            raise SketchError(
-                f"unknown mp_start_method {self.mp_start_method!r}; "
-                f"choose one of {', '.join(MP_START_METHODS)}"
-            )
         if self.shm_snapshots and self.executor != "process":
             raise SketchError(
                 "shm_snapshots=True requires executor='process' "
-                f"(got executor={self.executor!r}); the inline/thread "
-                "paths already share the parent's arrays"
+                f"(got executor={self.executor!r}); the inline "
+                "path already shares the parent's arrays"
             )
 
 
@@ -223,7 +197,7 @@ class EstimateResponse:
     ``"parse"`` (malformed SQL), ``"route"`` (no covering sketch /
     unknown pin / sketch dropped before its flush), ``"vocab"`` (the
     query is outside the routed sketch's featurization vocabulary),
-    ``"shed"`` (admission control refused or evicted the request),
+    ``"shed"`` (admission control refused the request),
     ``"deadline"`` (it expired in the queue), and ``"internal"`` (an
     unexpected server-side fault).  ``error`` still carries the
     human-readable message; successful responses keep ``code=None``.
@@ -273,7 +247,7 @@ class ServerStats:
     n_deduped: int = 0          # futures merged onto an in-flight twin
     n_fast_cache_hits: int = 0  # answered at submit time from the cache
     # admission control
-    n_shed: int = 0             # refused or evicted by admission control
+    n_shed: int = 0             # refused by admission control
     n_deadline_missed: int = 0  # expired in queue before their flush
     # flush-trigger accounting
     n_flushes: int = 0
@@ -461,9 +435,8 @@ class EstimationEngine:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         # sketch name -> FIFO of _Pending awaiting a flush.  Deques:
-        # flushes and "oldest" evictions consume from the front, and a
-        # list's pop(0)/slice would go quadratic under sustained
-        # overload — exactly when shedding must stay cheap.
+        # flushes consume from the front, and a list's pop(0)/slice
+        # would go quadratic under sustained overload.
         self._buffers: dict[str, deque[_Pending]] = {}
         # sketch name -> monotonic time of the newest arrival (idle trigger)
         self._last_enqueue: dict[str, float] = {}
@@ -592,7 +565,7 @@ class EstimationEngine:
         """
         response = self.prepare(request, sketch)
         hit = self._fast_hit(response)
-        gather: dict = {"resolved": [], "victims": [], "notify": False}
+        gather: dict = {"resolved": [], "notify": False}
         with self._cond:
             if self._closed:
                 raise SketchError("server is closed")
@@ -621,10 +594,8 @@ class EstimationEngine:
         critical section, and the flush loop is notified at most once.
         One deliberate difference under ``max_queue_depth``: the batch
         is admitted atomically (the flush side cannot drain mid-batch),
-        so a single call larger than the depth bound sheds the excess —
-        the batch's tail under ``shed_policy="reject"``, its head under
-        ``"oldest"`` (each over-limit request evicts the batch's own
-        earliest) — a batch *is* instantaneous load, and the bound is a
+        so a single call larger than the depth bound sheds the batch's
+        tail — a batch *is* instantaneous load, and the bound is a
         bound.  Callers replaying a large log against a bounded queue
         should chunk their calls to the depth they want admitted.
         """
@@ -633,7 +604,7 @@ class EstimationEngine:
             response = self.prepare(request, sketch)
             prepared.append((response, self._fast_hit(response)))
         futures: list[Future[EstimateResponse]] = []
-        gather: dict = {"resolved": [], "victims": [], "notify": False}
+        gather: dict = {"resolved": [], "notify": False}
         with self._cond:
             if self._closed:
                 raise SketchError("server is closed")
@@ -658,9 +629,8 @@ class EstimationEngine:
     ) -> "Future[EstimateResponse]":
         """The one intake path: stats, fast paths, dedup, admission, buffer.
 
-        Resolved futures and eviction victims are collected into
-        ``gather`` and settled *outside* the lock by
-        :meth:`_settle_intake`.
+        Resolved futures are collected into ``gather`` and settled
+        *outside* the lock by :meth:`_settle_intake`.
         """
         stats = self.counters
         stats.n_requests += 1
@@ -724,7 +694,7 @@ class EstimationEngine:
                 twin.waiters += 1
                 stats.n_deduped += 1
                 return twin.future
-        if not self._admit_locked(response, gather):
+        if not self._admit_locked(response):
             future = Future()
             gather["resolved"].append((future, response))
             return future
@@ -753,8 +723,6 @@ class EstimationEngine:
 
     def _settle_intake(self, gather: dict) -> None:
         """Resolve intake-time futures outside the lock."""
-        for pending in gather["victims"]:
-            pending.future.set_result(pending.response)
         for future, response in gather["resolved"]:
             future.set_result(response)
 
@@ -769,7 +737,7 @@ class EstimationEngine:
         registration is skipped (returns None) when the intake produced
         nothing to settle.
         """
-        if gather is not None and not (gather["resolved"] or gather["victims"]):
+        if gather is not None and not gather["resolved"]:
             return None
         round_id = next(self._round_ids)
         self._active_rounds.add(round_id)
@@ -860,53 +828,19 @@ class EstimationEngine:
             del self._inflight[key]
 
     # -- admission control ----------------------------------------------
-    def _admit_locked(self, response: EstimateResponse, gather: dict) -> bool:
-        """Apply ``max_queue_depth``/``shed_policy``; True if admitted."""
+    def _admit_locked(self, response: EstimateResponse) -> bool:
+        """Apply ``max_queue_depth``: shed the newcomer on overflow."""
         limit = self.config.max_queue_depth
         if limit is None or self._depth < limit:
             return True
-        if self.config.shed_policy == "oldest":
-            victim = self._evict_oldest_locked()
-            if victim is not None:
-                gather["victims"].append(victim)
-                return True
-        self._mark_shed_locked(
-            response,
+        response.error = (
             f"request shed: queue depth {self._depth} >= "
-            f"max_queue_depth {limit}",
+            f"max_queue_depth {limit}"
         )
+        response.code = CODE_SHED
         self.counters.n_shed += 1
         self.counters.n_errors += 1
         return False
-
-    def _mark_shed_locked(self, response: EstimateResponse, message: str) -> None:
-        response.error = message
-        response.code = CODE_SHED
-
-    def _evict_oldest_locked(self) -> _Pending | None:
-        """Evict the longest-waiting buffered request (policy "oldest")."""
-        oldest_name = None
-        oldest: _Pending | None = None
-        for name, buffer in self._buffers.items():
-            if buffer and (oldest is None or buffer[0].enqueued_at < oldest.enqueued_at):
-                oldest_name, oldest = name, buffer[0]
-        if oldest is None:
-            return None
-        buffer = self._buffers[oldest_name]
-        buffer.popleft()
-        if not buffer:
-            del self._buffers[oldest_name]
-            self._last_enqueue.pop(oldest_name, None)
-        self._drop_inflight_locked(oldest)
-        self._depth -= 1
-        self._mark_shed_locked(
-            oldest.response,
-            "request shed: evicted by a newer request "
-            f"(shed_policy='oldest', max_queue_depth {self.config.max_queue_depth})",
-        )
-        self.counters.n_shed += oldest.waiters
-        self.counters.n_errors += oldest.waiters
-        return oldest
 
     # ------------------------------------------------------------------
     # bookkeeping shared with executors
@@ -1036,7 +970,7 @@ class EstimationEngine:
         """Take and answer everything buffered, on the calling thread.
 
         The caller-driven flush.  All ready chunks of one
-        call form a single executor round, so a thread/process executor
+        call form a single executor round, so a process executor
         overlaps them across workers.
         """
         with self._cond:
@@ -1141,8 +1075,8 @@ class EstimationEngine:
         request (and, with caching on, a cache hit at its own submit or
         flush time) rather than attaching to a computation whose
         futures may already be resolving.  A buffer holding several
-        ``max_batch_size`` chunks yields them all in one round so
-        thread/process executors can overlap them.
+        ``max_batch_size`` chunks yields them all in one round so a
+        process executor can overlap them.
         """
         max_batch = self.config.max_batch_size
         max_wait_s = self.config.max_wait_ms / 1000.0
@@ -1395,7 +1329,6 @@ __all__ = [
     "CODE_SHED",
     "CODE_VOCAB",
     "RESPONSE_CODES",
-    "SHED_POLICIES",
     "EstimateResponse",
     "EstimationEngine",
     "FlushJob",

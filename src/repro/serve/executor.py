@@ -5,7 +5,7 @@ lifecycle — parse, route, dedup, cache, admission, micro-batching —
 and hands each ready micro-batch ("flush job") to an executor.  The
 executor's only obligation is: answer every job's responses (estimate
 or error, in place) and call ``engine.complete_job(job)`` exactly once
-per job so futures resolve and per-waiter accounting happens.  Three
+per job so futures resolve and per-waiter accounting happens.  Two
 implementations cover the scale spectrum:
 
 * :class:`InlineExecutor` — answers each job on the calling thread
@@ -13,12 +13,6 @@ implementations cover the scale spectrum:
   the pre-engine behavior, bit for bit: same ``estimate_many`` call,
   same cache interaction, same error isolation.  Lowest latency at low
   load; the default.
-* :class:`ThreadExecutor` — dispatches jobs of one flush round to a
-  thread pool.  Python threads share the GIL, but the BLAS kernels
-  behind the compiled forward release it, and chunks of *different*
-  sketches overlap their Python-side featurization with each other's
-  model time.  No serialization cost; worker threads run the exact
-  inline path (the per-sketch caches are internally locked).
 * :class:`ProcessExecutor` — true multi-core scale-out.  ``workers``
   *slots*, each one long-lived worker process.  A worker holds an
   estimation-only replica per sketch it serves, restored from a
@@ -57,15 +51,11 @@ import threading
 import time
 from concurrent.futures import CancelledError
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 
 from ..errors import SketchError
 
 #: Valid ``ServeConfig.executor`` values, in escalation order.
-EXECUTOR_NAMES = ("inline", "thread", "process")
-
-#: Valid ``ServeConfig.mp_start_method`` values (``None`` = pick).
-MP_START_METHODS = ("fork", "spawn", "forkserver")
+EXECUTOR_NAMES = ("inline", "process")
 
 
 class ChunkExecutor:
@@ -97,45 +87,6 @@ class InlineExecutor(ChunkExecutor):
     def run(self, engine, jobs) -> None:
         for job in jobs:
             engine.run_job_inline(job)
-
-
-class ThreadExecutor(ChunkExecutor):
-    """Thread-pool executor: one flush round's jobs run concurrently.
-
-    A single job skips the pool entirely (no hand-off latency when
-    there is nothing to overlap).
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int = 2):
-        self.workers = int(workers)
-        self._pool: _ThreadPool | None = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> _ThreadPool:
-        with self._lock:
-            if self._pool is None:
-                self._pool = _ThreadPool(
-                    max_workers=self.workers,
-                    thread_name_prefix="sketch-serve-exec",
-                )
-            return self._pool
-
-    def run(self, engine, jobs) -> None:
-        if len(jobs) == 1:
-            engine.run_job_inline(jobs[0])
-            return
-        pool = self._ensure_pool()
-        futures = [pool.submit(engine.run_job_inline, job) for job in jobs]
-        for future in futures:
-            future.result()
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -200,13 +151,14 @@ def _worker_uninstall(name: str) -> None:
 def _worker_answer(sketch_name: str, queries: list) -> tuple[list, int]:
     """Answer distinct uncached queries in a worker process.
 
+    Runs the engine's inline chunk path
+    (:func:`~repro.serve.engine.answer_chunk`) on the worker's replica,
+    so error isolation and error codes are the inline path's own.
     Returns ``(results, n_forwards)`` where ``results[i]`` is
-    ``(estimate, None, None)`` or ``(None, error message, error code)``
-    for ``queries[i]``.  Mirrors the inline path's error isolation and
-    error-code classification: a batch-level featurization failure
-    falls back to per-query retries so only the offending queries fail.
+    ``(estimate, error message, error code)`` for ``queries[i]``
+    (``error`` and ``code`` are ``None`` on success).
     """
-    from ..errors import FeaturizationError, ReproError
+    from .engine import EstimateResponse, ServerStats, answer_chunk
 
     sketch = _WORKER_SKETCHES.get(sketch_name)
     if sketch is None:
@@ -214,30 +166,14 @@ def _worker_answer(sketch_name: str, queries: list) -> tuple[list, int]:
             f"worker holds no snapshot for sketch {sketch_name!r}; "
             "the parent should have installed it"
         )
-    try:
-        values = sketch.estimate_many(
-            queries, use_cache=False, feature_cache=_WORKER_FEATURE_CACHE
-        )
-    except ReproError:
-        from .engine import CODE_ROUTE, CODE_VOCAB
-
-        results: list = []
-        n_forwards = 0
-        for query in queries:
-            try:
-                results.append(
-                    (float(sketch.estimate(query, use_cache=False)), None, None)
-                )
-                n_forwards += 1
-            except ReproError as exc:
-                code = (
-                    CODE_VOCAB
-                    if isinstance(exc, FeaturizationError)
-                    else CODE_ROUTE
-                )
-                results.append((None, str(exc), code))
-        return results, n_forwards
-    return [(float(v), None, None) for v in values], 1
+    responses = [
+        EstimateResponse(request=q, query=q, sketch=sketch_name, estimate=None)
+        for q in queries
+    ]
+    stats = ServerStats()
+    answer_chunk(sketch, responses, False, stats, _WORKER_FEATURE_CACHE)
+    results = [(r.estimate, r.error, r.code) for r in responses]
+    return results, stats.n_forward_batches
 
 
 class _Slot:
@@ -279,33 +215,15 @@ class ProcessExecutor(ChunkExecutor):
       the jobs placed on it over to the inline path; that slot is
       discarded and lazily rebuilt, the other slots keep their workers.
 
-    ``start_method`` defaults to the interpreter's
-    own platform default (``multiprocessing.get_start_method()`` —
-    ``fork`` on Linux through 3.13, ``forkserver``/``spawn`` later and
-    elsewhere), so this executor is never riskier than stdlib pools on
-    the same host.  The trade-off is real either way:
-    ``fork`` is the only method that works from a REPL/stdin-driven
-    parent (``spawn``/``forkserver`` re-import ``__main__``, which such
-    parents don't have) but carries the classic fork-with-threads
-    caveats when a started server's flush loop starts a worker;
-    ``spawn``/``forkserver`` are thread-safe but degrade REPL parents
-    to the inline fallback.  ``ServeConfig.mp_start_method`` overrides
-    the choice per deployment.
+    Slots use ``multiprocessing.get_context()``, so the start method is
+    the stdlib's: set it with ``multiprocessing.set_start_method``.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: str | None = None,
-        use_shm: bool = False,
-    ):
-        import multiprocessing
-
+    def __init__(self, workers: int = 2, use_shm: bool = False):
         self.workers = int(workers)
         self.use_shm = bool(use_shm)
-        self._start_method = start_method or multiprocessing.get_start_method()
         self._slots = [_Slot() for _ in range(self.workers)]
         #: sketch name -> (token, payload, segment) of its live
         #: generation: the pickled snapshot, or (shm mode) the
@@ -379,7 +297,7 @@ class ProcessExecutor(ChunkExecutor):
 
             slot.pool = _ProcessPool(
                 max_workers=1,
-                mp_context=multiprocessing.get_context(self._start_method),
+                mp_context=multiprocessing.get_context(),
                 initializer=_worker_init,
             )
         payload = self._payload(name, sketch, token)
@@ -584,23 +502,17 @@ def make_executor(config) -> ChunkExecutor:
     """Build the executor named by ``config.executor`` (validated)."""
     if config.executor == "inline":
         return InlineExecutor()
-    if config.executor == "thread":
-        return ThreadExecutor(workers=config.executor_workers)
     if config.executor == "process":
         return ProcessExecutor(
-            workers=config.executor_workers,
-            start_method=config.mp_start_method,
-            use_shm=config.shm_snapshots,
+            workers=config.executor_workers, use_shm=config.shm_snapshots
         )
     raise SketchError(f"unknown executor {config.executor!r}")  # pragma: no cover
 
 
 __all__ = [
     "EXECUTOR_NAMES",
-    "MP_START_METHODS",
     "ChunkExecutor",
     "InlineExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
 ]

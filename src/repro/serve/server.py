@@ -258,7 +258,7 @@ class SketchServer:
 
         One engine flush: per-sketch micro-batches of at most
         ``max_batch_size``, all dispatched to the configured executor as
-        a single round (so thread/process executors overlap them).
+        a single round (so a process executor overlaps them).
         Raises :class:`~repro.errors.SketchError` once the server is
         started: its loop flushes then.
         """

@@ -76,6 +76,12 @@ def status_server():
 
     yield start
     for httpd, thread in servers:
+        # Wake serve_forever's 0.5 s poll at once, as SketchHTTPServer
+        # .close() does, so shutdown() does not wait out the interval.
+        try:
+            httpd.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         httpd.shutdown()
         httpd.server_close()
         thread.join(5.0)

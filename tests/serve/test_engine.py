@@ -55,10 +55,9 @@ class TestConfigValidation:
             {"executor_workers": 0},
             {"max_queue_depth": 0},
             {"max_queue_depth": -1},
-            {"shed_policy": "random"},
+            {"executor": "thread"},
             {"deadline_ms": 0.0},
             {"deadline_ms": -5.0},
-            {"mp_start_method": "teleport"},
         ],
     )
     def test_bad_values_raise_repro_error(self, kwargs):
@@ -70,13 +69,18 @@ class TestConfigValidation:
     def test_disabling_sentinels_are_valid(self):
         config = ServeConfig(
             min_idle_ms=None, max_queue_depth=None, deadline_ms=None,
-            mp_start_method=None,
         )
         assert config.max_queue_depth is None
 
     def test_valid_executor_names(self):
-        for name in ("inline", "thread", "process"):
+        for name in ("inline", "process"):
             assert ServeConfig(executor=name).executor == name
+
+    @pytest.mark.parametrize("field", ["shed_policy", "mp_start_method"])
+    def test_removed_options_are_not_fields(self, field):
+        # One shed rule and the stdlib's start method: neither is a knob.
+        with pytest.raises(TypeError, match=field):
+            ServeConfig(**{field: None})
 
 
 class TestAdmissionControlSync:
@@ -104,21 +108,34 @@ class TestAdmissionControlSync:
     def test_reject_policy_sheds_the_newcomer(self, manager, workload):
         with SketchServer(
             manager,
-            ServeConfig(max_queue_depth=2, shed_policy="reject", use_cache=False),
+            ServeConfig(max_queue_depth=2, use_cache=False),
         ) as server:
             responses = server.serve(workload[:4])
         assert [r.ok for r in responses] == [True, True, False, False]
 
-    def test_oldest_policy_evicts_in_favor_of_the_newcomer(self, manager, workload):
+    def test_submit_many_sheds_the_batch_tail(self, manager, workload):
         with SketchServer(
-            manager,
-            ServeConfig(max_queue_depth=2, shed_policy="oldest", use_cache=False),
+            manager, ServeConfig(max_queue_depth=3, use_cache=False)
         ) as server:
-            responses = server.serve(workload[:4])
-        # The two oldest requests were evicted; the two newest served.
-        assert [r.ok for r in responses] == [False, False, True, True]
-        assert responses[0].code == CODE_SHED
-        assert "oldest" in responses[0].error
+            futures = server.submit_many(workload[:5])
+            # The tail is shed at intake, before any flush.
+            assert [f.done() for f in futures] == [False] * 3 + [True] * 2
+            server.flush()
+            responses = [f.result(0) for f in futures]
+        assert [r.ok for r in responses] == [True] * 3 + [False] * 2
+        assert [r.code for r in responses[3:]] == [CODE_SHED] * 2
+        assert server.stats.n_shed == 2
+
+    def test_a_batch_gets_only_the_depth_left(self, manager, workload):
+        with SketchServer(
+            manager, ServeConfig(max_queue_depth=3, use_cache=False)
+        ) as server:
+            queued = [server.submit(q) for q in workload[:2]]
+            batch = server.submit_many(workload[2:5])
+            server.flush()
+            responses = [f.result(0) for f in queued + batch]
+        # Queued requests are never evicted for a later batch.
+        assert [r.ok for r in responses] == [True, True, True, False, False]
         assert server.stats.n_shed == 2
 
     def test_unbounded_by_default(self, manager, workload):

@@ -1,7 +1,7 @@
-"""Executors: one contract for all four modes, then the slot counts.
+"""Executors: one contract for all three modes, then the slot counts.
 
 ``TestExecutorContract`` states what every executor owes the engine
-and runs it over ``inline``, ``thread``, ``process`` and ``process`` +
+and runs it over ``inline``, ``process`` and ``process`` +
 ``shm_snapshots``.  ``TestSlotPlacement`` pins the process executor's
 install / placement / release behaviour by exact counts read through
 ``ProcessExecutor.slots()``.
@@ -22,26 +22,27 @@ from repro.demo import SketchManager
 from repro.serve import (
     CODE_ROUTE,
     CODE_VOCAB,
+    EXECUTOR_NAMES,
     InlineExecutor,
     ProcessExecutor,
     ServeConfig,
     SketchServer,
-    ThreadExecutor,
     live_segment_names,
     make_executor,
 )
+from repro.serve import executor as executor_module
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
 
-#: Acceptance bound: inline vs thread estimates (the process modes run
-#: the same bytes over the same batches and are held to equality).
+#: Acceptance bound where batch shapes may differ (served vs single-query
+#: estimates, a started server's timed flushes vs inline); the same bytes
+#: over the same batches are held to equality.
 PARITY_RTOL = 1e-12
 RESULT_TIMEOUT = 60.0
 
-#: The four ways a deployment can run micro-batches.
+#: The three ways a deployment can run micro-batches.
 MODES = {
     "inline": {"executor": "inline"},
-    "thread": {"executor": "thread", "executor_workers": 2},
     "process": {"executor": "process", "executor_workers": 2},
     "process+shm": {
         "executor": "process", "executor_workers": 2, "shm_snapshots": True,
@@ -97,11 +98,39 @@ def kill(pids) -> None:
         os.kill(pid, signal.SIGKILL)
 
 
+def vocab_miss() -> Query:
+    """A routable query outside the sketch's featurization vocabulary."""
+    return Query(
+        tables=(TableRef("title", "t"),),
+        predicates=(Predicate("t", "episode_nr", "=", 1),),
+    )
+
+
 class TestFactory:
+    def test_executor_names(self):
+        assert EXECUTOR_NAMES == ("inline", "process")
+
     def test_make_executor_by_name(self):
         assert isinstance(make_executor(ServeConfig(executor="inline")), InlineExecutor)
-        assert isinstance(make_executor(ServeConfig(executor="thread")), ThreadExecutor)
         assert isinstance(make_executor(ServeConfig(executor="process")), ProcessExecutor)
+
+    def test_process_slots_take_the_stdlib_start_method(
+        self, manager, workload, monkeypatch
+    ):
+        # No method is named, so multiprocessing.set_start_method decides.
+        import multiprocessing
+
+        real, asked = multiprocessing.get_context, []
+
+        def spy(method=None):
+            asked.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        with SketchServer(manager, config_for("process")) as server:
+            serve_all(server, workload[:8])
+            assert server.stats.n_executor_fallbacks == 0
+        assert asked and set(asked) == {None}
 
     def test_worker_counts(self):
         executor = make_executor(
@@ -112,6 +141,44 @@ class TestFactory:
             {"pid": None, "sketches": {}, "jobs": 0, "installs": 0}
         ] * 3
         executor.close()
+
+
+class TestWorkerAnswer:
+    """The worker task runs the inline chunk path on its replica.
+
+    Called in this process over a replica placed where a worker's
+    install task would put it, so the results are read directly.
+    """
+
+    @pytest.fixture()
+    def replica(self, trained_sketch, monkeypatch):
+        sketch, _ = trained_sketch
+        replica = clone(sketch)
+        monkeypatch.setitem(executor_module._WORKER_SKETCHES, "w", replica)
+        return replica
+
+    def test_a_clean_batch_is_one_forward(self, replica, workload):
+        queries = list(workload[:6])
+        results, n_forwards = executor_module._worker_answer("w", queries)
+        expected = replica.estimate_many(queries, use_cache=False)
+        assert results == [(float(v), None, None) for v in expected]
+        assert n_forwards == 1
+
+    def test_a_vocab_miss_is_retried_one_query_at_a_time(
+        self, replica, workload
+    ):
+        queries = [workload[0], vocab_miss(), workload[1]]
+        results, n_forwards = executor_module._worker_answer("w", queries)
+        good = [replica.estimate(q, use_cache=False) for q in queries[::2]]
+        assert [results[0][0], results[2][0]] == good
+        assert results[0][1:] == results[2][1:] == (None, None)
+        estimate, error, code = results[1]
+        assert estimate is None and error and code == CODE_VOCAB
+        assert n_forwards == 2  # one per query that was answered
+
+    def test_a_missing_replica_raises(self, replica, workload):
+        with pytest.raises(RuntimeError, match="no snapshot"):
+            executor_module._worker_answer("absent", [workload[0]])
 
 
 @pytest.mark.parametrize("mode", list(MODES))
@@ -125,14 +192,9 @@ class TestExecutorContract:
         with SketchServer(manager, config_for(mode)) as server:
             values = serve_all(server, workload)
             stats = server.stats
-        if mode == "thread":
-            np.testing.assert_allclose(
-                values, inline, rtol=PARITY_RTOL, atol=0.0
-            )
-        else:
-            # same bytes (copied or mapped) over the same batches:
-            # identity, not approximation
-            assert values == inline
+        # same bytes (copied or mapped) over the same batches: identity,
+        # not approximation
+        assert values == inline
         # The executor really ran: no degraded-to-inline chunks.
         assert stats.n_executor_fallbacks == 0
         assert stats.n_forward_batches >= 4
@@ -140,15 +202,22 @@ class TestExecutorContract:
     def test_featurization_failure_fails_only_its_own_request(
         self, manager, workload, mode
     ):
-        bad = Query(
-            tables=(TableRef("title", "t"),),
-            predicates=(Predicate("t", "episode_nr", "=", 1),),
-        )
+        batch = [workload[0], vocab_miss(), workload[1]]
+        with SketchServer(manager, config_for("inline")) as server:
+            inline = server.serve(batch)
+            inline_forwards = server.stats.n_forward_batches
         with SketchServer(manager, config_for(mode)) as server:
-            responses = server.serve([workload[0], bad, workload[1]])
+            responses = server.serve(batch)
+            forwards = server.stats.n_forward_batches
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
         assert responses[1].code == CODE_VOCAB
+        # the worker runs the inline chunk path: same answers, same
+        # per-query retry forwards
+        assert [responses[0].estimate, responses[2].estimate] == [
+            inline[0].estimate, inline[2].estimate
+        ]
+        assert forwards == inline_forwards
 
     def test_sketch_dropped_before_its_flush_answers_route(
         self, manager, workload, mode

@@ -145,7 +145,7 @@ class TestSnapshotSegment:
 # config surface
 # ----------------------------------------------------------------------
 class TestConfigValidation:
-    @pytest.mark.parametrize("executor", ["inline", "thread"])
+    @pytest.mark.parametrize("executor", ["inline"])
     def test_shm_snapshots_requires_the_process_executor(self, executor):
         with pytest.raises(SketchError, match="process"):
             ServeConfig(executor=executor, shm_snapshots=True)

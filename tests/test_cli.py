@@ -253,23 +253,22 @@ class TestServeFlags:
     def test_executor_and_workers_flags(self, sketch_path, sql_file, capsys):
         code = main(
             ["serve", sketch_path, "--sql", sql_file,
-             "--executor", "thread", "--workers", "3"]
+             "--executor", "process", "--workers", "3"]
         )
         captured = capsys.readouterr()
         assert code == 0
         snapshot = self._snapshot(captured.err)
-        assert snapshot["executor"] == "thread"
+        assert snapshot["executor"] == "process"
         assert snapshot["executor_workers"] == 3
-        assert "executor=thread" in captured.err
+        assert "executor=process" in captured.err
 
-    def test_max_queue_depth_and_shed_policy_flags(
+    def test_max_queue_depth_flag_sheds_the_tail(
         self, sketch_path, sql_file, capsys
     ):
         # Without --async the whole stream is buffered, so a depth bound below
-        # the stream length sheds — under "oldest", the head is evicted.
+        # the stream length sheds its tail.
         code = main(
-            ["serve", sketch_path, "--sql", sql_file,
-             "--max-queue-depth", "1", "--shed-policy", "oldest"]
+            ["serve", sketch_path, "--sql", sql_file, "--max-queue-depth", "1"]
         )
         captured = capsys.readouterr()
         assert code == 1  # sheds are errors
@@ -278,7 +277,7 @@ class TestServeFlags:
         assert snapshot["shed"] == 2
         lines = captured.out.strip().splitlines()
         assert sum(1 for l in lines if l.startswith("error:shed")) == 2
-        assert not lines[2].startswith("error")  # the newest survived
+        assert not lines[0].startswith("error")  # the oldest survived
 
     def test_deadline_flag(self, sketch_path, sql_file, capsys):
         # A generous deadline: everything must still be served, and the
@@ -500,6 +499,16 @@ class TestBadFlagCombinations:
     def test_serve_rejects_unknown_executor(self, sketch_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", sketch_path, "--executor", "gpu"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--executor", "thread"], ["--shed-policy", "oldest"]],
+        ids=["thread-executor", "shed-policy"],
+    )
+    def test_serve_rejects_removed_options(self, sketch_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", sketch_path, *flags])
         assert excinfo.value.code == 2
 
     def test_bench_serve_is_not_a_subcommand(self):
