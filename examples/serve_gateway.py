@@ -111,7 +111,7 @@ def main(argv=None) -> int:
 
     # Two backends, each replicating the sketch (same manager here; in
     # production each backend loads its own copy from disk).
-    config = ServeConfig(use_cache=False, dedup=False)
+    config = ServeConfig(use_cache=False)
     servers = [
         SketchHTTPServer(manager, config, port=0) for _ in range(2)
     ]

@@ -118,8 +118,8 @@ def main(argv=None) -> int:
         f"gateway (queue depth {args.queue_depth})...",
         file=sys.stderr,
     )
-    # Backends run with caching and dedup off and a bounded queue, so
-    # every accepted request is real model work and the overflow sheds.
+    # Backends run with caching off and a bounded queue, so every
+    # accepted distinct query is real model work and the overflow sheds.
     servers = []
     for _ in range(2):
         backend = SketchManager(db=None)
@@ -130,7 +130,6 @@ def main(argv=None) -> int:
                 ServeConfig(
                     max_batch_size=max(8, args.queue_depth // 2),
                     use_cache=False,
-                    dedup=False,
                     max_queue_depth=args.queue_depth,
                 ),
                 port=0,

@@ -220,8 +220,9 @@ class DeepSketch:
         pooled buffers), as does :meth:`estimate`, so the two paths stay
         numerically identical to each other.  ``feature_cache`` (a
         :class:`repro.serve.feature_cache.FeatureCache`) lets the
-        structure-row reuse persist across calls and across sketches for
-        templated workloads.
+        structure-row reuse persist across calls for templated
+        workloads.  Its entries are per featurizer: sketches may share
+        one cache, but each only hits the rows its own featurizer built.
         """
         if not queries:
             return np.empty(0)

@@ -10,15 +10,17 @@ Table 1 of the paper summarizes q-error distributions with the median,
 computes exactly those rows.
 
 The second half of the module is the serving subsystem's telemetry
-vocabulary: :class:`Counter`, :class:`Gauge`, and the windowed
-:class:`LatencySummary` (nearest-rank :func:`percentile` over a bounded
-deque of recent observations).  The estimation engine
-(:class:`repro.serve.engine.EstimationEngine`) maintains one of each —
-a queue-depth gauge, shed/deadline-miss counters, and flush-latency /
-queue-wait summaries — and snapshots them through its single
-``stats()`` call behind every ``stats_summary()``.  All three classes are
-internally locked so submit threads, the flush loop, and executor
-worker threads can update them without external coordination.
+vocabulary: the windowed :class:`LatencySummary` (nearest-rank
+:func:`percentile` over a bounded deque of recent observations), plus
+:class:`Counter` and :class:`Gauge`.  The estimation engine
+(:class:`repro.serve.engine.EstimationEngine`) uses only
+:class:`LatencySummary`, for its flush-latency and queue-wait windows;
+every engine count lives in its lock-guarded
+:class:`~repro.serve.engine.ServerStats`.  The gateway
+(:class:`repro.serve.gateway.SketchGateway`) keeps its request, retry,
+failover and shed counts in :class:`Counter` objects and its in-flight
+request count in a :class:`Gauge`.  All three classes are internally
+locked so any thread can update them without external coordination.
 """
 
 from __future__ import annotations
@@ -206,10 +208,9 @@ class Counter:
 class Gauge:
     """A point-in-time value that can move both ways (thread-safe).
 
-    The serving engine uses one for its queue depth, mirroring its
-    (lock-guarded, authoritative) depth counter via :meth:`set` on
-    every change; ``value`` is what ``stats()`` reports.  ``adjust``
-    is for gauges whose owner has no counter of its own to mirror.
+    The gateway keeps its in-flight request count in one: each round
+    trip adjusts it up on entry and down on exit, and ``value`` is what
+    its ``stats()`` reports.
     """
 
     __slots__ = ("_lock", "_value")
@@ -217,10 +218,6 @@ class Gauge:
     def __init__(self, value: float = 0):
         self._lock = threading.Lock()
         self._value = value
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
 
     def adjust(self, delta: float) -> None:
         with self._lock:

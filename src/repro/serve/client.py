@@ -60,6 +60,7 @@ Semantics worth knowing:
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import socket
@@ -89,24 +90,24 @@ TRANSPORTS = ("auto", "json", "binary")
 _OPERATION = {op.name: op for op in OPERATIONS}
 
 
-class _HTTPPool:
-    """A free-list of keep-alive ``http.client`` connections.
+class _ConnectionPool:
+    """A free-list of keep-alive connections, whichever transport dials them.
 
-    ``acquire`` hands back an idle connection (or dials a new one —
-    counted in ``opened``); ``release`` returns it for reuse;
-    ``discard`` drops it (fault, or the server announced close).  The
-    pool never blocks: bursts beyond the idle supply just dial more.
+    ``dial()`` makes a new connection (an ``http.client`` connection or
+    a raw binary-frame socket).  ``acquire`` hands back an idle
+    connection or dials a new one — counted in ``opened``; ``release``
+    returns it for reuse; ``discard`` drops it (fault, or the server
+    announced close).  The pool never blocks: bursts beyond the idle
+    supply just dial more.  After :meth:`close_all`, ``release`` closes
+    the connection instead: a round trip still running on a caller's
+    thread when its client closes must not park a socket nobody owns.
     """
 
-    def __init__(self, scheme: str, host: str, port: int, timeout: float):
-        self._factory = (
-            http.client.HTTPSConnection
-            if scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._host, self._port, self._timeout = host, port, timeout
+    def __init__(self, dial):
+        self._dial = dial
         self._free: list = []
         self._lock = threading.Lock()
+        self._closed = False
         self.opened = 0
 
     def acquire(self):
@@ -115,13 +116,17 @@ class _HTTPPool:
             if self._free:
                 return self._free.pop(), True
             self.opened += 1
-        return self._factory(self._host, self._port, timeout=self._timeout), False
+        return self._dial(), False
 
     def release(self, conn) -> None:
         with self._lock:
-            self._free.append(conn)
+            if not self._closed:
+                self._free.append(conn)
+                return
+        self.discard(conn)
 
-    def discard(self, conn) -> None:
+    @staticmethod
+    def discard(conn) -> None:
         try:
             conn.close()
         except OSError:  # pragma: no cover - close is best-effort
@@ -129,45 +134,17 @@ class _HTTPPool:
 
     def close_all(self) -> None:
         with self._lock:
+            self._closed = True
             free, self._free = self._free, []
         for conn in free:
             self.discard(conn)
 
 
-class _SocketPool:
-    """Same free-list discipline for raw binary-frame sockets."""
-
-    def __init__(self, host: str, port: int, timeout: float):
-        self._addr = (host, port)
-        self._timeout = timeout
-        self._free: list = []
-        self._lock = threading.Lock()
-        self.opened = 0
-
-    def acquire(self):
-        with self._lock:
-            if self._free:
-                return self._free.pop(), True
-            self.opened += 1
-        sock = socket.create_connection(self._addr, timeout=self._timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock, False
-
-    def release(self, sock) -> None:
-        with self._lock:
-            self._free.append(sock)
-
-    def discard(self, sock) -> None:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def close_all(self) -> None:
-        with self._lock:
-            free, self._free = self._free, []
-        for sock in free:
-            self.discard(sock)
+def _dial_socket(host: str, port: int, timeout: float) -> socket.socket:
+    """One binary-frame connection (Nagle off: frames are small)."""
+    sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 class RemoteSketchServer:
@@ -216,15 +193,19 @@ class RemoteSketchServer:
             )
         parts = urllib.parse.urlsplit(self.url)
         self._base_path = parts.path.rstrip("/")
-        self._http_pool = _HTTPPool(
-            parts.scheme,
-            parts.hostname or "127.0.0.1",
-            parts.port or (443 if parts.scheme == "https" else 80),
-            self.timeout,
+        self._http_pool = _ConnectionPool(
+            functools.partial(
+                http.client.HTTPSConnection
+                if parts.scheme == "https"
+                else http.client.HTTPConnection,
+                parts.hostname or "127.0.0.1",
+                parts.port or (443 if parts.scheme == "https" else 80),
+                timeout=self.timeout,
+            )
         )
         self.transport = transport
         self._active: str | None = "json" if transport == "json" else None
-        self._binary_pool: _SocketPool | None = None
+        self._binary_pool: _ConnectionPool | None = None
         self._workers = int(connection_workers)
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -384,8 +365,10 @@ class RemoteSketchServer:
                 host = binary.get("host")
                 if not isinstance(host, str) or not host:
                     host = urllib.parse.urlsplit(self.url).hostname
-                self._binary_pool = _SocketPool(
-                    host, binary["port"], self.timeout
+                self._binary_pool = _ConnectionPool(
+                    functools.partial(
+                        _dial_socket, host, binary["port"], self.timeout
+                    )
                 )
                 self._active = "binary"
             else:

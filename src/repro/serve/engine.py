@@ -15,7 +15,8 @@ The lifecycle, in engine terms::
                that parses but has no covering sketch *yet* is not
                failed — it waits unrouted and is re-routed at flush
                time, so registrations racing the queue still win)
-          ──> fast path (result-cache peek answers repeats instantly)
+          ──> fast path (a result-cache get answers repeats instantly
+               and refreshes their recency)
           ──> dedup (identical in-flight queries share one computation)
           ──> admission (bounded queue: the newcomer is shed on overflow)
           ──> buffer (per-sketch FIFO with flush triggers)
@@ -59,12 +60,8 @@ from ..metrics import LatencySummary
 from ..db.query import Query
 from ..demo.manager import SketchManager
 from .executor import EXECUTOR_NAMES, make_executor
-from .feature_cache import DEFAULT_FEATURE_CACHE_SIZE, FeatureCache
+from .feature_cache import FeatureCache
 
-#: Seconds an entry of the engine's own template feature cache lives
-#: (its size is ``DEFAULT_FEATURE_CACHE_SIZE``).  A caller who wants a
-#: different cache passes ``feature_cache=`` to the engine or a server.
-FEATURE_CACHE_TTL_S = 600.0
 #: Recent observations kept by the wait / flush-latency summaries.
 LATENCY_WINDOW = 8192
 
@@ -128,8 +125,8 @@ class ServeConfig:
     their flush (``None`` = no deadline).
 
     Caching: ``use_cache`` toggles the per-sketch result cache (and the
-    submit-time fast path); ``dedup`` merges identical in-flight
-    queries.
+    submit-time fast path).  Identical in-flight queries always merge
+    onto one computation.
 
     Every field is validated at construction; bad values raise
     :class:`~repro.errors.SketchError` (a :class:`~repro.errors.ReproError`)
@@ -140,7 +137,6 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     min_idle_ms: float | None = 1.0
     use_cache: bool = True
-    dedup: bool = True
     executor: str = "inline"
     executor_workers: int = 2
     max_queue_depth: int | None = None
@@ -424,9 +420,10 @@ class EstimationEngine:
         self.manager = manager
         self.config = config or ServeConfig()
         self.counters = ServerStats()
-        self.feature_cache = feature_cache or FeatureCache(
-            maxsize=DEFAULT_FEATURE_CACHE_SIZE,
-            ttl_seconds=FEATURE_CACHE_TTL_S,
+        # ``is None``, not ``or``: an empty shared FeatureCache is falsy
+        # (it has a length) and must still be the one this engine fills.
+        self.feature_cache = (
+            FeatureCache() if feature_cache is None else feature_cache
         )
         self.executor = make_executor(self.config)
         self.flush_latency = LatencySummary(window=LATENCY_WINDOW)
@@ -444,16 +441,8 @@ class EstimationEngine:
         self._inflight: dict[tuple[str, Query], _Pending] = {}
         self._depth = 0  # buffered computations
         self._depth_high_water = 0  # lifetime peak of _depth
-        # Fast-path cache hits recorded for the flush side to replay as
-        # real cache.get()s: submitters only peek (read-only), but
-        # without a recency touch the hottest repeated queries would age
-        # to LRU-oldest and be evicted under cache pressure.  Bounded —
-        # dropping old touches only costs recency precision.
-        self._touches: deque[tuple[str, Query]] = deque(maxlen=4096)
-        self._touches_pending = 0
         self._thread: threading.Thread | None = None
         self._closed = False
-        self._last_purge = time.monotonic()
         # Hot-swap barrier: ids of serving "rounds" (taken flush rounds
         # and intake-time settles) currently resolving futures.  A swap
         # replaces the sketch in the manager under the lock, then waits
@@ -525,12 +514,13 @@ class EstimationEngine:
         return prepare_request(self.manager, request, pinned)
 
     def _fast_hit(self, response: EstimateResponse) -> tuple[float, int] | None:
-        """Submit-time result-cache peek (read-only; see touch replay).
+        """Submit-time result-cache lookup (a plain ``get``, so a hit
+        refreshes the entry's recency right here).
 
         Returns ``(value, snapshot_token)`` so intake can re-validate
-        under the lock that the peeked version is still the live one —
-        a hot swap between this lock-free peek and the locked intake
-        must not let a retired version's cache answer the request.
+        under the lock that the version read is still the live one —
+        a hot swap between this engine-lock-free lookup and the locked
+        intake must not let a retired version's cache answer the request.
         """
         if not (response.ok and self.config.use_cache):
             return None
@@ -539,11 +529,11 @@ class EstimationEngine:
         except SketchError:
             return None  # dropped since routing; the flush will report it
         # Token *before* value: if a clear_cache races in between, the
-        # peek sees the post-clear cache while the token is pre-clear,
+        # lookup sees the post-clear cache while the token is pre-clear,
         # so intake's re-validation rejects the pair (never the other
         # way around, which would bless a stale value with a live token).
         token = sketch.snapshot_token
-        value = sketch.cache.peek(response.query)
+        value = sketch.cache.get(response.query)
         if value is None:
             return None
         return value, token
@@ -589,7 +579,7 @@ class EstimationEngine:
         """Amortized intake: enqueue a whole batch under one lock.
 
         Per-request semantics match :meth:`submit` — parsing, routing,
-        and cache peeks happen before the lock is taken, all
+        and cache lookups happen before the lock is taken, all
         buffer/dedup/admission bookkeeping happens inside a single
         critical section, and the flush loop is notified at most once.
         One deliberate difference under ``max_queue_depth``: the batch
@@ -669,15 +659,14 @@ class EstimationEngine:
                 stats.n_fast_cache_hits += 1
                 self._count_sketch_locked(response.sketch)
                 self.queue_wait.observe(0.0)
-                self._record_touch_locked(response)
                 future = Future()
                 gather["resolved"].append((future, response))
                 return future
-            # The sketch was swapped or dropped between the lock-free
-            # peek and this locked intake: the peeked value belongs to a
-            # retired version.  Fall through as a cache miss so the
+            # The sketch was swapped or dropped between the lookup and
+            # this locked intake: the value read belongs to a retired
+            # version.  Fall through as a cache miss so the
             # flush answers it with the live version.
-        if not deferred and self.config.dedup:
+        if not deferred:
             twin = self._inflight.get((response.sketch, response.query))
             if twin is not None and (
                 twin.deadline_at is None or now < twin.deadline_at
@@ -707,7 +696,7 @@ class EstimationEngine:
         buffer_key = _UNROUTED if deferred else response.sketch
         buffer = self._buffers.setdefault(buffer_key, deque())
         buffer.append(pending)
-        if not deferred and self.config.dedup:
+        if not deferred:
             self._inflight[(response.sketch, response.query)] = pending
         self._last_enqueue[buffer_key] = now
         self._depth += 1
@@ -765,7 +754,7 @@ class EstimationEngine:
 
         * zero dropped requests — nothing buffered is touched; pendings
           flushed after the switch are answered by the new version;
-        * zero stale answers — submit-time cache peeks re-validate the
+        * zero stale answers — submit-time cache lookups re-validate the
           snapshot token under the lock, and rounds starting after the
           switch fetch the new sketch from the manager;
         * exactly-one-version accounting — when this method returns, every
@@ -849,39 +838,6 @@ class EstimationEngine:
         self.counters.sketch_requests[name] = (
             self.counters.sketch_requests.get(name, 0) + n
         )
-
-    def _record_touch_locked(self, response: EstimateResponse) -> None:
-        """Queue a fast-path hit for the flush side's recency replay.
-
-        The loop is woken at most once per batch of touches — a fully
-        warm stream would otherwise never wake it and never refresh
-        recency at all.
-        """
-        self._touches.append((response.sketch, response.query))
-        self._touches_pending += 1
-        if self._touches_pending >= 256:
-            self._touches_pending = 0
-            self._cond.notify_all()
-
-    def _replay_touches(self) -> None:
-        """Flush side: turn queued submit-time peeks into real cache gets.
-
-        Only the flush side mutates result-cache recency for buffered
-        work; replaying the peeks here keeps hot repeated queries at
-        the MRU end so cache pressure evicts cold entries, not the
-        hottest.
-        """
-        with self._lock:
-            if not self._touches:
-                return
-            touches = list(self._touches)
-            self._touches.clear()
-            self._touches_pending = 0
-        for name, query in touches:
-            try:
-                self.manager.get_sketch(name).cache.get(query)
-            except SketchError:
-                continue  # sketch dropped since the hit; nothing to touch
 
     def record_flush_latency(self, seconds: float) -> None:
         self.flush_latency.observe(seconds)
@@ -980,7 +936,6 @@ class EstimationEngine:
             self._answer_round(taken)
         finally:
             self._end_round(round_id)
-        self._replay_touches()
 
     def _run(self) -> None:
         """The background flush loop (a started server)."""
@@ -993,24 +948,21 @@ class EstimationEngine:
                     while True:
                         now = time.monotonic()
                         batches = self._take_ready_locked(now)
-                        if batches or self._touches:
-                            if batches:
-                                round_id = self._begin_round_locked()
+                        if batches:
+                            round_id = self._begin_round_locked()
                             break
                         if self._closed:
                             # Drained: buffers are empty (a closed take
                             # grabs everything), so the loop is done.
                             drained = True
                             break
-                        timeout = self._next_deadline_locked(now)
-                        if timeout is None:
-                            self._maybe_purge_feature_cache(now)
-                        self._cond.wait(timeout=timeout)
+                        self._cond.wait(
+                            timeout=self._next_deadline_locked(now)
+                        )
                 try:
                     self._answer_round(batches)
                 finally:
                     self._end_round(round_id)
-                self._replay_touches()
             except Exception:
                 # The loop IS the no-stranded-futures contract: an
                 # unexpected error (say, a duck-typed feature cache
@@ -1024,23 +976,6 @@ class EstimationEngine:
         # pools (executor close is idempotent — the normal close() path
         # also calls it after joining us).
         self.executor.close()
-
-    def _maybe_purge_feature_cache(self, now: float) -> None:
-        """Reap expired feature-cache entries while the loop is idle.
-
-        Expiry is lazy on lookup, which never fires for entries whose
-        featurizer (a dropped/rebuilt sketch's) is gone — their keys are
-        never looked up again.  One sweep per TTL while idle keeps such
-        orphans from pinning vocabularies and structure rows for the
-        engine's lifetime.
-        """
-        ttl = getattr(self.feature_cache, "ttl_seconds", None)
-        if ttl is None or now - self._last_purge < ttl:
-            return
-        self._last_purge = now
-        purge = getattr(self.feature_cache, "purge_expired", None)
-        if purge is not None:
-            purge()
 
     def _next_deadline_locked(self, now: float) -> float | None:
         """Seconds until some buffer's wait/idle/deadline trigger fires."""

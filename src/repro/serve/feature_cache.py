@@ -20,19 +20,18 @@ semantic change.
 
 Entries are scoped to a featurizer *object* — a rebuilt sketch carries
 a fresh featurizer, so its stale entries can never be served (they miss
-on the identity check and are overwritten).  The backing store is a
-:class:`repro.cache.TTLCache`: size-bounded so a long-running server
-fed ever-new templates cannot grow without limit, and optionally
-TTL-bounded so entries pinning a dropped sketch's featurizer alive are
-reclaimed.  All access is lock-protected; the cache may be shared
-between servers and threads.
+on the identity check).  The backing store is a
+:class:`repro.cache.LRUCache`, so the size bound is the only limit
+needed: a long-running server fed ever-new templates cannot grow
+without limit, and entries of a dropped sketch's featurizer are never
+looked up again, age to the stale end and are evicted, which frees the
+featurizer they pin.  The store is internally locked; the cache may be
+shared between servers and threads.
 """
 
 from __future__ import annotations
 
-import threading
-
-from ..cache import TTLCache
+from ..cache import CacheStats, LRUCache
 from ..core.featurization import Featurizer, TemplateFeatures
 
 #: Default number of distinct (featurizer, template) entries retained.
@@ -48,15 +47,8 @@ class FeatureCache:
     ``store(featurizer, key, entry)``.
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_FEATURE_CACHE_SIZE,
-        ttl_seconds: float | None = None,
-        clock=None,
-    ):
-        kwargs = {} if clock is None else {"clock": clock}
-        self._store = TTLCache(maxsize=maxsize, ttl_seconds=ttl_seconds, **kwargs)
-        self._lock = threading.Lock()
+    def __init__(self, maxsize: int = DEFAULT_FEATURE_CACHE_SIZE):
+        self._store = LRUCache(maxsize=maxsize)
 
     def lookup(self, featurizer: Featurizer, key: tuple) -> TemplateFeatures | None:
         """Cached structure rows for ``key`` built by *this* featurizer.
@@ -66,45 +58,20 @@ class FeatureCache:
         — so while an entry is cached, its id cannot be reused by a
         different live featurizer, and a hit is always vocabulary-exact.
         """
-        with self._lock:
-            return self._store.get((id(featurizer), key))
+        return self._store.get((id(featurizer), key))
 
     def store(self, featurizer: Featurizer, key: tuple, entry: TemplateFeatures) -> None:
-        with self._lock:
-            self._store.put((id(featurizer), key), entry)
-
-    def purge_expired(self) -> int:
-        """Reap every expired entry now; returns how many were dropped.
-
-        Expiry is otherwise lazy (on lookup), which never fires for
-        entries whose featurizer was dropped — their keys are never
-        looked up again.  The async server calls this from its flush
-        loop's idle path so such orphans are actually reclaimed.
-        """
-        with self._lock:
-            return self._store.purge_expired()
-
-    @property
-    def ttl_seconds(self) -> float | None:
-        return self._store.ttl_seconds
+        self._store.put((id(featurizer), key), entry)
 
     def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
+        self._store.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
-    def stats(self):
-        """Hit/miss/eviction counters of the backing TTL store."""
-        with self._lock:
-            return self._store.stats()
-
-    @property
-    def expirations(self) -> int:
-        with self._lock:
-            return self._store.expirations
+    def stats(self) -> CacheStats:
+        """Hit/miss/eviction counters of the backing LRU store."""
+        return self._store.stats()
 
     def __repr__(self) -> str:
         s = self.stats()

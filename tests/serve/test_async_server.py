@@ -157,16 +157,6 @@ class TestDedup:
         assert len({id(r) for r in responses}) == 1
         assert server.stats.n_deduped == n - 1
 
-    def test_dedup_can_be_disabled(self, manager, workload):
-        config = ServeConfig(max_wait_ms=100.0, min_idle_ms=None, use_cache=False, dedup=False)
-        with SketchServer(manager, config).start() as server:
-            f1 = server.submit(workload[0])
-            f2 = server.submit(workload[0])
-            r1, r2 = f1.result(RESULT_TIMEOUT), f2.result(RESULT_TIMEOUT)
-        assert r1 is not r2
-        assert r1.estimate == r2.estimate  # batch dedup still collapses work
-        assert server.stats.n_deduped == 0
-
 
 class TestCaching:
     def test_repeat_query_resolves_at_submit(self, manager, workload):
@@ -183,27 +173,28 @@ class TestCaching:
         assert response.estimate == first.estimate
         assert server.stats.n_fast_cache_hits == 1
 
-    def test_fast_hits_replay_recency_on_flush_thread(
-        self, manager, trained_sketch, workload
+    @pytest.mark.parametrize("started", [False, True], ids=["caller", "loop"])
+    def test_fast_hit_refreshes_recency(
+        self, manager, trained_sketch, workload, monkeypatch, started
     ):
-        # A submit-time peek is read-only; the flush thread replays it
-        # as a real cache.get() so hot entries stay at the MRU end.
+        # A submit-time hit is a real cache get: it makes its entry the
+        # most recent at once, so the next insert evicts the stale one.
+        from repro.cache import LRUCache
+
         sketch, _ = trained_sketch
-        config = ServeConfig(max_wait_ms=20.0)
-        with SketchServer(manager, config).start() as server:
-            server.submit(workload[0]).result(RESULT_TIMEOUT)  # warm it
-            hits_before = sketch.cache.stats().hits
-            assert server.submit(workload[0]).result(0).cached  # peek hit
-            # Wake the loop with unrelated work; the replay runs right
-            # after the flush, so poll briefly for the counter to move.
-            server.submit(workload[1]).result(RESULT_TIMEOUT)
-            deadline = time.monotonic() + 5.0
-            while (
-                sketch.cache.stats().hits <= hits_before
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-        assert sketch.cache.stats().hits > hits_before
+        monkeypatch.setattr(sketch, "_cache", LRUCache(maxsize=2))
+        a, b, c = list(dict.fromkeys(workload))[:3]
+        with SketchServer(manager, ServeConfig(max_wait_ms=5.0)) as server:
+            if started:
+                server.start()
+            server.serve([a])
+            server.serve([b])
+            hit = server.submit(a)  # resolved at submit; nothing to flush
+            assert hit.done() and hit.result(0).cached
+            assert server.stats.n_fast_cache_hits == 1
+            server.serve([c])
+        assert a in sketch.cache and c in sketch.cache
+        assert b not in sketch.cache
 
     def test_feature_cache_shared_across_flushes(self, manager, workload):
         import repro.core.featurization as featurization_mod

@@ -9,6 +9,7 @@ protocol (wrong everywhere — never retry).  Before this taxonomy every
 ``OSError`` collapsed into one ``RemoteServerError`` branch.
 """
 
+import functools
 import http.server
 import json
 import socket
@@ -23,7 +24,8 @@ from repro.errors import (
     RemoteServerError,
     RemoteTimeoutError,
 )
-from repro.serve import RemoteSketchServer
+from repro.serve import RemoteSketchServer, wire
+from repro.serve.client import _ConnectionPool, _dial_socket
 
 SQL = "SELECT COUNT(*) FROM title t;"
 
@@ -179,3 +181,111 @@ class TestTaxonomy:
         finally:
             thread.join(5.0)
             listener.close()
+
+
+class _FakeConnection:
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class TestConnectionPool:
+    def test_release_hands_the_connection_back_for_reuse(self):
+        pool = _ConnectionPool(_FakeConnection)
+        conn, reused = pool.acquire()
+        assert not reused
+        pool.release(conn)
+        again, reused = pool.acquire()
+        assert again is conn and reused
+        assert pool.opened == 1
+
+    def test_close_all_closes_idle_connections(self):
+        pool = _ConnectionPool(_FakeConnection)
+        first, _ = pool.acquire()
+        second, _ = pool.acquire()
+        pool.release(first)
+        pool.close_all()
+        assert first.closed and not second.closed
+        pool.release(second)  # a round trip that outlived close_all
+        assert second.closed
+        assert pool.opened == 2
+
+
+class TestCloseDuringRoundTrip:
+    """``close()`` waits only for its own submit pool; a round trip on a
+    caller's thread may finish after it and hand its connection back.
+    That connection must be closed, not parked in the emptied pool."""
+
+    @pytest.mark.parametrize("transport", ["json", "binary"])
+    def test_late_release_closes_the_connection(self, transport):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        received, answer = threading.Event(), threading.Event()
+        seen = {}
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(2.0)
+                if transport == "json":
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(4096)
+                else:
+                    wire.read_frame(conn)
+                received.set()
+                answer.wait(5.0)
+                if transport == "json":
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                        b"\r\nContent-Length: 2\r\n\r\n{}"
+                    )
+                else:
+                    wire.write_frame(conn, wire.KIND_RESPONSE, b"")
+                try:
+                    seen["eof"] = conn.recv(1) == b""
+                except TimeoutError:  # the client kept the socket open
+                    seen["eof"] = False
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        client = RemoteSketchServer(
+            f"http://127.0.0.1:{port}", timeout=5.0, transport=transport
+        )
+        if transport == "binary":
+            client._binary_pool = _ConnectionPool(
+                functools.partial(_dial_socket, "127.0.0.1", port, 5.0)
+            )
+            client._active = "binary"
+
+            def round_trip():
+                client._binary_call(wire.KIND_ESTIMATE, b"", "estimate")
+        else:
+            round_trip = client.healthz
+        errors = []
+
+        def call():
+            try:
+                round_trip()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            assert received.wait(5.0)
+            client.close()
+            answer.set()
+            caller.join(5.0)
+            server.join(5.0)
+        finally:
+            answer.set()
+            listener.close()
+        assert not caller.is_alive() and not server.is_alive()
+        assert errors == []
+        assert seen["eof"]
+        opened = {"json": 0, "binary": 0}
+        opened[transport] = 1
+        assert client.connections_opened == opened

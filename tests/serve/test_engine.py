@@ -38,6 +38,15 @@ def workload(imdb_small):
     return gen.draw_many(40)
 
 
+@pytest.fixture(scope="module")
+def distinct(workload):
+    """The workload without repeats: intake merges identical in-flight
+    queries, so only distinct ones are separate computations."""
+    queries = list(dict.fromkeys(workload))
+    assert len(queries) >= 20
+    return queries
+
+
 class TestConfigValidation:
     """Satellite: every bad knob is rejected at construction."""
 
@@ -76,9 +85,10 @@ class TestConfigValidation:
         for name in ("inline", "process"):
             assert ServeConfig(executor=name).executor == name
 
-    @pytest.mark.parametrize("field", ["shed_policy", "mp_start_method"])
+    @pytest.mark.parametrize("field", ["shed_policy", "mp_start_method", "dedup"])
     def test_removed_options_are_not_fields(self, field):
-        # One shed rule and the stdlib's start method: neither is a knob.
+        # One shed rule, the stdlib's start method, and identical
+        # in-flight queries always merging: none of them is a knob.
         with pytest.raises(TypeError, match=field):
             ServeConfig(**{field: None})
 
@@ -146,13 +156,13 @@ class TestAdmissionControlSync:
 
 
 class TestAdmissionControlAsync:
-    def test_burst_beyond_depth_sheds_and_drains_accepted(self, manager, workload):
+    def test_burst_beyond_depth_sheds_and_drains_accepted(self, manager, distinct):
         config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
-            use_cache=False, dedup=False, max_queue_depth=8,
+            use_cache=False, max_queue_depth=8,
         )
         server = SketchServer(manager, config).start()
-        futures = [server.submit(q) for q in workload[:20]]
+        futures = [server.submit(q) for q in distinct[:20]]
         # Shed futures resolve at submit time, before any flush.
         shed_now = [f for f in futures if f.done()]
         assert len(shed_now) == 12
@@ -167,13 +177,13 @@ class TestAdmissionControlAsync:
         assert server.stats.n_requests == 20
         assert server.stats.n_answered + server.stats.n_errors == 20
 
-    def test_queue_depth_gauge_tracks_buffered(self, manager, workload):
+    def test_queue_depth_gauge_tracks_buffered(self, manager, distinct):
         config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
-            use_cache=False, dedup=False,
+            use_cache=False,
         )
         server = SketchServer(manager, config).start()
-        for query in workload[:5]:
+        for query in distinct[:5]:
             server.submit(query)
         assert server.stats_summary()["queue_depth"] == 5
         server.close()
@@ -328,13 +338,13 @@ class TestShutdownRaces:
         with pytest.raises(SketchError):
             server.submit_many(workload[:2])
 
-    def test_close_with_bounded_queue_drains_accepted_only(self, manager, workload):
+    def test_close_with_bounded_queue_drains_accepted_only(self, manager, distinct):
         config = ServeConfig(
             max_batch_size=64, max_wait_ms=600_000.0, min_idle_ms=None,
-            use_cache=False, dedup=False, max_queue_depth=3,
+            use_cache=False, max_queue_depth=3,
         )
         server = SketchServer(manager, config).start()
-        futures = [server.submit(q) for q in workload[:10]]
+        futures = [server.submit(q) for q in distinct[:10]]
         server.close()
         responses = [f.result(timeout=1.0) for f in futures]
         assert sum(1 for r in responses if r.ok) == 3

@@ -1,5 +1,8 @@
 """FeatureCache and template-keyed featurization reuse."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,18 @@ def _query(year: int, with_join: bool = False) -> Query:
         joins=joins,
         predicates=(Predicate("t", "production_year", ">", year),),
     )
+
+
+def _shapes() -> list[Query]:
+    """Three queries of three different templates."""
+    return [
+        _query(2000),
+        _query(2000, with_join=True),
+        Query(
+            tables=(TableRef("title", "t"),),
+            predicates=(Predicate("t", "kind_id", "=", 1),),
+        ),
+    ]
 
 
 class TestTemplateKey:
@@ -140,32 +155,94 @@ class TestFeatureCacheScoping:
         rebuilt = Featurizer.from_manifest(featurizer.to_manifest())
         assert cache.lookup(rebuilt, key) is None
 
-    def test_ttl_expires_entries(self, featurizer_env):
+    def test_eviction_frees_a_dropped_featurizer(self, featurizer_env):
+        # The size bound is what reclaims a dropped sketch's entries:
+        # they are never looked up again, so newer ones evict them and
+        # the featurizer they pin becomes collectable.
         featurizer, samples, db = featurizer_env
-        now = [0.0]
-        cache = FeatureCache(maxsize=64, ttl_seconds=10.0, clock=lambda: now[0])
-        query = _query(2000)
-        featurizer.featurize_query(
-            query, query_bitmaps(samples, query), db=db, template_cache=cache
-        )
-        assert cache.lookup(featurizer, template_key(query)) is not None
-        now[0] = 11.0
-        assert cache.lookup(featurizer, template_key(query)) is None
-        assert cache.expirations == 1
-
-    def test_size_bound(self, featurizer_env):
-        featurizer, samples, db = featurizer_env
-        cache = FeatureCache(maxsize=2)
-        shapes = [
-            _query(2000),
-            _query(2000, with_join=True),
-            Query(
-                tables=(TableRef("title", "t"),),
-                predicates=(Predicate("t", "kind_id", "=", 1),),
-            ),
-        ]
+        shapes = _shapes()
+        cache = FeatureCache(maxsize=len(shapes))
+        dropped = Featurizer.from_manifest(featurizer.to_manifest())
+        for query in shapes:
+            dropped.featurize_query(
+                query, query_bitmaps(samples, query), db=db, template_cache=cache
+            )
+        assert len(cache) == len(shapes)
         for query in shapes:
             featurizer.featurize_query(
                 query, query_bitmaps(samples, query), db=db, template_cache=cache
             )
+        assert len(cache) == len(shapes)
+        assert all(
+            cache.lookup(dropped, template_key(query)) is None for query in shapes
+        )
+        ref = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert ref() is None
+
+    def test_stats_count_lookups(self, featurizer_env):
+        featurizer, samples, db = featurizer_env
+        cache = FeatureCache(maxsize=8)
+        for year in (2000, 1995, 1990):  # one template, three literals
+            query = _query(year)
+            featurizer.featurize_query(
+                query, query_bitmaps(samples, query), db=db, template_cache=cache
+            )
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (2, 1, 1)
+
+    def test_clear_drops_entries(self, featurizer_env):
+        featurizer, samples, db = featurizer_env
+        cache = FeatureCache(maxsize=8)
+        query = _query(2000)
+        featurizer.featurize_query(
+            query, query_bitmaps(samples, query), db=db, template_cache=cache
+        )
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.lookup(featurizer, template_key(query)) is None
+
+    def test_size_bound(self, featurizer_env):
+        featurizer, samples, db = featurizer_env
+        cache = FeatureCache(maxsize=2)
+        for query in _shapes():
+            featurizer.featurize_query(
+                query, query_bitmaps(samples, query), db=db, template_cache=cache
+            )
         assert len(cache) == 2
+
+
+def test_servers_sharing_a_cache_reuse_each_others_rows(
+    imdb_small, trained_sketch
+):
+    from repro.demo import SketchManager
+    from repro.serve import SketchServer
+
+    sketch, _ = trained_sketch
+    sketch.clear_cache()
+    manager = SketchManager(imdb_small)
+    manager.register_sketch(sketch)
+    shared = FeatureCache()
+    with SketchServer(manager, feature_cache=shared) as first:
+        assert first.serve([_query(2000)])[0].ok
+    with SketchServer(manager, feature_cache=shared) as second:
+        response = second.serve([_query(1995)])[0]
+    sketch.clear_cache()
+    assert response.ok and not response.cached
+    # The second server's query has the first one's template.
+    assert shared.stats().hits == 1
+
+
+def test_an_empty_shared_cache_is_the_one_the_engine_fills():
+    # An empty FeatureCache has length 0; the engine must still take it
+    # rather than build its own, or servers meant to share one never do.
+    from repro.demo import SketchManager
+    from repro.serve.engine import EstimationEngine
+
+    shared = FeatureCache()
+    engine = EstimationEngine(SketchManager(db=None), feature_cache=shared)
+    try:
+        assert engine.feature_cache is shared
+    finally:
+        engine.close()

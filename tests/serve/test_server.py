@@ -9,6 +9,7 @@ import pytest
 from repro.demo import SketchManager
 from repro.errors import SketchError
 from repro.serve import EstimateResponse, ServeConfig, SketchServer
+from repro.serve.engine import ServerStats, answer_chunk, prepare_request
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
 
@@ -67,15 +68,20 @@ class TestServe:
 
     def test_duplicate_heavy_stream_hits_cache(self, manager, workload):
         distinct = list(workload[:6])
+        assert len(set(distinct)) == 6
         stream = [distinct[i % len(distinct)] for i in range(48)]
-        # dedup=False: intake dedup would merge every repeat before it
-        # reaches a micro-batch (see TestCoalescing).
-        server = SketchServer(manager, ServeConfig(max_batch_size=16, dedup=False))
+        server = SketchServer(manager, ServeConfig(max_batch_size=16))
+        # One micro-batch answers the distinct queries; within one
+        # stream, intake dedup would merge the repeats before they ever
+        # reach the cache (see TestCoalescing).
+        server.serve(distinct)
+        assert server.stats.n_forward_batches == 1
         responses = server.serve(stream)
         assert all(r.ok for r in responses)
-        # Later micro-batches find every query already cached.
-        assert server.stats.n_cache_hits > 0
-        assert server.stats.n_forward_batches < 3
+        # Every repeat is answered from the cache, none by the model.
+        assert all(r.cached for r in responses)
+        assert server.stats.n_cache_hits == len(stream)
+        assert server.stats.n_forward_batches == 1
         # Repeats of one query all answer identically.
         values = {}
         for r in responses:
@@ -149,23 +155,28 @@ class TestErrors:
         assert responses[0].ok and responses[2].ok
         assert not responses[1].ok
 
-    def test_fallback_retry_accounts_duplicates_as_cache_hits(self, manager, workload):
+    def test_fallback_retry_accounts_duplicates_as_cache_hits(
+        self, manager, trained_sketch, workload
+    ):
         # A poisoned micro-batch falls back to per-query retries; the
         # second occurrence of a duplicate must be answered (and
-        # counted) from the cache the first retry populated.
+        # counted) from the cache the first retry populated.  Intake
+        # merges identical queries, so the duplicate chunk is handed to
+        # the chunk path directly.
+        sketch, _ = trained_sketch
         bad = Query(
             tables=(TableRef("title", "t"),),
             predicates=(Predicate("t", "episode_nr", "=", 1),),
         )
         good = workload[0]
-        # dedup=False keeps the duplicate in the poisoned micro-batch.
-        server = SketchServer(manager, ServeConfig(dedup=False))
-        responses = server.serve([good, bad, good])
-        assert responses[0].ok and responses[2].ok and not responses[1].ok
-        assert responses[2].cached
-        assert responses[0].estimate == responses[2].estimate
-        assert server.stats.n_forward_batches == 1
-        assert server.stats.n_cache_hits == 1
+        chunk = [prepare_request(manager, q, None) for q in (good, bad, good)]
+        stats = ServerStats()
+        answer_chunk(sketch, chunk, use_cache=True, stats=stats)
+        assert chunk[0].ok and chunk[2].ok and not chunk[1].ok
+        assert chunk[2].cached
+        assert chunk[0].estimate == chunk[2].estimate
+        assert stats.n_forward_batches == 1
+        assert stats.n_cache_hits == 1
 
     def test_bad_config_rejected(self):
         with pytest.raises(SketchError):

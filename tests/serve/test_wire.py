@@ -9,6 +9,7 @@ partial responses; and a client negotiates binary only when the server
 advertises it, falling back to JSON everywhere else.
 """
 
+import functools
 import socket
 import struct
 import threading
@@ -412,9 +413,11 @@ class TestBinaryTransportEndToEnd:
         thread.start()
         try:
             client = RemoteSketchServer("http://127.0.0.1:1", timeout=5)
-            from repro.serve.client import _SocketPool
+            from repro.serve.client import _ConnectionPool, _dial_socket
 
-            client._binary_pool = _SocketPool("127.0.0.1", port, 5)
+            client._binary_pool = _ConnectionPool(
+                functools.partial(_dial_socket, "127.0.0.1", port, 5)
+            )
             client._active = "binary"
             with pytest.raises(ProtocolError, match="wire version"):
                 client._binary_call(wire.KIND_ESTIMATE, b"", "estimate")
@@ -440,9 +443,11 @@ class TestBinaryTransportEndToEnd:
         thread.start()
         try:
             client = RemoteSketchServer("http://127.0.0.1:1", timeout=5)
-            from repro.serve.client import _SocketPool
+            from repro.serve.client import _ConnectionPool, _dial_socket
 
-            client._binary_pool = _SocketPool("127.0.0.1", port, 5)
+            client._binary_pool = _ConnectionPool(
+                functools.partial(_dial_socket, "127.0.0.1", port, 5)
+            )
             client._active = "binary"
             with pytest.raises(RemoteServerError, match="mid-frame"):
                 client._binary_call(wire.KIND_ESTIMATE, b"", "estimate")

