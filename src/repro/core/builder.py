@@ -46,7 +46,7 @@ from .batches import TrainingSet
 from .featurization import Featurizer
 from .mscn import MSCN
 from .sketch import DeepSketch
-from .training import EpochStats, Trainer, TrainingConfig, TrainingResult
+from .training import EpochStats, Trainer, TrainingResult
 
 #: Pipeline stages, in order, as named in Figure 1a.
 STAGES = ("define", "generate", "execute", "train")
@@ -68,7 +68,7 @@ class SketchConfig:
     hidden_units: int = 64
     batch_size: int = 256
     learning_rate: float = 1e-3
-    loss: str = "qerror"
+    loss: str = "qerror"  # or "mse"
     #: Ablation switch: train without the qualifying-sample bitmaps
     #: (static query features only).
     use_sample_bitmaps: bool = True
@@ -81,6 +81,10 @@ class SketchConfig:
             raise SketchError(
                 f"need at least 10 training queries, got {self.n_training_queries}"
             )
+        if self.epochs <= 0:
+            raise SketchError(f"epochs must be positive, got {self.epochs}")
+        if self.loss not in ("qerror", "mse"):
+            raise SketchError(f"unknown loss {self.loss!r}")
 
 
 @dataclass(frozen=True)
@@ -201,12 +205,10 @@ class SketchBuilder:
         return Trainer(
             model,
             featurizer,
-            TrainingConfig(
-                epochs=self.config.epochs,
-                batch_size=self.config.batch_size,
-                learning_rate=self.config.learning_rate,
-                loss=self.config.loss,
-            ),
+            epochs=self.config.epochs,
+            batch_size=self.config.batch_size,
+            learning_rate=self.config.learning_rate,
+            loss=self.config.loss,
         )
 
     # ------------------------------------------------------------------

@@ -178,19 +178,18 @@ class Featurizer:
                 key = f"{table_name}.{column_name}"
                 columns.append(key)
                 bounds[key] = db.table(table_name).column(column_name).min_max()
-        # The operator vocabulary always covers the engine's full set
-        # (not just the training spec's): the demo serves year-grouping
-        # templates by issuing >=/< range queries against the sketch, so
-        # those operators must be featurizable even if training only
+        # The operator vocabulary is the engine's full set (not just the
+        # generator's): the demo serves year-grouping templates by
+        # issuing >=/< range queries against the sketch, so those
+        # operators must be featurizable even if training only
         # exercised {=, <, >}.
         from ..ops import OPERATORS
 
-        operators = sorted(set(spec.operators) | set(OPERATORS))
         return cls(
             tables=tables,
             joins=joins,
             columns=sorted(columns),
-            operators=operators,
+            operators=sorted(OPERATORS),
             sample_size=sample_size,
             column_bounds=bounds,
             use_bitmaps=use_bitmaps,

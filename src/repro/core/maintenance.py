@@ -9,7 +9,8 @@ blocks of that automation are implemented here:
   away from fresh-sample statistics.  :func:`detect_drift` quantifies
   the drift per table (two-sample Kolmogorov–Smirnov over the numeric
   columns, total-variation distance over each string column's category
-  frequencies) so callers can decide when a sketch is stale.
+  frequencies) and flags a sketch stale past the KS critical value for
+  its sample size; :mod:`repro.serve.lifecycle` acts on that flag.
 * **refresh + fine-tune** — :func:`refresh_sketch` re-materializes the
   samples against the current database and continues training the
   *existing* network on freshly labelled queries (warm start), which is
@@ -46,7 +47,7 @@ from .sketch import DeepSketch
 #: rarer is pooled into one tail bucket.  Bucketing bounds the
 #: sampling-noise floor of the total-variation distance: with at most
 #: 17 buckets, two same-distribution samples of size ``n`` read a TV
-#: well under the default threshold, while a genuine shift in the head
+#: well under the drift threshold, while a genuine shift in the head
 #: categories (new dominant vendor, vanished era) still registers
 #: strongly.
 _CATEGORY_HEAD = 16
@@ -132,10 +133,7 @@ class DriftReport:
 
 
 def detect_drift(
-    sketch: DeepSketch,
-    db: Database,
-    seed: SeedLike = None,
-    threshold: float | None = None,
+    sketch: DeepSketch, db: Database, seed: SeedLike = None
 ) -> DriftReport:
     """Compare the sketch's stored samples against fresh ones from ``db``.
 
@@ -148,7 +146,7 @@ def detect_drift(
     statistics near zero; distribution shifts (new eras, new categories)
     push them toward one.
 
-    ``threshold`` defaults to the two-sample KS critical value at
+    The report's threshold is the two-sample KS critical value at
     α ≈ 0.005 for the sketch's sample size (``1.73 * sqrt(2 / n)``), so
     two samples of the *same* distribution very rarely read as drift
     regardless of how large the samples are.  The TV statistic is held
@@ -157,9 +155,8 @@ def detect_drift(
     below the KS critical value — an approximation, not an exact test,
     but the decision semantics match.
     """
-    if threshold is None:
-        n = max(sketch.samples.sample_size, 1)
-        threshold = 1.73 * float(np.sqrt(2.0 / n))
+    n = max(sketch.samples.sample_size, 1)
+    threshold = 1.73 * float(np.sqrt(2.0 / n))
     rng = make_rng(seed)
     fresh = materialize_samples(
         db, sketch.tables, sketch.samples.sample_size, seed=rng

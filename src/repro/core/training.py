@@ -6,6 +6,12 @@ denormalized predictions with Adam; per-epoch training loss and
 validation q-error statistics are recorded so the demo's monitoring UI
 (here: repro.demo.monitor) can display progress, and so that the
 "25 epochs are usually enough" observation can be checked (F1a bench).
+
+The user fixes the epoch count up front, as in the demo, so every run
+trains for exactly that many epochs.  The knobs a caller sets (epochs,
+batch size, learning rate, loss) are :class:`~repro.core.builder.
+SketchConfig` fields, validated when the config is built;
+:class:`Trainer` takes them as plain arguments.
 """
 
 from __future__ import annotations
@@ -26,28 +32,8 @@ from .featurization import Featurizer
 from .mscn import MSCN
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
-    """Hyperparameters; defaults follow the reference implementation."""
-
-    epochs: int = 25
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    loss: str = "qerror"  # or "mse"
-    validation_fraction: float = 0.1
-    #: Early stopping: stop when the validation mean q-error has not
-    #: improved for this many consecutive epochs (None = run all epochs,
-    #: matching the demo where the user fixes the epoch count up front).
-    patience: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs <= 0:
-            raise TrainingError(f"epochs must be positive, got {self.epochs}")
-        if self.loss not in ("qerror", "mse"):
-            raise TrainingError(f"unknown loss {self.loss!r}")
-        if self.patience is not None and self.patience <= 0:
-            raise TrainingError(f"patience must be positive, got {self.patience}")
+#: Share of the training set held out for per-epoch validation.
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass
@@ -69,8 +55,6 @@ class TrainingResult:
     validation_summary: QErrorSummary | None = None
     #: Sum of the epochs' wall time (callbacks excluded).
     total_seconds: float = 0.0
-    #: True when early stopping ended the run before the epoch budget.
-    stopped_early: bool = False
 
     @property
     def final_val_mean_qerror(self) -> float:
@@ -112,21 +96,32 @@ def validation_qerrors(
 class Trainer:
     """Runs the MSCN optimization loop."""
 
-    def __init__(self, model: MSCN, featurizer: Featurizer, config: TrainingConfig | None = None):
+    def __init__(
+        self,
+        model: MSCN,
+        featurizer: Featurizer,
+        epochs: int = 25,
+        batch_size: int = 256,
+        learning_rate: float = 1e-3,
+        loss: str = "qerror",
+    ):
         self.model = model
         self.featurizer = featurizer
-        self.config = config or TrainingConfig()
-        if self.config.loss == "qerror":
+        self.n_epochs = epochs
+        self.batch_size = batch_size
+        if loss == "qerror":
             self.loss_fn = QErrorLoss(log_max_card=featurizer.log_label_span)
-        else:
+        elif loss == "mse":
             self.loss_fn = MSELoss()
-        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        else:
+            raise TrainingError(f"unknown loss {loss!r}")
+        self.optimizer = Adam(model.parameters(), lr=learning_rate)
 
     def fit(
         self,
         dataset: TrainingSet,
         callback: EpochCallback | None = None,
-        seed: SeedLike = None,
+        seed: SeedLike = 0,
     ) -> TrainingResult:
         """Train for the configured number of epochs (see :meth:`epochs`)."""
         result = TrainingResult()
@@ -136,15 +131,14 @@ class Trainer:
         return result
 
     def epochs(
-        self, dataset: TrainingSet, result: TrainingResult, seed: SeedLike = None
+        self, dataset: TrainingSet, result: TrainingResult, seed: SeedLike = 0
     ) -> Iterator[EpochStats]:
         """Train one epoch per iteration, recording each into ``result``.
 
         The dataset is split once into train/validation; validation
         q-error statistics are computed after every epoch (the quantity
         the paper watches to declare "25 epochs are usually enough").
-        The run ends at the epoch budget or when ``patience`` runs out;
-        its last epoch's validation errors fill
+        The last epoch's validation errors fill
         ``result.validation_summary``, so that field is set exactly when
         the final epoch has been yielded.
         """
@@ -152,15 +146,13 @@ class Trainer:
             raise TrainingError(
                 f"training set of {len(dataset)} queries is too small"
             )
-        rng = make_rng(self.config.seed if seed is None else seed)
-        train_set, val_set = dataset.split(self.config.validation_fraction, seed=rng)
-        best_val = float("inf")
-        stale_epochs = 0
-        for epoch in range(1, self.config.epochs + 1):
+        rng = make_rng(seed)
+        train_set, val_set = dataset.split(VALIDATION_FRACTION, seed=rng)
+        for epoch in range(1, self.n_epochs + 1):
             start = time.perf_counter()
             losses = []
             for batch, labels in train_set.minibatches(
-                self.config.batch_size, shuffle=True, seed=rng
+                self.batch_size, shuffle=True, seed=rng
             ):
                 self.optimizer.zero_grad()
                 preds = self.model(batch)
@@ -178,18 +170,9 @@ class Trainer:
             )
             result.epochs.append(stats)
             result.total_seconds += stats.seconds
-            if self.config.patience is not None:
-                if stats.val_qerror_mean < best_val - 1e-9:
-                    best_val = stats.val_qerror_mean
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    result.stopped_early = stale_epochs >= self.config.patience
-            if result.stopped_early or epoch == self.config.epochs:
+            if epoch == self.n_epochs:
                 result.validation_summary = summarize_qerrors(val_errors)
             yield stats
-            if result.stopped_early:
-                return
 
 
 # ----------------------------------------------------------------------

@@ -96,22 +96,26 @@ ROLE_NAMES = (
 YEAR_LOW = 1880
 YEAR_HIGH = 2019
 
+#: Row counts at ``scale=1.0`` (``ImdbConfig.scaled`` multiplies them).
+N_TITLES = 20_000
+N_KEYWORDS = 2_000
+N_COMPANIES = 1_500
+N_PERSONS = 30_000
+#: Size of the ``info_type`` dimension (not scaled).
+N_INFO_TYPES = 113
+
 
 @dataclass(frozen=True)
 class ImdbConfig:
-    """Size and shape knobs for the synthetic IMDb.
+    """Scale and seed of the synthetic IMDb.
 
-    ``scale=1.0`` yields roughly 20k titles and ~200k total rows — small
-    enough that exact COUNT(*) labels for tens of thousands of training
-    queries stay cheap, large enough for meaningful estimation errors.
+    ``scale=1.0`` (the ``N_*`` row counts above) yields roughly 20k
+    titles and ~200k total rows — small enough that exact COUNT(*)
+    labels for tens of thousands of training queries stay cheap, large
+    enough for meaningful estimation errors.
     """
 
     scale: float = 1.0
-    n_titles: int = 20_000
-    n_keywords: int = 2_000
-    n_companies: int = 1_500
-    n_persons: int = 30_000
-    n_info_types: int = 113
     seed: int = 7
 
     def scaled(self, base: int) -> int:
@@ -127,7 +131,7 @@ def _int_column(name: str, values: np.ndarray, valid: np.ndarray | None = None) 
 
 def _title_table(cfg: ImdbConfig, rng: np.random.Generator) -> tuple[Table, dict]:
     """Generate ``title`` plus latent per-movie context reused downstream."""
-    n = cfg.scaled(cfg.n_titles)
+    n = cfg.scaled(N_TITLES)
     ids = np.arange(1, n + 1, dtype=np.int64)
 
     years = mixture_years(
@@ -200,7 +204,7 @@ def _title_table(cfg: ImdbConfig, rng: np.random.Generator) -> tuple[Table, dict
 
 def _keyword_table(cfg: ImdbConfig, rng: np.random.Generator) -> tuple[Table, np.ndarray]:
     """Generate ``keyword`` and return each keyword's popularity peak year."""
-    n = cfg.scaled(cfg.n_keywords)
+    n = cfg.scaled(N_KEYWORDS)
     n = max(n, len(NAMED_KEYWORDS))
     names = [f"keyword-{i:05d}" for i in range(1, n + 1)]
     peaks = rng.uniform(1930.0, 2018.0, size=n)
@@ -228,7 +232,7 @@ def _keyword_table(cfg: ImdbConfig, rng: np.random.Generator) -> tuple[Table, np
 
 def _company_table(cfg: ImdbConfig, rng: np.random.Generator) -> tuple[Table, np.ndarray]:
     """Generate ``company_name``; returns per-company era peaks."""
-    n = cfg.scaled(cfg.n_companies)
+    n = cfg.scaled(N_COMPANIES)
     codes = rng.choice(
         len(COUNTRY_CODES), size=n, p=zipf_weights(len(COUNTRY_CODES), 1.0)
     )
@@ -310,7 +314,7 @@ def generate_imdb(config: ImdbConfig | None = None, seed: SeedLike = None) -> Da
     keyword, keyword_peaks = _keyword_table(cfg, keyword_rng)
     company, company_peaks = _company_table(cfg, company_rng)
     info_type = _label_dimension(
-        "info_type", "info", [f"info-type-{i:03d}" for i in range(1, cfg.n_info_types + 1)]
+        "info_type", "info", [f"info-type-{i:03d}" for i in range(1, N_INFO_TYPES + 1)]
     )
     kind_type = _label_dimension("kind_type", "kind", list(KIND_NAMES))
     company_type = _label_dimension("company_type", "kind", list(COMPANY_TYPE_NAMES))
@@ -349,8 +353,8 @@ def generate_imdb(config: ImdbConfig | None = None, seed: SeedLike = None) -> Da
     mi_means = 1.5 + 3.5 * recency + 1.5 * is_feature
     mi_counts = conditional_counts(mi_rng, mi_means, max_count=30)
     mi_parent = repeat_parent_rows(mi_counts)
-    it_base = zipf_weights(cfg.n_info_types, 0.9)
-    it_peaks = np.linspace(1930.0, 2018.0, cfg.n_info_types)
+    it_base = zipf_weights(N_INFO_TYPES, 0.9)
+    it_peaks = np.linspace(1930.0, 2018.0, N_INFO_TYPES)
     mi_types = (
         era_biased_choice(mi_rng, it_base, it_peaks, years[mi_parent], width=35.0) + 1
     )
@@ -403,7 +407,7 @@ def generate_imdb(config: ImdbConfig | None = None, seed: SeedLike = None) -> Da
     ci_means = (1.0 + 5.0 * popularity) * np.where(is_feature, 1.5, 0.7)
     ci_counts = conditional_counts(ci_rng, ci_means, max_count=40)
     ci_parent = repeat_parent_rows(ci_counts)
-    n_persons = cfg.scaled(cfg.n_persons)
+    n_persons = cfg.scaled(N_PERSONS)
     persons = ci_rng.choice(n_persons, size=len(ci_parent), p=zipf_weights(n_persons, 0.8)) + 1
     feature_roles = zipf_weights(12, 1.4)
     episode_roles = np.roll(zipf_weights(12, 1.2), 2)  # shifted mix for TV

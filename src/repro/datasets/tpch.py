@@ -34,17 +34,21 @@ REGION_NAMES = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
 #: Integer day numbers spanning 1992-01-01 .. 1998-12-31 (spec window).
 DATE_LOW, DATE_HIGH = 0, 2557
 
+#: Row counts at ``scale=1.0`` (``TpchConfig.scaled`` multiplies them).
+N_CUSTOMERS = 3_000
+N_SUPPLIERS = 200
+N_PARTS = 4_000
+#: Mean fan-outs (Poisson): customer -> orders, orders -> lineitem.
+ORDERS_PER_CUSTOMER = 10.0
+LINES_PER_ORDER = 4.0
+
 
 @dataclass(frozen=True)
 class TpchConfig:
-    """Row counts at scale 1.0 (a miniature of the spec's SF ratios)."""
+    """Scale and seed; the row counts at scale 1.0 (a miniature of the
+    spec's SF ratios) are this module's constants."""
 
     scale: float = 1.0
-    n_customers: int = 3_000
-    n_suppliers: int = 200
-    n_parts: int = 4_000
-    orders_per_customer: float = 10.0
-    lines_per_order: float = 4.0
     seed: int = 11
 
     def scaled(self, base: int) -> int:
@@ -101,7 +105,7 @@ def generate_tpch(config: TpchConfig | None = None, seed: SeedLike = None) -> Da
     db.add_table(nation)
 
     # supplier ---------------------------------------------------------
-    n_supp = cfg.scaled(cfg.n_suppliers)
+    n_supp = cfg.scaled(N_SUPPLIERS)
     supplier = Table(
         TableSchema(
             "supplier",
@@ -121,7 +125,7 @@ def generate_tpch(config: TpchConfig | None = None, seed: SeedLike = None) -> Da
     db.add_table(supplier)
 
     # customer ----------------------------------------------------------
-    n_cust = cfg.scaled(cfg.n_customers)
+    n_cust = cfg.scaled(N_CUSTOMERS)
     # Market segments skewed; nation correlates with segment slightly.
     segments = ["AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"]
     seg_ids = cust_rng.choice(5, size=n_cust, p=zipf_weights(5, 0.6))
@@ -149,7 +153,7 @@ def generate_tpch(config: TpchConfig | None = None, seed: SeedLike = None) -> Da
     db.add_table(customer)
 
     # part ---------------------------------------------------------------
-    n_part = cfg.scaled(cfg.n_parts)
+    n_part = cfg.scaled(N_PARTS)
     sizes = part_rng.integers(1, 51, n_part)
     retail = 900.0 + sizes * 10.0 + part_rng.uniform(0, 100, n_part)
     part = Table(
@@ -175,11 +179,11 @@ def generate_tpch(config: TpchConfig | None = None, seed: SeedLike = None) -> Da
     db.add_table(part)
 
     # orders ---------------------------------------------------------------
-    order_counts = order_rng.poisson(cfg.orders_per_customer, n_cust)
+    order_counts = order_rng.poisson(ORDERS_PER_CUSTOMER, n_cust)
     o_parent = repeat_parent_rows(order_counts)
     n_orders = len(o_parent)
     o_dates = order_rng.integers(DATE_LOW, DATE_HIGH - 150, n_orders)
-    n_lines = np.maximum(order_rng.poisson(cfg.lines_per_order, n_orders), 1)
+    n_lines = np.maximum(order_rng.poisson(LINES_PER_ORDER, n_orders), 1)
     base_price = order_rng.uniform(900.0, 10_000.0, n_orders)
     o_total = base_price * n_lines
     # Priority correlates with total price: urgent orders are expensive.

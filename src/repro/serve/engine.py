@@ -310,33 +310,34 @@ def answer_chunk(
     one request at a time so only the offending requests fail.  This is
     the executors' inline chunk path; ``stats`` counters are updated
     for the whole chunk.
+
+    Every request here already missed the result cache at submit (the
+    engine's fast path is the one lookup per query), so neither the
+    batch nor the retry looks up again; both only store their answers.
+    A query cached between submit and flush is recomputed, which is
+    correct, just not free.
     """
     queries = [r.query for r in chunk]
     for r in chunk:
-        # Version accounting: whatever happens below (batched answer,
-        # per-query retry, cache hit), it is *this* sketch version doing
-        # the work.
+        # Version accounting: whatever happens below (batched answer or
+        # per-query retry), it is *this* sketch version doing the work.
         r.token = sketch.snapshot_token
-    if use_cache:
-        for r in chunk:
-            r.cached = r.query in sketch.cache
     try:
         estimates = sketch.estimate_many(
-            queries, use_cache=use_cache, feature_cache=feature_cache
+            queries, use_cache=False, feature_cache=feature_cache
         )
     except ReproError:
+        answered: dict = {}
         for r in chunk:
-            # Re-check at retry time: an earlier retry in this loop
-            # may have cached this query (duplicates in the chunk).
-            r.cached = use_cache and r.query in sketch.cache
+            if r.query in answered:
+                # A duplicate in the chunk reuses its twin's retry.
+                r.estimate = answered[r.query]
+                r.cached = True
+                stats.n_cache_hits += 1
+                continue
             try:
-                r.estimate = sketch.estimate(r.query, use_cache=use_cache)
-                if r.cached:
-                    stats.n_cache_hits += 1
-                else:
-                    stats.n_forward_batches += 1
+                r.estimate = sketch.estimate(r.query, use_cache=False)
             except ReproError as exc:
-                r.cached = False
                 r.error = str(exc)
                 # Featurization failures are the vocabulary class; any
                 # other ReproError out of a single-query estimate means
@@ -346,12 +347,18 @@ def answer_chunk(
                     if isinstance(exc, FeaturizationError)
                     else CODE_ROUTE
                 )
+                continue
+            answered[r.query] = r.estimate
+            stats.n_forward_batches += 1
+            if use_cache:
+                sketch.cache.put(r.query, r.estimate)
         return
-    if any(not r.cached for r in chunk):
+    if chunk:
         stats.n_forward_batches += 1
-    stats.n_cache_hits += sum(r.cached for r in chunk)
     for r, estimate in zip(chunk, estimates):
         r.estimate = float(estimate)
+        if use_cache:
+            sketch.cache.put(r.query, r.estimate)
 
 
 class _Pending:

@@ -19,10 +19,11 @@ implementations cover the scale spectrum:
   :class:`~repro.core.sketch.SketchSnapshot` — the compiled
   :class:`~repro.nn.inference.InferenceSession` weight arrays plus the
   materialized sample tables; workers never retrain, rebuild samples,
-  or touch autograd.  The parent keeps the caches: it answers cache
-  hits and collapses duplicates before shipping only the distinct
-  uncached queries, and it writes the results back into the shared
-  cache so later requests hit without crossing a process boundary.
+  or touch autograd.  The parent keeps the caches: it collapses
+  duplicates before shipping the distinct queries (every one of them
+  missed the result cache at submit), and it writes the results back
+  into the shared cache so later requests hit without crossing a
+  process boundary.
   A sketch generation reaches a worker through a submitted *install
   task* when its ``snapshot_token`` moved — never by restarting the
   worker — so a retrained or re-registered sketch can never be served
@@ -149,7 +150,7 @@ def _worker_uninstall(name: str) -> None:
 
 
 def _worker_answer(sketch_name: str, queries: list) -> tuple[list, int]:
-    """Answer distinct uncached queries in a worker process.
+    """Answer a job's distinct queries in a worker process.
 
     Runs the engine's inline chunk path
     (:func:`~repro.serve.engine.answer_chunk`) on the worker's replica,
@@ -386,9 +387,7 @@ class ProcessExecutor(ChunkExecutor):
                 slot = self._place(job.sketch, token, load)
                 try:
                     self._install(slot, job.sketch, sketch, token)
-                    state = self._dispatch(
-                        engine, slot.pool, job, sketch, token
-                    )
+                    state = self._dispatch(slot.pool, job, token)
                 except Exception:
                     # This slot is broken (worker died, install or
                     # submit failed): contain the damage to its own
@@ -402,13 +401,15 @@ class ProcessExecutor(ChunkExecutor):
         for job, sketch, slot, state in dispatched:
             self._collect(engine, job, sketch, slot, state)
 
-    def _dispatch(self, engine, pool, job, sketch, token):
-        """Parent-side cache/dedup, then ship distinct uncached queries.
+    def _dispatch(self, pool, job, token):
+        """Parent-side dedup, then ship the job's distinct queries.
 
-        Mirrors ``DeepSketch.estimate_many``'s batch construction (cache
-        hits answered here, duplicates collapsed onto one entry, distinct
-        queries in first-occurrence order) so the worker's micro-batch is
-        the same batch the inline path would have run.
+        Mirrors ``DeepSketch.estimate_many``'s batch construction
+        (duplicates collapsed onto one entry, distinct queries in
+        first-occurrence order) so the worker's micro-batch is the same
+        batch the inline path would have run.  Like the inline path, it
+        does not consult the result cache: every request here already
+        missed it at submit (the engine's fast path).
 
         Scope note: collapsing is per job.  Duplicates split across two
         jobs of one caller-driven round dispatch before the first job's
@@ -418,23 +419,14 @@ class ProcessExecutor(ChunkExecutor):
         duplicate-heavy live traffic is expected.
         """
         t0 = time.perf_counter()
-        use_cache = engine.config.use_cache
-        indices: list[int | None] = []  # per response: its query in distinct
+        indices: list[int] = []  # per response: its query in distinct
         distinct: list = []
         index_of: dict = {}
-        n_cached = 0
         for response in job.responses:
             # Version accounting: this parent-side sketch object (and the
             # worker replica installed under the same token) answers the
-            # whole job — cache hits here, forwards in the worker.
+            # whole job.
             response.token = token
-            hit = sketch.cache.get(response.query) if use_cache else None
-            if hit is not None:
-                response.cached = True
-                response.estimate = float(hit)
-                n_cached += 1
-                indices.append(None)
-                continue
             index = index_of.get(response.query)
             if index is None:
                 index = len(distinct)
@@ -442,10 +434,10 @@ class ProcessExecutor(ChunkExecutor):
                 index_of[response.query] = index
             indices.append(index)
         future = pool.submit(_worker_answer, job.sketch, distinct) if distinct else None
-        return t0, indices, future, n_cached
+        return t0, indices, future
 
     def _collect(self, engine, job, sketch, slot: _Slot, state) -> None:
-        t0, indices, future, n_cached = state
+        t0, indices, future = state
         use_cache = engine.config.use_cache
         n_forwards = 0
         if future is not None:
@@ -457,25 +449,16 @@ class ProcessExecutor(ChunkExecutor):
                 # queued futures — name it so the no-stranded-futures
                 # chain survives any future exception-hierarchy move.
                 # Worker or transport failure: this job's slot may be
-                # broken — discard it and answer the model portion
-                # inline.
+                # broken — discard it and answer the job inline.
                 with self._lock:
                     self._discard_slot(slot)
                 engine.count_executor_fallback(1)
-                subset = [
-                    r
-                    for r, index in zip(job.responses, indices)
-                    if index is not None
-                ]
                 # answer_subset records this job's flush latency itself
                 # (one observation per job, like every other path).
-                engine.answer_subset(job.sketch, subset)
-                engine.merge_chunk_stats(n_cache_hits=n_cached)
+                engine.answer_subset(job.sketch, job.responses)
                 engine.complete_job(job)
                 return
             for response, index in zip(job.responses, indices):
-                if index is None:
-                    continue
                 value, error, code = results[index]
                 if error is not None:
                     response.error = error
@@ -484,9 +467,7 @@ class ProcessExecutor(ChunkExecutor):
                     response.estimate = value
                     if use_cache:
                         sketch.cache.put(response.query, value)
-        engine.merge_chunk_stats(
-            n_forward_batches=n_forwards, n_cache_hits=n_cached
-        )
+        engine.merge_chunk_stats(n_forward_batches=n_forwards)
         engine.record_flush_latency(time.perf_counter() - t0)
         engine.complete_job(job)
 

@@ -5,8 +5,8 @@ utilization of Deep Sketches in query optimizers".  This module is that
 automation for the serving tier: a :class:`LifecycleManager` watches
 every sketch an :class:`~repro.serve.engine.EstimationEngine` serves,
 and when a sketch goes stale — its materialized samples drift away from
-the live database (:func:`~repro.core.maintenance.detect_drift`), or
-its q-error on a labelled probe set degrades — it
+the live database (:func:`~repro.core.maintenance.detect_drift`, at its
+per-sample-size threshold) — it
 
 1. **shadow-trains** a replacement on the manager's own background
    thread, completely off the serving path (the engine's flush loop
@@ -48,40 +48,34 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import RegistryError, ReproError, SketchError
 from ..core.maintenance import detect_drift, try_refresh_sketch
 
 #: Lifecycle phases a sketch moves through, for state()/healthz readers.
 PHASES = ("idle", "drift_check", "shadow_training", "swapping", "failed")
 
+#: Upper bound on the hot-swap barrier wait (refresh swaps and rollbacks).
+SWAP_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class LifecycleConfig:
     """Knobs of the background lifecycle manager.
 
-    ``check_interval_s`` paces the watcher thread; ``drift_threshold``
-    overrides :func:`~repro.core.maintenance.detect_drift`'s per-sample-
-    size default; ``qerror_threshold`` arms the serving-quality trigger
-    (worst probe q-error above it marks the sketch stale; ``None``
-    disables).  Refresh attempts use ``refresh_queries``/
-    ``refresh_epochs``; failures retry with exponential backoff from
-    ``backoff_s`` capped at ``backoff_cap_s``, giving up after
-    ``max_retries`` consecutive failures (the sketch parks as
-    ``failed`` until :meth:`LifecycleManager.reset` or a rollback).
-    ``swap_timeout_s`` bounds the hot-swap barrier wait.
+    ``check_interval_s`` paces the watcher thread.  Refresh attempts
+    use ``refresh_queries``/``refresh_epochs``; failures retry with
+    exponential backoff from ``backoff_s`` capped at ``backoff_cap_s``,
+    giving up after ``max_retries`` consecutive failures (the sketch
+    parks as ``failed`` until :meth:`LifecycleManager.reset` or a
+    rollback).
     """
 
     check_interval_s: float = 30.0
-    drift_threshold: float | None = None
-    qerror_threshold: float | None = None
     refresh_queries: int = 2000
     refresh_epochs: int = 5
     max_retries: int = 3
     backoff_s: float = 1.0
     backoff_cap_s: float = 60.0
-    swap_timeout_s: float = 30.0
 
     def __post_init__(self):
         if self.check_interval_s <= 0:
@@ -104,10 +98,6 @@ class LifecycleConfig:
             raise SketchError(
                 "backoff_s must be positive and backoff_cap_s >= backoff_s, "
                 f"got {self.backoff_s}/{self.backoff_cap_s}"
-            )
-        if self.swap_timeout_s <= 0:
-            raise SketchError(
-                f"swap_timeout_s must be positive, got {self.swap_timeout_s}"
             )
 
 
@@ -158,9 +148,7 @@ class LifecycleManager:
     or a service exposing one as ``.engine`` (:class:`SketchServer` does).
     ``specs`` maps sketch name -> the
     :class:`~repro.workload.generator.WorkloadSpec` used to draw
-    fine-tuning queries; only named sketches are managed.  ``probes``
-    optionally maps sketch name -> a list of ``(query, true_cardinality)``
-    pairs for the q-error trigger.
+    fine-tuning queries; only named sketches are managed.
 
     ``refresh_fn``/``drift_fn`` are injectable for fault testing: the
     default refresh is :func:`~repro.core.maintenance.try_refresh_sketch`
@@ -181,7 +169,6 @@ class LifecycleManager:
         registry=None,
         config: LifecycleConfig | None = None,
         seed: int | None = None,
-        probes: dict | None = None,
         refresh_fn=None,
         drift_fn=None,
     ):
@@ -191,7 +178,6 @@ class LifecycleManager:
         self.registry = registry
         self.config = config or LifecycleConfig()
         self.seed = seed
-        self.probes = dict(probes or {})
         self._refresh_fn = refresh_fn or try_refresh_sketch
         self._drift_fn = drift_fn or detect_drift
         self._lock = threading.Lock()
@@ -286,29 +272,11 @@ class LifecycleManager:
         return self._refresh_and_swap(name, state, sketch, now)
 
     def _is_stale(self, state: _SketchState, sketch) -> tuple[bool, float]:
-        report = self._drift_fn(
-            sketch,
-            self.db,
-            seed=self.seed,
-            threshold=self.config.drift_threshold,
-        )
+        report = self._drift_fn(sketch, self.db, seed=self.seed)
         drift = report.max_drift()
         with self._lock:
             state.last_drift = drift
-        if report.is_stale():
-            return True, drift
-        threshold = self.config.qerror_threshold
-        probes = self.probes.get(sketch.name)
-        if threshold is not None and probes:
-            queries = [q for q, _ in probes]
-            truths = np.asarray([c for _, c in probes], dtype=float)
-            estimates = np.asarray(sketch.estimate_many(queries), dtype=float)
-            qerror = float(
-                np.max(np.maximum(estimates / truths, truths / estimates))
-            )
-            if qerror > threshold:
-                return True, drift
-        return False, drift
+        return report.is_stale(), drift
 
     def _refresh_and_swap(self, name, state, sketch, now) -> str:
         with self._lock:
@@ -347,9 +315,7 @@ class LifecycleManager:
         with self._lock:
             state.phase = "swapping"
         try:
-            self.engine.swap_sketch(
-                name, replacement, timeout=self.config.swap_timeout_s
-            )
+            self.engine.swap_sketch(name, replacement, timeout=SWAP_TIMEOUT_S)
         except ReproError as exc:
             # Swap raced a drop/close (or timed out draining): previous
             # version keeps serving; structured record, retry later.
@@ -422,9 +388,7 @@ class LifecycleManager:
                     time.monotonic(),
                 )
             raise
-        self.engine.swap_sketch(
-            name, restored, timeout=self.config.swap_timeout_s
-        )
+        self.engine.swap_sketch(name, restored, timeout=SWAP_TIMEOUT_S)
         with self._lock:
             self._rollbacks += 1
             if state is not None:

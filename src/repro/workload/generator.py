@@ -24,21 +24,28 @@ from ..db.types import DType
 from .query import JoinEdge, Predicate, Query, TableRef
 
 
+#: Operators the uniform generator draws for numeric columns (the paper
+#: trains "with a uniform distribution between =, <, and > predicates");
+#: string columns always get ``=``.
+TRAINING_OPERATORS = ("=", "<", ">")
+
+#: Upper bound on predicates drawn per table, by this generator and by
+#: the template-suite generator (:mod:`repro.workload.suite`) alike.
+MAX_PREDICATES_PER_TABLE = 2
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """What the generator may use: tables, aliases, predicate columns.
 
     ``predicate_columns`` maps each table to the columns predicates may
-    reference; ``operators`` is the global operator vocabulary (the paper
-    trains "with a uniform distribution between =, <, and > predicates").
+    reference.
     """
 
     tables: tuple[str, ...]
     aliases: dict[str, str] = field(default_factory=dict)
     predicate_columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    operators: tuple[str, ...] = ("=", "<", ">")
     max_joins: int = 2
-    max_predicates_per_table: int = 2
     #: How equality literals are drawn: "rows" samples a random row value
     #: (frequent values appear often — the reference implementation's
     #: behaviour), "distinct" samples uniformly over the distinct values
@@ -177,7 +184,7 @@ class TrainingQueryGenerator:
             columns = self.spec.columns_of(table)
             if not columns:
                 continue
-            max_preds = min(self.spec.max_predicates_per_table, len(columns))
+            max_preds = min(MAX_PREDICATES_PER_TABLE, len(columns))
             n_preds = int(self.rng.integers(0, max_preds + 1))
             if n_preds == 0:
                 continue
@@ -188,8 +195,9 @@ class TrainingQueryGenerator:
                 if dtype is DType.STRING:
                     op = "="
                 else:
-                    operators = self.spec.operators
-                    op = operators[int(self.rng.integers(0, len(operators)))]
+                    op = TRAINING_OPERATORS[
+                        int(self.rng.integers(0, len(TRAINING_OPERATORS)))
+                    ]
                 predicates.append(
                     Predicate(
                         alias=self.spec.alias_of(table),

@@ -45,22 +45,26 @@ _FACT_PREDICATES = {
 _JOIN_COUNT_WEIGHTS = {1: 0.2, 2: 0.35, 3: 0.3, 4: 0.15}
 
 
+#: Probability a query carries a production_year range predicate.
+YEAR_PREDICATE_PROB = 0.75
+#: Probability a query carries an equality predicate on kind_id.
+KIND_PREDICATE_PROB = 0.25
+#: Probability each joined fact table carries an equality predicate.
+FACT_PREDICATE_PROB = 0.7
+#: Drawing budget per requested query before giving up.
+MAX_ATTEMPTS_FACTOR = 50
+
+
 @dataclass(frozen=True)
 class JobLightConfig:
-    """Workload-shape knobs; defaults follow the original JOB-light."""
+    """Workload size and seed; the predicate mix (the constants above)
+    follows the original JOB-light."""
 
     n_queries: int = 70
     seed: int = 42
-    #: Probability a query carries a production_year range predicate.
-    year_predicate_prob: float = 0.75
-    #: Probability a query carries an equality predicate on kind_id.
-    kind_predicate_prob: float = 0.25
-    #: Probability each joined fact table carries an equality predicate.
-    fact_predicate_prob: float = 0.7
     #: Discard queries whose true cardinality is zero (JOB-light queries
     #: all return results on the real IMDb).
     require_nonzero: bool = True
-    max_attempts_factor: int = 50
 
 
 def generate_job_light(
@@ -88,7 +92,7 @@ def generate_job_light(
     queries: list[Query] = []
     seen: set[Query] = set()
     attempts = 0
-    max_attempts = cfg.n_queries * cfg.max_attempts_factor
+    max_attempts = cfg.n_queries * MAX_ATTEMPTS_FACTOR
     while len(queries) < cfg.n_queries:
         attempts += 1
         if attempts > max_attempts:
@@ -108,15 +112,15 @@ def generate_job_light(
         )
 
         predicates: list[Predicate] = []
-        if rng.random() < cfg.year_predicate_prob:
+        if rng.random() < YEAR_PREDICATE_PROB:
             year = int(years[int(rng.integers(0, years.size))])
             op = str(rng.choice(["=", ">", "<"], p=[0.25, 0.5, 0.25]))
             predicates.append(Predicate("t", "production_year", op, year))
-        if rng.random() < cfg.kind_predicate_prob:
+        if rng.random() < KIND_PREDICATE_PROB:
             kind = int(kinds[int(rng.integers(0, kinds.size))])
             predicates.append(Predicate("t", "kind_id", "=", kind))
         for fact in facts:
-            if rng.random() >= cfg.fact_predicate_prob:
+            if rng.random() >= FACT_PREDICATE_PROB:
                 continue
             columns = _FACT_PREDICATES[fact]
             column = str(columns[int(rng.integers(0, len(columns)))])

@@ -45,6 +45,7 @@ from ..db.database import Database
 from ..db.executor import execute_counts
 from ..db.types import DType
 from .generator import (
+    MAX_PREDICATES_PER_TABLE,
     WorkloadSpec,
     build_literal_pools,
     build_neighbor_map,
@@ -335,25 +336,26 @@ class TemplateSuite:
 # ----------------------------------------------------------------------
 
 
+#: IN-list size range (arity is drawn per slot, then fixed).
+IN_MIN_ARITY = 2
+IN_MAX_ARITY = 4
+
+#: Drawing budget per requested item before giving up on dedup.
+MAX_ATTEMPTS_FACTOR = 30
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs of the template-suite generator."""
 
     n_templates: int = 8
     queries_per_template: int = 50
-    min_joins: int = 0
     #: Deeper than the uniform generator's default: chains like
     #: ``title ⋈ movie_keyword ⋈ keyword`` need room to grow.
     max_joins: int = 4
     #: Probability that a join step reuses an already-included table
     #: under a fresh alias (a self-join), when the FK graph allows it.
     self_join_fraction: float = 0.25
-    max_predicates_per_table: int = 2
-    #: IN-list size range (arity is drawn per slot, then fixed).
-    in_min_arity: int = 2
-    in_max_arity: int = 4
-    #: Drawing budget per requested item before giving up on dedup.
-    max_attempts_factor: int = 30
 
     def __post_init__(self):
         if self.n_templates < 1:
@@ -363,20 +365,12 @@ class SuiteConfig:
                 f"queries_per_template must be positive, got "
                 f"{self.queries_per_template}"
             )
-        if not 0 <= self.min_joins <= self.max_joins:
-            raise QueryError(
-                f"need 0 <= min_joins <= max_joins, got "
-                f"{self.min_joins}..{self.max_joins}"
-            )
+        if self.max_joins < 0:
+            raise QueryError(f"max_joins must be >= 0, got {self.max_joins}")
         if not 0.0 <= self.self_join_fraction <= 1.0:
             raise QueryError(
                 f"self_join_fraction must be in [0, 1], got "
                 f"{self.self_join_fraction}"
-            )
-        if not 1 <= self.in_min_arity <= self.in_max_arity:
-            raise QueryError(
-                f"need 1 <= in_min_arity <= in_max_arity, got "
-                f"{self.in_min_arity}..{self.in_max_arity}"
             )
 
 
@@ -423,7 +417,7 @@ class TemplateSuiteGenerator:
     ) -> tuple[list[tuple[str, str]], list[JoinEdge]]:
         """[(alias, table)], joins — grown along FKs, self-joins allowed."""
         cfg = self.config
-        n_joins = int(rng.integers(cfg.min_joins, cfg.max_joins + 1))
+        n_joins = int(rng.integers(0, cfg.max_joins + 1))
         start = str(rng.choice(list(self.spec.tables)))
         aliases: list[tuple[str, str]] = [(self.spec.alias_of(start), start)]
         joins: list[JoinEdge] = []
@@ -460,7 +454,6 @@ class TemplateSuiteGenerator:
         dtype = self.db.table(table).column(column).dtype
         families = STRING_FAMILIES if dtype is DType.STRING else NUMERIC_FAMILIES
         family = str(rng.choice(list(families)))
-        cfg = self.config
         if family == "eq":
             ops: tuple[str, ...] = ("=",)
             arity = 0
@@ -473,8 +466,8 @@ class TemplateSuiteGenerator:
         else:  # in
             ops = ("in",)
             distinct = self._pools[(table, column)][1]
-            high = min(cfg.in_max_arity, len(distinct))
-            low = min(cfg.in_min_arity, high)
+            high = min(IN_MAX_ARITY, len(distinct))
+            low = min(IN_MIN_ARITY, high)
             arity = int(rng.integers(low, high + 1))
         return PredicateSlot(
             alias=alias, table=table, column=column, family=family, ops=ops,
@@ -491,7 +484,7 @@ class TemplateSuiteGenerator:
             if not columns:
                 continue
             eligible.append((alias, table))
-            max_preds = min(self.config.max_predicates_per_table, len(columns))
+            max_preds = min(MAX_PREDICATES_PER_TABLE, len(columns))
             n_preds = int(rng.integers(0, max_preds + 1))
             if n_preds == 0:
                 continue
@@ -565,7 +558,7 @@ class TemplateSuiteGenerator:
         cfg = self.config
         seen: set[Query] = set()
         queries: list[Query] = []
-        attempts = cfg.max_attempts_factor * cfg.queries_per_template
+        attempts = MAX_ATTEMPTS_FACTOR * cfg.queries_per_template
         for _ in range(attempts):
             if len(queries) >= cfg.queries_per_template:
                 break
@@ -597,7 +590,7 @@ class TemplateSuiteGenerator:
         cfg = self.config
         shapes: list[SuiteTemplate] = []
         seen_structures: set[tuple] = set()
-        attempts = cfg.max_attempts_factor * cfg.n_templates
+        attempts = MAX_ATTEMPTS_FACTOR * cfg.n_templates
         for _ in range(attempts):
             if len(shapes) >= cfg.n_templates:
                 break

@@ -250,7 +250,7 @@ class TestCompiledPath:
         clear_cache() serves estimates from the new weights, in parity
         with the autograd oracle."""
         from repro.core.batches import TrainingSet
-        from repro.core.training import Trainer, TrainingConfig
+        from repro.core.training import Trainer
         from repro.sampling import query_bitmaps
 
         state = sketch.model.state_dict()
@@ -261,11 +261,7 @@ class TestCompiledPath:
             )
             for q in workload[:12]
         ]
-        trainer = Trainer(
-            sketch.model,
-            sketch.featurizer,
-            TrainingConfig(epochs=1, batch_size=4, validation_fraction=0.25),
-        )
+        trainer = Trainer(sketch.model, sketch.featurizer, epochs=1, batch_size=4)
         try:
             trainer.fit(TrainingSet(features, np.linspace(0.2, 0.8, 12)))
             sketch.model.eval()

@@ -6,14 +6,14 @@ import pytest
 from repro.core import (
     MSCN,
     Featurizer,
+    SketchConfig,
     Trainer,
-    TrainingConfig,
     TrainingResult,
     TrainingSet,
     validation_qerrors,
 )
 from repro.core.featurization import QueryFeatures
-from repro.errors import TrainingError
+from repro.errors import SketchError, TrainingError
 from repro.metrics import summarize_qerrors
 
 
@@ -43,23 +43,22 @@ def featurizer():
 
 
 class TestConfig:
+    """The training knobs are SketchConfig fields, checked at construction
+    rather than when a build reaches its train stage."""
+
     def test_invalid_epochs(self):
-        with pytest.raises(TrainingError):
-            TrainingConfig(epochs=0)
+        with pytest.raises(SketchError, match="epochs"):
+            SketchConfig(epochs=0)
 
     def test_invalid_loss(self):
-        with pytest.raises(TrainingError):
-            TrainingConfig(loss="huber")
+        with pytest.raises(SketchError, match="huber"):
+            SketchConfig(loss="huber")
 
 
 class TestTrainer:
     def make_trainer(self, featurizer, loss="qerror", epochs=8):
         model = MSCN(table_dim=4, join_dim=3, predicate_dim=5, hidden_units=16, seed=0)
-        return Trainer(
-            model,
-            featurizer,
-            TrainingConfig(epochs=epochs, batch_size=32, loss=loss),
-        )
+        return Trainer(model, featurizer, epochs=epochs, batch_size=32, loss=loss)
 
     def test_loss_decreases(self, featurizer):
         trainer = self.make_trainer(featurizer)
@@ -100,6 +99,10 @@ class TestTrainer:
         assert result.val_curve().shape == (3,)
         assert result.final_val_mean_qerror == result.epochs[-1].val_qerror_mean
 
+    def test_unknown_loss_rejected(self, featurizer):
+        with pytest.raises(TrainingError, match="huber"):
+            self.make_trainer(featurizer, loss="huber")
+
     def test_too_small_dataset_rejected(self, featurizer):
         trainer = self.make_trainer(featurizer)
         with pytest.raises(TrainingError):
@@ -114,34 +117,6 @@ class TestTrainer:
         model = MSCN(4, 3, 5, hidden_units=8, seed=0)
         errors = validation_qerrors(model, featurizer, synthetic_dataset(n=30))
         assert (errors >= 1.0).all()
-
-
-class TestEarlyStopping:
-    def make_trainer(self, featurizer, patience, epochs=40):
-        model = MSCN(table_dim=4, join_dim=3, predicate_dim=5, hidden_units=16, seed=0)
-        return Trainer(
-            model,
-            featurizer,
-            TrainingConfig(epochs=epochs, batch_size=32, patience=patience),
-        )
-
-    def test_stops_before_budget_with_tight_patience(self, featurizer):
-        trainer = self.make_trainer(featurizer, patience=1)
-        result = trainer.fit(synthetic_dataset())
-        # Validation is noisy, so patience=1 stops at the first plateau,
-        # well before 40 epochs on this small task.
-        assert result.stopped_early
-        assert len(result.epochs) < 40
-
-    def test_no_patience_runs_all_epochs(self, featurizer):
-        trainer = self.make_trainer(featurizer, patience=None, epochs=5)
-        result = trainer.fit(synthetic_dataset())
-        assert not result.stopped_early
-        assert len(result.epochs) == 5
-
-    def test_invalid_patience(self):
-        with pytest.raises(TrainingError):
-            TrainingConfig(patience=0)
 
 
 class TestValidationPasses:
@@ -161,20 +136,13 @@ class TestValidationPasses:
         monkeypatch.setattr(training, "validation_qerrors", counting)
         return seen
 
-    def make_trainer(self, featurizer, **config):
+    def make_trainer(self, featurizer, epochs):
         model = MSCN(table_dim=4, join_dim=3, predicate_dim=5, hidden_units=16, seed=0)
-        return Trainer(model, featurizer, TrainingConfig(batch_size=32, **config))
+        return Trainer(model, featurizer, epochs=epochs, batch_size=32)
 
     def test_full_budget(self, featurizer, passes):
         result = self.make_trainer(featurizer, epochs=3).fit(synthetic_dataset())
         assert len(passes) == len(result.epochs) == 3
-        assert result.validation_summary == summarize_qerrors(passes[-1])
-
-    def test_patience_stopped(self, featurizer, passes):
-        trainer = self.make_trainer(featurizer, epochs=40, patience=1)
-        result = trainer.fit(synthetic_dataset())
-        assert result.stopped_early
-        assert len(passes) == len(result.epochs) < 40
         assert result.validation_summary == summarize_qerrors(passes[-1])
 
     def test_summary_set_with_the_last_epoch_only(self, featurizer):

@@ -196,6 +196,27 @@ class TestCaching:
         assert a in sketch.cache and c in sketch.cache
         assert b not in sketch.cache
 
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_one_cache_lookup_per_query(
+        self, manager, trained_sketch, workload, monkeypatch, executor
+    ):
+        # The submit-time get is a query's only result-cache consult:
+        # the flush answers the miss without asking the cache again.
+        from repro.cache import LRUCache
+
+        sketch, _ = trained_sketch
+        monkeypatch.setattr(sketch, "_cache", LRUCache())
+        config = ServeConfig(executor=executor, executor_workers=1)
+        with SketchServer(manager, config) as server:
+            [first] = server.serve([workload[0]])
+            stats = sketch.cache.stats()
+            assert (stats.hits, stats.misses) == (0, 1)
+            [again] = server.serve([workload[0]])
+        assert first.ok and not first.cached
+        assert again.cached and again.estimate == first.estimate
+        stats = sketch.cache.stats()
+        assert (stats.hits, stats.misses) == (1, 1)
+
     def test_feature_cache_shared_across_flushes(self, manager, workload):
         import repro.core.featurization as featurization_mod
 

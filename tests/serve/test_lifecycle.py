@@ -67,11 +67,11 @@ def _clone(sketch) -> DeepSketch:
     return DeepSketch.from_bytes(sketch.to_bytes())
 
 
-def _stale_drift(sketch, db, seed=None, threshold=None):
+def _stale_drift(sketch, db, seed=None):
     return DriftReport(table_drift={"title": 0.9}, threshold=0.15)
 
 
-def _fresh_drift(sketch, db, seed=None, threshold=None):
+def _fresh_drift(sketch, db, seed=None):
     return DriftReport(table_drift={"title": 0.0}, threshold=0.15)
 
 
@@ -297,7 +297,7 @@ class TestLifecyclePasses:
     def test_non_retryable_code_parks_until_reset(self, manager, imdb_small):
         drift_calls = []
 
-        def counting_drift(sketch, db, seed=None, threshold=None):
+        def counting_drift(sketch, db, seed=None):
             drift_calls.append(1)
             return _stale_drift(sketch, db)
 
@@ -350,7 +350,7 @@ class TestLifecyclePasses:
     def test_drift_check_crash_is_structured(self, manager, imdb_small):
         original = manager.get_sketch("test-sketch")
 
-        def exploding_drift(sketch, db, seed=None, threshold=None):
+        def exploding_drift(sketch, db, seed=None):
             raise RuntimeError("table renamed mid-migration")
 
         with SketchServer(manager) as server:
@@ -431,26 +431,6 @@ class TestLifecyclePasses:
         # Re-register so the fixture's teardown finds a coherent manager.
         manager.register_sketch(original)
 
-    def test_qerror_probe_trigger(self, manager, imdb_small, workload):
-        original = manager.get_sketch("test-sketch")
-        replacement = _clone(original)
-        refresh = _refresh_returning(RefreshResult(ok=True, sketch=replacement))
-        probes = [(workload[0], 1e12)]  # absurd truth -> huge q-error
-        with SketchServer(manager) as server:
-            lifecycle = self._lifecycle(
-                server,
-                imdb_small,
-                config=LifecycleConfig(
-                    check_interval_s=0.01, qerror_threshold=10.0
-                ),
-                probes={"test-sketch": probes},
-                drift_fn=_fresh_drift,  # samples agree; quality does not
-                refresh_fn=refresh,
-            )
-            assert lifecycle.run_once() == {"test-sketch": "idle"}
-            assert manager.get_sketch("test-sketch") is replacement
-        assert refresh.calls == 1
-
     def test_state_surfaces_through_stats_and_healthz(self, manager, imdb_small):
         with SketchServer(manager) as server:
             lifecycle = self._lifecycle(
@@ -475,7 +455,7 @@ class TestLifecyclePasses:
     def test_watcher_thread_runs_and_stops(self, manager, imdb_small):
         checked = threading.Event()
 
-        def signalling_drift(sketch, db, seed=None, threshold=None):
+        def signalling_drift(sketch, db, seed=None):
             checked.set()
             return _fresh_drift(sketch, db)
 

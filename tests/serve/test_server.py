@@ -156,14 +156,18 @@ class TestErrors:
         assert not responses[1].ok
 
     def test_fallback_retry_accounts_duplicates_as_cache_hits(
-        self, manager, trained_sketch, workload
+        self, manager, trained_sketch, workload, monkeypatch
     ):
         # A poisoned micro-batch falls back to per-query retries; the
         # second occurrence of a duplicate must be answered (and
-        # counted) from the cache the first retry populated.  Intake
+        # counted) from the first retry, without a result-cache lookup
+        # (the submit-time one is each query's only consult).  Intake
         # merges identical queries, so the duplicate chunk is handed to
         # the chunk path directly.
+        from repro.cache import LRUCache
+
         sketch, _ = trained_sketch
+        monkeypatch.setattr(sketch, "_cache", LRUCache())
         bad = Query(
             tables=(TableRef("title", "t"),),
             predicates=(Predicate("t", "episode_nr", "=", 1),),
@@ -177,6 +181,9 @@ class TestErrors:
         assert chunk[0].estimate == chunk[2].estimate
         assert stats.n_forward_batches == 1
         assert stats.n_cache_hits == 1
+        assert good in sketch.cache
+        cache_stats = sketch.cache.stats()
+        assert (cache_stats.hits, cache_stats.misses) == (0, 0)
 
     def test_bad_config_rejected(self):
         with pytest.raises(SketchError):
