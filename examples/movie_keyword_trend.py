@@ -21,13 +21,20 @@ so the sketch itself only sees its JOB-light table subset.
 Run with:  python examples/movie_keyword_trend.py
 """
 
+import os
+import sys
+
 import numpy as np
 
-from repro.baselines import HyperEstimator, PostgresEstimator, TruthEstimator
-from repro.core import SketchConfig, build_sketch
-from repro.datasets import load_dataset
-from repro.demo import run_template
-from repro.workload import (
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.baselines import HyperEstimator, PostgresEstimator, TruthEstimator  # noqa: E402
+from repro.core import SketchConfig, build_sketch  # noqa: E402
+from repro.datasets import load_dataset  # noqa: E402
+from repro.demo import run_template  # noqa: E402
+from repro.workload import (  # noqa: E402
     JoinEdge,
     Predicate,
     Query,

@@ -11,13 +11,20 @@ estimates.
 Run with:  python examples/plan_optimization.py
 """
 
+import os
+import sys
+
 import numpy as np
 
-from repro.baselines import PostgresEstimator, TruthEstimator
-from repro.core import SketchConfig, build_sketch
-from repro.datasets import load_dataset
-from repro.optimizer import PlanOptimizer
-from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.baselines import PostgresEstimator, TruthEstimator  # noqa: E402
+from repro.core import SketchConfig, build_sketch  # noqa: E402
+from repro.datasets import load_dataset  # noqa: E402
+from repro.optimizer import PlanOptimizer  # noqa: E402
+from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb  # noqa: E402
 
 
 def main() -> None:

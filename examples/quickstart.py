@@ -10,12 +10,19 @@ Walks the paper's Figure 1 end to end on the synthetic IMDb:
 Run with:  python examples/quickstart.py
 """
 
-from repro.baselines import HyperEstimator, PostgresEstimator
-from repro.core import SketchConfig, build_sketch
-from repro.datasets import load_dataset
-from repro.db import execute_count, parse_sql
-from repro.metrics import qerror
-from repro.workload import spec_for_imdb
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.baselines import HyperEstimator, PostgresEstimator  # noqa: E402
+from repro.core import SketchConfig, build_sketch  # noqa: E402
+from repro.datasets import load_dataset  # noqa: E402
+from repro.db import execute_count, parse_sql  # noqa: E402
+from repro.metrics import qerror  # noqa: E402
+from repro.workload import spec_for_imdb  # noqa: E402
 
 
 def main() -> None:

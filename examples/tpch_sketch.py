@@ -10,11 +10,18 @@ executing the queries.
 Run with:  python examples/tpch_sketch.py
 """
 
-from repro.baselines import PostgresEstimator, TruthEstimator
-from repro.core import SketchConfig, build_sketch
-from repro.datasets import load_dataset
-from repro.demo import run_template
-from repro.workload import (
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.baselines import PostgresEstimator, TruthEstimator  # noqa: E402
+from repro.core import SketchConfig, build_sketch  # noqa: E402
+from repro.datasets import load_dataset  # noqa: E402
+from repro.demo import run_template  # noqa: E402
+from repro.workload import (  # noqa: E402
     JoinEdge,
     Predicate,
     Query,

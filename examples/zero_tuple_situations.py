@@ -14,15 +14,22 @@ estimates of the Deep Sketch, the pure-sampling estimator sharing the
 Run with:  python examples/zero_tuple_situations.py
 """
 
+import os
+import sys
+
 import numpy as np
 
-from repro.baselines import SamplingEstimator
-from repro.core import SketchConfig, build_sketch
-from repro.datasets import load_dataset
-from repro.db import execute_count
-from repro.metrics import qerror, summarize_qerrors
-from repro.sampling import is_zero_tuple
-from repro.workload import TrainingQueryGenerator, WorkloadSpec, spec_for_imdb
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.baselines import SamplingEstimator  # noqa: E402
+from repro.core import SketchConfig, build_sketch  # noqa: E402
+from repro.datasets import load_dataset  # noqa: E402
+from repro.db import execute_count  # noqa: E402
+from repro.metrics import qerror, summarize_qerrors  # noqa: E402
+from repro.sampling import is_zero_tuple  # noqa: E402
+from repro.workload import TrainingQueryGenerator, WorkloadSpec, spec_for_imdb  # noqa: E402
 
 
 def main() -> None:

@@ -35,13 +35,22 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "e2e")]
 from common import CHILD_ENV  # noqa: E402 - pure python, safe before the re-exec
 
 #: name -> (estimate digest, zero-cardinality drops, max training label).
+#:
+#: The digests moved once when training left the autograd graph for
+#: ``repro.nn.training.TrainingSession``: each set MLP now runs as a 2-D
+#: GEMM over its packed valid rows instead of a padded 3-D ``np.matmul``,
+#: and on the 1006-wide table set the two kernels round a few ULPs apart.
+#: Batches, initialization, loss and Adam arithmetic are unchanged: the
+#: same builds trained through the autograd oracle (``tests/nn/oracle/``)
+#: still give the earlier digests (seeds 0-2: fb6c67b068920ea5,
+#: 15167061b93e31e4, 299ad0a928a9b4e3).  The label columns did not move.
 PINNED = {
-    "build_sketch/seed0": ("fb6c67b068920ea5", 214, 103561.0),
-    "build_sketch/seed1": ("15167061b93e31e4", 232, 103561.0),
-    "build_sketch/seed2": ("299ad0a928a9b4e3", 232, 95097.0),
-    "create_sketch": ("fb6c67b068920ea5", 214, 103561.0),
-    "incremental": ("fb6c67b068920ea5", 214, 103561.0),
-    "refresh_sketch": ("5838fda05102ad93", None, None),
+    "build_sketch/seed0": ("6723364918168211", 214, 103561.0),
+    "build_sketch/seed1": ("e86bd214e9e81394", 232, 103561.0),
+    "build_sketch/seed2": ("4c245a9ec189f3cd", 232, 95097.0),
+    "create_sketch": ("6723364918168211", 214, 103561.0),
+    "incremental": ("6723364918168211", 214, 103561.0),
+    "refresh_sketch": ("320a5263a277ec07", None, None),
 }
 
 

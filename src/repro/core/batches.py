@@ -11,17 +11,17 @@ Two throughput features live here alongside the plain collation path:
   batch shapes over and over (``DeepSketch.estimate``/``estimate_many``)
   stop allocating six fresh arrays per call;
 * precollation — :class:`TrainingSet` pads the *whole* dataset to its
-  maxima once (:meth:`TrainingSet.precollated`) and then serves every
-  minibatch of every epoch as slice views (plus one vectorized gather
-  per shuffled epoch), replacing the per-epoch Python re-collation
-  loop.  Padding to dataset maxima instead of batch maxima only adds
-  masked all-zero elements, which contribute exactly nothing through
-  the masked mean, so training numerics are unchanged.
+  maxima once (:meth:`TrainingSet.precollated`); every minibatch of
+  every epoch is then a set of row indices into those arrays
+  (:meth:`TrainingSet.batch_indices`), from which the training session
+  gathers only the valid set rows, replacing the per-epoch Python
+  re-collation loop.  Padding to dataset maxima instead of batch maxima
+  only adds masked all-zero elements, which contribute exactly nothing
+  through the masked mean, so training numerics are unchanged.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -66,17 +66,6 @@ class Batch:
             join_mask=self.join_mask.astype(dtype),
             predicates=self.predicates.astype(dtype),
             predicate_mask=self.predicate_mask.astype(dtype),
-        )
-
-    def slice(self, start: int, stop: int) -> "Batch":
-        """Zero-copy view of rows ``[start, stop)`` of every array."""
-        return Batch(
-            tables=self.tables[start:stop],
-            table_mask=self.table_mask[start:stop],
-            joins=self.joins[start:stop],
-            join_mask=self.join_mask[start:stop],
-            predicates=self.predicates[start:stop],
-            predicate_mask=self.predicate_mask[start:stop],
         )
 
 
@@ -167,10 +156,6 @@ class TrainingSet:
                 f"{len(self.features)} feature sets but {len(self.labels)} labels"
             )
         self._dense: Batch | None = None
-        self._shuffled: Batch | None = None
-        # Held (non-blocking) by the shuffled iterator currently using
-        # the shared _shuffled scratch; see _permuted.
-        self._shuffled_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.features)
@@ -199,81 +184,22 @@ class TrainingSet:
         """The whole dataset as one batch, padded to dataset maxima.
 
         Built lazily on first use and cached; every epoch's minibatches
-        are views (or permuted copies) of these arrays, so per-epoch
-        re-collation of individual queries never happens again.
+        index into these arrays, so per-epoch re-collation of
+        individual queries never happens again.
         """
         if self._dense is None:
             self._dense = collate(self.features)
         return self._dense
 
-    def _permuted(self, order: np.ndarray) -> tuple[Batch, bool]:
-        """The precollated arrays gathered into ``order`` (one vectorized
-        take per array), plus whether the shared scratch was used.
-
-        The gather destination is a scratch batch reused across epochs.
-        If another shuffled iteration over this dataset is still active
-        (interleaved epochs, or a second thread), the scratch is busy —
-        its views must not be overwritten — so a private batch is
-        allocated for this iteration instead.
-        """
-        dense = self.precollated()
-        if not self._shuffled_lock.acquire(blocking=False):
-            return Batch(
-                tables=np.take(dense.tables, order, axis=0),
-                table_mask=np.take(dense.table_mask, order, axis=0),
-                joins=np.take(dense.joins, order, axis=0),
-                join_mask=np.take(dense.join_mask, order, axis=0),
-                predicates=np.take(dense.predicates, order, axis=0),
-                predicate_mask=np.take(dense.predicate_mask, order, axis=0),
-            ), False
-        try:
-            if self._shuffled is None:
-                self._shuffled = Batch(
-                    tables=np.empty_like(dense.tables),
-                    table_mask=np.empty_like(dense.table_mask),
-                    joins=np.empty_like(dense.joins),
-                    join_mask=np.empty_like(dense.join_mask),
-                    predicates=np.empty_like(dense.predicates),
-                    predicate_mask=np.empty_like(dense.predicate_mask),
-                )
-            out = self._shuffled
-            np.take(dense.tables, order, axis=0, out=out.tables)
-            np.take(dense.table_mask, order, axis=0, out=out.table_mask)
-            np.take(dense.joins, order, axis=0, out=out.joins)
-            np.take(dense.join_mask, order, axis=0, out=out.join_mask)
-            np.take(dense.predicates, order, axis=0, out=out.predicates)
-            np.take(dense.predicate_mask, order, axis=0, out=out.predicate_mask)
-        except BaseException:
-            # The caller only releases once it owns the scratch; if the
-            # gather itself fails the lock must not leak.
-            self._shuffled_lock.release()
-            raise
-        return out, True
-
-    def minibatches(
+    def batch_indices(
         self, batch_size: int, shuffle: bool = True, seed: SeedLike = None
-    ) -> Iterator[tuple[Batch, np.ndarray]]:
-        """Yield (batch, labels) minibatches.
-
-        Batches are slice views of the precollated (and, when shuffling,
-        per-epoch permuted) dataset arrays: valid while their iteration
-        is live, which covers every consumer that processes one
-        minibatch at a time.  Sets are padded to dataset maxima — the
-        extra elements are masked out and contribute nothing.
-        """
+    ) -> Iterator[np.ndarray]:
+        """Yield each minibatch's row indices into :meth:`precollated`
+        (consecutive ``batch_size`` slices of one epoch's order)."""
         if batch_size <= 0:
             raise TrainingError(f"batch size must be positive, got {batch_size}")
         order = np.arange(len(self))
-        owns_scratch = False
         if shuffle:
             make_rng(seed).shuffle(order)
-            source, owns_scratch = self._permuted(order)
-        else:
-            source = self.precollated()
-        try:
-            for start in range(0, len(self), batch_size):
-                stop = min(start + batch_size, len(self))
-                yield source.slice(start, stop), self.labels[order[start:stop]]
-        finally:
-            if owns_scratch:
-                self._shuffled_lock.release()
+        for start in range(0, len(self), batch_size):
+            yield order[start : start + batch_size]

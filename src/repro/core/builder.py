@@ -42,6 +42,7 @@ from ..sampling.bitmaps import batch_bitmaps
 from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
 from ..db.query import Query
+from ..nn.training import LOSSES
 from .batches import TrainingSet
 from .featurization import Featurizer
 from .mscn import MSCN
@@ -83,7 +84,7 @@ class SketchConfig:
             )
         if self.epochs <= 0:
             raise SketchError(f"epochs must be positive, got {self.epochs}")
-        if self.loss not in ("qerror", "mse"):
+        if self.loss not in LOSSES:
             raise SketchError(f"unknown loss {self.loss!r}")
 
 

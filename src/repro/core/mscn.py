@@ -18,21 +18,31 @@ Architecture (matching the reference implementation):
 
 Every MLP is two layers with ReLU; the output passes through a sigmoid,
 so predictions live in (0, 1) like the normalized log labels.
+
+:class:`MSCN` holds the parameter arrays only.  Two sessions run them:
+:class:`~repro.nn.training.TrainingSession` (forward, hand-derived
+backward and Adam, updating the arrays in place) and
+:class:`~repro.nn.inference.InferenceSession` (a compiled snapshot for
+serving).
 """
 
 from __future__ import annotations
 
-from ..errors import TrainingError
+import numpy as np
+
+from ..errors import SerializationError, TrainingError
+from ..nn.inference import MLP_NAMES, InferenceSession
+from ..nn.init import kaiming_uniform
 from ..rng import SeedLike, make_rng
-from ..nn.functional import masked_mean
-from ..nn.layers import Linear, ReLU, Sequential
-from ..nn.module import Module
-from ..nn.tensor import Tensor, concat
-from .batches import Batch
+
+#: Each MLP's parameters: its two linear layers sit at positions 0 and 2
+#: of the reference ``Sequential(Linear, ReLU, Linear, ...)``, whose
+#: names the state-dict keys (``table_mlp.0.weight`` ...) keep.
+LAYER_KEYS = ("0.weight", "0.bias", "2.weight", "2.bias")
 
 
-class MSCN(Module):
-    """The three-set MSCN cardinality model."""
+class MSCN:
+    """The three-set MSCN cardinality model: dims plus parameter arrays."""
 
     def __init__(
         self,
@@ -42,7 +52,6 @@ class MSCN(Module):
         hidden_units: int = 64,
         seed: SeedLike = None,
     ):
-        super().__init__()
         if hidden_units <= 0:
             raise TrainingError(f"hidden_units must be positive, got {hidden_units}")
         rng = make_rng(seed)
@@ -50,53 +59,62 @@ class MSCN(Module):
         self.join_dim = join_dim
         self.predicate_dim = predicate_dim
         self.hidden_units = hidden_units
+        h = hidden_units
+        #: Dotted name -> float64 array.  Training updates these arrays in
+        #: place; :meth:`load_state_dict` copies into them.
+        self.params: dict[str, np.ndarray] = {}
+        for name, dims in zip(
+            MLP_NAMES,
+            ((table_dim, h, h), (join_dim, h, h), (predicate_dim, h, h), (3 * h, h, 1)),
+        ):
+            for layer, fan_in, fan_out in zip("02", dims, dims[1:]):
+                weight, bias = kaiming_uniform(fan_in, fan_out, rng)
+                self.params[f"{name}_mlp.{layer}.weight"] = weight
+                self.params[f"{name}_mlp.{layer}.bias"] = bias
 
-        def set_module(in_dim: int) -> Sequential:
-            return Sequential(
-                Linear(in_dim, hidden_units, rng=rng),
-                ReLU(),
-                Linear(hidden_units, hidden_units, rng=rng),
-                ReLU(),
+    def mlp(self, name: str) -> tuple[np.ndarray, ...]:
+        """``(w1, b1, w2, b2)`` of one of
+        :data:`~repro.nn.inference.MLP_NAMES` (live arrays)."""
+        return tuple(self.params[f"{name}_mlp.{key}"] for key in LAYER_KEYS)
+
+    def num_parameters(self) -> int:
+        """Total scalar parameter count (used for footprint accounting)."""
+        return sum(p.size for p in self.params.values())
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Flat mapping of dotted parameter names to array copies."""
+        return {name: p.copy() for name, p in self.params.items()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy arrays produced by :meth:`state_dict` into the parameters.
+
+        Every parameter must be present with a matching shape; extra keys
+        are rejected so silent architecture mismatches cannot slip through.
+        """
+        missing = sorted(set(self.params) - set(state))
+        extra = sorted(set(state) - set(self.params))
+        if missing or extra:
+            raise SerializationError(
+                f"state dict mismatch: missing={missing}, unexpected={extra}"
             )
-
-        self.table_mlp = self.register_module("table_mlp", set_module(table_dim))
-        self.join_mlp = self.register_module("join_mlp", set_module(join_dim))
-        self.predicate_mlp = self.register_module(
-            "predicate_mlp", set_module(predicate_dim)
-        )
-        self.out_mlp = self.register_module(
-            "out_mlp",
-            Sequential(
-                Linear(3 * hidden_units, hidden_units, rng=rng),
-                ReLU(),
-                Linear(hidden_units, 1, rng=rng),
-            ),
-        )
-
-    def forward(self, batch: Batch) -> Tensor:
-        """Normalized log-cardinality predictions, shape (B,)."""
-        table_repr = masked_mean(
-            self.table_mlp(Tensor(batch.tables)), batch.table_mask
-        )
-        join_repr = masked_mean(self.join_mlp(Tensor(batch.joins)), batch.join_mask)
-        pred_repr = masked_mean(
-            self.predicate_mlp(Tensor(batch.predicates)), batch.predicate_mask
-        )
-        combined = concat([table_repr, join_repr, pred_repr], axis=1)
-        out = self.out_mlp(combined).sigmoid()
-        return out.reshape(out.shape[0])
+        for name, param in self.params.items():
+            value = np.asarray(state[name], dtype=np.float64)
+            if value.shape != param.shape:
+                raise SerializationError(
+                    f"shape mismatch for {name!r}: "
+                    f"expected {param.shape}, got {value.shape}"
+                )
+            param[...] = value
 
     def compile(self, dtype="float64"):
         """Snapshot the current weights into a compiled inference session.
 
         The session (:class:`~repro.nn.inference.InferenceSession`) runs
-        the same forward as :meth:`forward` as a flat sequence of
-        in-place numpy calls against pooled buffers — no autograd nodes,
-        no per-call allocation on repeated batch shapes.  It does not
-        track later weight updates; recompile after training.
+        the forward as a flat sequence of in-place numpy calls against
+        pooled buffers, with no per-call allocation on repeated batch
+        shapes.  It does not track later weight updates; recompile after
+        training.
         """
-        from ..nn.inference import InferenceSession
-
         return InferenceSession(self, dtype=dtype)
 
     def architecture(self) -> dict:

@@ -10,10 +10,9 @@ is a single call: consume a SQL query (or a structured
 Sketches serialize to one compact binary payload — the paper's
 "small footprint size (a few MiBs)" — and estimation is pure in-memory
 arithmetic ("fast to query (within milliseconds)"): the forward pass
-runs through a compiled, autograd-free
+runs through a compiled
 :class:`~repro.nn.inference.InferenceSession` against pooled buffers
-(the autograd graph is reserved for training and parity testing; see
-``docs/performance.md``).
+(see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -89,8 +88,6 @@ class DeepSketch:
     inference_dtype: str = "float64"
 
     def __post_init__(self):
-        if self.model is not None:
-            self.model.eval()
         if self.inference_dtype not in ("float64", "float32"):
             raise SketchError(
                 f"inference_dtype must be 'float64' or 'float32', "
@@ -216,8 +213,8 @@ class DeepSketch:
         (:func:`~repro.sampling.bitmaps.batch_bitmaps`), featurization
         reuses rows, duplicate queries collapse onto one model slot, and
         cached queries skip the model entirely.  The forward pass runs
-        through the compiled :attr:`inference_session` (autograd-free,
-        pooled buffers), as does :meth:`estimate`, so the two paths stay
+        through the compiled :attr:`inference_session` (pooled
+        buffers), as does :meth:`estimate`, so the two paths stay
         numerically identical to each other.  ``feature_cache`` (a
         :class:`repro.serve.feature_cache.FeatureCache`) lets the
         structure-row reuse persist across calls for templated
@@ -279,7 +276,7 @@ class DeepSketch:
         """A picklable, estimation-only replica of this sketch.
 
         The payload is the compiled :attr:`inference_session` (weights
-        only — no autograd model), the featurizer manifest, and the
+        only — no model), the featurizer manifest, and the
         materialized-sample arrays: everything :meth:`estimate_many`
         needs and nothing it doesn't.  :meth:`SketchSnapshot.restore`
         rehydrates it in another process without retraining, rebuilding
@@ -387,8 +384,8 @@ class SketchSnapshot:
     sketch into each worker, and :meth:`restore` turns it back into an
     estimation-only ``DeepSketch`` (``model=None``, session pre-set)
     whose ``estimate``/``estimate_many`` run the exact same compiled
-    arithmetic as the parent's — the worker never retrains, never
-    re-materializes samples, and never touches autograd.
+    arithmetic as the parent's — the worker never retrains and never
+    re-materializes samples.
     """
 
     name: str

@@ -2,7 +2,9 @@
 
 "We featurize the training queries and train the MSCN model for the
 specified number of epochs."  Training minimizes the mean q-error of
-denormalized predictions with Adam; per-epoch training loss and
+denormalized predictions with Adam, every step and every validation
+forward running through one :class:`~repro.nn.training.TrainingSession`;
+per-epoch training loss and
 validation q-error statistics are recorded so the demo's monitoring UI
 (here: repro.demo.monitor) can display progress, and so that the
 "25 epochs are usually enough" observation can be checked (F1a bench).
@@ -25,8 +27,7 @@ import numpy as np
 from ..errors import TrainingError
 from ..rng import SeedLike, make_rng, spawn
 from ..metrics import QErrorSummary, qerrors, summarize_qerrors
-from ..nn.loss import MSELoss, QErrorLoss
-from ..nn.optim import Adam
+from ..nn.training import TrainingSession
 from .batches import TrainingSet
 from .featurization import Featurizer
 from .mscn import MSCN
@@ -74,22 +75,22 @@ EpochCallback = Callable[[EpochStats], None]
 
 
 def validation_qerrors(
-    model: MSCN, featurizer: Featurizer, dataset: TrainingSet, batch_size: int = 512
+    session: TrainingSession,
+    featurizer: Featurizer,
+    dataset: TrainingSet,
+    batch_size: int = 512,
 ) -> np.ndarray:
-    """Q-errors of the model on a (featurized) dataset.
+    """Q-errors of the session's model on a (featurized) dataset.
 
-    Uses the autograd forward (the training-path oracle) but vectorized
-    label denormalization — the per-element Python loop was a measurable
-    slice of every epoch on large validation sets.
+    The forward is the training session's own (packed set rows, pooled
+    buffers); label denormalization is vectorized.
     """
-    model.eval()
     errors: list[np.ndarray] = []
-    for batch, labels in dataset.minibatches(batch_size, shuffle=False):
-        preds = model(batch).numpy()
-        est = featurizer.denormalize_label(preds)
-        true = featurizer.denormalize_label(labels)
+    dense = dataset.precollated()
+    for index in dataset.batch_indices(batch_size, shuffle=False):
+        est = featurizer.denormalize_label(session.predict(dense, index))
+        true = featurizer.denormalize_label(dataset.labels[index])
         errors.append(np.maximum(est / true, true / est))
-    model.train()
     return np.concatenate(errors) if errors else np.empty(0)
 
 
@@ -109,13 +110,12 @@ class Trainer:
         self.featurizer = featurizer
         self.n_epochs = epochs
         self.batch_size = batch_size
-        if loss == "qerror":
-            self.loss_fn = QErrorLoss(log_max_card=featurizer.log_label_span)
-        elif loss == "mse":
-            self.loss_fn = MSELoss()
-        else:
-            raise TrainingError(f"unknown loss {loss!r}")
-        self.optimizer = Adam(model.parameters(), lr=learning_rate)
+        self.session = TrainingSession(
+            model,
+            loss=loss,
+            log_max_card=featurizer.log_label_span,
+            learning_rate=learning_rate,
+        )
 
     def fit(
         self,
@@ -151,16 +151,12 @@ class Trainer:
         for epoch in range(1, self.n_epochs + 1):
             start = time.perf_counter()
             losses = []
-            for batch, labels in train_set.minibatches(
-                self.batch_size, shuffle=True, seed=rng
-            ):
-                self.optimizer.zero_grad()
-                preds = self.model(batch)
-                loss = self.loss_fn(preds, labels)
-                loss.backward()
-                self.optimizer.step()
-                losses.append(loss.item())
-            val_errors = validation_qerrors(self.model, self.featurizer, val_set)
+            dense = train_set.precollated()
+            for index in train_set.batch_indices(self.batch_size, seed=rng):
+                losses.append(
+                    self.session.step(dense, train_set.labels[index], index)
+                )
+            val_errors = validation_qerrors(self.session, self.featurizer, val_set)
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)),

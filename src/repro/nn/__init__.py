@@ -1,16 +1,16 @@
-"""Minimal deep-learning framework (the repo's PyTorch substitute).
+"""The MSCN's numerics on numpy arrays (the repo's PyTorch substitute).
 
 Public surface:
 
-* :class:`~repro.nn.tensor.Tensor` — reverse-mode autodiff on numpy arrays
-* layers: :class:`Linear`, :class:`ReLU`, :class:`Sigmoid`, :class:`Tanh`,
-  :class:`Dropout`, :class:`Sequential`, :func:`mlp`
-* optimizers: :class:`SGD`, :class:`Adam`
-* losses: :class:`MSELoss`, :class:`QErrorLoss`
+* training: :class:`~repro.nn.training.TrainingSession` — forward,
+  hand-derived backward and Adam in place on an MSCN's arrays
 * compiled inference: :class:`~repro.nn.inference.InferenceSession`
-  (autograd-free serving forward; see ``docs/performance.md``)
-* functional ops: :func:`masked_mean`, :func:`concat`, :func:`maximum`
-* serialization: :func:`save_module`, :func:`load_module`
+  (the serving forward; see ``docs/performance.md``)
+* initialization: :func:`kaiming_uniform`
+* serialization: :func:`state_dict_to_bytes`, :func:`state_dict_from_bytes`
+
+The autograd graph these sessions replaced lives on as their test
+oracle under ``tests/nn/oracle/``.
 """
 
 from .._lazy import lazy_exports
@@ -19,63 +19,17 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".functional": ("masked_mean",),
         ".inference": ("InferenceSession",),
-        ".init": (
-            "INITIALIZERS",
-            "kaiming_uniform",
-            "xavier_normal",
-            "xavier_uniform",
-        ),
-        ".layers": (
-            "Dropout",
-            "Linear",
-            "ReLU",
-            "Sequential",
-            "Sigmoid",
-            "Tanh",
-            "mlp",
-        ),
-        ".loss": ("Loss", "MSELoss", "QErrorLoss"),
-        ".module": ("Module",),
-        ".optim": ("SGD", "Adam", "Optimizer"),
-        ".serialize": (
-            "load_module",
-            "save_module",
-            "state_dict_from_bytes",
-            "state_dict_to_bytes",
-        ),
-        ".tensor": ("Tensor", "concat", "maximum", "stack_rows"),
+        ".init": ("kaiming_uniform",),
+        ".serialize": ("state_dict_from_bytes", "state_dict_to_bytes"),
+        ".training": ("TrainingSession",),
     },
 )
 
 __all__ = [
-    "Tensor",
-    "concat",
-    "maximum",
-    "stack_rows",
-    "masked_mean",
-    "Module",
     "InferenceSession",
-    "Linear",
-    "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Dropout",
-    "Sequential",
-    "mlp",
-    "Loss",
-    "MSELoss",
-    "QErrorLoss",
-    "Optimizer",
-    "SGD",
-    "Adam",
+    "TrainingSession",
     "kaiming_uniform",
-    "xavier_uniform",
-    "xavier_normal",
-    "INITIALIZERS",
-    "save_module",
-    "load_module",
     "state_dict_to_bytes",
     "state_dict_from_bytes",
 ]

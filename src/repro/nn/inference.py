@@ -1,10 +1,10 @@
-"""Compiled, autograd-free MSCN inference.
+"""Compiled MSCN inference.
 
-The autograd :class:`~repro.nn.tensor.Tensor` graph is the right tool
-for training and the parity oracle for everything else, but it is pure
-overhead at serving time: every op allocates a node, a backward closure,
-and a fresh float64 intermediate that is discarded as soon as the
-estimate is read out.  :class:`InferenceSession` removes all of that.
+Serving runs the forward only, so it needs none of what training
+keeps: no stored activations, no gradients, no optimizer state.
+:class:`InferenceSession` is that forward alone.  (Training runs
+through :class:`~repro.nn.training.TrainingSession`, which keeps its
+activations for a hand-derived backward.)
 
 A session is *compiled* once from a trained :class:`~repro.core.mscn.MSCN`:
 
@@ -14,8 +14,7 @@ A session is *compiled* once from a trained :class:`~repro.core.mscn.MSCN`:
 * the forward pass is a flat, fixed sequence of in-place numpy calls —
   ``np.dot(..., out=...)`` for every matmul, fused ReLU via
   ``np.maximum(..., out=...)``, and a mask-multiply / sum / scale
-  masked mean — mirroring the exact arithmetic of
-  :meth:`MSCN.forward` without building a graph;
+  masked mean;
 * every intermediate lives in a per-shape buffer pool, so repeated
   calls with the same batch shape perform **zero** allocations beyond
   the tiny ``(B,)`` output (which is always a fresh array the caller
@@ -35,14 +34,15 @@ Sessions are also **picklable**: the pickle payload is the weight
 snapshot plus the dims/dtype header, and unpickling rebuilds a fresh
 (empty) buffer pool.  This is how the serving layer's process-pool
 executor ships a trained model to worker processes — the worker gets
-the exact compiled arrays, never the autograd model, and never
-retrains or recompiles anything (see ``repro.serve.executor``).
+the exact compiled arrays, never the model, and never retrains or
+recompiles anything (see ``repro.serve.executor``).
 
-The numerical contract: a float64 session matches the autograd forward
-to a few ULPs (<= 1e-12 relative — 2-D GEMM vs batched matmul kernel
-rounding); a float32 session matches to <= 1e-6 relative.  Both bounds
-are asserted in ``tests/nn/test_inference.py`` and measured in
-``benchmarks/bench_inference.py``.
+The numerical contract, against the autograd forward kept as the
+oracle under ``tests/nn/oracle/``: a float64 session matches it to a
+few ULPs (<= 1e-12 relative — 2-D GEMM vs batched matmul kernel
+rounding); a float32 session matches to <= 1e-6 relative.  Both bounds,
+and a trained sketch's estimates against the oracle path, are asserted
+in ``tests/nn/test_inference.py``.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ import numpy as np
 
 from ..errors import ReproError
 from ..pools import DEFAULT_MAX_SHAPES, ArrayPool
-from .layers import Linear, Sequential
-from .tensor import stable_sigmoid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..core.batches import Batch
@@ -74,51 +72,36 @@ MLP_NAMES = ("table", "join", "predicate", "out")
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic on a raw ndarray.
+
+    The one sigmoid of every MSCN forward: this session's, the training
+    session's and the test oracle's, so they stay arithmetically
+    identical by construction.
+    """
+    clipped = np.clip(x, -60, 60)
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-clipped)),
+        np.exp(clipped) / (1.0 + np.exp(clipped)),
+    )
+
+
 class _MLP:
     """Weight snapshot of one two-layer MLP: ``relu(x@W1+b1) @ W2 + b2``.
 
-    Arrays are C-contiguous at the session dtype so ``np.dot`` can write
-    straight into pooled output buffers.
+    The arrays are adopted verbatim — **no copy**.  The shared-memory
+    snapshot path hands in read-only views over a mapped segment; the
+    forward pass only ever uses weights as GEMM operands, so read-only
+    is fine.  Callers own the aliasing consequences.
     """
 
     __slots__ = ("w1", "b1", "w2", "b2")
 
-    def __init__(self, module: Sequential, dtype: np.dtype):
-        linears = [m for m in module.layers if isinstance(m, Linear)]
-        if len(linears) != 2:
-            raise ReproError(
-                f"cannot compile set module {module!r}: expected exactly two "
-                f"Linear layers, found {len(linears)}"
-            )
-        first, second = linears
-        # np.array (not ascontiguousarray): the snapshot must be a COPY
-        # even when the parameter is already contiguous at the session
-        # dtype, or the optimizers' in-place updates (``p.data -= ...``)
-        # would write through into a "compiled" session.
-        self.w1 = np.array(first.weight.data, dtype=dtype, order="C")
-        self.b1 = np.array(first.bias.data, dtype=dtype, order="C")
-        self.w2 = np.array(second.weight.data, dtype=dtype, order="C")
-        self.b2 = np.array(second.bias.data, dtype=dtype, order="C")
-
-    @classmethod
-    def from_arrays(
-        cls,
-        w1: np.ndarray,
-        b1: np.ndarray,
-        w2: np.ndarray,
-        b2: np.ndarray,
-    ) -> "_MLP":
-        """Adopt the given arrays verbatim — **no copy**.
-
-        The shared-memory snapshot path hands in read-only views over a
-        mapped segment; the forward pass only ever uses weights as GEMM
-        operands, so read-only is fine.  Callers own the aliasing
-        consequences (the training-path constructor above keeps its
-        deliberate copy).
-        """
-        mlp = cls.__new__(cls)
-        mlp.w1, mlp.b1, mlp.w2, mlp.b2 = w1, b1, w2, b2
-        return mlp
+    def __init__(
+        self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray
+    ):
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
 
 class InferenceSession:
@@ -142,10 +125,13 @@ class InferenceSession:
         self.table_dim = model.table_dim
         self.join_dim = model.join_dim
         self.predicate_dim = model.predicate_dim
-        self._table_mlp = _MLP(model.table_mlp, dtype)
-        self._join_mlp = _MLP(model.join_mlp, dtype)
-        self._predicate_mlp = _MLP(model.predicate_mlp, dtype)
-        self._out_mlp = _MLP(model.out_mlp, dtype)
+        for name in MLP_NAMES:
+            # np.array (not ascontiguousarray): the snapshot must be a COPY
+            # even when the parameter is already contiguous at the session
+            # dtype, or training's in-place updates would write through
+            # into a "compiled" session.
+            arrays = [np.array(a, dtype=dtype, order="C") for a in model.mlp(name)]
+            setattr(self, f"_{name}_mlp", _MLP(*arrays))
         self._pools = ArrayPool(zeroed=False, max_shapes=MAX_POOLED_SHAPES)
 
     # ------------------------------------------------------------------
@@ -233,7 +219,7 @@ class InferenceSession:
                 raise ReproError(
                     f"session weights payload missing array {exc}"
                 ) from exc
-            setattr(session, f"_{mlp_name}_mlp", _MLP.from_arrays(*params))
+            setattr(session, f"_{mlp_name}_mlp", _MLP(*params))
         session._pools = ArrayPool(zeroed=False, max_shapes=MAX_POOLED_SHAPES)
         return session
 
@@ -275,9 +261,8 @@ class InferenceSession:
     ) -> None:
         """One set MLP + masked mean, written into ``out`` (a (B, h) view).
 
-        Mirrors ``masked_mean(mlp(Tensor(x)), mask)`` with every
-        intermediate pooled: the (B, S, d) input is viewed as a 2-D
-        (B*S, d) operand so both layers run as plain GEMMs.
+        Every intermediate is pooled: the (B, S, d) input is viewed as a
+        2-D (B*S, d) operand so both layers run as plain GEMMs.
         """
         batch_size, set_size, _ = x.shape
         x2d = self._as_input(tag + ".in", x).reshape(batch_size * set_size, -1)
@@ -290,8 +275,7 @@ class InferenceSession:
         h2 += mlp.b2
         np.maximum(h2, 0.0, out=h2)
         # Masked mean: zero padded rows, sum the set axis, scale by the
-        # real-element count (empty sets divide by 1, contributing zero,
-        # exactly like nn.functional.masked_mean).
+        # real-element count (empty sets divide by 1, contributing zero).
         mask = self._as_input(tag + ".mask", np.asarray(mask))
         h2 *= mask.reshape(-1, 1)
         np.sum(h2.reshape(batch_size, set_size, self.hidden_units), axis=1, out=out)
@@ -340,4 +324,10 @@ class InferenceSession:
         )
 
 
-__all__ = ["InferenceSession", "MAX_POOLED_SHAPES", "MLP_NAMES", "PARAM_NAMES"]
+__all__ = [
+    "InferenceSession",
+    "MAX_POOLED_SHAPES",
+    "MLP_NAMES",
+    "PARAM_NAMES",
+    "stable_sigmoid",
+]

@@ -1,9 +1,8 @@
-"""Weight initializers.
+"""Weight initialization.
 
 The reference MSCN implementation relies on PyTorch's default
 ``nn.Linear`` initialization (Kaiming-uniform with ``a=sqrt(5)``, which
-degenerates to a uniform fan-in rule).  We provide that rule plus the
-classic Xavier/Glorot schemes for experimentation.
+degenerates to a uniform fan-in rule).
 """
 
 from __future__ import annotations
@@ -28,46 +27,3 @@ def kaiming_uniform(
     weight = gen.uniform(-bound, bound, size=(fan_in, fan_out))
     bias = gen.uniform(-bound, bound, size=(fan_out,))
     return weight, bias
-
-
-def xavier_uniform(
-    fan_in: int, fan_out: int, rng: SeedLike = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Glorot-uniform weights with zero bias."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ReproError(f"invalid layer dimensions ({fan_in}, {fan_out})")
-    gen = make_rng(rng)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    weight = gen.uniform(-bound, bound, size=(fan_in, fan_out))
-    bias = np.zeros(fan_out)
-    return weight, bias
-
-
-def xavier_normal(
-    fan_in: int, fan_out: int, rng: SeedLike = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Glorot-normal weights with zero bias."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ReproError(f"invalid layer dimensions ({fan_in}, {fan_out})")
-    gen = make_rng(rng)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    weight = gen.normal(0.0, std, size=(fan_in, fan_out))
-    bias = np.zeros(fan_out)
-    return weight, bias
-
-
-#: Registry used by ``layers.Linear(init=...)``.
-INITIALIZERS = {
-    "kaiming_uniform": kaiming_uniform,
-    "xavier_uniform": xavier_uniform,
-    "xavier_normal": xavier_normal,
-}
-
-
-def get_initializer(name: str):
-    """Look up an initializer by name, raising a helpful error if unknown."""
-    try:
-        return INITIALIZERS[name]
-    except KeyError:
-        known = ", ".join(sorted(INITIALIZERS))
-        raise ReproError(f"unknown initializer {name!r}; known: {known}") from None

@@ -14,7 +14,6 @@ import json
 import numpy as np
 
 from ..errors import SerializationError
-from .module import Module
 
 _META_KEY = "__meta__"
 _FORMAT_VERSION = 1
@@ -52,23 +51,3 @@ def state_dict_from_bytes(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
             f"(expected {_FORMAT_VERSION})"
         )
     return state, header.get("meta", {})
-
-
-def save_module(module: Module, path: str, meta: dict | None = None) -> int:
-    """Write a module's weights to ``path``; returns the byte size."""
-    blob = state_dict_to_bytes(module.state_dict(), meta=meta)
-    with open(path, "wb") as f:
-        f.write(blob)
-    return len(blob)
-
-
-def load_module(module: Module, path: str) -> dict:
-    """Load weights saved by :func:`save_module` into ``module``.
-
-    Returns the stored metadata dictionary.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    state, meta = state_dict_from_bytes(blob)
-    module.load_state_dict(state)
-    return meta

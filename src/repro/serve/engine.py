@@ -302,9 +302,9 @@ def answer_chunk(
     """Answer one micro-batch in place: a single ``estimate_many`` call.
 
     The model work behind that call runs on the sketch's compiled
-    :class:`~repro.nn.inference.InferenceSession` — the autograd-free
-    forward with pooled buffers — so a serving flush never touches the
-    training graph (see ``docs/performance.md``).  On a batch-level
+    :class:`~repro.nn.inference.InferenceSession` — the forward alone,
+    on pooled buffers, so a serving flush never touches the training
+    session (see ``docs/performance.md``).  On a batch-level
     failure (a query can pass routing yet fail featurization — unknown
     column/operator for this sketch's vocabulary) the chunk is retried
     one request at a time so only the offending requests fail.  This is

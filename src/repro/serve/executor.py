@@ -18,8 +18,7 @@ implementations cover the scale spectrum:
   estimation-only replica per sketch it serves, restored from a
   :class:`~repro.core.sketch.SketchSnapshot` — the compiled
   :class:`~repro.nn.inference.InferenceSession` weight arrays plus the
-  materialized sample tables; workers never retrain, rebuild samples,
-  or touch autograd.  The parent keeps the caches: it collapses
+  materialized sample tables; workers never retrain or rebuild samples.  The parent keeps the caches: it collapses
   duplicates before shipping the distinct queries (every one of them
   missed the result cache at submit), and it writes the results back
   into the shared cache so later requests hit without crossing a

@@ -1,12 +1,13 @@
 """Batch collation and training-set tests."""
 
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.core import TrainingSet, collate
-from repro.core.batches import CollateScratch
+from repro.core.batches import Batch, CollateScratch
 from repro.core.featurization import QueryFeatures
 from repro.errors import TrainingError
 
@@ -17,6 +18,11 @@ def fake_features(n_tables=2, n_joins=1, n_preds=1, td=5, jd=3, pd=4, fill=1.0):
         joins=np.full((n_joins, jd), fill),
         predicates=np.full((n_preds, pd), fill),
     )
+
+
+def rows_of(batch, index):
+    """Rows ``index`` of every array of ``batch``, as one batch."""
+    return Batch(*(getattr(batch, f.name)[index] for f in fields(Batch)))
 
 
 class TestCollate:
@@ -138,23 +144,21 @@ class TestTrainingSet:
         with pytest.raises(TrainingError):
             self.make_set().split(1.0)
 
-    def test_minibatches_cover_everything(self):
+    def test_unshuffled_batch_indices_cover_everything_in_order(self):
         ds = self.make_set(17)
-        seen = []
-        for batch, labels in ds.minibatches(5, shuffle=False):
-            assert batch.size == len(labels)
-            seen.extend(labels.tolist())
-        assert sorted(seen) == sorted(ds.labels.tolist())
+        indices = list(ds.batch_indices(5, shuffle=False))
+        assert [i.size for i in indices] == [5, 5, 5, 2]
+        np.testing.assert_array_equal(np.concatenate(indices), np.arange(17))
 
     def test_minibatch_shuffle_deterministic(self):
         ds = self.make_set(16)
-        a = [l.tolist() for _, l in ds.minibatches(4, seed=3)]
-        b = [l.tolist() for _, l in ds.minibatches(4, seed=3)]
+        a = [i.tolist() for i in ds.batch_indices(4, seed=3)]
+        b = [i.tolist() for i in ds.batch_indices(4, seed=3)]
         assert a == b
 
     def test_invalid_batch_size(self):
         with pytest.raises(TrainingError):
-            list(self.make_set().minibatches(0))
+            list(self.make_set().batch_indices(0))
 
 
 class TestPrecollation:
@@ -177,15 +181,13 @@ class TestPrecollation:
         ds = self.ragged_set()
         assert ds.precollated() is ds.precollated()
 
-    def test_minibatches_match_legacy_collation(self):
-        """Each yielded batch equals collating those queries directly,
-        modulo extra all-zero masked padding out to dataset maxima."""
+    def test_precollated_rows_match_legacy_collation(self):
+        """Each minibatch's precollated rows equal collating those
+        queries directly, modulo extra all-zero masked padding out to
+        dataset maxima."""
         ds = self.ragged_set()
-        order = np.arange(len(ds))
-        for start, (batch, labels) in zip(
-            range(0, len(ds), 5), ds.minibatches(5, shuffle=False)
-        ):
-            idx = order[start : start + 5]
+        for idx in ds.batch_indices(5, shuffle=False):
+            batch = rows_of(ds.precollated(), idx)
             legacy = collate([ds.features[i] for i in idx])
             for name in ("tables", "joins", "predicates"):
                 wide = getattr(batch, name)
@@ -199,54 +201,28 @@ class TestPrecollation:
                 s = narrow.shape[1]
                 np.testing.assert_array_equal(wide[:, :s], narrow)
                 assert np.all(wide[:, s:] == 0.0)
-            np.testing.assert_array_equal(labels, ds.labels[idx])
 
     def test_model_outputs_unchanged_by_dataset_padding(self):
         """Dataset-maxima padding is invisible through the masked mean."""
         from repro.core.mscn import MSCN
 
         ds = self.ragged_set()
-        model = MSCN(5, 3, 4, hidden_units=8, seed=0)
-        model.eval()
-        for (batch, _), start in zip(
-            ds.minibatches(7, shuffle=False), range(0, len(ds), 7)
-        ):
-            legacy = collate(ds.features[start : start + 7])
+        session = MSCN(5, 3, 4, hidden_units=8, seed=0).compile()
+        for idx in ds.batch_indices(7, shuffle=False):
+            legacy = collate([ds.features[i] for i in idx])
             np.testing.assert_allclose(
-                model(batch).numpy(), model(legacy).numpy(), rtol=1e-12
+                session.run(rows_of(ds.precollated(), idx)),
+                session.run(legacy),
+                rtol=1e-12,
             )
 
     def test_shuffled_epochs_cover_everything(self):
         ds = self.ragged_set()
+        dense = ds.precollated()
         seen = []
-        for batch, labels in ds.minibatches(4, shuffle=True, seed=8):
-            assert batch.size == len(labels)
+        for index in ds.batch_indices(4, shuffle=True, seed=8):
+            assert index.size <= 4
             # fill value identifies the query each padded row came from
-            row_fill = batch.tables[:, 0, 0]
-            np.testing.assert_array_equal(
-                row_fill, [float(np.argmin(np.abs(ds.labels - l)) + 1) for l in labels]
-            )
-            seen.extend(labels.tolist())
-        assert sorted(seen) == sorted(ds.labels.tolist())
-
-    def test_shuffle_scratch_reused_across_epochs(self):
-        ds = self.ragged_set()
-        list(ds.minibatches(4, seed=1))
-        scratch = ds._shuffled
-        assert scratch is not None
-        list(ds.minibatches(4, seed=2))
-        assert ds._shuffled is scratch
-
-    def test_interleaved_shuffled_iterators_stay_independent(self):
-        """A second live shuffled iteration must not overwrite batches the
-        first one already yielded (the scratch is claimed per iteration)."""
-        ds = self.ragged_set()
-        it1 = ds.minibatches(4, shuffle=True, seed=1)
-        batch1, labels1 = next(it1)
-        snapshot = batch1.tables.copy()
-        it2 = ds.minibatches(4, shuffle=True, seed=2)
-        next(it2)  # a shared scratch would overwrite batch1's views here
-        np.testing.assert_array_equal(batch1.tables, snapshot)
-        # both iterations still cover their full (distinct) orders
-        seen1 = labels1.tolist() + [l for _, ls in it1 for l in ls.tolist()]
-        assert sorted(seen1) == sorted(ds.labels.tolist())
+            np.testing.assert_array_equal(dense.tables[index, 0, 0], index + 1.0)
+            seen.extend(index.tolist())
+        assert sorted(seen) == list(range(len(ds)))

@@ -18,6 +18,7 @@ import pytest
 from repro.sampling import is_zero_tuple
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
+from tests.nn.oracle import oracle_forward
 
 #: Tolerance for single-vs-batched model output (see module docstring).
 RTOL = 1e-12
@@ -203,7 +204,7 @@ class TestCompiledPath:
             features = sketch.featurizer.featurize_query(
                 query, bitmaps, db=sketch._catalog
             )
-            prediction = float(sketch.model(collate([features])).numpy()[0])
+            prediction = float(oracle_forward(sketch.model, collate([features]))[0])
             values.append(
                 max(sketch.featurizer.denormalize_label(prediction), MIN_CARDINALITY)
             )
@@ -227,10 +228,10 @@ class TestCompiledPath:
         # Mutate the model in place (what an optimizer step does), then
         # invalidate: estimates must reflect the new weights and agree
         # with the autograd oracle again.
-        param = sketch.model.out_mlp.layers[-1].bias
-        original = param.data.copy()
+        param = sketch.model.params["out_mlp.2.bias"]
+        original = param.copy()
         try:
-            param.data += 0.25
+            param += 0.25
             assert sketch.estimate(query, use_cache=False) == before, (
                 "stale session still serves the snapshotted weights"
             )
@@ -242,7 +243,7 @@ class TestCompiledPath:
                 [after], self.autograd_reference(sketch, [query]), rtol=1e-9
             )
         finally:
-            param.data[:] = original
+            param[:] = original
             sketch.clear_cache()
 
     def test_retrain_invalidates_session(self, sketch, workload):
@@ -264,7 +265,6 @@ class TestCompiledPath:
         trainer = Trainer(sketch.model, sketch.featurizer, epochs=1, batch_size=4)
         try:
             trainer.fit(TrainingSet(features, np.linspace(0.2, 0.8, 12)))
-            sketch.model.eval()
             sketch.clear_cache()
             after = sketch.estimate(workload[0], use_cache=False)
             assert after != before  # the retrain moved the weights
@@ -277,7 +277,6 @@ class TestCompiledPath:
             )
         finally:
             sketch.model.load_state_dict(state)
-            sketch.model.eval()
             sketch.clear_cache()
 
     def test_float32_sketch_parity(self, sketch, workload):
@@ -296,7 +295,6 @@ class TestCompiledPath:
         # ~1e-7 float32 error in the normalized prediction is amplified
         # by exp(span * v) in denormalization; span ~ 15 here.
         np.testing.assert_allclose(approx, exact, rtol=1e-4, atol=0.0)
-        sketch.model.eval()  # restore (shared model object)
 
     def test_inference_dtype_survives_serialization(self, sketch):
         from repro.core.sketch import DeepSketch

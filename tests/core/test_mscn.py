@@ -1,4 +1,4 @@
-"""MSCN model tests: shapes, set semantics, gradients, serialization."""
+"""MSCN model tests: shapes, set semantics, parameters, gradients, serialization."""
 
 import tracemalloc
 
@@ -8,8 +8,9 @@ import pytest
 from repro.core import MSCN, collate
 from repro.core.batches import Batch
 from repro.core.featurization import QueryFeatures
-from repro.errors import TrainingError
-from repro.nn import QErrorLoss
+from repro.errors import SerializationError, TrainingError
+from repro.nn import TrainingSession
+from tests.nn.oracle import OracleMSCN
 
 
 def features(n_tables=2, n_joins=1, n_preds=2, td=6, jd=4, pd=5, rng=None):
@@ -26,22 +27,26 @@ def model():
     return MSCN(table_dim=6, join_dim=4, predicate_dim=5, hidden_units=16, seed=0)
 
 
+def predict(model, batch):
+    return model.compile().run(batch)
+
+
 class TestForward:
     def test_output_shape_and_range(self, model):
         batch = collate([features(), features(n_tables=3)])
-        out = model(batch)
+        out = predict(model, batch)
         assert out.shape == (2,)
-        assert np.all((out.numpy() > 0) & (out.numpy() < 1))
+        assert np.all((out > 0) & (out < 1))
 
     def test_deterministic(self, model):
         batch = collate([features()])
-        assert model(batch).numpy() == model(batch).numpy()
+        assert predict(model, batch) == predict(model, batch)
 
     def test_same_seed_same_model(self):
         a = MSCN(6, 4, 5, hidden_units=8, seed=3)
         b = MSCN(6, 4, 5, hidden_units=8, seed=3)
         batch = collate([features()])
-        assert np.array_equal(a(batch).numpy(), b(batch).numpy())
+        assert np.array_equal(predict(a, batch), predict(b, batch))
 
     def test_invalid_hidden_units(self):
         with pytest.raises(TrainingError):
@@ -61,32 +66,70 @@ class TestSetSemantics:
             predicates=f.predicates[[1, 2, 0]].copy(),
         )
         batch2 = collate([shuffled])
-        assert np.allclose(model(batch1).numpy(), model(batch2).numpy())
+        assert np.allclose(predict(model, batch1), predict(model, batch2))
 
     def test_padding_does_not_change_output(self, model):
         f = features(n_tables=2)
-        alone = model(collate([f])).numpy()[0]
-        padded = model(collate([f, features(n_tables=5)])).numpy()[0]
+        alone = predict(model, collate([f]))[0]
+        padded = predict(model, collate([f, features(n_tables=5)]))[0]
         assert alone == pytest.approx(padded, abs=1e-12)
+
+
+class TestParameters:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_initialization_is_the_reference_draws(self, seed):
+        """Same Kaiming draws, in the same order, under the same keys as
+        the autograd model's ``Sequential(Linear, ReLU, Linear, ...)``:
+        committed sketches keep loading and seeded builds keep their
+        initial weights."""
+        want = OracleMSCN(6, 4, 5, hidden_units=8, seed=seed).state_dict()
+        got = MSCN(6, 4, 5, hidden_units=8, seed=seed).state_dict()
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert got[name].dtype == np.float64
+            assert got[name].tobytes() == value.tobytes(), name
+
+    def test_load_state_dict_copies_into_the_live_arrays(self, model):
+        """A session holding the model's arrays sees a load."""
+        live = list(model.params.values())
+        state = MSCN(6, 4, 5, hidden_units=16, seed=9).state_dict()
+        model.load_state_dict(state)
+        for array, (name, value) in zip(live, state.items()):
+            assert array is model.params[name]
+            np.testing.assert_array_equal(array, value)
+
+    def test_load_state_dict_rejects_mismatches(self, model):
+        state = model.state_dict()
+        with pytest.raises(SerializationError, match="missing"):
+            model.load_state_dict({k: v for k, v in state.items() if k != "out_mlp.2.bias"})
+        with pytest.raises(SerializationError, match="unexpected"):
+            model.load_state_dict({**state, "extra": np.zeros(1)})
+        with pytest.raises(SerializationError, match="shape"):
+            model.load_state_dict({**state, "out_mlp.2.bias": np.zeros(2)})
 
 
 class TestGradients:
     def test_all_parameters_receive_gradients(self, model):
         batch = collate([features(), features()])
-        loss = (model(batch) * 1.0).sum()
-        loss.backward()
-        for name, param in model.named_parameters():
-            assert param.grad is not None, f"no grad for {name}"
-            assert np.isfinite(param.grad).all()
+        session = TrainingSession(
+            model, loss="qerror", log_max_card=9.0, learning_rate=1e-3
+        )
+        _, grads = session.gradients(batch, np.array([0.2, 0.7]), np.arange(2))
+        assert list(grads) == list(model.params)
+        for name, grad in grads.items():
+            assert grad.shape == model.params[name].shape
+            assert np.isfinite(grad).all(), f"bad grad for {name}"
+            assert grad.any(), f"no grad for {name}"
 
     def test_step_memory_stays_near_the_input(self):
         """No op may materialise a per-sample weight gradient.
 
-        One forward+backward at the benchmark's build shapes.  The
-        per-sample form of the first table layer's gradient is a
-        (256, 1006, 64) temporary, 21x the table input on its own
-        (whole step: 23.9x); with one GEMM per layer the step peaks at
-        3.6x.
+        One cold forward+backward (buffers allocated) at the benchmark's
+        build shapes.  The per-sample form of the first table layer's
+        gradient is a (256, 1006, 64) temporary, 21x the table input on
+        its own (whole step: 23.9x); the packed session's cold step
+        peaks at 3.0x (its pooled buffers included) and a warm one at
+        0.05x.
         """
         rng = np.random.default_rng(0)
         batch = Batch(
@@ -97,12 +140,14 @@ class TestGradients:
             predicates=rng.random((256, 5, 18)),
             predicate_mask=np.ones((256, 5)),
         )
-        model = MSCN(1006, 5, 18, hidden_units=64, seed=0)
-        loss_fn = QErrorLoss(log_max_card=12.0)
+        session = TrainingSession(
+            MSCN(1006, 5, 18, hidden_units=64, seed=0),
+            loss="qerror", log_max_card=12.0, learning_rate=1e-3,
+        )
         targets = rng.random(256)
         tracemalloc.start()
         try:
-            loss_fn(model(batch), targets).backward()
+            session.gradients(batch, targets, np.arange(256))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -125,7 +170,7 @@ class TestArchitectureRoundtrip:
         clone = MSCN.from_architecture(arch)
         clone.load_state_dict(model.state_dict())
         batch = collate([features()])
-        assert np.array_equal(model(batch).numpy(), clone(batch).numpy())
+        assert np.array_equal(predict(model, batch), predict(clone, batch))
 
     def test_malformed_rejected(self):
         with pytest.raises(TrainingError):

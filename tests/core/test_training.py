@@ -15,6 +15,7 @@ from repro.core import (
 from repro.core.featurization import QueryFeatures
 from repro.errors import SketchError, TrainingError
 from repro.metrics import summarize_qerrors
+from repro.nn import TrainingSession
 
 
 def synthetic_dataset(n=120, seed=0):
@@ -115,7 +116,16 @@ class TestTrainer:
 
     def test_validation_qerrors_all_at_least_one(self, featurizer):
         model = MSCN(4, 3, 5, hidden_units=8, seed=0)
-        errors = validation_qerrors(model, featurizer, synthetic_dataset(n=30))
+        errors = validation_qerrors(
+            TrainingSession(
+                model,
+                loss="qerror",
+                log_max_card=featurizer.log_label_span,
+                learning_rate=1e-3,
+            ),
+            featurizer,
+            synthetic_dataset(n=30),
+        )
         assert (errors >= 1.0).all()
 
 

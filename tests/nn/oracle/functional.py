@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ReproError
+from repro.errors import ReproError
 from .tensor import Tensor, concat, maximum
 
 

@@ -1,12 +1,12 @@
-"""Neural-network layers built on the autodiff engine."""
+"""Neural-network layers built on the autodiff engine (the test oracle)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ReproError
-from ..rng import SeedLike, make_rng
-from .init import get_initializer
+from repro.errors import ReproError
+from repro.nn.init import kaiming_uniform
+from repro.rng import SeedLike, make_rng
 from .module import Module
 from .tensor import Tensor
 
@@ -23,7 +23,6 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         rng: SeedLike = None,
-        init: str = "kaiming_uniform",
     ):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -32,7 +31,7 @@ class Linear(Module):
             )
         self.in_features = in_features
         self.out_features = out_features
-        weight, bias = get_initializer(init)(in_features, out_features, rng)
+        weight, bias = kaiming_uniform(in_features, out_features, rng)
         self.weight = self.register_parameter("weight", weight)
         self.bias = self.register_parameter("bias", bias)
 

@@ -1,6 +1,6 @@
 """Module base class: a parameter registry with train/eval modes.
 
-A :class:`Module` owns named parameters (leaf :class:`~repro.nn.tensor.Tensor`
+A :class:`Module` owns named parameters (leaf :class:`~.tensor.Tensor`
 objects with ``requires_grad=True``) and possibly named child modules.
 ``parameters()`` walks the tree, ``state_dict()`` / ``load_state_dict()``
 move raw arrays in and out for serialization.
@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ReproError, SerializationError
+from repro.errors import ReproError, SerializationError
 from .tensor import Tensor
 
 

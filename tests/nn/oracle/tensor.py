@@ -1,8 +1,9 @@
 """A small reverse-mode automatic-differentiation engine on numpy arrays.
 
-This is the substrate that stands in for PyTorch in this reproduction
-(see DESIGN.md, substitution table).  It implements exactly the operator
-set the MSCN model and its training loop need:
+The reference the hand-derived ``repro.nn.training.TrainingSession`` is
+checked against, as pytorch-sso checks its manual Jacobians against a
+framework: every op the MSCN forward, its losses and Adam need, with
+the gradient recorded on a graph rather than written out.
 
 * elementwise arithmetic with numpy broadcasting (``+ - * /``, ``**``),
 * ``matmul``, ``relu``, ``sigmoid``, ``tanh``, ``exp``, ``log``, ``abs``,
@@ -21,7 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ReproError
+from repro.errors import ReproError
+from repro.nn.inference import stable_sigmoid
 
 ArrayLike = "np.ndarray | float | int | Tensor"
 
@@ -31,21 +33,6 @@ def _as_array(value) -> np.ndarray:
     if isinstance(value, Tensor):
         raise ReproError("expected raw data, got a Tensor; use tensor ops instead")
     return np.asarray(value, dtype=np.float64)
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic on a raw ndarray.
-
-    Shared by the autograd :meth:`Tensor.sigmoid` and the compiled
-    inference path (:mod:`repro.nn.inference`) so the two forwards stay
-    arithmetically identical by construction.
-    """
-    clipped = np.clip(x, -60, 60)
-    return np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-clipped)),
-        np.exp(clipped) / (1.0 + np.exp(clipped)),
-    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

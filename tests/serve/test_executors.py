@@ -234,8 +234,8 @@ class TestExecutorContract:
     ):
         original = manager.get_sketch("test-sketch")
         replacement = clone(original)
-        for p in replacement.model.parameters():
-            p.data += 0.05  # a visibly different generation
+        for p in replacement.model.params.values():
+            p += 0.05  # a visibly different generation
         expected = [
             replacement.estimate(q, use_cache=False) for q in workload[16:]
         ]
@@ -506,8 +506,8 @@ class TestSnapshotShipping:
         with SketchServer(manager, config) as server:
             before = [r.estimate for r in server.serve(workload[:8])]
             token_before = sketch.snapshot_token
-            for p in sketch.model.parameters():
-                p.data += 0.05  # optimizer-style in-place mutation
+            for p in sketch.model.params.values():
+                p += 0.05  # optimizer-style in-place mutation
             sketch.clear_cache()
             assert sketch.snapshot_token != token_before
             after = [r.estimate for r in server.serve(workload[:8])]
@@ -516,8 +516,8 @@ class TestSnapshotShipping:
         assert before != after
         np.testing.assert_allclose(after, single, rtol=PARITY_RTOL, atol=0.0)
         # Restore the shared fixture's weights.
-        for p in sketch.model.parameters():
-            p.data -= 0.05
+        for p in sketch.model.params.values():
+            p -= 0.05
         sketch.clear_cache()
 
     def test_snapshot_pickle_roundtrip_parity(self, trained_sketch, workload):

@@ -203,8 +203,8 @@ class TestShmServing:
             ] * 2
             first_gen = live_segment_names()
             assert len(first_gen) == 1
-            for p in sketch.model.parameters():
-                p.data += 0.05
+            for p in sketch.model.params.values():
+                p += 0.05
             sketch.clear_cache()
             after = [r.estimate for r in server.serve(workload)]
             assert [s["sketches"] for s in executor.slots()] == [
@@ -218,8 +218,8 @@ class TestShmServing:
             single = [sketch.estimate(q, use_cache=False) for q in workload]
         assert before != after
         np.testing.assert_allclose(after, single, rtol=PARITY_RTOL, atol=0.0)
-        for p in sketch.model.parameters():
-            p.data -= 0.05
+        for p in sketch.model.params.values():
+            p -= 0.05
         sketch.clear_cache()
 
     def test_unchanged_token_reuses_the_segment(self, manager, workload):
