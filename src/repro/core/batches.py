@@ -1,23 +1,21 @@
-"""Padded, masked batches of featurized queries.
+"""Batches of featurized queries: padded for serving, packed for training.
 
-MSCN consumes whole sets per query; queries in a batch have different
-set sizes, so each set is padded to the batch maximum and a mask marks
-the real elements (averaging in the model honors the mask).
+MSCN consumes whole sets per query, and queries differ in set sizes.
 
-Two throughput features live here alongside the plain collation path:
-
-* :class:`CollateScratch` — a thread-local pool of collation buffers
+* **Serving** collates a micro-batch into padded tensors
+  (:func:`collate`): each set is padded to the batch maximum and a
+  mask marks the real elements (the model's masked mean honors it).
+  :class:`CollateScratch` is a thread-local pool of those buffers,
   keyed by (shape, dtype), so hot serving loops that collate the same
   batch shapes over and over (``DeepSketch.estimate``/``estimate_many``)
-  stop allocating six fresh arrays per call;
-* precollation — :class:`TrainingSet` pads the *whole* dataset to its
-  maxima once (:meth:`TrainingSet.precollated`); every minibatch of
-  every epoch is then a set of row indices into those arrays
-  (:meth:`TrainingSet.batch_indices`), from which the training session
-  gathers only the valid set rows, replacing the per-epoch Python
-  re-collation loop.  Padding to dataset maxima instead of batch maxima
-  only adds masked all-zero elements, which contribute exactly nothing
-  through the masked mean, so training numerics are unchanged.
+  stop allocating six fresh arrays per call.
+* **Training** keeps the whole dataset packed (:class:`TrainingSet`):
+  per set, the real rows of every query back to back plus per-query
+  offsets (:class:`~repro.core.featurization.PackedSet`), as the build's
+  featurizer writes them.  A minibatch is a vector of query indices
+  (:meth:`TrainingSet.batch_indices`); the training session gathers
+  those queries' rows straight from the packed arrays, so no epoch
+  copies or pads the dataset.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from ..errors import TrainingError
 from ..pools import DEFAULT_MAX_SHAPES, ArrayPool
 from ..rng import SeedLike, make_rng
-from .featurization import QueryFeatures
+from .featurization import PackedSet, QueryFeatures
 
 #: A scratch pool holding more distinct (shape, dtype) buffers than this
 #: is cleared — a backstop against unbounded shape churn.
@@ -142,23 +140,35 @@ def collate(
     return Batch(tables, table_mask, joins, join_mask, predicates, predicate_mask)
 
 
-@dataclass
 class TrainingSet:
-    """Featurized queries plus normalized labels, with batching."""
+    """Featurized queries, packed per set, plus normalized labels."""
 
-    features: list[QueryFeatures]
-    labels: np.ndarray  # normalized log labels in [0, 1]
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        if len(self.features) != len(self.labels):
+    def __init__(
+        self,
+        tables: PackedSet,
+        joins: PackedSet,
+        predicates: PackedSet,
+        labels: np.ndarray,  # normalized log labels in [0, 1]
+    ):
+        self.tables, self.joins, self.predicates = tables, joins, predicates
+        self.labels = np.asarray(labels, dtype=np.float64)
+        sizes = {len(tables), len(joins), len(predicates)}
+        if sizes != {len(self.labels)}:
             raise TrainingError(
-                f"{len(self.features)} feature sets but {len(self.labels)} labels"
+                f"feature sets of {sorted(sizes)} queries but {len(self.labels)} labels"
             )
-        self._dense: Batch | None = None
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.labels)
+
+    def take(self, index: np.ndarray) -> "TrainingSet":
+        """Queries ``index``, in that order."""
+        return TrainingSet(
+            self.tables.take(index),
+            self.joins.take(index),
+            self.predicates.take(index),
+            self.labels[index],
+        )
 
     def split(self, validation_fraction: float, seed: SeedLike = None) -> tuple["TrainingSet", "TrainingSet"]:
         """Shuffled train/validation split."""
@@ -171,31 +181,13 @@ class TrainingSet:
         n_val = max(int(round(len(self) * validation_fraction)), 1)
         if n_val >= len(self):
             raise TrainingError("training set too small to split")
-        val_idx, train_idx = order[:n_val], order[n_val:]
-        return (
-            TrainingSet([self.features[i] for i in train_idx], self.labels[train_idx]),
-            TrainingSet([self.features[i] for i in val_idx], self.labels[val_idx]),
-        )
-
-    # ------------------------------------------------------------------
-    # precollated minibatching
-    # ------------------------------------------------------------------
-    def precollated(self) -> Batch:
-        """The whole dataset as one batch, padded to dataset maxima.
-
-        Built lazily on first use and cached; every epoch's minibatches
-        index into these arrays, so per-epoch re-collation of
-        individual queries never happens again.
-        """
-        if self._dense is None:
-            self._dense = collate(self.features)
-        return self._dense
+        return self.take(order[n_val:]), self.take(order[:n_val])
 
     def batch_indices(
         self, batch_size: int, shuffle: bool = True, seed: SeedLike = None
     ) -> Iterator[np.ndarray]:
-        """Yield each minibatch's row indices into :meth:`precollated`
-        (consecutive ``batch_size`` slices of one epoch's order)."""
+        """Yield each minibatch's query indices (consecutive
+        ``batch_size`` slices of one epoch's order)."""
         if batch_size <= 0:
             raise TrainingError(f"batch size must be positive, got {batch_size}")
         order = np.arange(len(self))

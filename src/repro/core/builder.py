@@ -12,6 +12,15 @@
 4. **Train** — featurize static query features and bitmaps, train the
    MSCN for the specified number of epochs.
 
+The round works on one columnar :class:`~repro.db.batch.QueryBatch`
+from step 2 on, never on per-query objects: the generator draws
+straight into it; :func:`~repro.db.executor.label_batch` counts it per
+join structure and gathers each query's sample bitmaps from the same
+full-table predicate masks at the samples' row ids
+(``MaterializedSamples.row_ids``); the featurizer writes its packed
+set rows (:meth:`~repro.core.featurization.Featurizer.featurize_packed`)
+into a :class:`~repro.core.batches.TrainingSet`.
+
 The pipeline is written once, here.  :meth:`SketchBuilder.start` runs
 steps 1-3, featurizes, and sets up the model and its trainer; the
 :class:`PendingBuild` it returns trains one epoch per
@@ -36,9 +45,9 @@ import numpy as np
 
 from ..errors import SketchError
 from ..rng import SeedLike, make_rng, spawn
+from ..db.batch import QueryBatch, segment_rows
 from ..db.database import Database
-from ..db.executor import execute_counts
-from ..sampling.bitmaps import batch_bitmaps
+from ..db.executor import label_batch
 from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..workload.generator import TrainingQueryGenerator, WorkloadSpec
 from ..db.query import Query
@@ -54,8 +63,8 @@ STAGES = ("define", "generate", "execute", "train")
 
 #: Label execution runs in chunks of this many queries, one ``execute``
 #: progress event per chunk; models the demo's parallel HyPer instances.
-#: Each chunk is one :func:`~repro.db.executor.execute_counts` call, so
-#: the counting memo lives for one chunk.
+#: Each chunk is one :func:`~repro.db.executor.label_batch` call, so
+#: the counting memo (and its predicate masks) lives for one chunk.
 LABEL_CHUNK_SIZE = 500
 
 
@@ -152,54 +161,61 @@ class SketchBuilder:
 
     def generate(
         self, seed: SeedLike, training_queries: list[Query] | None = None
-    ) -> list[Query]:
+    ) -> QueryBatch:
         """Step 2: uniformly generated queries, or a past workload."""
         if training_queries is None:
             generator = TrainingQueryGenerator(self.db, self.spec, seed=seed)
-            queries = generator.draw_many(self.config.n_training_queries)
+            batch = generator.draw_batch(self.config.n_training_queries)
         else:
-            queries = list(training_queries)
+            batch = QueryBatch.from_queries(training_queries)
             allowed = set(self.spec.tables)
-            for query in queries:
-                outside = {t.table for t in query.tables} - allowed
+            for structure in batch.structures:
+                outside = {t.table for t in structure.tables} - allowed
                 if outside:
                     raise SketchError(
                         f"workload query uses tables {sorted(outside)} outside "
                         f"the sketch's subset {sorted(allowed)}"
                     )
-        self._emit("generate", len(queries), len(queries), "collected queries")
-        return queries
+        self._emit("generate", len(batch), len(batch), "collected queries")
+        return batch
 
-    def execute(self, queries: list[Query]) -> tuple[list[Query], np.ndarray]:
-        """Step 3: true cardinalities for each query, dropping empty results."""
-        kept: list[Query] = []
+    def execute(
+        self, batch: QueryBatch, samples: MaterializedSamples
+    ) -> tuple[QueryBatch, np.ndarray, np.ndarray]:
+        """Step 3: true cardinalities, and the sample bitmaps gathered from
+        the same predicate masks; queries with empty results are dropped.
+
+        Returns the kept queries, their labels and their table-set rows'
+        bitmaps (:func:`~repro.db.executor.label_batch`).
+        """
         labels: list[int] = []
-        for start in range(0, len(queries), LABEL_CHUNK_SIZE):
-            chunk = queries[start : start + LABEL_CHUNK_SIZE]
-            for query, cardinality in zip(chunk, execute_counts(self.db, chunk)):
-                if cardinality > 0:
-                    kept.append(query)
-                    labels.append(cardinality)
-            self._emit(
-                "execute",
-                min(start + LABEL_CHUNK_SIZE, len(queries)),
-                len(queries),
-                "executing training queries",
+        bitmaps = [np.zeros((0, samples.sample_size), dtype=bool)]
+        for start in range(0, len(batch), LABEL_CHUNK_SIZE):
+            stop = min(start + LABEL_CHUNK_SIZE, len(batch))
+            counts, chunk_bitmaps = label_batch(
+                self.db, batch.take(np.arange(start, stop)), samples.row_ids,
+                samples.sample_size,
             )
-        return kept, np.asarray(labels, dtype=np.float64)
+            labels += counts
+            bitmaps.append(chunk_bitmaps)
+            self._emit("execute", stop, len(batch), "executing training queries")
+        cardinalities = np.asarray(labels, dtype=np.float64)
+        kept = np.flatnonzero(cardinalities > 0)
+        rows = segment_rows(batch.table_offsets(), kept)
+        return batch.take(kept), cardinalities[kept], np.concatenate(bitmaps)[rows]
 
     def training_set(
         self,
         featurizer: Featurizer,
-        samples: MaterializedSamples,
-        queries: list[Query],
+        batch: QueryBatch,
+        bitmaps: np.ndarray,
         labels: np.ndarray,
     ) -> TrainingSet:
-        """Step 4's input: query features plus sample bitmaps, batched."""
-        features = featurizer.featurize_batch(
-            queries, batch_bitmaps(samples, queries), db=self.db
+        """Step 4's input: the batch featurized into packed sets."""
+        return TrainingSet(
+            *featurizer.featurize_packed(batch, bitmaps, db=self.db),
+            featurizer.normalize_label(labels),
         )
-        return TrainingSet(features, featurizer.normalize_label(labels))
 
     def trainer(self, model: MSCN, featurizer: Featurizer) -> Trainer:
         """Step 4's optimization loop over ``model``, per this config."""
@@ -238,16 +254,16 @@ class SketchBuilder:
         report.stage_seconds["define"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        queries = self.generate(query_rng, training_queries)
-        report.n_queries_generated = len(queries)
+        batch = self.generate(query_rng, training_queries)
+        report.n_queries_generated = len(batch)
         report.stage_seconds["generate"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        kept, labels = self.execute(queries)
-        report.n_zero_cardinality_dropped = len(queries) - len(kept)
+        kept, labels, bitmaps = self.execute(batch, samples)
+        report.n_zero_cardinality_dropped = len(batch) - len(kept)
         if len(kept) < 10:
             raise SketchError(
-                f"only {len(kept)} of {len(queries)} training queries had "
+                f"only {len(kept)} of {len(batch)} training queries had "
                 "non-zero results; increase n_training_queries or data size"
             )
         report.max_training_cardinality = float(labels.max())
@@ -262,7 +278,7 @@ class SketchBuilder:
             use_bitmaps=self.config.use_sample_bitmaps,
         )
         featurizer.fit_labels(labels)
-        dataset = self.training_set(featurizer, samples, kept, labels)
+        dataset = self.training_set(featurizer, kept, bitmaps, labels)
         model = MSCN(
             table_dim=featurizer.table_dim,
             join_dim=featurizer.join_dim,

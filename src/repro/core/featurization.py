@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import FeaturizationError
+from ..db.batch import QueryBatch, offsets_of, segment_rows
 from ..db.database import Database
 from ..db.types import DType
 from ..db.query import Query
@@ -47,6 +48,30 @@ class QueryFeatures:
     tables: np.ndarray      # (n_tables, table_dim)
     joins: np.ndarray       # (n_joins or 1, join_dim)
     predicates: np.ndarray  # (n_predicates or 1, predicate_dim)
+
+
+class PackedSet:
+    """One feature set of many queries, packed: only real rows, no padding.
+
+    ``rows`` holds every query's rows, query after query; query ``i``'s
+    are ``rows[offsets[i]:offsets[i + 1]]``.  ``width`` is the largest
+    set, the size :func:`~repro.core.batches.collate` would pad to.
+    """
+
+    __slots__ = ("rows", "offsets", "width")
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray):
+        self.rows = rows
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.width = int(np.diff(self.offsets).max(initial=0))
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def take(self, index: np.ndarray) -> "PackedSet":
+        """Queries ``index``, in that order."""
+        counts = self.offsets[index + 1] - self.offsets[index]
+        return PackedSet(self.rows[segment_rows(self.offsets, index)], offsets_of(counts))
 
 
 def _one_hot(index: int, size: int) -> np.ndarray:
@@ -357,6 +382,99 @@ class Featurizer:
             self._featurize_one(query, query_bitmaps, db, memo, template_cache)
             for query, query_bitmaps in zip(queries, bitmaps)
         ]
+
+    def featurize_packed(
+        self, batch: QueryBatch, bitmaps: np.ndarray, db: Database
+    ) -> tuple[PackedSet, PackedSet, PackedSet]:
+        """The table, join and predicate sets of a whole batch, packed.
+
+        ``bitmaps`` holds one sample bitmap per table-set row
+        (:meth:`~repro.db.batch.QueryBatch.table_offsets`), e.g. from
+        :func:`~repro.db.executor.label_batch`.  Every row is written
+        straight into its set's array and equals, bit for bit, the row
+        :meth:`featurize_batch` builds for it; an empty join or
+        predicate set is its one all-zero row.
+        """
+        table_index, join_index, column_index, op_index = self._index_maps()
+        n_tables, n_columns = len(self.tables), len(self.columns)
+        if bitmaps.shape[1:] != (self.sample_size,):
+            raise FeaturizationError(
+                f"bitmaps have shape {bitmaps.shape}, expected (rows, {self.sample_size})"
+            )
+        # Per structure: its table ids, join ids (-1 = the empty-set row)
+        # and each alias's table.
+        table_ids, join_ids, alias_tables = [], [], []
+        memo = _BatchRowMemo()
+        for structure in batch.structures:
+            self._build_template(structure, memo)  # vocabulary check
+            table_ids.append([table_index[ref.table] for ref in structure.tables])
+            join_ids.append(
+                [join_index[self._join_signature(structure, j)] for j in structure.joins]
+                or [-1]
+            )
+            alias_tables.append({ref.alias: ref.table for ref in structure.tables})
+
+        structure_of = batch.structure.tolist()
+        table_rows = [i for s in structure_of for i in table_ids[s]]
+        tables = np.zeros((len(table_rows), n_tables + self.sample_size))
+        tables[np.arange(len(table_rows)), table_rows] = 1.0
+        if self.use_bitmaps:
+            tables[:, n_tables:] = bitmaps
+        join_rows = np.array([i for s in structure_of for i in join_ids[s]], dtype=np.int64)
+        joins = np.zeros((join_rows.size, self.join_dim))
+        real = np.flatnonzero(join_rows >= 0)
+        joins[real, join_rows[real]] = 1.0
+
+        # Predicate rows: one per predicate, and an all-zero row for
+        # each query without any.
+        counts = np.diff(batch.offsets)
+        pred_offsets = offsets_of(np.maximum(counts, 1))
+        slots = segment_rows(pred_offsets, np.flatnonzero(counts))
+        predicates = np.zeros((int(pred_offsets[-1]), self.predicate_dim))
+        columns, ops, low, high, raw, in_values = [], [], [], [], [], []
+        for row, (q, alias, column, op, literal) in enumerate(zip(
+            batch.query.tolist(), batch.alias, batch.column, batch.op, batch.literal
+        )):
+            table_name = alias_tables[structure_of[q]][alias]
+            key = f"{table_name}.{column}"
+            if key not in column_index:
+                raise FeaturizationError(
+                    f"predicate column {key!r} is outside this sketch's vocabulary"
+                )
+            if op not in op_index:
+                raise FeaturizationError(
+                    f"operator {op!r} is outside this sketch's vocabulary {self.operators}"
+                )
+            columns.append(column_index[key])
+            ops.append(op_index[op])
+            bounds = self.column_bounds[key]
+            low.append(bounds[0])
+            high.append(bounds[1])
+            db_column = db.table(table_name).column(column)
+            if isinstance(literal, tuple):  # 'in': set below, as normalize_literal does
+                in_values.append((row, self.normalize_literal(db_column, key, literal)))
+                raw.append(bounds[0])
+            elif db_column.dtype is DType.STRING:
+                code = db_column.encode_literal(literal)
+                raw.append(float(code) if code is not None else bounds[0])
+            else:
+                raw.append(float(literal))
+        low, high, raw = np.array(low), np.array(high), np.array(raw)
+        # normalize_literal's arithmetic, elementwise: 0 for a constant column.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.where(
+                high <= low, 0.0, np.clip((raw - low) / (high - low), 0.0, 1.0)
+            )
+        for row, value in in_values:
+            values[row] = value
+        predicates[slots, columns] = 1.0
+        predicates[slots, n_columns + np.array(ops, dtype=np.int64)] = 1.0
+        predicates[slots, -1] = values
+        return (
+            PackedSet(tables, batch.table_offsets()),
+            PackedSet(joins, offsets_of([len(join_ids[s]) for s in structure_of])),
+            PackedSet(predicates, pred_offsets),
+        )
 
     def _featurize_one(
         self,

@@ -219,8 +219,8 @@ def refresh_sketch(
     )
 
     samples = builder.define(sample_rng)
-    queries = TrainingQueryGenerator(db, spec, seed=query_rng).draw_many(n_queries)
-    kept, labels = builder.execute(queries)
+    batch = TrainingQueryGenerator(db, spec, seed=query_rng).draw_batch(n_queries)
+    kept, labels, bitmaps = builder.execute(batch, samples)
     if len(kept) < 10:
         raise RefreshFailure(
             f"only {len(kept)} non-empty fine-tuning queries; need at least 10",
@@ -230,7 +230,7 @@ def refresh_sketch(
     featurizer = sketch.featurizer  # vocabularies and label bounds reused
     model = copy.deepcopy(sketch.model)
     result = builder.trainer(model, featurizer).fit(
-        builder.training_set(featurizer, samples, kept, labels), seed=train_rng
+        builder.training_set(featurizer, kept, bitmaps, labels), seed=train_rng
     )
 
     metadata = dict(sketch.metadata)

@@ -82,13 +82,12 @@ def validation_qerrors(
 ) -> np.ndarray:
     """Q-errors of the session's model on a (featurized) dataset.
 
-    The forward is the training session's own (packed set rows, pooled
-    buffers); label denormalization is vectorized.
+    The forward is the training session's own (rows gathered from the
+    packed dataset, pooled buffers); label denormalization is vectorized.
     """
     errors: list[np.ndarray] = []
-    dense = dataset.precollated()
     for index in dataset.batch_indices(batch_size, shuffle=False):
-        est = featurizer.denormalize_label(session.predict(dense, index))
+        est = featurizer.denormalize_label(session.predict(dataset, index))
         true = featurizer.denormalize_label(dataset.labels[index])
         errors.append(np.maximum(est / true, true / est))
     return np.concatenate(errors) if errors else np.empty(0)
@@ -151,10 +150,9 @@ class Trainer:
         for epoch in range(1, self.n_epochs + 1):
             start = time.perf_counter()
             losses = []
-            dense = train_set.precollated()
             for index in train_set.batch_indices(self.batch_size, seed=rng):
                 losses.append(
-                    self.session.step(dense, train_set.labels[index], index)
+                    self.session.step(train_set, train_set.labels[index], index)
                 )
             val_errors = validation_qerrors(self.session, self.featurizer, val_set)
             stats = EpochStats(

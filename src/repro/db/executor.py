@@ -18,39 +18,46 @@ Two algorithms are implemented and cross-checked in the test suite:
   any join graph, but memory scales with intermediate result sizes, so
   it serves as the fallback for cyclic queries and as the test oracle.
 
-:func:`execute_counts` labels a whole batch.  Within one call it keeps
-a memo, keyed like :class:`~repro.sampling.bitmaps.PredicateMaskMemo`:
-one row mask per ``(table, column, op, literal)``, one conjunction per
-``(table, predicates)``, one leaf message per ``(table, predicates,
-join columns)``, and one spanning-tree plan per join structure.  A
-training workload repeats all of these across queries, so each is
-computed once per call.  The memo is dropped when the call returns,
-which keeps its memory bounded by one batch.  :func:`execute_count`
-and :func:`count_factorized` are the same core over a batch of one.
+:func:`label_batch` labels a whole :class:`~repro.db.batch.QueryBatch`
+(:func:`execute_counts` is a list of queries made into one).  It
+validates each join structure once and each predicate once per distinct
+(table, column, literal kind), then counts the queries per join
+structure, with a memo for the call: one full-table row mask per
+distinct ``(table, column, op, literal)``, one conjunction per
+``(table, predicates)``, one slot space per join edge and one
+spanning-tree plan per structure.  Each tree is counted for a chunk of
+queries at once: an alias's distinct selections are evaluated once, a
+leaf's message is one ``bincount`` row per distinct selection, and the
+root multiplies its children's gathered rows per query; the chunk's
+temporaries are bounded by ``_CHUNK_CELLS``.  Cyclic structures go to
+:func:`count_hash_join`.  The same masks, gathered at a sample's row
+ids, are the build's qualifying-sample bitmaps.  The memo is dropped
+when the call returns, which keeps its memory bounded by one batch.
+:func:`execute_count` and :func:`count_factorized` are the same core
+over a batch of one.
 
 Each tree is rooted at its hub (the alias with the most joins, ties to
-the smaller table), so a star's fact tables become leaves whose
-unfiltered messages the memo shares.  Single-column join keys whose
-values lie in ``[0, _DENSE_KEY_LIMIT)`` travel as dense count vectors
-sized to the parent key column, with NULL parent keys pointed at a slot
-that is always zero; applying one is a single gather.  Composite and
-other keys take the sparse ``np.unique`` path.  Counts are sums of
-integer-valued float64 products, exact below 2**53.
+the smaller table), so a star's fact tables become leaves.  A message
+is a count vector over the edge's slot space (:class:`_Edge`): a
+single-column integer key in ``[0, _DENSE_KEY_LIMIT)`` on both sides is
+its own slot, and other keys (composite, negative, huge or float) are
+coded into slots once per edge by ``np.unique`` over both columns.
+Applying a message is one gather.  Counts are sums of integer-valued
+float64 products, exact below 2**53.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..errors import QueryError
+from .batch import QueryBatch
 from .database import Database
 from .join_graph import Adjacency, PairJoin, build_join_graph
+from .query import Predicate, Query
 from .table import Table
-
-if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
-    from .query import Predicate, Query
 
 
 # ----------------------------------------------------------------------
@@ -111,50 +118,35 @@ def _joint_codes(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.nd
 # factorized (acyclic) counting
 # ----------------------------------------------------------------------
 
-#: Dense count vectors are used when a single-column integer join key
-#: falls in ``[0, _DENSE_KEY_LIMIT)`` on both sides — bincount beats
-#: sort-based np.unique by an order of magnitude on the dense id
-#: domains of star schemas.
+#: A single-column integer join key whose values lie in
+#: ``[0, _DENSE_KEY_LIMIT)`` on both sides is its own message slot;
+#: other keys are coded by ``np.unique`` over both columns, which is an
+#: order of magnitude slower on the dense id domains of star schemas.
 _DENSE_KEY_LIMIT = 8_000_000
 
-
-class _DenseKey:
-    """A dense-eligible join key column of one table.
-
-    ``index`` maps each row to its message slot: the key itself, or
-    ``high + 1`` (a slot no valid key reaches) for a NULL key.
-    """
-
-    __slots__ = ("values", "index", "high")
-
-    def __init__(self, values: np.ndarray, index: np.ndarray, high: int):
-        self.values = values
-        self.index = index
-        self.high = high
-
-
-class _Sparse:
-    """A count message over composite keys: unique key matrix -> count."""
-
-    __slots__ = ("keys", "counts")
-
-    def __init__(self, keys: np.ndarray, counts: np.ndarray):
-        self.keys = keys
-        self.counts = counts
+#: Batch counting sizes its chunks of queries so that each chunk's
+#: message rows and per-query row products stay under this many cells.
+_CHUNK_CELLS = 1 << 20
 
 
 class _Edge:
-    """One tree edge, seen from the child: its columns and the parent's."""
+    """One tree edge: a slot space that child and parent rows share.
 
-    __slots__ = ("table", "columns", "parent_table", "parent_columns", "dense")
+    ``slots[i]`` is where child row ``i`` counts in a message toward the
+    parent, ``index[j]`` the slot parent row ``j`` reads; rows with equal
+    join keys share a slot.  ``width`` slots: a child row with a NULL
+    key, or a key no parent row holds, counts in slot ``width - 1``,
+    which no parent row reads, and a parent row with a NULL key reads
+    slot ``width - 2``, which no child row writes.
+    """
 
-    def __init__(self, table, columns, parent_table, parent_columns, dense):
-        self.table = table
-        self.columns = columns
-        self.parent_table = parent_table
-        self.parent_columns = parent_columns
-        #: (child key, parent key) when both sides are dense-eligible.
-        self.dense: tuple[_DenseKey, _DenseKey] | None = dense
+    __slots__ = ("columns", "parent_columns", "dense", "slots", "index", "width")
+
+    def __init__(self, columns, parent_columns, dense: bool, slots, index, width: int):
+        self.columns, self.parent_columns = columns, parent_columns
+        #: Whether the keys are their own slots (else ``np.unique`` codes).
+        self.dense = dense
+        self.slots, self.index, self.width = slots, index, width
 
 
 class _Step:
@@ -181,69 +173,71 @@ class _CountMemo:
         self.db = db
         self._masks: dict[tuple, np.ndarray] = {}
         self._selections: dict[tuple, np.ndarray | None] = {}
-        self._rows: dict[tuple, np.ndarray | None] = {}
-        self._leaves: dict[tuple, np.ndarray | _Sparse] = {}
-        self._keys: dict[tuple[str, str], _DenseKey | None] = {}
+        self._edges: dict[tuple, _Edge] = {}
         self._plans: dict[tuple, list[list[_Step]] | None] = {}
 
     # -- predicates ----------------------------------------------------
     def _selection(self, table: str, predicates: tuple) -> np.ndarray | None:
-        """Rows passing all ``predicates`` as a mask; ``None`` = every row."""
+        """Rows passing all ``predicates`` (``(column, op, literal)``
+        keys) as a mask; ``None`` = every row."""
         if not predicates:
             return None
         key = (table, predicates)
         if key in self._selections:
             return self._selections[key]
         mask = None
-        for pred in predicates:
-            pred_key = (table, pred.column, pred.op, pred.literal)
+        for column, op, literal in predicates:
+            pred_key = (table, column, op, literal)
             pred_mask = self._masks.get(pred_key)
             if pred_mask is None:
-                column = self.db.table(table).column(pred.column)
-                pred_mask = self._masks[pred_key] = column.evaluate(pred.op, pred.literal)
+                pred_mask = self._masks[pred_key] = (
+                    self.db.table(table).column(column).evaluate(op, literal)
+                )
             mask = pred_mask if mask is None else mask & pred_mask
         self._selections[key] = mask
         return mask
 
-    def _selected_rows(
-        self, table: str, predicates: tuple, key_column: str | None
-    ) -> np.ndarray | None:
-        """Indices of rows passing ``predicates`` whose ``key_column`` is
-        not NULL (such rows can never join their parent); ``None`` when
-        that is every row."""
-        key = (table, predicates, key_column)
-        if key in self._rows:
-            return self._rows[key]
-        mask = self._selection(table, predicates)
-        if key_column is not None:
-            valid = self.db.table(table).column(key_column).valid
-            if not valid.all():
-                mask = valid if mask is None else mask & valid
-        rows = None if mask is None else np.flatnonzero(mask)
-        self._rows[key] = rows
-        return rows
-
     # -- plans ---------------------------------------------------------
-    def _dense_key(self, table: str, columns: list[str]) -> _DenseKey | None:
-        """The memoized dense view of a single-column int key, or ``None``."""
-        if len(columns) != 1:
-            return None
-        key = (table, columns[0])
-        if key not in self._keys:
-            col = self.db.table(table).column(columns[0])
-            self._keys[key] = None
-            if col.values.dtype.kind == "i":
-                all_valid = bool(col.valid.all())
-                present = col.values if all_valid else col.values[col.valid]
-                low = int(present.min()) if present.size else 0
-                high = int(present.max()) if present.size else -1
-                if 0 <= low and high < _DENSE_KEY_LIMIT:
-                    index = (
-                        col.values if all_valid
-                        else np.where(col.valid, col.values, high + 1)
-                    )
-                    self._keys[key] = _DenseKey(col.values, index, high)
-        return self._keys[key]
+    def _edge(self, table: str, columns: list[str], parent: str, parent_columns: list[str]) -> _Edge:
+        """The memoized slot space of the join ``table.columns =
+        parent.parent_columns``."""
+        key = (table, tuple(columns), parent, tuple(parent_columns))
+        edge = self._edges.get(key)
+        if edge is not None:
+            return edge
+        child_col = self.db.table(table).column(columns[0])
+        parent_col = self.db.table(parent).column(parent_columns[0])
+        child_range = _dense_range(child_col) if len(columns) == 1 else None
+        parent_range = _dense_range(parent_col) if child_range else None
+        dense = parent_range is not None
+        if dense:
+            high = parent_range[1]
+            keys, valid = child_col.values, child_col.valid
+            if child_range[1] <= high and valid.all():
+                slots = keys  # every key is its own slot
+            else:
+                slots = np.where(valid & (keys <= high), keys, high + 2)
+            index = parent_col.values
+            if not parent_col.valid.all():
+                index = np.where(parent_col.valid, index, high + 1)
+            width = high + 3
+        else:
+            child_table, parent_table = self.db.table(table), self.db.table(parent)
+            child_keys, child_valid = _key_arrays(
+                child_table, np.arange(child_table.n_rows), columns
+            )
+            parent_keys, parent_valid = _key_arrays(
+                parent_table, np.arange(parent_table.n_rows), parent_columns
+            )
+            child_codes, parent_codes = _joint_codes(child_keys, parent_keys)
+            codes = int(max(child_codes.max(initial=-1), parent_codes.max(initial=-1))) + 1
+            slots = np.where(child_valid, child_codes, codes + 1)
+            index = np.where(parent_valid, parent_codes, codes)
+            width = codes + 2
+        edge = self._edges[key] = _Edge(
+            tuple(columns), tuple(parent_columns), dense, slots, index, width
+        )
+        return edge
 
     def _plan(self, query: Query) -> list[list[_Step]] | None:
         """Each component's tree in post-order, or ``None`` if cyclic."""
@@ -280,140 +274,211 @@ class _CountMemo:
                 if neighbor in up:
                     continue
                 own, theirs = pair.sides_for(neighbor)
-                child_key = self._dense_key(tables[neighbor], own)
-                parent_key = self._dense_key(tables[alias], theirs)
-                dense = (
-                    (child_key, parent_key)
-                    if child_key is not None and parent_key is not None
-                    else None
-                )
-                edge = _Edge(tables[neighbor], tuple(own), tables[alias], tuple(theirs), dense)
+                edge = self._edge(tables[neighbor], own, tables[alias], theirs)
                 up[neighbor] = edge
                 children[alias].append((neighbor, edge))
                 stack.append(neighbor)
         return [_Step(a, tables[a], up[a], children[a]) for a in reversed(order)]
 
-    # -- counting ------------------------------------------------------
-    def count(self, query: Query) -> int | None:
-        """COUNT(*) of an acyclic ``query``; ``None`` when it is cyclic."""
-        plan = self._plan(query)
-        if plan is None:
-            return None
-        predicates: dict[str, list[Predicate]] = {}
-        for pred in query.predicates:
-            predicates.setdefault(pred.alias, []).append(pred)
-        total = 1
-        for steps in plan:
-            count = self._tree_count(steps, predicates)
-            if count == 0:
-                return 0
-            total *= count
-        return int(total)
+    # -- validation ----------------------------------------------------
+    def validate(self, batch: QueryBatch) -> None:
+        """:meth:`Query.validate` for a whole batch: each structure once,
+        each predicate once per distinct (table, column, literal kind)."""
+        for structure in batch.structures:
+            structure.validate(self.db)
+        tables = [{ref.alias: ref.table for ref in s.tables} for s in batch.structures]
+        structure_of = batch.structure.tolist()
+        seen = set()
+        for q, alias, column, op, literal in zip(
+            batch.query.tolist(), batch.alias, batch.column, batch.op, batch.literal
+        ):
+            table_name = tables[structure_of[q]].get(alias)
+            members = literal if op == "in" else (literal,)
+            key = (table_name, column, op == "in", tuple(type(m) for m in members))
+            if key in seen:
+                continue
+            seen.add(key)
+            if table_name is None:
+                raise QueryError(f"unknown alias {alias!r}")
+            table = self.db.table(table_name)
+            if not table.schema.has_column(column):
+                pred = Predicate(alias, column, op, literal)
+                raise QueryError(
+                    f"predicate {pred}: table {table.name!r} has no column {column!r}"
+                )
+            # encode_literal raises QueryError on type mismatch.
+            for member in members:
+                table.column(column).encode_literal(member)
 
-    def _tree_count(self, steps: list[_Step], predicates: dict) -> int:
-        messages: dict[str, np.ndarray | _Sparse] = {}
+    # -- counting ------------------------------------------------------
+    def count_batch(self, batch: QueryBatch, selections: list[dict]) -> list[int]:
+        """COUNT(*) of every query of ``batch``, whose
+        :meth:`~repro.db.batch.QueryBatch.selections` are ``selections``.
+
+        Queries are counted per join structure: one plan each, every
+        tree for a chunk of queries at once (:meth:`_tree_counts`), and
+        cyclic structures by hash join.
+        """
+        counts = [0] * len(batch)
+        order = np.argsort(batch.structure, kind="stable")
+        starts = np.flatnonzero(np.diff(batch.structure[order])) + 1
+        for group in np.split(order, starts) if order.size else ():
+            structure = batch.structures[int(batch.structure[group[0]])]
+            group = group.tolist()
+            plan = self._plan(structure)
+            if plan is None:
+                for q, query in zip(group, batch.take(group).to_queries()):
+                    counts[q] = count_hash_join(self.db, query)
+                continue
+            totals = [1] * len(group)
+            for steps in plan:
+                tree = self._tree_counts(steps, [selections[q] for q in group])
+                totals = [total * count for total, count in zip(totals, tree)]
+            for q, total in zip(group, totals):
+                counts[q] = total
+        return counts
+
+    def _tree_counts(self, steps: list[_Step], selections: list[dict]) -> list[int]:
+        """One tree's count for each query, in chunks of queries whose
+        message rows and row products stay under ``_CHUNK_CELLS``."""
+        widest = max(
+            max(self.db.table(step.table).n_rows, 0 if step.up is None else step.up.width)
+            for step in steps
+        )
+        chunk = max(1, _CHUNK_CELLS // max(widest, 1))
+        counts: list[int] = []
+        for start in range(0, len(selections), chunk):
+            counts += self._chunk_counts(steps, selections[start : start + chunk])
+        return counts
+
+    def _chunk_counts(self, steps: list[_Step], selections: list[dict]) -> list[int]:
+        """Count messages up the tree for a chunk of queries.
+
+        Each alias aggregates, per slot toward its parent, the product of
+        its children's counts over its selected rows (a leaf: one per
+        selected row); the root sums that product over its selected
+        rows.  An alias's distinct selections are evaluated once, and a
+        leaf's message is one ``bincount`` row per distinct selection.
+        Counts are sums of integer-valued float64 products, exact below
+        2**53.
+        """
+        messages: dict[str, tuple[np.ndarray, list[int]]] = {}
         for step in steps:
-            preds = tuple(predicates.get(step.alias, ()))
+            distinct: dict[tuple, int] = {}
+            which = [distinct.setdefault(sel.get(step.alias, ()), len(distinct)) for sel in selections]
+            masks = [self._selection(step.table, preds) for preds in distinct]
             edge = step.up
             if not step.children:
                 if edge is None:  # a lone alias
-                    mask = self._selection(step.table, preds)
+                    n_rows = self.db.table(step.table).n_rows
+                    sizes = [n_rows if m is None else int(np.count_nonzero(m)) for m in masks]
+                    return [sizes[d] for d in which]
+                message = np.empty((len(masks), edge.width))
+                for row, mask in zip(message, masks):
                     if mask is None:
-                        return self.db.table(step.table).n_rows
-                    return int(np.count_nonzero(mask))
-                leaf_key = (
-                    step.table, preds, edge.columns, edge.parent_table, edge.parent_columns
-                )
-                message = self._leaves.get(leaf_key)
-                if message is None:
-                    rows = self._selected_rows(step.table, preds, self._null_key(edge))
-                    message = self._leaves[leaf_key] = self._message(edge, rows, None)
-                messages[step.alias] = message
+                        row[:] = np.bincount(edge.slots, minlength=edge.width)
+                    elif 4 * np.count_nonzero(mask) < mask.size:  # sparse: gather
+                        row[:] = np.bincount(edge.slots[np.flatnonzero(mask)], minlength=edge.width)
+                    else:  # dense: weigh every row by its bit
+                        row[:] = np.bincount(edge.slots, weights=mask, minlength=edge.width)
+                messages[step.alias] = (message, which)
                 continue
-            rows = self._selected_rows(
-                step.table, preds, None if edge is None else self._null_key(edge)
-            )
-            multiplicity = None
+            # Each child's message rows gathered at this alias's rows, once
+            # per distinct message; then per query, the product of its
+            # rows, restricted to its selection.
+            factors = []
             for child, child_edge in step.children:
-                counts = self._apply(child_edge, rows, messages.pop(child))
-                if multiplicity is None:
-                    multiplicity = counts
+                message, child_which = messages.pop(child)
+                factors.append(([row.take(child_edge.index) for row in message], child_which))
+            (rows, first), *rest = factors
+            selected = [None if m is None else m.astype(np.float64) for m in masks]
+            counts: list[int] = []
+            if edge is not None:
+                message = np.empty((len(selections), edge.width))
+            for q, d in enumerate(which):
+                product = rows[first[q]]
+                for others, child_which in rest:
+                    product = product * others[child_which[q]]
+                sel = selected[d]
+                if edge is None:
+                    counts.append(int(round(product.sum() if sel is None else np.dot(product, sel))))
                 else:
-                    multiplicity *= counts
+                    weights = product if sel is None else product * sel
+                    message[q] = np.bincount(edge.slots, weights=weights, minlength=edge.width)
             if edge is None:
-                return int(round(multiplicity.sum()))
-            messages[step.alias] = self._message(edge, rows, multiplicity)
+                return counts
+            messages[step.alias] = (message, list(range(len(selections))))
         raise AssertionError("unreachable: the root is the last step")
 
-    @staticmethod
-    def _null_key(edge: _Edge) -> str | None:
-        """The one key column whose NULL rows are dropped before a
-        message is built; composite keys drop theirs while building."""
-        return edge.columns[0] if len(edge.columns) == 1 else None
-
-    def _message(
-        self, edge: _Edge, rows: np.ndarray | None, multiplicity: np.ndarray | None
-    ) -> np.ndarray | _Sparse:
-        """Aggregate ``multiplicity`` (1 per row if ``None``) by the key
-        toward the parent."""
-        if edge.dense is not None:
-            child_key, parent_key = edge.dense
-            keys = child_key.values if rows is None else child_key.values[rows]
-            if child_key.high > parent_key.high:
-                # Keys the parent never holds would land past its slots.
-                keep = keys <= parent_key.high
-                keys = keys[keep]
-                if multiplicity is not None:
-                    multiplicity = multiplicity[keep]
-            message = np.bincount(keys, weights=multiplicity, minlength=parent_key.high + 2)
-            # Unweighted (and empty weighted) counts come back as int64.
-            return message.astype(np.float64, copy=False)
-        table = self.db.table(edge.table)
-        if rows is None:
-            rows = np.arange(table.n_rows)
-        if multiplicity is None:
-            multiplicity = np.ones(len(rows))
-        keys, valid = _key_arrays(table, rows, edge.columns)
-        keep = valid & (multiplicity > 0)
-        keys = keys[keep]
-        if len(keys) == 0:
-            return _Sparse(np.empty((0, len(edge.columns))), np.empty(0))
-        unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-        return _Sparse(unique_keys, np.bincount(inverse.ravel(), weights=multiplicity[keep]))
-
-    def _apply(
-        self, edge: _Edge, rows: np.ndarray | None, message: np.ndarray | _Sparse
+    def sample_bitmaps(
+        self,
+        batch: QueryBatch,
+        selections: list[dict],
+        sample_rows: Mapping[str, np.ndarray],
+        width: int,
     ) -> np.ndarray:
-        """Per-row counts of the parent's ``rows`` under ``edge``'s message."""
-        if edge.dense is not None:
-            index = edge.dense[1].index
-            return message[index if rows is None else index[rows]]
-        table = self.db.table(edge.parent_table)
-        if rows is None:
-            rows = np.arange(table.n_rows)
-        if len(message.keys) == 0:
-            return np.zeros(len(rows))
-        keys, valid = _key_arrays(table, rows, edge.parent_columns)
-        own_codes, child_codes = _joint_codes(keys, message.keys)
-        n_codes = int(max(own_codes.max(initial=-1), child_codes.max(initial=-1))) + 1
-        per_code = np.bincount(child_codes, weights=message.counts, minlength=n_codes)
-        return np.where(valid, per_code[own_codes], 0.0)
+        """Every table-set row's qualifying-sample bitmap, ``(rows, width)``.
+
+        One row per query and table of its structure (canonical order,
+        :meth:`~repro.db.batch.QueryBatch.table_offsets`): the alias's
+        full-table selection mask gathered at the table's sampled row
+        ids ``sample_rows[table]``, zero-padded to ``width``.
+        """
+        distinct: dict[tuple, int] = {}
+        row_ids = []
+        for q, sid in enumerate(batch.structure.tolist()):
+            sel = selections[q]
+            for ref in batch.structures[sid].tables:
+                key = (ref.table, sel.get(ref.alias, ()))
+                row_ids.append(distinct.setdefault(key, len(distinct)))
+        bitmaps = np.zeros((len(distinct), width), dtype=bool)
+        for i, (table, preds) in enumerate(distinct):
+            rows = sample_rows[table]
+            mask = self._selection(table, preds)
+            bitmaps[i, : rows.size] = True if mask is None else mask[rows]
+        return bitmaps[np.asarray(row_ids, dtype=np.int64)]
+
+
+def _dense_range(column) -> tuple[int, int] | None:
+    """(low, high) of an integer column's non-NULL values when they lie in
+    ``[0, _DENSE_KEY_LIMIT)`` (an empty column reads ``(0, -1)``), else
+    ``None``."""
+    if column.values.dtype.kind != "i":
+        return None
+    present = column.values if column.valid.all() else column.values[column.valid]
+    low = int(present.min()) if present.size else 0
+    high = int(present.max()) if present.size else -1
+    return (low, high) if 0 <= low and high < _DENSE_KEY_LIMIT else None
+
+
+def label_batch(
+    db: Database,
+    batch: QueryBatch,
+    sample_rows: Mapping[str, np.ndarray] | None = None,
+    width: int = 0,
+) -> tuple[list[int], np.ndarray | None]:
+    """Exact ``SELECT COUNT(*)`` of every query of ``batch``, in order,
+    plus, given ``sample_rows`` (table -> sampled row ids), every
+    table-set row's sample bitmap (:meth:`_CountMemo.sample_bitmaps`),
+    gathered from the same masks the counts used.
+
+    One memo serves the call (see the module docstring); cyclic queries
+    fall back to :func:`count_hash_join`.  An invalid query raises
+    :class:`~repro.errors.QueryError` before anything is counted.
+    """
+    memo = _CountMemo(db)
+    memo.validate(batch)
+    selections = batch.selections()
+    counts = memo.count_batch(batch, selections)
+    if sample_rows is None:
+        return counts, None
+    return counts, memo.sample_bitmaps(batch, selections, sample_rows, width)
 
 
 def execute_counts(db: Database, queries: Sequence[Query]) -> list[int]:
-    """Exact ``SELECT COUNT(*)`` of every query, in order.
-
-    Acyclic queries share one memo for the whole call (see the module
-    docstring); cyclic ones fall back to :func:`count_hash_join`.  The
-    first invalid query raises :class:`~repro.errors.QueryError`.
-    """
-    memo = _CountMemo(db)
-    counts = []
-    for query in queries:
-        query.validate(db)
-        count = memo.count(query)
-        counts.append(count_hash_join(db, query) if count is None else count)
-    return counts
+    """Exact ``SELECT COUNT(*)`` of every query, in order: the queries
+    as one :class:`~repro.db.batch.QueryBatch` through :func:`label_batch`."""
+    return label_batch(db, QueryBatch.from_queries(queries))[0]
 
 
 def count_factorized(db: Database, query: Query) -> int:
@@ -422,10 +487,9 @@ def count_factorized(db: Database, query: Query) -> int:
     Requires the alias join graph to be acyclic; raises otherwise.
     Disconnected components multiply (cross product semantics).
     """
-    count = _CountMemo(db).count(query)
-    if count is None:
+    if not build_join_graph(query).acyclic:
         raise QueryError("count_factorized requires an acyclic join graph")
-    return count
+    return execute_counts(db, [query])[0]
 
 
 # ----------------------------------------------------------------------

@@ -89,12 +89,16 @@ class Table:
             self.schema, {name: col.take(indices) for name, col in self.columns.items()}
         )
 
-    def sample(self, n: int, rng: SeedLike = None) -> "Table":
-        """Uniform sample without replacement of ``min(n, n_rows)`` rows."""
+    def sample_rows(self, n: int, rng: SeedLike = None) -> np.ndarray:
+        """Sorted row ids of a uniform sample without replacement of
+        ``min(n, n_rows)`` rows."""
         gen = make_rng(rng)
         size = min(int(n), self.n_rows)
-        indices = gen.choice(self.n_rows, size=size, replace=False)
-        return self.take(np.sort(indices))
+        return np.sort(gen.choice(self.n_rows, size=size, replace=False))
+
+    def sample(self, n: int, rng: SeedLike = None) -> "Table":
+        """The rows :meth:`sample_rows` draws, as a new Table."""
+        return self.take(self.sample_rows(n, rng))
 
     def row(self, index: int) -> dict:
         """Decode one row to a python dict (debugging / template drawing)."""

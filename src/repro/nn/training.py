@@ -4,10 +4,11 @@
 :class:`~repro.core.mscn.MSCN` as a fixed sequence of numpy calls and
 updates the model's parameter arrays in place:
 
-* **forward** — each set MLP runs on its *packed* valid rows only: the
-  rows whose mask bit is set are gathered into one ``(n, d)`` operand,
-  both layers run as 2-D GEMMs, and the outputs are scattered back to
-  their padded slots for the masked mean.  The activations the backward
+* **forward** — each set MLP runs on the minibatch's real rows only:
+  its queries' rows are gathered from the packed dataset
+  (:class:`~repro.core.featurization.PackedSet`) into one ``(n, d)``
+  operand, both layers run as 2-D GEMMs, and the outputs are scattered
+  to padded slots for the masked mean.  The activations the backward
   needs stay in pooled buffers (:class:`~repro.pools.ArrayPool`);
 * **backward**, written out by hand — the loss's closed-form gradient,
   the sigmoid, the output MLP, the concat split, the masked mean
@@ -24,7 +25,10 @@ GEMM shapes differ — packed 2-D instead of padded 3-D — which moves
 results by a few ULPs; ``tests/nn/test_training_session.py`` holds every
 gradient to 1e-12 relative of the oracle's.
 
-Masks are 0/1 (as :func:`~repro.core.batches.collate` builds them).
+The masked mean pads each set to the dataset's widest
+(:attr:`PackedSet.width`), the layout of the padded batches
+:func:`~repro.core.batches.collate` builds, so its sums add the same
+terms in the same order.
 """
 
 from __future__ import annotations
@@ -38,19 +42,16 @@ from ..pools import ArrayPool
 from .inference import stable_sigmoid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..core.batches import Batch
+    from ..core.batches import TrainingSet
+    from ..core.featurization import PackedSet
     from ..core.mscn import MSCN
 
 #: The objectives :class:`TrainingSession` differentiates.
 LOSSES = ("qerror", "mse")
 #: Adam's moment decay rates and denominator guard (PyTorch's defaults).
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-#: The set modules: MLP name, then the batch's data and mask attributes.
-SETS = (
-    ("table", "tables", "table_mask"),
-    ("join", "joins", "join_mask"),
-    ("predicate", "predicates", "predicate_mask"),
-)
+#: The set modules: MLP name, then the training set's attribute.
+SETS = (("table", "tables"), ("join", "joins"), ("predicate", "predicates"))
 
 
 class _Packed:
@@ -120,52 +121,51 @@ class TrainingSession:
     # forward
     # ------------------------------------------------------------------
     def _set_forward(
-        self, name: str, x: np.ndarray, mask: np.ndarray, out: np.ndarray,
-        index: np.ndarray,
+        self, name: str, packed: "PackedSet", out: np.ndarray, index: np.ndarray
     ) -> _Packed:
-        """Set MLP ``name`` on the valid rows of the minibatch; their
+        """Set MLP ``name`` on the real rows of queries ``index``; their
         masked mean into ``out``."""
         w1, b1, w2, b2 = self.model.mlp(name)
-        _, set_size, dim = x.shape
+        dim = packed.rows.shape[1]
         hidden = w1.shape[1]
-        mask = np.asarray(mask[index], dtype=np.float64)
-        batch_size = mask.shape[0]
-        # Packed rows, in minibatch order: (query, element) slot i*S + s.
-        slots = np.flatnonzero(mask.reshape(-1))
-        query_of = slots // set_size
-        rows = index[query_of] * set_size + slots % set_size
-        xp = self._rows(name + ".x", rows.size, dim)
+        batch_size, set_size = index.size, packed.width
+        starts = packed.offsets[index]
+        counts = packed.offsets[index + 1] - starts
+        # Packed rows, in minibatch order; query i's element s pads to
+        # slot i*S + s.
+        query_of = np.repeat(np.arange(batch_size), counts)
+        within = np.arange(query_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        xp = self._rows(name + ".x", query_of.size, dim)
         # mode="clip": the rows are in range, and "raise" buffers ``out``.
-        np.take(x.reshape(-1, dim), rows, axis=0, out=xp, mode="clip")
-        h1 = self._rows(name + ".h1", rows.size, hidden)
+        np.take(packed.rows, starts[query_of] + within, axis=0, out=xp, mode="clip")
+        h1 = self._rows(name + ".h1", query_of.size, hidden)
         np.dot(xp, w1, out=h1)
         h1 += b1
         np.maximum(h1, 0.0, out=h1)
-        h2 = self._rows(name + ".h2", rows.size, hidden)
+        h2 = self._rows(name + ".h2", query_of.size, hidden)
         np.dot(h1, w2, out=h2)
         h2 += b2
         np.maximum(h2, 0.0, out=h2)
-        # Masked mean: the rows back in their padded slots (zeros
-        # elsewhere), summed per set, times 1 / max(count, 1).
+        # Masked mean: the rows in their padded slots (zeros elsewhere),
+        # summed per set, times 1 / max(count, 1).
         padded = self._buffer(name + ".padded", (batch_size * set_size, hidden))
         padded.fill(0.0)
-        padded[slots] = h2
+        padded[query_of * set_size + within] = h2
         np.sum(padded.reshape(batch_size, set_size, hidden), axis=1, out=out)
-        scale = 1.0 / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        scale = 1.0 / np.maximum(counts, 1.0).reshape(-1, 1)
         out *= scale
         return _Packed(query_of, scale, xp, h1, h2)
 
-    def _forward(self, dataset: "Batch", index: np.ndarray):
+    def _forward(self, dataset: "TrainingSet", index: np.ndarray):
         """Predictions (B, 1) plus everything the backward reads."""
         batch_size = index.size
         h = self.model.hidden_units
         combined = self._buffer("combined", (batch_size, 3 * h))
         packed = [
             self._set_forward(
-                name, getattr(dataset, data), getattr(dataset, mask),
-                combined[:, k * h:(k + 1) * h], index,
+                name, getattr(dataset, attr), combined[:, k * h:(k + 1) * h], index
             )
-            for k, (name, data, mask) in enumerate(SETS)
+            for k, (name, attr) in enumerate(SETS)
         ]
         w1, b1, w2, b2 = self.model.mlp("out")
         o1 = self._buffer("out.h1", (batch_size, h))
@@ -177,7 +177,7 @@ class TrainingSession:
         o2 += b2
         return stable_sigmoid(o2), combined, packed, o1
 
-    def predict(self, dataset: "Batch", index: np.ndarray) -> np.ndarray:
+    def predict(self, dataset: "TrainingSet", index: np.ndarray) -> np.ndarray:
         """Normalized log-cardinality predictions for rows ``index`` of
         ``dataset``, shape (B,), fresh array."""
         return self._forward(dataset, index)[0].reshape(-1)
@@ -227,16 +227,16 @@ class TrainingSession:
         np.dot(state.x.T, grad_h1, out=grads[f"{name}_mlp.0.weight"])
 
     def gradients(
-        self, dataset: "Batch", labels: np.ndarray, index: np.ndarray
+        self, dataset: "TrainingSet", labels: np.ndarray, index: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
         """The minibatch loss and every parameter's gradient, keyed like
         :meth:`~repro.core.mscn.MSCN.state_dict`.
 
-        The minibatch is rows ``index`` of ``dataset`` (a whole
-        precollated dataset, :meth:`~repro.core.batches.TrainingSet.
-        precollated`), gathered straight into the packed operands.  The
-        gradient arrays are the session's own, overwritten by the next
-        call.
+        The minibatch is queries ``index`` of ``dataset`` (anything with
+        packed ``tables``, ``joins`` and ``predicates`` sets, such as a
+        :class:`~repro.core.batches.TrainingSet`), whose rows are
+        gathered straight into the GEMM operands.  The gradient arrays
+        are the session's own, overwritten by the next call.
         """
         sigmoid, combined, packed, o1 = self._forward(dataset, index)
         loss, grad_pred = self._loss_gradient(sigmoid.reshape(-1), labels)
@@ -253,14 +253,14 @@ class TrainingSession:
         np.dot(combined.T, grad_o1, out=grads["out_mlp.0.weight"])
         grad_combined = self._buffer("out.gc", (batch_size, 3 * h))
         np.dot(grad_o1, w1.T, out=grad_combined)
-        for k, (name, _, _) in enumerate(SETS):
+        for k, (name, _) in enumerate(SETS):
             self._set_backward(name, grad_combined[:, k * h:(k + 1) * h], packed[k])
         return loss, grads
 
     # ------------------------------------------------------------------
     # the optimizer step
     # ------------------------------------------------------------------
-    def step(self, dataset: "Batch", labels: np.ndarray, index: np.ndarray) -> float:
+    def step(self, dataset: "TrainingSet", labels: np.ndarray, index: np.ndarray) -> float:
         """One Adam step on a minibatch (as in :meth:`gradients`);
         returns its loss."""
         loss, _ = self.gradients(dataset, labels, index)

@@ -17,7 +17,7 @@ provides an npz-compatible payload format mirroring nn.serialize.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -33,10 +33,17 @@ from ..db.types import DType, dtype_from_name
 
 @dataclass
 class MaterializedSamples:
-    """Per-table uniform samples of up to ``sample_size`` rows each."""
+    """Per-table uniform samples of up to ``sample_size`` rows each.
+
+    ``row_ids`` maps each table to its sampled rows' ids in the source
+    database, when the samples were just drawn from it
+    (:func:`materialize_samples`); the build gathers its bitmaps there.
+    It is not part of the sketch payload, so a loaded sketch has none.
+    """
 
     samples: dict[str, Table]
     sample_size: int
+    row_ids: dict[str, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def for_table(self, name: str) -> Table:
         try:
@@ -71,11 +78,12 @@ def materialize_samples(
     rng = make_rng(seed)
     names = sorted(set(tables))
     streams = spawn(rng, max(len(names), 1))
-    samples = {
-        name: db.table(name).sample(sample_size, rng=stream)
+    row_ids = {
+        name: db.table(name).sample_rows(sample_size, rng=stream)
         for name, stream in zip(names, streams)
     }
-    return MaterializedSamples(samples=samples, sample_size=sample_size)
+    samples = {name: db.table(name).take(rows) for name, rows in row_ids.items()}
+    return MaterializedSamples(samples=samples, sample_size=sample_size, row_ids=row_ids)
 
 
 # ----------------------------------------------------------------------

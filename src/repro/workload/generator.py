@@ -21,7 +21,8 @@ from ..errors import QueryError
 from ..rng import SeedLike, make_rng
 from ..db.database import Database
 from ..db.types import DType
-from .query import JoinEdge, Predicate, Query, TableRef
+from ..db.batch import QueryBatch
+from .query import JoinEdge, Query, TableRef
 
 
 #: Operators the uniform generator draws for numeric columns (the paper
@@ -121,6 +122,10 @@ class TrainingQueryGenerator:
     spec's tables: a start table is chosen uniformly, then edges to
     not-yet-included tables are added uniformly until the drawn join
     count is reached (or no edge extends the subgraph).
+
+    :meth:`draw_batch` writes the draws straight into a
+    :class:`~repro.db.batch.QueryBatch`; :meth:`draw` and
+    :meth:`draw_many` are the same stream as :class:`Query` objects.
     """
 
     def __init__(self, db: Database, spec: WorkloadSpec, seed: SeedLike = None):
@@ -131,95 +136,135 @@ class TrainingQueryGenerator:
             if table not in db.tables:
                 raise QueryError(f"workload spec references unknown table {table!r}")
         self._neighbors = build_neighbor_map(db, spec)
-        self._literal_pools = build_literal_pools(db, spec)
+        pools = build_literal_pools(db, spec)
+        # Per table, per predicate column: what one predicate draw reads.
+        self._columns: dict[str, tuple[_ColumnDraw, ...]] = {
+            table: tuple(
+                _ColumnDraw(db, spec, table, column, *pools[(table, column)])
+                for column in spec.columns_of(table)
+            )
+            for table in spec.tables
+        }
+        self._frontiers: dict[tuple[str, ...], list[tuple[str, str, str, str]]] = {}
+        self._structures: dict[tuple, Query] = {}
 
     # ------------------------------------------------------------------
     # drawing
     # ------------------------------------------------------------------
-    def _draw_join_structure(self) -> tuple[list[str], list[JoinEdge]]:
-        n_joins = int(self.rng.integers(0, self.spec.max_joins + 1))
-        start = self.spec.tables[int(self.rng.integers(0, len(self.spec.tables)))]
-        tables = [start]
-        joins: list[JoinEdge] = []
-        while len(joins) < n_joins:
-            frontier: list[tuple[str, str, str, str]] = []
-            for table in tables:
-                for neighbor, own_col, other_col in self._neighbors[table]:
-                    if neighbor not in tables:
-                        frontier.append((table, own_col, neighbor, other_col))
+    def _frontier(self, tables: tuple[str, ...]) -> list[tuple[str, str, str, str]]:
+        """Edges from ``tables`` to a table not yet in it, in draw order."""
+        frontier = self._frontiers.get(tables)
+        if frontier is None:
+            frontier = self._frontiers[tables] = [
+                (table, own_col, neighbor, other_col)
+                for table in tables
+                for neighbor, own_col, other_col in self._neighbors[table]
+                if neighbor not in tables
+            ]
+        return frontier
+
+    def _draw_join_structure(self) -> tuple[tuple[str, ...], Query]:
+        """The drawn tables, in draw order, and their join structure."""
+        rng = self.rng
+        n_joins = int(rng.integers(0, self.spec.max_joins + 1))
+        tables = (self.spec.tables[int(rng.integers(0, len(self.spec.tables)))],)
+        picks: tuple = ()
+        while len(picks) < n_joins:
+            frontier = self._frontier(tables)
             if not frontier:
                 break  # the drawn table's component is exhausted
-            pick = frontier[int(self.rng.integers(0, len(frontier)))]
-            own_table, own_col, neighbor, other_col = pick
-            tables.append(neighbor)
-            joins.append(
-                JoinEdge(
-                    self.spec.alias_of(own_table),
-                    own_col,
-                    self.spec.alias_of(neighbor),
-                    other_col,
-                )
+            pick = frontier[int(rng.integers(0, len(frontier)))]
+            tables += (pick[2],)
+            picks += (pick,)
+        key = (tables, picks)
+        structure = self._structures.get(key)
+        if structure is None:
+            alias_of = self.spec.alias_of
+            structure = self._structures[key] = Query(
+                tables=tuple(TableRef(t, alias_of(t)) for t in tables),
+                joins=tuple(
+                    JoinEdge(alias_of(own_table), own_col, alias_of(neighbor), other_col)
+                    for own_table, own_col, neighbor, other_col in picks
+                ),
             )
-        return tables, joins
+        return tables, structure
 
-    def _draw_literal(self, table: str, column: str):
-        rows_pool, distinct_pool = self._literal_pools[(table, column)]
+    def draw_batch(self, n: int) -> QueryBatch:
+        """Draw ``n`` queries (duplicates possible, as in the paper) as
+        one batch."""
+        if n < 0:
+            raise QueryError(f"cannot draw {n} queries")
+        integers, random, choice = self.rng.integers, self.rng.random, self.rng.choice
         mode = self.spec.literal_distribution
-        if mode == "mixed":
-            mode = "distinct" if self.rng.random() < 0.5 else "rows"
-        if mode == "distinct":
-            pool = distinct_pool
-        elif mode == "rows":
-            pool = rows_pool
-        else:
-            raise QueryError(
-                f"unknown literal distribution {self.spec.literal_distribution!r}"
-            )
-        raw = pool[int(self.rng.integers(0, len(pool)))]
-        return decode_pool_value(self.db, table, column, raw)
-
-    def _draw_predicates(self, tables: list[str]) -> list[Predicate]:
-        predicates: list[Predicate] = []
-        for table in tables:
-            columns = self.spec.columns_of(table)
-            if not columns:
-                continue
-            max_preds = min(MAX_PREDICATES_PER_TABLE, len(columns))
-            n_preds = int(self.rng.integers(0, max_preds + 1))
-            if n_preds == 0:
-                continue
-            chosen = self.rng.choice(len(columns), size=n_preds, replace=False)
-            for idx in chosen:
-                column = columns[int(idx)]
-                dtype = self.db.table(table).column(column).dtype
-                if dtype is DType.STRING:
-                    op = "="
-                else:
-                    op = TRAINING_OPERATORS[
-                        int(self.rng.integers(0, len(TRAINING_OPERATORS)))
-                    ]
-                predicates.append(
-                    Predicate(
-                        alias=self.spec.alias_of(table),
-                        column=column,
-                        op=op,
-                        literal=self._draw_literal(table, column),
-                    )
-                )
-        return predicates
+        ids: dict[Query, int] = {}
+        structure, query, alias, column, op, literal = [], [], [], [], [], []
+        drawn: list[tuple] = []
+        for i in range(n):
+            tables, shape = self._draw_join_structure()
+            structure.append(ids.setdefault(shape, len(ids)))
+            drawn.clear()
+            for table in tables:
+                columns = self._columns[table]
+                if not columns:
+                    continue
+                max_preds = min(MAX_PREDICATES_PER_TABLE, len(columns))
+                n_preds = int(integers(0, max_preds + 1))
+                if n_preds == 0:
+                    continue
+                for idx in choice(len(columns), size=n_preds, replace=False).tolist():
+                    draw = columns[idx]
+                    if draw.string:
+                        pred_op = "="
+                    else:
+                        pred_op = TRAINING_OPERATORS[int(integers(0, len(TRAINING_OPERATORS)))]
+                    if mode == "mixed":
+                        pool = draw.distinct if random() < 0.5 else draw.rows
+                    elif mode == "distinct":
+                        pool = draw.distinct
+                    elif mode == "rows":
+                        pool = draw.rows
+                    else:
+                        raise QueryError(f"unknown literal distribution {mode!r}")
+                    value = draw.decode(pool[int(integers(0, len(pool)))])
+                    drawn.append((draw.alias, draw.column, pred_op, value))
+            # Query's canonical predicate order; (alias, column) is unique
+            # within a draw, so the tuples never compare past it.
+            drawn.sort()
+            for pred_alias, pred_column, pred_op, pred_literal in drawn:
+                query.append(i)
+                alias.append(pred_alias)
+                column.append(pred_column)
+                op.append(pred_op)
+                literal.append(pred_literal)
+        return QueryBatch(list(ids), structure, query, alias, column, op, literal)
 
     def draw(self) -> Query:
         """Draw one query (possibly with zero true cardinality)."""
-        tables, joins = self._draw_join_structure()
-        predicates = self._draw_predicates(tables)
-        refs = tuple(TableRef(t, self.spec.alias_of(t)) for t in tables)
-        return Query(tables=refs, joins=tuple(joins), predicates=tuple(predicates))
+        return self.draw_batch(1).to_queries()[0]
 
     def draw_many(self, n: int) -> list[Query]:
         """Draw ``n`` queries (duplicates possible, as in the paper)."""
-        if n < 0:
-            raise QueryError(f"cannot draw {n} queries")
-        return [self.draw() for _ in range(n)]
+        return self.draw_batch(n).to_queries()
+
+
+class _ColumnDraw:
+    """One predicate column's draw inputs: its alias, whether it is a
+    string column (``=`` only), its two literal pools and the decoder
+    from a raw pool value to a python literal."""
+
+    __slots__ = ("alias", "column", "string", "rows", "distinct", "decode")
+
+    def __init__(self, db, spec, table, column, rows, distinct):
+        col = db.table(table).column(column)
+        self.alias = spec.alias_of(table)
+        self.column = column
+        self.string = col.dtype is DType.STRING
+        self.rows, self.distinct = rows, distinct
+        if self.string:
+            dictionary = col.dictionary
+            self.decode = lambda raw: dictionary[int(raw)]
+        else:
+            self.decode = int if col.dtype is DType.INT64 else float
 
 
 def spec_for_imdb(tables: tuple[str, ...] | None = None, max_joins: int = 2) -> WorkloadSpec:

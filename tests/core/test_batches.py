@@ -1,15 +1,15 @@
 """Batch collation and training-set tests."""
 
 import threading
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.core import TrainingSet, collate
-from repro.core.batches import Batch, CollateScratch
+from repro.core import collate
+from repro.core.batches import CollateScratch
 from repro.core.featurization import QueryFeatures
 from repro.errors import TrainingError
+from tests.helpers import training_set
 
 
 def fake_features(n_tables=2, n_joins=1, n_preds=1, td=5, jd=3, pd=4, fill=1.0):
@@ -18,11 +18,6 @@ def fake_features(n_tables=2, n_joins=1, n_preds=1, td=5, jd=3, pd=4, fill=1.0):
         joins=np.full((n_joins, jd), fill),
         predicates=np.full((n_preds, pd), fill),
     )
-
-
-def rows_of(batch, index):
-    """Rows ``index`` of every array of ``batch``, as one batch."""
-    return Batch(*(getattr(batch, f.name)[index] for f in fields(Batch)))
 
 
 class TestCollate:
@@ -117,14 +112,14 @@ class TestTrainingSet:
     def make_set(self, n=20):
         features = [fake_features() for _ in range(n)]
         labels = np.linspace(0, 1, n)
-        return TrainingSet(features, labels)
+        return training_set(features, labels)
 
     def test_length(self):
         assert len(self.make_set(13)) == 13
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(TrainingError):
-            TrainingSet([fake_features()], np.array([0.1, 0.2]))
+            training_set([fake_features()], np.array([0.1, 0.2]))
 
     def test_split_sizes(self):
         train, val = self.make_set(20).split(0.25, seed=0)
@@ -161,12 +156,13 @@ class TestTrainingSet:
             list(self.make_set().batch_indices(0))
 
 
-class TestPrecollation:
-    """Minibatches now come from one dataset-wide padded batch."""
+class TestPacking:
+    """A training set holds each set's real rows back to back, and
+    minibatches index queries into them."""
 
     def ragged_set(self, n=19):
         rng = np.random.default_rng(4)
-        features = [
+        self.features = [
             fake_features(
                 n_tables=int(rng.integers(1, 4)),
                 n_joins=int(rng.integers(1, 3)),
@@ -175,54 +171,55 @@ class TestPrecollation:
             )
             for i in range(n)
         ]
-        return TrainingSet(features, np.linspace(0, 1, n))
+        return training_set(self.features, np.linspace(0, 1, n))
 
-    def test_precollated_is_cached(self):
+    def test_packed_rows_hold_no_padding(self):
         ds = self.ragged_set()
-        assert ds.precollated() is ds.precollated()
+        for name in ("tables", "joins", "predicates"):
+            packed = getattr(ds, name)
+            sizes = [getattr(f, name).shape[0] for f in self.features]
+            assert packed.rows.shape[0] == sum(sizes)
+            np.testing.assert_array_equal(np.diff(packed.offsets), sizes)
+            assert packed.width == max(sizes)
 
-    def test_precollated_rows_match_legacy_collation(self):
-        """Each minibatch's precollated rows equal collating those
-        queries directly, modulo extra all-zero masked padding out to
-        dataset maxima."""
+    def test_packed_rows_match_legacy_collation(self):
+        """Each minibatch's packed rows, taken out of the training set,
+        are the real rows of collating those queries directly."""
         ds = self.ragged_set()
-        for idx in ds.batch_indices(5, shuffle=False):
-            batch = rows_of(ds.precollated(), idx)
-            legacy = collate([ds.features[i] for i in idx])
-            for name in ("tables", "joins", "predicates"):
-                wide = getattr(batch, name)
-                narrow = getattr(legacy, name)
-                s = narrow.shape[1]
-                np.testing.assert_array_equal(wide[:, :s, :], narrow)
-                assert np.all(wide[:, s:, :] == 0.0)
-            for name in ("table_mask", "join_mask", "predicate_mask"):
-                wide = getattr(batch, name)
-                narrow = getattr(legacy, name)
-                s = narrow.shape[1]
-                np.testing.assert_array_equal(wide[:, :s], narrow)
-                assert np.all(wide[:, s:] == 0.0)
+        for idx in ds.batch_indices(5, seed=2):
+            subset = ds.take(idx)
+            legacy = collate([self.features[i] for i in idx])
+            for name, mask in (
+                ("tables", "table_mask"), ("joins", "join_mask"),
+                ("predicates", "predicate_mask"),
+            ):
+                real = getattr(legacy, mask).astype(bool)
+                np.testing.assert_array_equal(
+                    getattr(subset, name).rows, getattr(legacy, name)[real]
+                )
 
-    def test_model_outputs_unchanged_by_dataset_padding(self):
-        """Dataset-maxima padding is invisible through the masked mean."""
+    def test_model_outputs_unchanged_by_packing(self):
+        """The training session's forward on packed rows is the serving
+        forward on collated batches."""
         from repro.core.mscn import MSCN
+        from repro.nn import TrainingSession
 
         ds = self.ragged_set()
-        session = MSCN(5, 3, 4, hidden_units=8, seed=0).compile()
+        model = MSCN(5, 3, 4, hidden_units=8, seed=0)
+        session = TrainingSession(model, loss="mse", log_max_card=1.0, learning_rate=1e-3)
         for idx in ds.batch_indices(7, shuffle=False):
-            legacy = collate([ds.features[i] for i in idx])
+            legacy = collate([self.features[i] for i in idx])
             np.testing.assert_allclose(
-                session.run(rows_of(ds.precollated(), idx)),
-                session.run(legacy),
-                rtol=1e-12,
+                session.predict(ds, idx), model.compile().run(legacy), rtol=1e-12
             )
 
     def test_shuffled_epochs_cover_everything(self):
         ds = self.ragged_set()
-        dense = ds.precollated()
         seen = []
         for index in ds.batch_indices(4, shuffle=True, seed=8):
             assert index.size <= 4
-            # fill value identifies the query each padded row came from
-            np.testing.assert_array_equal(dense.tables[index, 0, 0], index + 1.0)
+            # fill value identifies the query each packed row came from
+            first_rows = ds.tables.rows[ds.tables.offsets[index], 0]
+            np.testing.assert_array_equal(first_rows, index + 1.0)
             seen.extend(index.tolist())
         assert sorted(seen) == list(range(len(ds)))

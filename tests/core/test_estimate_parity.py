@@ -19,6 +19,7 @@ from repro.sampling import is_zero_tuple
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
 from tests.nn.oracle import oracle_forward
+from tests.helpers import training_set
 
 #: Tolerance for single-vs-batched model output (see module docstring).
 RTOL = 1e-12
@@ -250,7 +251,6 @@ class TestCompiledPath:
         """A real retrain (Trainer.fit on the sketch's model) followed by
         clear_cache() serves estimates from the new weights, in parity
         with the autograd oracle."""
-        from repro.core.batches import TrainingSet
         from repro.core.training import Trainer
         from repro.sampling import query_bitmaps
 
@@ -264,7 +264,7 @@ class TestCompiledPath:
         ]
         trainer = Trainer(sketch.model, sketch.featurizer, epochs=1, batch_size=4)
         try:
-            trainer.fit(TrainingSet(features, np.linspace(0.2, 0.8, 12)))
+            trainer.fit(training_set(features, np.linspace(0.2, 0.8, 12)))
             sketch.clear_cache()
             after = sketch.estimate(workload[0], use_cache=False)
             assert after != before  # the retrain moved the weights

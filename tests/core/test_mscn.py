@@ -10,7 +10,7 @@ from repro.core.batches import Batch
 from repro.core.featurization import QueryFeatures
 from repro.errors import SerializationError, TrainingError
 from repro.nn import TrainingSession
-from tests.nn.oracle import OracleMSCN
+from tests.nn.oracle import OracleMSCN, packed
 
 
 def features(n_tables=2, n_joins=1, n_preds=2, td=6, jd=4, pd=5, rng=None):
@@ -114,7 +114,7 @@ class TestGradients:
         session = TrainingSession(
             model, loss="qerror", log_max_card=9.0, learning_rate=1e-3
         )
-        _, grads = session.gradients(batch, np.array([0.2, 0.7]), np.arange(2))
+        _, grads = session.gradients(packed(batch), np.array([0.2, 0.7]), np.arange(2))
         assert list(grads) == list(model.params)
         for name, grad in grads.items():
             assert grad.shape == model.params[name].shape
@@ -132,14 +132,14 @@ class TestGradients:
         0.05x.
         """
         rng = np.random.default_rng(0)
-        batch = Batch(
+        batch = packed(Batch(
             tables=rng.random((256, 3, 1006)),
             table_mask=np.ones((256, 3)),
             joins=rng.random((256, 2, 5)),
             join_mask=np.ones((256, 2)),
             predicates=rng.random((256, 5, 18)),
             predicate_mask=np.ones((256, 5)),
-        )
+        ))
         session = TrainingSession(
             MSCN(1006, 5, 18, hidden_units=64, seed=0),
             loss="qerror", log_max_card=12.0, learning_rate=1e-3,
@@ -151,7 +151,7 @@ class TestGradients:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * batch.tables.nbytes, peak / batch.tables.nbytes
+        assert peak <= 6 * batch.tables.rows.nbytes, peak / batch.tables.rows.nbytes
 
     def test_num_parameters_formula(self, model):
         h = 16

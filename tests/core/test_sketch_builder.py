@@ -56,8 +56,9 @@ class TestBuilder:
         assert all(0.0 <= e.fraction <= 1.0 for e in events)
 
     def test_training_set_equals_per_query_featurization(self, imdb_small, monkeypatch):
-        """The builder featurizes on the batch path; what it hands the
-        trainer is byte-equal to featurizing query by query."""
+        """The builder featurizes on the columnar path; the packed rows
+        it hands the trainer are byte-equal to featurizing query by
+        query."""
         seen = {}
         epochs = Trainer.epochs
 
@@ -82,10 +83,13 @@ class TestBuilder:
                 for query in kept
             ]
         )
-        built = seen["dataset"].precollated()
-        assert len(seen["dataset"]) == len(kept)
-        for name in ("tables", "table_mask", "joins", "join_mask", "predicates", "predicate_mask"):
-            got, want = getattr(built, name), getattr(per_query, name)
+        built = seen["dataset"]
+        assert len(built) == len(kept)
+        for name, mask in (
+            ("tables", "table_mask"), ("joins", "join_mask"), ("predicates", "predicate_mask")
+        ):
+            got = getattr(built, name).rows
+            want = getattr(per_query, name)[getattr(per_query, mask).astype(bool)]
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 

@@ -9,13 +9,13 @@ from repro.core import (
     SketchConfig,
     Trainer,
     TrainingResult,
-    TrainingSet,
     validation_qerrors,
 )
 from repro.core.featurization import QueryFeatures
 from repro.errors import SketchError, TrainingError
 from repro.metrics import summarize_qerrors
 from repro.nn import TrainingSession
+from tests.helpers import training_set
 
 
 def synthetic_dataset(n=120, seed=0):
@@ -30,7 +30,7 @@ def synthetic_dataset(n=120, seed=0):
         features.append(QueryFeatures(tables, joins, predicates))
         signal = tables.mean() * 0.5 + predicates.mean() * 0.5
         labels.append(np.clip(signal, 0.0, 1.0))
-    return TrainingSet(features, np.array(labels))
+    return training_set(features, np.array(labels))
 
 
 @pytest.fixture

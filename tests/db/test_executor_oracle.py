@@ -233,7 +233,7 @@ def sub_queries(query: Query) -> list[Query]:
 def dense_edges(db, query) -> list[bool]:
     """Whether each tree edge of ``query``'s plan took the dense path."""
     plan = executor._CountMemo(db)._plan(query)
-    return [step.up.dense is not None for steps in plan for step in steps if step.up]
+    return [step.up.dense for steps in plan for step in steps if step.up]
 
 
 def in_dense_range(db, query, alias, column) -> bool:
@@ -387,4 +387,4 @@ class TestBatchOracle:
                 want = in_dense_range(
                     db, query, step.alias, edge.columns[0]
                 ) and in_dense_range(db, query, parent, edge.parent_columns[0])
-                assert (edge.dense is not None) == want
+                assert edge.dense == want

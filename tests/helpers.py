@@ -69,3 +69,20 @@ def pinned_statistics_inputs():
     x = rng.integers(0, 7, 400)
     y = (x + rng.integers(0, 3, 400)) % 7
     return a, b, x, y
+
+
+def training_set(features, labels):
+    """A packed :class:`~repro.core.batches.TrainingSet` of per-query
+    ``QueryFeatures`` (as ``Featurizer.featurize_batch`` returns them)."""
+    from repro.core.batches import TrainingSet
+    from repro.core.featurization import PackedSet
+    from repro.db.batch import offsets_of
+
+    sets = [
+        PackedSet(
+            np.concatenate([getattr(f, name) for f in features]),
+            offsets_of([getattr(f, name).shape[0] for f in features]),
+        )
+        for name in ("tables", "joins", "predicates")
+    ]
+    return TrainingSet(*sets, labels)

@@ -11,7 +11,7 @@ from .functional import masked_mean
 from .layers import Dropout, Linear, ReLU, Sequential, Sigmoid, Tanh, mlp
 from .loss import Loss, MSELoss, QErrorLoss
 from .module import Module
-from .mscn import OracleMSCN, OracleTrainingSession, oracle_forward
+from .mscn import OracleMSCN, OracleTrainingSession, oracle_forward, packed
 from .optim import SGD, Adam, Optimizer
 from .serialize import load_module, save_module
 from .tensor import Tensor, concat, maximum, stack_rows
@@ -41,4 +41,5 @@ __all__ = [
     "OracleMSCN",
     "OracleTrainingSession",
     "oracle_forward",
+    "packed",
 ]

@@ -14,7 +14,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from repro.core.batches import Batch
+from repro.core.batches import Batch, TrainingSet
+from repro.core.featurization import PackedSet
+from repro.db.batch import offsets_of
 from repro.core.mscn import MSCN
 from repro.rng import SeedLike, make_rng
 from .functional import masked_mean
@@ -90,9 +92,39 @@ def oracle_forward(model: MSCN, batch: Batch) -> np.ndarray:
     return OracleMSCN.of(model)(batch).numpy()
 
 
-def rows(dataset: Batch, index: np.ndarray) -> Batch:
-    """Rows ``index`` of every array of ``dataset``, as one batch."""
-    return Batch(*(getattr(dataset, f.name)[index] for f in fields(Batch)))
+SETS = (("tables", "table_mask"), ("joins", "join_mask"), ("predicates", "predicate_mask"))
+
+
+def rows(dataset, index: np.ndarray) -> Batch:
+    """Queries ``index`` of ``dataset`` as one padded batch.
+
+    ``dataset`` is a padded :class:`Batch`, or a packed training set
+    (``tables``, ``joins``, ``predicates`` :class:`PackedSet` s), whose
+    sets are padded to their width here (at least one masked slot).
+    """
+    if isinstance(dataset, Batch):
+        return Batch(*(getattr(dataset, f.name)[index] for f in fields(Batch)))
+    arrays = []
+    for name, _ in SETS:
+        packed = getattr(dataset, name)
+        data = np.zeros((index.size, max(packed.width, 1), packed.rows.shape[1]))
+        mask = np.zeros(data.shape[:2])
+        for i, q in enumerate(index):
+            real = packed.rows[packed.offsets[q] : packed.offsets[q + 1]]
+            data[i, : len(real)] = real
+            mask[i, : len(real)] = 1.0
+        arrays += [data, mask]
+    return Batch(*arrays)
+
+
+def packed(batch: Batch) -> TrainingSet:
+    """The real rows of a padded ``batch`` as a packed training set
+    (labels zero; the training session takes them separately)."""
+    sets = []
+    for name, mask_name in SETS:
+        mask = getattr(batch, mask_name).astype(bool)
+        sets.append(PackedSet(getattr(batch, name)[mask], offsets_of(mask.sum(axis=1))))
+    return TrainingSet(*sets, np.zeros(batch.size))
 
 
 class OracleTrainingSession:

@@ -32,6 +32,7 @@ from tests.nn.oracle import (
     masked_mean,
     maximum,
     oracle_forward,
+    packed,
     stack_rows,
 )
 
@@ -391,7 +392,7 @@ def session_differences(model, session, batch, targets, step=None):
         kept = param.flat[index]
         param.flat[index] = kept + delta
         try:
-            return session.gradients(batch, targets, np.arange(batch.size))[0]
+            return session.gradients(packed(batch), targets, np.arange(batch.size))[0]
         finally:
             param.flat[index] = kept
 
@@ -407,7 +408,7 @@ def session_differences(model, session, batch, targets, step=None):
 
 
 def session_gradients(session, batch, targets):
-    _, grads = session.gradients(batch, targets, np.arange(batch.size))
+    _, grads = session.gradients(packed(batch), targets, np.arange(batch.size))
     return {name: grad.copy() for name, grad in grads.items()}
 
 
@@ -444,7 +445,7 @@ def test_training_session_at_a_perfect_prediction_is_a_subgradient():
     """Targets equal to the predictions put every q-error at its kink
     (gap == 0): the gradient lies between the one-sided differences."""
     model, session, batch = session_case("qerror", RAGGED[:3])
-    targets = session.predict(batch, np.arange(batch.size))
+    targets = session.predict(packed(batch), np.arange(batch.size))
     got = session_gradients(session, batch, targets)
     right = session_differences(model, session, batch, targets, +H)
     left = session_differences(model, session, batch, targets, -H)

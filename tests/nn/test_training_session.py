@@ -19,7 +19,8 @@ from repro.core.featurization import QueryFeatures
 from repro.core.mscn import MSCN
 from repro.errors import TrainingError
 from repro.nn import TrainingSession
-from tests.nn.oracle import OracleTrainingSession
+from tests.nn.oracle import OracleTrainingSession, packed
+from tests.helpers import training_set
 
 TABLE_DIM, JOIN_DIM, PRED_DIM = 9, 3, 5
 #: The featurizer encodes an empty join/predicate set as one all-zero
@@ -60,12 +61,15 @@ def assert_relative(got: dict, want: dict, bound: float) -> None:
 
 
 def every(batch):
-    """The index of a whole collated batch, as one minibatch."""
-    return np.arange(batch.size)
+    """The index of a whole batch, as one minibatch."""
+    return np.arange(len(batch.labels) if isinstance(batch, TrainingSet) else batch.size)
 
 
 def assert_gradients_match(session, oracle, batch, labels, index):
-    loss, grads = session.gradients(batch, labels, index)
+    """The session on the packed rows of ``batch`` (a collated batch or a
+    training set), the oracle on them padded."""
+    dataset = batch if isinstance(batch, TrainingSet) else packed(batch)
+    loss, grads = session.gradients(dataset, labels, index)
     want_loss, want = oracle.gradients(batch, labels, index)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert_relative(grads, want, 1e-12)
@@ -97,14 +101,13 @@ def test_gradients_match_the_oracle(sizes, hidden, loss, empty_joins, seed):
 )
 def test_indexed_minibatches_match_the_oracle(sizes, batch_size, loss, seed):
     """Every shuffled minibatch of a dataset, the last partial one
-    included, gathered straight from the precollated arrays."""
+    included, gathered straight from the packed arrays."""
     _, session, oracle = both(loss, seed=seed)
-    dataset = TrainingSet(
+    dataset = training_set(
         features(sizes, seed), np.random.default_rng(seed).uniform(size=len(sizes))
     )
-    dense = dataset.precollated()
     for index in dataset.batch_indices(batch_size, seed=seed):
-        assert_gradients_match(session, oracle, dense, dataset.labels[index], index)
+        assert_gradients_match(session, oracle, dataset, dataset.labels[index], index)
 
 
 @pytest.mark.parametrize("loss", ["qerror", "mse"])
@@ -124,10 +127,12 @@ def test_edge_cases_match_the_oracle(case, loss):
     if case == "all_empty_join_set":
         batch.join_mask[:] = 0.0
     elif case == "last_partial_batch":
-        dataset = TrainingSet(features(sizes * 2, seed=3), np.linspace(0.1, 0.9, 10))
+        dataset = training_set(
+            features(sizes * 2, seed=3), np.linspace(0.1, 0.9, 10)
+        )
         index = list(dataset.batch_indices(4, seed=0))[-1]
         assert index.size == 2
-        batch, labels = dataset.precollated(), dataset.labels[index]
+        batch, labels = dataset, dataset.labels[index]
     assert_gradients_match(session, oracle, batch, labels, index)
 
 
@@ -137,7 +142,7 @@ def test_qerror_tie_takes_the_gradient_through_exp_gap():
     so the loss gradient is +log_max_card / B, not zero or negative."""
     model, session, oracle = both("qerror")
     batch = collate(features([(2, 1, 3), (1, 0, 2), (3, 2, 1)], seed=4))
-    labels = session.predict(batch, every(batch))
+    labels = session.predict(packed(batch), every(batch))
     np.testing.assert_array_equal(labels, oracle.predict(batch, every(batch)))
     assert_gradients_match(session, oracle, batch, labels, every(batch))
     _, grad = session._loss_gradient(labels, labels)
@@ -153,7 +158,7 @@ def test_sigmoid_output_at_the_clip_edge():
         state["out_mlp.2.bias"] = np.array([50.0])
         m.load_state_dict(state)
     batch = collate(features([(2, 1, 3), (1, 1, 1)], seed=5))
-    preds = session.predict(batch, every(batch))
+    preds = session.predict(packed(batch), every(batch))
     np.testing.assert_array_equal(preds, [1.0, 1.0])
     assert_gradients_match(session, oracle, batch, np.array([0.4, 0.7]), every(batch))
     _, grad = session._loss_gradient(preds, np.array([0.4, 0.7]))
@@ -168,7 +173,7 @@ def test_ten_adam_steps_track_the_oracle(loss):
         sizes = [tuple(int(v) for v in rng.integers([1, 0, 0], [5, 4, 5])) for _ in range(6)]
         batch = collate(features(sizes, seed=step))
         labels = rng.uniform(size=6)
-        got = session.step(batch, labels, every(batch))
+        got = session.step(packed(batch), labels, every(batch))
         want = oracle.step(batch, labels, every(batch))
         assert abs(got - want) <= 1e-12 * abs(want), step
         assert_relative(model.state_dict(), oracle.model.state_dict(), 1e-12)
@@ -187,12 +192,12 @@ def test_rejects_bad_configuration():
         TrainingSession(model)  # no knob has a default
     batch = collate(features([(1, 1, 1)], 0))
     with pytest.raises(TrainingError, match="shape"):
-        TrainingSession(model, **knobs).gradients(batch, np.zeros(2), every(batch))
+        TrainingSession(model, **knobs).gradients(packed(batch), np.zeros(2), every(batch))
 
 
 def test_pooled_buffers_are_reused_across_steps():
     model, session, _ = both("qerror")
-    batch = collate(features([(2, 1, 3), (1, 0, 2), (3, 2, 1)], seed=6))
+    batch = packed(collate(features([(2, 1, 3), (1, 0, 2), (3, 2, 1)], seed=6)))
     labels = np.array([0.2, 0.5, 0.8])
     session.step(batch, labels, every(batch))
     pool = {key: id(buf) for key, buf in session._pool.buffers().items()}
