@@ -9,7 +9,10 @@ Demonstrates the latency-bounded serving loop end to end:
    client submits requests and waits on futures, exactly like
    independent application threads would,
 4. await a few queries from ``asyncio`` through the same server,
-5. print the serving statistics: flush triggers, dedup, cache hits,
+5. hand the started server one blocking ``serve(batch)``: a complete
+   batch does not wait for the timers, its caller answers it at once
+   (a ``forced`` flush),
+6. print the serving statistics: flush triggers, dedup, cache hits,
    and queue-wait percentiles.
 
 Run from the repository root::
@@ -137,17 +140,33 @@ def main(argv=None) -> int:
     with SketchServer(manager, config).start() as server:
         elapsed = run_clients(server, workload, args.clients)
         asyncio.run(run_asyncio_clients(server, distinct[: min(8, len(distinct))]))
+        # Queries the clients never sent, so the batch misses the cache
+        # and has to be flushed.
+        sent = set(distinct)
+        fresh = [
+            q for q in generate_job_light(
+                manager.db, JobLightConfig(n_queries=8, seed=2)
+            )
+            if q not in sent
+        ]
+        forced = server.stats.n_flushes_forced
+        batch = server.serve(fresh)
+        if not all(r.ok for r in batch):
+            raise RuntimeError("a blocking batch answered with errors")
+        if server.stats.n_flushes_forced == forced:
+            raise RuntimeError("a blocking batch waited for the loop")
 
         stats = server.stats
         waits = server.wait_summary()
         print(
-            f"{stats.n_answered} requests from {args.clients} threads in "
+            f"{len(workload)} requests from {args.clients} threads in "
             f"{elapsed:.3f}s ({len(workload) / elapsed:.0f} q/s)"
         )
         print(
             f"flushes: {stats.n_flushes} "
             f"({stats.n_flushes_full} full, {stats.n_flushes_timed} timed, "
-            f"{stats.n_flushes_idle} idle, {stats.n_flushes_drain} drain)"
+            f"{stats.n_flushes_idle} idle, {stats.n_flushes_drain} drain, "
+            f"{stats.n_flushes_forced} forced)"
         )
         print(
             f"shared work: {stats.n_deduped} deduped, "

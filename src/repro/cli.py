@@ -540,7 +540,10 @@ def _cmd_serve(args) -> int:
         )
         start = time.perf_counter()
         with server.start():
-            responses = server.serve(requests)
+            # submit_many, not serve: a blocking serve() would answer the
+            # stream on this thread, and this mode is the loop's.
+            futures = server.submit_many(requests)
+            responses = [future.result() for future in futures]
         elapsed = time.perf_counter() - start
     else:
         with SketchServer(manager, ServeConfig(**engine_knobs)) as server:

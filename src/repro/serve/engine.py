@@ -7,7 +7,12 @@ batch, flush, scatter — and of every cross-cutting capability on it
 :class:`~repro.serve.server.SketchServer` is a thin facade over it that
 only decides *who* flushes: the caller (:meth:`flush_pending`) until it
 is started, the engine's background loop (:meth:`start_loop`) after.
-Intake is the same either way.
+Intake is the same either way.  A blocking batch (``serve`` and
+``plan``) is the exception to the timers: its whole batch is already
+in, so it calls :meth:`flush_pending` on a started server too and is
+answered on the calling thread at once instead of waiting for the loop.
+One flush token keeps the flushers to one at a time, whichever thread
+that is.
 
 The lifecycle, in engine terms::
 
@@ -20,7 +25,9 @@ The lifecycle, in engine terms::
           ──> dedup (identical in-flight queries share one computation)
           ──> admission (bounded queue: the newcomer is shed on overflow)
           ──> buffer (per-sketch FIFO with flush triggers)
-    flush ──> take ready chunks (full / timed / idle / drain / forced)
+    flush ──> take the flush token (one flusher at a time: the loop, a
+               blocking batch caller, or a caller-driven flush)
+          ──> take ready chunks (full / timed / idle / drain / forced)
           ──> expire (requests past their deadline_ms resolve as
                structured deadline errors without touching the model)
           ──> execute (the pluggable Executor answers each chunk —
@@ -410,10 +417,11 @@ class EstimationEngine:
     Thread-safety contract: ``submit``/``submit_many`` may be called
     from any number of threads; all shared state (buffers, dedup map,
     counters) lives under one lock, and the caches the executors touch
-    are internally synchronized.  The flush side runs either on a
-    caller's thread (:meth:`flush_pending`, a caller-driven server) or on
-    the engine's background loop (:meth:`start_loop`, a started one) —
-    never both for one engine.  :meth:`close` drains every accepted
+    are internally synchronized.  The flush side runs on a caller's
+    thread (:meth:`flush_pending`) or on the engine's background loop
+    (:meth:`start_loop`); whichever it is, it first takes the one flush
+    token, so at most one thread takes and answers a round at a time (a
+    process executor's slot bookkeeping assumes a single caller).  :meth:`close` drains every accepted
     request before shutting the executor down, so no future returned by
     ``submit`` is ever abandoned.
     """
@@ -450,6 +458,10 @@ class EstimationEngine:
         self._depth_high_water = 0  # lifetime peak of _depth
         self._thread: threading.Thread | None = None
         self._closed = False
+        # The flush token: whoever holds it takes and answers one round
+        # (_take_ready_locked .. _answer_round), so rounds never overlap.
+        # Threads waiting for it sleep on _cond; a release notifies.
+        self._flushing = False
         # Hot-swap barrier: ids of serving "rounds" (taken flush rounds
         # and intake-time settles) currently resolving futures.  A swap
         # replaces the sketch in the manager under the lock, then waits
@@ -739,13 +751,16 @@ class EstimationEngine:
         self._active_rounds.add(round_id)
         return round_id
 
-    def _end_round(self, round_id: int | None) -> None:
-        """Deregister a round; wake swaps waiting on the barrier."""
+    def _end_round(self, round_id: int | None, flush: bool = False) -> None:
+        """Deregister a round (and, with ``flush``, release the flush
+        token); wake the swaps and token waiters that sleep on it."""
         if round_id is None:
             return
         with self._cond:
             self._active_rounds.discard(round_id)
-            if self._swap_waiters:
+            if flush:
+                self._flushing = False
+            if flush or self._swap_waiters:
                 self._cond.notify_all()
 
     def swap_sketch(self, name: str, sketch, timeout: float | None = 30.0):
@@ -932,17 +947,25 @@ class EstimationEngine:
     def flush_pending(self) -> None:
         """Take and answer everything buffered, on the calling thread.
 
-        The caller-driven flush.  All ready chunks of one
-        call form a single executor round, so a process executor
-        overlaps them across workers.
+        The caller-driven flush, and a blocking batch's on a started
+        server too.  It first takes the flush token, sleeping on the
+        engine's condition while the loop or another caller holds it;
+        with nothing left to take it returns without it.  All ready
+        chunks of one call form a single executor round (counted
+        ``forced``), so a process executor overlaps them across workers.
         """
         with self._cond:
+            while self._flushing:
+                self._cond.wait()
             taken = self._take_ready_locked(time.monotonic(), force=True)
-            round_id = self._begin_round_locked() if taken else None
+            if not taken:
+                return
+            self._flushing = True
+            round_id = self._begin_round_locked()
         try:
             self._answer_round(taken)
         finally:
-            self._end_round(round_id)
+            self._end_round(round_id, flush=True)
 
     def _run(self) -> None:
         """The background flush loop (a started server)."""
@@ -953,23 +976,32 @@ class EstimationEngine:
                     batches = None
                     round_id = None
                     while True:
+                        if self._flushing:
+                            # A caller's round: its end wakes us, and
+                            # the buffers may look different by then.
+                            self._cond.wait()
+                            continue
                         now = time.monotonic()
                         batches = self._take_ready_locked(now)
                         if batches:
+                            self._flushing = True
                             round_id = self._begin_round_locked()
                             break
                         if self._closed:
                             # Drained: buffers are empty (a closed take
-                            # grabs everything), so the loop is done.
+                            # grabs everything) and no caller's round is
+                            # still using the executor, so the loop is done.
                             drained = True
                             break
                         self._cond.wait(
                             timeout=self._next_deadline_locked(now)
                         )
+                if drained:
+                    break
                 try:
                     self._answer_round(batches)
                 finally:
-                    self._end_round(round_id)
+                    self._end_round(round_id, flush=True)
             except Exception:
                 # The loop IS the no-stranded-futures contract: an
                 # unexpected error (say, a duck-typed feature cache

@@ -10,10 +10,14 @@ background flush loop, started with the front door) and the response
 marshalled back.
 
 Because ``ThreadingHTTPServer`` handles each connection on its own
-thread and the engine's ``submit`` is thread-safe, **concurrent HTTP
-clients batch together**: their requests land in the same per-sketch
+thread and the engine's ``submit`` is thread-safe, **concurrent single
+estimates batch together**: their requests land in the same per-sketch
 buffers, flush as shared micro-batches under the engine's triggers,
-dedup onto shared computations, and hit the same result cache.  The
+dedup onto shared computations, and hit the same result cache.  Batch
+and plan calls (``estimate_batch``, ``plan``) dedup and hit the cache
+the same way but answer at once on their connection thread, taking
+along whatever is buffered: their batch is complete, so a timer could
+only delay it.  The
 network front door therefore inherits every serving property of the
 in-process server — admission control, deadlines, executors,
 telemetry — with zero engine changes.

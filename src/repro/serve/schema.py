@@ -743,9 +743,7 @@ OPERATIONS = (
     Operation(
         "estimate_batch", "/v1/estimate_batch", KIND_BATCH, KIND_BATCH_RESPONSE,
         BATCH_REQUEST, BATCH_RESPONSE,
-        lambda service, sqls, sketch: [
-            future.result() for future in service.submit_many(sqls, sketch)
-        ],
+        lambda service, sqls, sketch: service.serve(sqls, sketch),
     ),
     Operation(
         "plan", "/v1/plan", KIND_PLAN, KIND_PLAN_RESPONSE,

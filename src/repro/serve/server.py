@@ -14,7 +14,7 @@ micro-batching, execution and scatter all live in
 
 * **Caller-driven** (the state after construction).  No thread runs;
   futures resolve when *you* call :meth:`flush` (``estimate``, ``serve``
-  and ``plan`` flush for you).  That shape fits offline streams — a file
+  and ``plan`` answer for you).  That shape fits offline streams — a file
   of queries, a benchmark, a bulk re-estimation job::
 
       server = SketchServer(manager)
@@ -35,6 +35,13 @@ micro-batching, execution and scatter all live in
 
 Requests submitted before :meth:`start` are answered by the loop.
 There is no way back: a started server is never caller-driven again.
+
+The timers exist to gather independent single requests into shared
+micro-batches.  A blocking batch has nothing left to gather: in either
+state, :meth:`serve` and :meth:`plan` answer their batch on the calling
+thread as soon as its intake finishes, taking along whatever else is
+buffered (a ``forced`` flush).  One flush token in the engine keeps the
+loop and such callers to one flusher at a time.
 
 The engine's executor applies in both states: with
 ``ServeConfig(executor="process")`` one flush fans its micro-batches out
@@ -226,15 +233,24 @@ class SketchServer:
         futures resolve too).
         """
         future = self.submit(request, sketch)
-        self._flush_if_caller_driven()
+        if not self._started:
+            self.flush()
         return future.result()
 
     def serve(
         self, requests: Iterable[Query | str], sketch: str | None = None
     ) -> list[EstimateResponse]:
-        """Submit a stream and block for its responses (submission order)."""
+        """Submit a stream and block for its responses (submission order).
+
+        The stream is answered on the calling thread at once, started or
+        not: no timer waits.  The flush takes along whatever else is
+        buffered; caller-driven, that is every earlier submit, as
+        :meth:`flush` would, so a later :meth:`flush` returns only what
+        follows.
+        """
         futures = self.submit_many(list(requests), sketch)
-        self._flush_if_caller_driven()
+        self._futures = []
+        self.engine.flush_pending()
         return [future.result() for future in futures]
 
     def plan(self, request: Query | str, sketch: str | None = None):
@@ -243,8 +259,9 @@ class SketchServer:
 
         Returns a structured
         :class:`~repro.serve.plan.PlanResponse` (never an exception for
-        request-level failures).  Caller-driven, the batch is answered by
-        a :meth:`flush`, as with :meth:`serve`.
+        request-level failures).  The subplan batch goes through
+        :meth:`serve`, so it is answered on the calling thread at once,
+        started or not.
         """
         from .plan import plan_query
 
@@ -267,10 +284,6 @@ class SketchServer:
         futures, self._futures = self._futures, []
         self.engine.flush_pending()
         return [future.result() for future in futures]
-
-    def _flush_if_caller_driven(self) -> None:
-        if not self._started:
-            self.flush()
 
 
 __all__ = [

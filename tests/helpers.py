@@ -14,6 +14,8 @@ via ``pythonpath`` in ``pyproject.toml``).
 from __future__ import annotations
 
 import itertools
+import threading
+import time
 
 import numpy as np
 
@@ -86,3 +88,50 @@ def training_set(features, labels):
         for name in ("tables", "joins", "predicates")
     ]
     return TrainingSet(*sets, labels)
+
+
+class WatchedExecutor:
+    """An engine executor wrapper for concurrency tests.
+
+    Counts concurrent ``run`` entries (``active``, ``peak``, ``runs``),
+    stays ``dwell`` seconds inside each run to widen any overlap, can
+    hold every round at ``gate`` until the test sets it (``hold=True``;
+    ``entered`` is set once a round is inside), and can raise once
+    instead of answering (``fail_once=True``).  Install it with
+    ``engine.executor = WatchedExecutor(engine.executor)``; everything
+    else is delegated to the wrapped executor.
+    """
+
+    def __init__(self, inner, *, dwell=0.0, hold=False, fail_once=False):
+        self.inner = inner
+        self.dwell = dwell
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        if not hold:
+            self.gate.set()
+        self._fail = fail_once
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.runs = 0
+
+    def run(self, engine, jobs):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.runs += 1
+            fail, self._fail = self._fail, False
+        try:
+            self.entered.set()
+            self.gate.wait(60.0)  # a failed test must not hang the engine
+            if self.dwell:
+                time.sleep(self.dwell)
+            if fail:
+                raise RuntimeError("injected executor fault")
+            self.inner.run(engine, jobs)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)

@@ -33,6 +33,7 @@ from repro.serve import (
 from repro.serve import executor as executor_module
 from repro.workload import Predicate, Query, TableRef, spec_for_imdb
 from repro.workload.generator import TrainingQueryGenerator
+from tests.helpers import WatchedExecutor
 
 #: Acceptance bound where batch shapes may differ (served vs single-query
 #: estimates, a started server's timed flushes vs inline); the same bytes
@@ -489,6 +490,55 @@ class TestExecutorParity:
             [r.estimate for r in responses], inline, rtol=PARITY_RTOL, atol=0.0
         )
         assert server.stats.n_executor_fallbacks == 0
+
+    def test_one_flusher_at_a_time_on_process_slots(self, manager, workload):
+        # Blocking batches answered on their callers' threads and the
+        # loop's timed flushes share one process executor, whose slot
+        # bookkeeping assumes a single caller: no two rounds overlap,
+        # and every answer still matches the inline path.
+        with SketchServer(manager, config_for("inline")) as server:
+            inline = serve_all(server, workload)
+        config = ServeConfig(
+            executor="process", executor_workers=2, max_batch_size=8,
+            max_wait_ms=1.0, use_cache=False,
+        )
+        answered = []  # (workload index, response)
+        futures = []
+
+        def batches(offset):
+            for i in range(6):
+                start = (offset + 4 * i) % 24
+                responses = server.serve(workload[start:start + 8])
+                answered.extend(zip(range(start, start + 8), responses))
+
+        def singles():
+            for i in range(len(workload)):
+                futures.append((i, server.submit(workload[i])))
+                time.sleep(0.001)
+
+        with SketchServer(manager, config).start() as server:
+            watched = WatchedExecutor(server.engine.executor, dwell=0.001)
+            server.engine.executor = watched
+            threads = [
+                threading.Thread(target=fn, args=args, daemon=True)
+                for fn, args in [(batches, (0,)), (batches, (2,)), (singles, ())]
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(RESULT_TIMEOUT)
+            assert not any(thread.is_alive() for thread in threads)
+            answered.extend((i, f.result(RESULT_TIMEOUT)) for i, f in futures)
+            stats = server.stats
+        assert watched.peak == 1
+        assert all(r.ok for _, r in answered)
+        np.testing.assert_allclose(
+            [r.estimate for _, r in answered],
+            [inline[i] for i, _ in answered],
+            rtol=PARITY_RTOL, atol=0.0,
+        )
+        assert stats.n_requests == stats.n_answered + stats.n_errors
+        assert stats.n_executor_fallbacks == 0
 
 
 class TestSnapshotShipping:
