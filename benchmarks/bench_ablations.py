@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core import SketchBuilder, SketchConfig
 from repro.datasets import ImdbConfig, generate_imdb
-from repro.db import execute_count
+from repro.db import execute_counts
 from repro.metrics import geometric_mean_qerror, qerrors
 from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb
 
@@ -52,7 +52,7 @@ def _eval_workload(db):
     queries = [
         q for q in queries if all(t.table in _TABLES for t in q.tables)
     ]
-    truths = np.array([float(max(execute_count(db, q), 1)) for q in queries])
+    truths = np.array([float(max(c, 1)) for c in execute_counts(db, queries)])
     return queries, truths
 
 

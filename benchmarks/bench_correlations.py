@@ -21,7 +21,7 @@ import numpy as np
 from repro.baselines import HyperEstimator, PostgresEstimator
 from repro.core import build_sketch
 from repro.datasets import analyze_imdb_correlations, decorrelated_imdb
-from repro.db import execute_count
+from repro.db import execute_counts
 from repro.metrics import qerrors, summarize_qerrors
 from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb
 
@@ -29,15 +29,11 @@ from conftest import TABLE1_CONFIG, write_result
 
 
 def _compare_systems(db, sketch, queries):
-    truths = np.array([float(max(execute_count(db, q), 1)) for q in queries])
+    truths = np.array([float(max(c, 1)) for c in execute_counts(db, queries)])
     systems = {
         "Deep Sketch": sketch.estimate_many(queries),
-        "HyPer": np.array(
-            [HyperEstimator(db, sample_size=1000).estimate(q) for q in queries]
-        ),
-        "PostgreSQL": np.array(
-            [PostgresEstimator(db).estimate(q) for q in queries]
-        ),
+        "HyPer": HyperEstimator(db, sample_size=1000).estimate_many(queries),
+        "PostgreSQL": PostgresEstimator(db).estimate_many(queries),
     }
     return {
         name: summarize_qerrors(qerrors(est, truths))

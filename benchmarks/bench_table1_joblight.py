@@ -16,8 +16,6 @@ additionally times per-query estimation for every system.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.metrics import format_table, qerrors, summarize_qerrors
 
 from conftest import write_result
@@ -26,7 +24,7 @@ from conftest import write_result
 def _table_rows(sketch, queries, truths, baselines):
     estimates = {"Deep Sketch": sketch.estimate_many(queries)}
     for name, estimator in baselines.items():
-        estimates[name] = np.array([estimator.estimate(q) for q in queries])
+        estimates[name] = estimator.estimate_many(queries)
     return {
         name: summarize_qerrors(qerrors(est, truths))
         for name, est in estimates.items()
@@ -97,8 +95,8 @@ def test_table1_truth_execution_latency(benchmark, truth_oracle, joblight_worklo
 
     def execute_all():
         # Bypass the oracle cache to measure real execution.
-        from repro.db import execute_count
+        from repro.db import execute_counts
 
-        return [execute_count(truth_oracle.db, q) for q in queries]
+        return execute_counts(truth_oracle.db, queries)
 
     benchmark.pedantic(execute_all, rounds=2, iterations=1)

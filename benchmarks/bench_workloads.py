@@ -98,7 +98,7 @@ def _baseline_eval(estimator, suite) -> dict:
     with the learned estimator's blocks.
     """
     queries, cards = suite.labeled_pairs()
-    estimates = [estimator.estimate(q) for q in queries]
+    estimates = estimator.estimate_many(queries)
     errors = qerrors(estimates, cards)
     per_template = {}
     offset = 0

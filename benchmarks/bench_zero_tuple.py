@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.db import execute_count
+from repro.db import execute_counts
 from repro.metrics import format_table, qerrors, summarize_qerrors
 from repro.sampling import is_zero_tuple
 from repro.workload import TrainingQueryGenerator, WorkloadSpec, spec_for_imdb
 
 from conftest import write_result
+
+#: Generator draws before the search gives up.
+MAX_DRAWS = 30_000
 
 
 def _collect_zero_tuple_queries(db, samples, n_wanted=40, seed=909):
@@ -37,19 +40,22 @@ def _collect_zero_tuple_queries(db, samples, n_wanted=40, seed=909):
     )
     generator = TrainingQueryGenerator(db, spec, seed=seed)
     queries, truths = [], []
+    # 0-tuple candidates are counted in one batch once there are enough
+    # of them to fill what is still wanted (or the draws run out); the
+    # first ``n_wanted`` non-empty ones are kept, in draw order.
+    candidates = []
     attempts = 0
-    while len(queries) < n_wanted and attempts < 30_000:
+    while len(queries) < n_wanted and attempts < MAX_DRAWS:
         attempts += 1
         query = generator.draw()
-        if not query.predicates:
-            continue
-        if not is_zero_tuple(samples, query):
-            continue
-        truth = execute_count(db, query)
-        if truth <= 0:
-            continue
-        queries.append(query)
-        truths.append(float(truth))
+        if query.predicates and is_zero_tuple(samples, query):
+            candidates.append(query)
+        if len(candidates) == n_wanted - len(queries) or attempts == MAX_DRAWS:
+            for query, truth in zip(candidates, execute_counts(db, candidates)):
+                if truth > 0 and len(queries) < n_wanted:
+                    queries.append(query)
+                    truths.append(float(truth))
+            candidates = []
     return queries, np.array(truths)
 
 
@@ -62,15 +68,9 @@ def test_zero_tuple_qerrors(
         queries, truths = _collect_zero_tuple_queries(imdb_full, sketch.samples)
         estimates = {
             "Deep Sketch": sketch.estimate_many(queries),
-            "Sampling": np.array(
-                [baseline_estimators["Sampling"].estimate(q) for q in queries]
-            ),
-            "HyPer": np.array(
-                [baseline_estimators["HyPer"].estimate(q) for q in queries]
-            ),
-            "PostgreSQL": np.array(
-                [baseline_estimators["PostgreSQL"].estimate(q) for q in queries]
-            ),
+            "Sampling": baseline_estimators["Sampling"].estimate_many(queries),
+            "HyPer": baseline_estimators["HyPer"].estimate_many(queries),
+            "PostgreSQL": baseline_estimators["PostgreSQL"].estimate_many(queries),
         }
         return queries, truths, estimates
 

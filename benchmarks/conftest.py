@@ -22,7 +22,7 @@ from repro.baselines import (
 )
 from repro.core import SketchConfig, build_sketch
 from repro.datasets import ImdbConfig, generate_imdb
-from repro.db import execute_count
+from repro.db import execute_counts
 from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb
 
 #: Paper-faithful parameters, scaled to the synthetic database: the demo
@@ -66,7 +66,7 @@ def table1_sketch(imdb_full):
 def joblight_workload(imdb_full):
     """70 JOB-light-style queries with their true cardinalities."""
     queries = generate_job_light(imdb_full, JobLightConfig(n_queries=70, seed=42))
-    truths = np.array([float(max(execute_count(imdb_full, q), 1)) for q in queries])
+    truths = np.array([float(max(c, 1)) for c in execute_counts(imdb_full, queries)])
     return queries, truths
 
 

@@ -167,3 +167,7 @@ class PostgresEstimator:
             rows *= max(table_rows, 1) * self.table_selectivity(query, ref.alias)
         rows *= self.join_selectivity(query)
         return max(rows, 1.0)
+
+    def estimate_many(self, queries: list[Query]) -> np.ndarray:
+        """``estimate`` of every query (arithmetic: nothing to share)."""
+        return np.array([self.estimate(q) for q in queries], dtype=np.float64)

@@ -16,8 +16,10 @@ this does against the learned sketch.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..db.database import Database
-from ..db.executor import execute_count, table_filter_mask
+from ..db.executor import execute_count, execute_counts, table_filter_mask
 from ..sampling.sampler import MaterializedSamples, materialize_samples
 from ..db.query import Query
 
@@ -73,3 +75,12 @@ class SamplingEstimator:
         for alias in query.aliases:
             selectivity *= self.table_selectivity(query, alias)
         return max(base * selectivity, 1.0)
+
+    def estimate_many(self, queries: list[Query]) -> np.ndarray:
+        """``estimate`` of every query, the uncached unfiltered join
+        sizes counted in one :func:`~repro.db.executor.execute_counts`
+        call."""
+        skeletons = dict.fromkeys(self._skeleton(q) for q in queries)
+        missing = [s for s in skeletons if s not in self._join_size_cache]
+        self._join_size_cache.update(zip(missing, execute_counts(self.db, missing)))
+        return np.array([self.estimate(q) for q in queries], dtype=np.float64)

@@ -8,8 +8,10 @@ correct :class:`~repro.core.estimator.CardinalityEstimator`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..db.database import Database
-from ..db.executor import execute_count
+from ..db.executor import execute_counts
 from ..db.query import Query
 
 
@@ -24,6 +26,11 @@ class TruthEstimator:
 
     def estimate(self, query: Query) -> float:
         """Exact COUNT(*) of ``query`` (cached per query object)."""
-        if query not in self._cache:
-            self._cache[query] = execute_count(self.db, query)
-        return float(self._cache[query])
+        return float(self.estimate_many([query])[0])
+
+    def estimate_many(self, queries: list[Query]) -> np.ndarray:
+        """Exact COUNT(*) of every query, the uncached ones counted in
+        one :func:`~repro.db.executor.execute_counts` call."""
+        missing = [q for q in dict.fromkeys(queries) if q not in self._cache]
+        self._cache.update(zip(missing, execute_counts(self.db, missing)))
+        return np.array([self._cache[q] for q in queries], dtype=np.float64)

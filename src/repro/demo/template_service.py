@@ -88,13 +88,8 @@ def run_template(
         labels=[inst.label for inst in instances], instances=instances
     )
     queries = [inst.query for inst in instances]
-    if queries:
-        result.series[sketch.name] = TemplateSeries(
-            system=sketch.name, values=sketch.estimate_many(queries)
+    for estimator in (sketch, *estimators):
+        result.series[estimator.name] = TemplateSeries(
+            estimator.name, estimator.estimate_many(queries)
         )
-    else:
-        result.series[sketch.name] = TemplateSeries(sketch.name, np.empty(0))
-    for estimator in estimators:
-        values = np.array([estimator.estimate(q) for q in queries])
-        result.series[estimator.name] = TemplateSeries(estimator.name, values)
     return result

@@ -10,14 +10,14 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".cost": ("CardinalityCache", "cout_cost", "true_cost"),
+        ".cost": ("SubplanCards", "cout_cost"),
         ".enumerate": (
             "MAX_DP_RELATIONS",
             "connected_subsets",
             "dp_optimal_plan",
             "greedy_plan",
         ),
-        ".optimizer": ("PlanOptimizer", "PlannedQuery"),
+        ".optimizer": ("PlanOptimizer", "PlannedQuery", "plan_with"),
         ".plans": (
             "JoinNode",
             "LeafNode",
@@ -34,13 +34,13 @@ __all__ = [
     "JoinNode",
     "sub_query",
     "validate_plan",
-    "CardinalityCache",
+    "SubplanCards",
     "cout_cost",
-    "true_cost",
     "connected_subsets",
     "dp_optimal_plan",
     "greedy_plan",
     "MAX_DP_RELATIONS",
     "PlanOptimizer",
     "PlannedQuery",
+    "plan_with",
 ]

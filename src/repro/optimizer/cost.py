@@ -1,4 +1,4 @@
-"""The C_out cost model.
+"""The C_out cost model and the sub-plan cardinality table it reads.
 
 C_out (Cluet & Moerkotte) charges a plan the sum of the cardinalities of
 all intermediate join results it materializes.  It is the standard
@@ -14,45 +14,27 @@ is scored.
 
 from __future__ import annotations
 
-from ..core.estimator import CardinalityEstimator
-from ..db.query import Query
-from .plans import PlanNode, sub_query
+from .plans import PlanNode
 
 
-class CardinalityCache:
-    """Memoizes an estimator's sub-query cardinalities for one query.
+class SubplanCards(dict):
+    """Connected alias subset -> its sub-plan's cardinality, filled from
+    one batch before enumeration; read through ``cardinality``."""
 
-    The DP enumerator probes the same alias subsets many times; caching
-    by subset keeps estimator calls to one per connected subset.
-    """
+    cardinality = dict.__getitem__
 
-    def __init__(self, estimator: CardinalityEstimator, query: Query):
-        self.estimator = estimator
-        self.query = query
-        self._cache: dict[frozenset[str], float] = {}
-
-    def cardinality(self, aliases: frozenset[str]) -> float:
-        if aliases not in self._cache:
-            self._cache[aliases] = max(
-                float(self.estimator.estimate(sub_query(self.query, aliases))), 1.0
-            )
-        return self._cache[aliases]
-
-    @property
-    def probes(self) -> int:
-        return len(self._cache)
+    def put(self, aliases: frozenset[str], value: float) -> float:
+        """Store ``value`` floored at 1.0 (a sub-one cardinality would
+        make C_out prefer "free" intermediates); return what was stored."""
+        self[aliases] = value = max(float(value), 1.0)
+        return value
 
 
-def cout_cost(plan: PlanNode, cards: CardinalityCache) -> float:
-    """C_out of ``plan`` under the cached estimator.
+def cout_cost(plan: PlanNode, cards: SubplanCards) -> float:
+    """C_out of ``plan`` under the cardinalities ``cards``.
 
     Base-table scans are excluded (their size does not depend on the
     join order); every join node contributes its output cardinality,
     including the root.
     """
     return sum(cards.cardinality(node.aliases) for node in plan.join_nodes())
-
-
-def true_cost(plan: PlanNode, query: Query, truth_cards: CardinalityCache) -> float:
-    """C_out of ``plan`` under the truth oracle (plan-quality scoring)."""
-    return cout_cost(plan, truth_cards)

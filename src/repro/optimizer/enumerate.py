@@ -20,7 +20,7 @@ from itertools import combinations
 from ..errors import QueryError
 from ..db.join_graph import build_join_graph
 from ..db.query import Query
-from .cost import CardinalityCache
+from .cost import SubplanCards
 from .plans import JoinNode, LeafNode, PlanNode
 
 #: DP explores O(3^n) subset splits; 10 relations is already generous.
@@ -57,24 +57,28 @@ def connected_subsets(query: Query) -> list[frozenset[str]]:
     """Every connected alias subset of the query's join graph.
 
     Deterministic order: by size, then by the alias order of
-    ``query.aliases`` (the same ``combinations`` sweep the DP uses) —
-    singletons first, the full query last.  These are exactly the
-    subsets ``dp_optimal_plan`` probes cardinalities for (plus the
-    singletons, which the DP seeds at zero cost but a degraded-estimate
-    fallback needs), so a caller batching estimates ahead of the DP
-    enumerates with this function and injects the answers.
+    ``query.aliases`` (a ``combinations`` sweep) — singletons first,
+    the full query last.  The DP visits exactly these subsets, and
+    every plan estimates them all in one batch before it enumerates
+    (the singletons, which the DP seeds at zero cost, serve a
+    degraded-estimate fallback).
 
-    Raises :class:`~repro.errors.QueryError` under the same guards as
-    the DP: more than :data:`MAX_DP_RELATIONS` relations, or a
-    disconnected join graph.
+    Raises :class:`~repro.errors.QueryError` when the query has more
+    than :data:`MAX_DP_RELATIONS` relations or a disconnected join
+    graph.
     """
+    return _connected_subsets(query, _neighbors(query))
+
+
+def _connected_subsets(
+    query: Query, neighbors: dict[str, set[str]]
+) -> list[frozenset[str]]:
     aliases = list(query.aliases)
     n = len(aliases)
     if n > MAX_DP_RELATIONS:
         raise QueryError(
             f"{n} relations exceed the DP enumeration limit of {MAX_DP_RELATIONS}"
         )
-    neighbors = _neighbors(query)
     if n > 1 and not _connected(frozenset(aliases), neighbors):
         raise QueryError("DP enumeration requires a connected join graph")
     subsets: list[frozenset[str]] = []
@@ -86,65 +90,44 @@ def connected_subsets(query: Query) -> list[frozenset[str]]:
     return subsets
 
 
-def dp_optimal_plan(
-    query: Query, cards: CardinalityCache
-) -> tuple[PlanNode, float]:
+def dp_optimal_plan(query: Query, cards: SubplanCards) -> tuple[PlanNode, float]:
     """Exhaustive bushy-plan DP; returns (plan, estimated C_out).
 
     Requires a connected join graph (no cross products) and at most
     :data:`MAX_DP_RELATIONS` relations.
     """
-    aliases = list(query.aliases)
-    n = len(aliases)
-    if n > MAX_DP_RELATIONS:
-        raise QueryError(
-            f"{n} relations exceed the DP enumeration limit of {MAX_DP_RELATIONS}"
-        )
     neighbors = _neighbors(query)
-    if n > 1 and not _connected(frozenset(aliases), neighbors):
-        raise QueryError("DP enumeration requires a connected join graph")
+    best: dict[frozenset[str], tuple[PlanNode, float]] = {}
+    for subset in _connected_subsets(query, neighbors):
+        members = sorted(subset)
+        if len(members) == 1:
+            best[subset] = (LeafNode(members[0]), 0.0)
+            continue
+        output_card = cards.cardinality(subset)
+        best_pair: tuple[PlanNode, float] | None = None
+        # Enumerate splits into two connected halves with a join edge.
+        anchor, rest = members[0], members[1:]
+        for r in range(0, len(rest)):
+            for part in combinations(rest, r):
+                left = frozenset((anchor, *part))
+                right = subset - left
+                if left not in best or right not in best:
+                    continue
+                if not _has_edge_between(left, right, neighbors):
+                    continue
+                cost = best[left][1] + best[right][1] + output_card
+                if best_pair is None or cost < best_pair[1]:
+                    best_pair = (JoinNode(best[left][0], best[right][0]), cost)
+        if best_pair is not None:
+            best[subset] = best_pair
 
-    best: dict[frozenset[str], tuple[PlanNode, float]] = {
-        frozenset((a,)): (LeafNode(a), 0.0) for a in aliases
-    }
-
-    for size in range(2, n + 1):
-        for combo in combinations(aliases, size):
-            subset = frozenset(combo)
-            if not _connected(subset, neighbors):
-                continue
-            output_card = cards.cardinality(subset)
-            best_pair: tuple[PlanNode, float] | None = None
-            # Enumerate splits into two connected halves with a join edge.
-            members = sorted(subset)
-            anchor = members[0]
-            rest = members[1:]
-            for r in range(0, len(rest)):
-                for part in combinations(rest, r):
-                    left = frozenset((anchor, *part))
-                    right = subset - left
-                    if not right:
-                        continue
-                    if left not in best or right not in best:
-                        continue
-                    if not _has_edge_between(left, right, neighbors):
-                        continue
-                    cost = best[left][1] + best[right][1] + output_card
-                    if best_pair is None or cost < best_pair[1]:
-                        best_pair = (
-                            JoinNode(best[left][0], best[right][0]),
-                            cost,
-                        )
-            if best_pair is not None:
-                best[subset] = best_pair
-
-    full = frozenset(aliases)
+    full = frozenset(query.aliases)
     if full not in best:
         raise QueryError("no connected plan covers the whole query")
     return best[full]
 
 
-def greedy_plan(query: Query, cards: CardinalityCache) -> tuple[PlanNode, float]:
+def greedy_plan(query: Query, cards: SubplanCards) -> tuple[PlanNode, float]:
     """Greedy enumeration: always join the pair with the smallest
     estimated output cardinality.  Returns (plan, estimated C_out)."""
     neighbors = _neighbors(query)

@@ -2,9 +2,12 @@
 
 "The estimates produced by Deep Sketches can directly be leveraged by
 existing, sophisticated join enumeration algorithms and cost models."
-(paper, Section 1.)  :class:`PlanOptimizer` is that consumer: it wires
-any :class:`~repro.core.estimator.CardinalityEstimator` into the DP
-enumerator under the C_out model.
+(paper, Section 1.)  :func:`plan_with` is that consumer: one
+``estimate_many`` batch of any
+:class:`~repro.core.estimator.CardinalityEstimator` over the connected
+sub-plans, then the enumerator under the C_out model.  The served path
+(:func:`~repro.serve.plan.plan_query`) fills the same table from one
+``serve`` batch.
 
 Plan quality is scored with the standard JOB methodology: the chosen
 plan is re-costed under *true* cardinalities and compared to the best
@@ -22,9 +25,24 @@ from ..core.estimator import CardinalityEstimator
 from ..db.database import Database
 from ..errors import QueryError
 from ..db.query import Query
-from .cost import CardinalityCache, cout_cost
-from .enumerate import dp_optimal_plan, greedy_plan
-from .plans import PlanNode
+from .cost import SubplanCards, cout_cost
+from .enumerate import connected_subsets, dp_optimal_plan, greedy_plan
+from .plans import PlanNode, sub_query
+
+
+def plan_with(
+    estimator: CardinalityEstimator, query: Query, strategy: str = "dp"
+) -> tuple[PlanNode, float, SubplanCards]:
+    """(plan, C_out, table): every connected sub-plan estimated in ONE
+    ``estimate_many`` call, then ``strategy`` ("dp" or "greedy")."""
+    subsets = connected_subsets(query)
+    values = estimator.estimate_many([sub_query(query, s) for s in subsets])
+    cards = SubplanCards()
+    for subset, value in zip(subsets, values):
+        cards.put(subset, value)
+    enumerate_plans = greedy_plan if strategy == "greedy" else dp_optimal_plan
+    plan, cost = enumerate_plans(query, cards)
+    return plan, cost, cards
 
 
 @dataclass(frozen=True)
@@ -57,11 +75,7 @@ class PlanOptimizer:
 
     def optimize(self, query: Query) -> PlannedQuery:
         """Pick the cheapest plan under the configured estimator."""
-        cards = CardinalityCache(self.estimator, query)
-        if self.strategy == "dp":
-            plan, cost = dp_optimal_plan(query, cards)
-        else:
-            plan, cost = greedy_plan(query, cards)
+        plan, cost, _ = plan_with(self.estimator, query, self.strategy)
         return PlannedQuery(query=query, plan=plan, estimated_cost=cost)
 
     # ------------------------------------------------------------------
@@ -69,24 +83,24 @@ class PlanOptimizer:
     # ------------------------------------------------------------------
     def true_cost_of(self, planned: PlannedQuery) -> float:
         """C_out of the chosen plan under true cardinalities."""
-        truth_cards = CardinalityCache(self._truth, planned.query)
-        return cout_cost(planned.plan, truth_cards)
+        _, _, truth = plan_with(self._truth, planned.query)
+        return cout_cost(planned.plan, truth)
 
     def optimal_true_cost(self, query: Query) -> float:
         """True cost of the best plan the truth oracle would choose."""
-        truth_cards = CardinalityCache(self._truth, query)
-        _, cost = dp_optimal_plan(query, truth_cards)
-        return cost
+        return plan_with(self._truth, query)[1]
 
     def plan_quality_factor(self, query: Query) -> float:
         """true cost of chosen plan / true cost of optimal plan (>= 1).
 
         The headline metric of the plan-quality experiment: 1.0 means
-        the estimator's errors were harmless for this query.
+        the estimator's errors were harmless for this query.  One
+        estimator batch picks the plan; one truth batch costs it and
+        the truth-optimal plan.
         """
         planned = self.optimize(query)
-        chosen = self.true_cost_of(planned)
-        optimal = self.optimal_true_cost(query)
+        _, optimal, truth = plan_with(self._truth, query)
+        chosen = cout_cost(planned.plan, truth)
         if optimal <= 0:
             return 1.0  # empty result: every plan is free
         return max(chosen / optimal, 1.0)

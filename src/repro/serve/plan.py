@@ -15,12 +15,11 @@ cardinality served by a :class:`~repro.serve.service.SketchService`:
    so the whole plan costs exactly ONE ``estimate_batch`` round trip
    (cross-sketch dedup, the feature cache, and server-side
    micro-batching do the rest).
-3. **Inject** the answers into
-   :func:`~repro.optimizer.enumerate.dp_optimal_plan` under the C_out
-   model, clamping each estimate at 1.0 exactly like
-   :class:`~repro.optimizer.cost.CardinalityCache` — so the served
-   plan is *identical* to the in-process
-   :class:`~repro.optimizer.PlanOptimizer` plan.
+3. **Fill** a :class:`~repro.optimizer.cost.SubplanCards` table from
+   the answers and run :func:`~repro.optimizer.enumerate.dp_optimal_plan`
+   on it — the table and DP of the in-process
+   :func:`~repro.optimizer.optimizer.plan_with`, so the served plan is
+   *identical* to the :class:`~repro.optimizer.PlanOptimizer` plan.
 4. **Answer** with a structured :class:`PlanResponse`: the chosen join
    order, the per-subplan estimates (with response codes), the
    estimated C_out, and a timing split (estimation vs enumeration).
@@ -56,6 +55,7 @@ from dataclasses import dataclass, field
 
 from ..errors import QueryError, ReproError
 from ..db.query import Query
+from ..optimizer.cost import SubplanCards
 from ..optimizer.enumerate import connected_subsets, dp_optimal_plan
 from ..optimizer.plans import PlanNode, sub_query
 from .engine import CODE_PARSE, CODE_ROUTE, RESPONSE_CODES
@@ -77,8 +77,8 @@ class SubplanEstimate:
     """One connected subplan's served cardinality.
 
     ``aliases`` is the sorted alias tuple of the subset; ``estimate``
-    is the injected cardinality (already clamped at 1.0, the
-    :class:`~repro.optimizer.cost.CardinalityCache` discipline).  A
+    is the cardinality the DP read (floored at 1.0 by
+    :meth:`~repro.optimizer.cost.SubplanCards.put`).  A
     ``degraded`` entry fell back to the independence-assumption
     estimate; ``code``/``error`` then preserve the underlying
     failure (one of :data:`~repro.serve.engine.RESPONSE_CODES`).
@@ -135,23 +135,6 @@ class PlanResponse:
         return None if self.plan is None else str(self.plan)
 
 
-class _InjectedCards:
-    """A :class:`~repro.optimizer.cost.CardinalityCache` stand-in over
-    pre-served estimates — the cardinality-injection side of the DP."""
-
-    __slots__ = ("_cards",)
-
-    def __init__(self, cards: dict[frozenset[str], float]):
-        self._cards = cards
-
-    def cardinality(self, aliases: frozenset[str]) -> float:
-        return self._cards[aliases]
-
-    @property
-    def probes(self) -> int:
-        return len(self._cards)
-
-
 def plan_failure(
     request: Query | str,
     error: str,
@@ -185,7 +168,7 @@ def plan_query(
 
     All subplan estimates travel as **one** ``serve`` batch —
     one wire round trip against a remote service — before the DP runs
-    on the injected answers.  See the module docs for the failure and
+    on the table they fill.  See the module docs for the failure and
     degradation semantics.
     """
     # -- parse ---------------------------------------------------------
@@ -223,46 +206,33 @@ def plan_query(
                 request, response.error, CODE_ROUTE, query=query, sketch=sketch
             )
 
-    # -- inject, degrading failed subplans -----------------------------
-    cards: dict[frozenset[str], float] = {}
+    # -- fill the table, degrading failed subplans ---------------------
+    cards = SubplanCards()
     subplans: list[SubplanEstimate] = []
     for subset, response in zip(subsets, responses):
         aliases = tuple(sorted(subset))
         if response.ok:
-            # The CardinalityCache clamp, verbatim: identical inputs to
-            # the DP mean the served plan equals the in-process one.
-            estimate = max(float(response.estimate), 1.0)
-            subplans.append(
-                SubplanEstimate(
-                    aliases=aliases, estimate=estimate, cached=response.cached
-                )
+            estimate = cards.put(subset, response.estimate)
+            subplans.append(SubplanEstimate(aliases, estimate, response.cached))
+            continue
+        # Independence-assumption fallback: the cross-product bound over
+        # the member tables' single-table estimates (1.0 for a member
+        # whose own estimate also failed — subsets enumerate
+        # smallest-first, so singletons are already in `cards`).
+        fallback = 1.0
+        for alias in subset:
+            fallback *= cards.get(frozenset((alias,)), 1.0)
+        estimate = cards.put(subset, fallback)
+        subplans.append(
+            SubplanEstimate(
+                aliases, estimate, degraded=True, code=response.code,
+                error=response.error,
             )
-        else:
-            # Independence-assumption fallback: the cross-product bound
-            # over the member tables' single-table estimates (1.0 for a
-            # member whose own estimate also failed — subsets enumerate
-            # smallest-first, so singletons are already in `cards`).
-            fallback = 1.0
-            for alias in subset:
-                fallback *= cards.get(frozenset((alias,)), 1.0)
-            estimate = max(fallback, 1.0)
-            subplans.append(
-                SubplanEstimate(
-                    aliases=aliases,
-                    estimate=estimate,
-                    degraded=True,
-                    code=response.code,
-                    error=response.error,
-                )
-            )
-        cards[subset] = estimate
+        )
 
-    # -- the DP over injected cardinalities ----------------------------
+    # -- the DP over the table (its guards passed in enumeration) -------
     t0 = time.perf_counter()
-    try:
-        plan, cost = dp_optimal_plan(query, _InjectedCards(cards))
-    except QueryError as exc:  # pragma: no cover - pre-checked above
-        return plan_failure(request, str(exc), CODE_PLAN, query=query)
+    plan, cost = dp_optimal_plan(query, cards)
     enumerate_s += time.perf_counter() - t0
 
     full = responses[-1]  # subsets enumerate the full query last

@@ -9,28 +9,23 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import TruthEstimator
 from repro.errors import QueryError
 from repro.optimizer import (
-    CardinalityCache,
     PlanOptimizer,
+    SubplanCards,
     cout_cost,
     dp_optimal_plan,
     greedy_plan,
+    plan_with,
     validate_plan,
 )
 from repro.optimizer.plans import JoinNode, LeafNode
 from repro.workload import JoinEdge, Predicate, Query, TableRef
 
+from tests.optimizer.oracle import ScriptedEstimator
 
-class _FixedCards:
-    """Estimator stub with scripted subset cardinalities."""
 
-    name = "fixed"
-
-    def __init__(self, table: dict[frozenset, float], default: float = 100.0):
-        self.table = table
-        self.default = default
-
-    def estimate(self, query):
-        return self.table.get(frozenset(query.aliases), self.default)
+def table_for(query, scripted: dict, default: float = 100.0) -> SubplanCards:
+    """The table ``plan_with`` fills for ``query`` from scripted values."""
+    return plan_with(ScriptedEstimator(scripted, default), query)[2]
 
 
 def chain_query(n):
@@ -43,14 +38,14 @@ def chain_query(n):
 class TestDP:
     def test_single_table(self):
         query = Query(tables=(TableRef("t", "t"),))
-        cards = CardinalityCache(_FixedCards({}), query)
+        cards = table_for(query, {})
         plan, cost = dp_optimal_plan(query, cards)
         assert plan == LeafNode("t")
         assert cost == 0.0
 
     def test_two_tables(self):
         query = chain_query(2)
-        cards = CardinalityCache(_FixedCards({frozenset(["a0", "a1"]): 42.0}), query)
+        cards = table_for(query, {frozenset(["a0", "a1"]): 42.0})
         plan, cost = dp_optimal_plan(query, cards)
         assert cost == 42.0
         assert plan.aliases == frozenset(["a0", "a1"])
@@ -63,7 +58,7 @@ class TestDP:
             frozenset(["a0", "a1", "a2"]): 50.0,
         }
         query = chain_query(3)
-        cards = CardinalityCache(_FixedCards(scripted), query)
+        cards = table_for(query, scripted)
         plan, cost = dp_optimal_plan(query, cards)
         assert cost == 55.0  # 5 (a1⨝a2) + 50 (final)
         first_join = next(iter(plan.join_nodes()))
@@ -71,7 +66,7 @@ class TestDP:
 
     def test_never_uses_cross_products(self):
         query = chain_query(4)
-        cards = CardinalityCache(_FixedCards({}, default=10.0), query)
+        cards = table_for(query, {}, default=10.0)
         plan, _ = dp_optimal_plan(query, cards)
         validate_plan(plan, query)
         # Every join node of a chain plan must be a connected subset.
@@ -81,19 +76,17 @@ class TestDP:
 
     def test_disconnected_rejected(self):
         query = Query(tables=(TableRef("a", "a"), TableRef("b", "b")))
-        cards = CardinalityCache(_FixedCards({}), query)
         with pytest.raises(QueryError):
-            dp_optimal_plan(query, cards)
+            dp_optimal_plan(query, SubplanCards())
 
     def test_relation_limit(self):
         query = chain_query(11)
-        cards = CardinalityCache(_FixedCards({}), query)
         with pytest.raises(QueryError):
-            dp_optimal_plan(query, cards)
+            dp_optimal_plan(query, SubplanCards())
 
     def test_dp_cost_consistent_with_cout(self):
         query = chain_query(4)
-        cards = CardinalityCache(_FixedCards({}, default=7.0), query)
+        cards = table_for(query, {}, default=7.0)
         plan, cost = dp_optimal_plan(query, cards)
         assert cost == pytest.approx(cout_cost(plan, cards))
 
@@ -115,7 +108,7 @@ class TestDPOptimalityProperty:
             frozenset(["a2"]),
         ]
         scripted = dict(zip(subsets, card_values))
-        cards = CardinalityCache(_FixedCards(scripted), query)
+        cards = table_for(query, scripted)
         _, dp_cost = dp_optimal_plan(query, cards)
 
         neighbors = {"a0": {"a1"}, "a1": {"a0", "a2"}, "a2": {"a1"}}
@@ -138,7 +131,7 @@ class TestDPOptimalityProperty:
 class TestGreedy:
     def test_greedy_valid_plan(self):
         query = chain_query(4)
-        cards = CardinalityCache(_FixedCards({}, default=3.0), query)
+        cards = table_for(query, {}, default=3.0)
         plan, cost = greedy_plan(query, cards)
         validate_plan(plan, query)
         assert cost == pytest.approx(cout_cost(plan, cards))
@@ -153,7 +146,7 @@ class TestGreedy:
             frozenset(["a0", "a1", "a2", "a3"]): 50.0,
         }
         query = chain_query(4)
-        cards = CardinalityCache(_FixedCards(scripted, default=300.0), query)
+        cards = table_for(query, scripted, default=300.0)
         _, dp_cost = dp_optimal_plan(query, cards)
         _, greedy_cost = greedy_plan(query, cards)
         assert dp_cost <= greedy_cost + 1e-9

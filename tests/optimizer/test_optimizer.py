@@ -10,22 +10,13 @@ from repro.optimizer import (
     PlanOptimizer,
     connected_subsets,
     cout_cost,
-    CardinalityCache,
+    plan_with,
     validate_plan,
 )
 from repro.optimizer.plans import LeafNode
 from repro.workload import JoinEdge, Query, TableRef
 
-
-class _ScriptedCards:
-    name = "scripted"
-
-    def __init__(self, table: dict, default: float = 100.0):
-        self.table = table
-        self.default = default
-
-    def estimate(self, query):
-        return self.table.get(frozenset(query.aliases), self.default)
+from tests.optimizer.oracle import ScriptedEstimator
 
 
 def chain_query(n):
@@ -50,7 +41,7 @@ def tiny_star_query():
 
 class TestPlanOptimizer:
     def test_single_table(self, tiny_db):
-        optimizer = PlanOptimizer(tiny_db, _ScriptedCards({}))
+        optimizer = PlanOptimizer(tiny_db, ScriptedEstimator({}))
         planned = optimizer.optimize(Query(tables=(TableRef("title", "t"),)))
         assert isinstance(planned, PlannedQuery)
         assert planned.plan == LeafNode("t")
@@ -62,7 +53,7 @@ class TestPlanOptimizer:
             joins=(JoinEdge("mk", "movie_id", "t", "id"),),
         )
         optimizer = PlanOptimizer(
-            tiny_db, _ScriptedCards({frozenset(["t", "mk"]): 42.0})
+            tiny_db, ScriptedEstimator({frozenset(["t", "mk"]): 42.0})
         )
         planned = optimizer.optimize(query)
         validate_plan(planned.plan, query)
@@ -74,7 +65,7 @@ class TestPlanOptimizer:
             frozenset(["t", "mi"]): 2.0,
             frozenset(["t", "mk", "mi"]): 50.0,
         }
-        optimizer = PlanOptimizer(tiny_db, _ScriptedCards(scripted))
+        optimizer = PlanOptimizer(tiny_db, ScriptedEstimator(scripted))
         planned = optimizer.optimize(tiny_star_query())
         # The cheap (t ⨝ mi) intermediate must be built first.
         inner = next(iter(planned.plan.join_nodes()))
@@ -82,11 +73,11 @@ class TestPlanOptimizer:
         assert planned.estimated_cost == pytest.approx(52.0)
 
     def test_cost_consistent_with_cout(self, tiny_db):
-        estimator = _ScriptedCards({}, default=9.0)
+        estimator = ScriptedEstimator({}, default=9.0)
         optimizer = PlanOptimizer(tiny_db, estimator)
         query = tiny_star_query()
         planned = optimizer.optimize(query)
-        cards = CardinalityCache(estimator, query)
+        _, _, cards = plan_with(estimator, query)
         assert planned.estimated_cost == pytest.approx(
             cout_cost(planned.plan, cards)
         )
@@ -95,13 +86,13 @@ class TestPlanOptimizer:
         query = Query(
             tables=(TableRef("title", "t"), TableRef("movie_keyword", "mk"))
         )
-        optimizer = PlanOptimizer(tiny_db, _ScriptedCards({}))
+        optimizer = PlanOptimizer(tiny_db, ScriptedEstimator({}))
         with pytest.raises(QueryError):
             optimizer.optimize(query)
 
     def test_unknown_strategy_rejected(self, tiny_db):
         with pytest.raises(QueryError):
-            PlanOptimizer(tiny_db, _ScriptedCards({}), strategy="quantum")
+            PlanOptimizer(tiny_db, ScriptedEstimator({}), strategy="quantum")
 
     def test_truth_estimator_is_optimal(self, tiny_db):
         optimizer = PlanOptimizer(tiny_db, TruthEstimator(tiny_db))
@@ -116,9 +107,74 @@ class TestPlanOptimizer:
             frozenset(["t", "mi"]): 1e6,
             frozenset(["t", "mk", "mi"]): 1.0,
         }
-        optimizer = PlanOptimizer(tiny_db, _ScriptedCards(scripted))
+        optimizer = PlanOptimizer(tiny_db, ScriptedEstimator(scripted))
         factor = optimizer.plan_quality_factor(tiny_star_query())
         assert factor >= 1.0
+
+
+class _CountedTruth(TruthEstimator):
+    """The truth oracle with its batches recorded."""
+
+    def __init__(self, db):
+        super().__init__(db)
+        self.batches: list[int] = []
+
+    def estimate(self, query):  # pragma: no cover - must not be called
+        raise AssertionError("the plan path estimates in batches")
+
+    def estimate_many(self, queries):
+        self.batches.append(len(queries))
+        return super().estimate_many(queries)
+
+
+class TestOneBatchPerPlan:
+    """Every plan is one ``estimate_many`` call over its connected
+    sub-plans; no method probes an estimator one query at a time."""
+
+    @pytest.mark.parametrize("strategy", ["dp", "greedy"])
+    def test_optimize_is_one_estimate_many_call(self, tiny_db, strategy):
+        estimator = ScriptedEstimator({}, default=9.0)
+        query = tiny_star_query()
+        PlanOptimizer(tiny_db, estimator, strategy).optimize(query)
+        assert estimator.calls == ["estimate_many"]
+        assert estimator.batches == [len(connected_subsets(query))]
+
+    def test_quality_factor_is_one_estimator_and_one_truth_batch(self, tiny_db):
+        estimator = ScriptedEstimator({}, default=9.0)
+        optimizer = PlanOptimizer(tiny_db, estimator)
+        optimizer._truth = truth = _CountedTruth(tiny_db)
+        query = tiny_star_query()
+        optimizer.plan_quality_factor(query)
+        n = len(connected_subsets(query))
+        assert estimator.calls == ["estimate_many"]
+        assert estimator.batches == [n]
+        assert truth.batches == [n]
+
+    def test_true_costs_are_one_truth_batch_each(self, tiny_db):
+        optimizer = PlanOptimizer(tiny_db, ScriptedEstimator({}, default=9.0))
+        optimizer._truth = truth = _CountedTruth(tiny_db)
+        query = tiny_star_query()
+        optimizer.true_cost_of(optimizer.optimize(query))
+        optimizer.optimal_true_cost(query)
+        assert truth.batches == [len(connected_subsets(query))] * 2
+
+    def test_single_table_estimates_its_one_subset(self, tiny_db):
+        estimator = ScriptedEstimator({}, default=9.0)
+        planned = PlanOptimizer(tiny_db, estimator).optimize(
+            Query(tables=(TableRef("title", "t"),))
+        )
+        assert planned.estimated_cost == 0.0
+        assert estimator.batches == [1]
+
+    def test_unplannable_query_estimates_nothing(self, tiny_db):
+        estimator = ScriptedEstimator({})
+        disconnected = Query(
+            tables=(TableRef("title", "t"), TableRef("movie_keyword", "mk"))
+        )
+        for strategy in ("dp", "greedy"):
+            with pytest.raises(QueryError):
+                PlanOptimizer(tiny_db, estimator, strategy).optimize(disconnected)
+        assert estimator.calls == []
 
 
 class TestConnectedSubsets:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.demo import SketchManager
 from repro.errors import ProtocolError, RemoteServerError
-from repro.optimizer import CardinalityCache, PlanOptimizer, connected_subsets
+from repro.optimizer import PlanOptimizer, connected_subsets
 from repro.optimizer.plans import JoinNode, LeafNode
 from repro.serve import (
     CODE_PARSE,
@@ -90,16 +90,6 @@ class _StubService:
                 response.estimate = self.estimates.get(aliases, 100.0)
             responses.append(response)
         return responses
-
-
-class _ScriptedEstimator:
-    name = "scripted"
-
-    def __init__(self, estimates):
-        self.estimates = dict(estimates)
-
-    def estimate(self, query):
-        return self.estimates.get(frozenset(query.aliases), 100.0)
 
 
 STAR_ESTIMATES = {
