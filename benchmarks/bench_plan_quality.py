@@ -182,6 +182,10 @@ def run(args) -> int:
     print("measuring the plan advisory serve path...", file=sys.stderr)
     reference = PlanOptimizer(db, sketch)
     in_process = {q: reference.optimize(q) for q in queries}
+    # The server answers from this same sketch object: without a cold
+    # cache its sub-plans would be the reference's cached values, and
+    # the comparison below would compare them with themselves.
+    sketch.clear_cache()
     identical = 0
     cost_diffs: list[float] = []
     plan_ms: list[float] = []

@@ -65,7 +65,7 @@ def rows() -> dict[str, tuple]:
     from drivers import build_config, make_db, quality_set
     from repro.core import build_sketch
     from repro.core.maintenance import refresh_sketch
-    from repro.demo.manager import SketchManager
+    from repro.core import SketchManager
     from repro.workload import spec_for_imdb
 
     db, spec = make_db(), spec_for_imdb()

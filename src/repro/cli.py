@@ -403,7 +403,7 @@ def _cmd_plan(args) -> int:
         with RemoteSketchServer(args.url) as client:
             response = client.plan(args.sql, args.sketch)
     else:
-        from .demo import SketchManager
+        from .core import SketchManager
         from .serve import SketchServer
 
         manager = SketchManager(db=None)
@@ -516,7 +516,7 @@ def _cmd_serve_http(args, manager, engine_knobs) -> int:
 def _cmd_serve(args) -> int:
     import time
 
-    from .demo import SketchManager
+    from .core import SketchManager
     from .serve import ServeConfig, SketchServer
 
     manager = SketchManager(db=None)
@@ -599,7 +599,7 @@ def _shard_assignments(
 
 
 def _cmd_gateway(args) -> int:
-    from .demo import SketchManager
+    from .core import SketchManager
     from .serve import ServeConfig, SketchGateway, SketchHTTPServer
 
     local_backends: list = []
@@ -770,7 +770,7 @@ def _cmd_workload_replay(args) -> int:
         with RemoteSketchServer(args.url) as service:
             result = shaper.replay(service)
     else:
-        from .demo import SketchManager
+        from .core import SketchManager
         from .serve import ServeConfig, SketchServer
 
         manager = SketchManager(db=None)

@@ -26,10 +26,12 @@ steps 1-3, featurizes, and sets up the model and its trainer; the
 :class:`PendingBuild` it returns trains one epoch per
 :meth:`PendingBuild.step` and assembles the sketch and its
 :class:`BuildReport` after the last one.  :meth:`SketchBuilder.build`
-is ``start`` plus stepping to the end.  The demo's incremental build
-(:mod:`repro.demo.manager`) steps the same object between queries, and
-the shadow refresh (:func:`repro.core.maintenance.refresh_sketch`) runs
-the stage methods on a warm-started model.
+is ``start`` plus stepping to the end.  The sketch store's incremental
+build (:meth:`repro.core.manager.SketchManager.step_build`, which
+imports this module only when a build starts) steps the same object
+between queries, and the shadow refresh
+(:func:`repro.core.maintenance.refresh_sketch`) runs the stage methods
+on a warm-started model.
 
 Queries with a true cardinality of zero are discarded before training,
 following the reference implementation (their log-label is undefined).

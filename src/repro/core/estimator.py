@@ -34,9 +34,3 @@ class CardinalityEstimator(Protocol):
         sketch's batched forward agrees to ~1e-15 relative)."""
         ...
 
-
-def estimate_sql(estimator: CardinalityEstimator, sql: str) -> float:
-    """Convenience: parse a SQL string and estimate it."""
-    from ..db.sql import parse_sql
-
-    return estimator.estimate(parse_sql(sql))

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.builder import ProgressEvent
 from ..errors import ReproError
+
+if TYPE_CHECKING:
+    from .builder import ProgressEvent
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from ..sampling.sampler import (
     samples_to_payload,
 )
 from ..db.query import Query
+from ..db.sql import as_query
 from .featurization import Featurizer
 from .batches import CollateScratch, collate
 from .mscn import MSCN
@@ -162,13 +163,6 @@ class DeepSketch:
             self._session = None
         self._snapshot_token = next(_SNAPSHOT_TOKENS)
 
-    def _coerce(self, query: Query | str) -> Query:
-        if isinstance(query, str):
-            from ..db.sql import parse_sql
-
-            query = parse_sql(query)
-        return query
-
     def estimate(self, query: Query | str, use_cache: bool = True) -> float:
         """Cardinality estimate for ``query`` (SQL text or structured).
 
@@ -177,7 +171,7 @@ class DeepSketch:
         :class:`~repro.errors.SketchError` when the query uses a table
         outside the subset this sketch was defined on.
         """
-        query = self._coerce(query)
+        query = as_query(query)
         self._check_tables(query)
         if use_cache:
             hit = self._cache.get(query)
@@ -223,7 +217,7 @@ class DeepSketch:
         """
         if not queries:
             return np.empty(0)
-        parsed = [self._coerce(q) for q in queries]
+        parsed = [as_query(q) for q in queries]
         for query in parsed:
             self._check_tables(query)
 

@@ -6,7 +6,7 @@ denormalized predictions with Adam, every step and every validation
 forward running through one :class:`~repro.nn.training.TrainingSession`;
 per-epoch training loss and
 validation q-error statistics are recorded so the demo's monitoring UI
-(here: repro.demo.monitor) can display progress, and so that the
+(here: repro.core.monitor) can display progress, and so that the
 "25 epochs are usually enough" observation can be checked (F1a bench).
 
 The user fixes the epoch count up front, as in the demo, so every run

@@ -14,14 +14,13 @@ __getattr__, __dir__ = lazy_exports(
         ".column": ("Column",),
         ".database": ("Database",),
         ".executor": (
-            "count_factorized",
             "count_hash_join",
             "execute_count",
             "execute_counts",
             "table_filter_mask",
         ),
         ".schema": ("ColumnSchema", "ForeignKey", "TableSchema"),
-        ".sql": ("parse_sql", "to_sql"),
+        ".sql": ("as_query", "parse_sql", "to_sql"),
         ".statistics": (
             "ColumnStatistics",
             "TableStatistics",
@@ -46,9 +45,9 @@ __all__ = [
     "STRING_OPERATORS",
     "execute_count",
     "execute_counts",
-    "count_factorized",
     "count_hash_join",
     "table_filter_mask",
+    "as_query",
     "parse_sql",
     "to_sql",
     "analyze_column",

@@ -33,8 +33,7 @@ temporaries are bounded by ``_CHUNK_CELLS``.  Cyclic structures go to
 :func:`count_hash_join`.  The same masks, gathered at a sample's row
 ids, are the build's qualifying-sample bitmaps.  The memo is dropped
 when the call returns, which keeps its memory bounded by one batch.
-:func:`execute_count` and :func:`count_factorized` are the same core
-over a batch of one.
+:func:`execute_count` is the same core over a batch of one.
 
 Each tree is rooted at its hub (the alias with the most joins, ties to
 the smaller table), so a star's fact tables become leaves.  A message
@@ -481,17 +480,6 @@ def execute_counts(db: Database, queries: Sequence[Query]) -> list[int]:
     return label_batch(db, QueryBatch.from_queries(queries))[0]
 
 
-def count_factorized(db: Database, query: Query) -> int:
-    """Exact COUNT(*) via count messages over a spanning forest.
-
-    Requires the alias join graph to be acyclic; raises otherwise.
-    Disconnected components multiply (cross product semantics).
-    """
-    if not build_join_graph(query).acyclic:
-        raise QueryError("count_factorized requires an acyclic join graph")
-    return execute_counts(db, [query])[0]
-
-
 # ----------------------------------------------------------------------
 # materializing hash join (general fallback and test oracle)
 # ----------------------------------------------------------------------
@@ -603,18 +591,8 @@ def _hash_join_component(
 # ----------------------------------------------------------------------
 
 
-def execute_count(db: Database, query: Query, method: str = "auto") -> int:
-    """Exact result size of ``SELECT COUNT(*)`` for ``query`` on ``db``.
-
-    ``method`` is ``"auto"`` (:func:`execute_counts` over a batch of
-    one: factorized when acyclic, else hash join), ``"factorized"``, or
-    ``"hash"``.
-    """
-    if method == "auto":
-        return execute_counts(db, [query])[0]
-    query.validate(db)
-    if method == "factorized":
-        return count_factorized(db, query)
-    if method == "hash":
-        return count_hash_join(db, query)
-    raise QueryError(f"unknown execution method {method!r}")
+def execute_count(db: Database, query: Query) -> int:
+    """Exact result size of ``SELECT COUNT(*)`` for ``query`` on ``db``:
+    :func:`execute_counts` over a batch of one (factorized when acyclic,
+    else hash join)."""
+    return execute_counts(db, [query])[0]

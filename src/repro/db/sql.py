@@ -256,3 +256,9 @@ def parse_sql(sql: str) -> Query:
     if not isinstance(sql, str) or not sql.strip():
         raise ParseError("empty query string")
     return _Parser(sql).parse()
+
+
+def as_query(query: Query | str) -> Query:
+    """``query`` itself, or SQL text parsed by :func:`parse_sql` — the
+    one place a ``Query | str`` argument becomes a :class:`Query`."""
+    return parse_sql(query) if isinstance(query, str) else query

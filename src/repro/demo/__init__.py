@@ -12,8 +12,8 @@ __getattr__, __dir__ = lazy_exports(
             "recommend_sketches",
         ),
         "..core.builder": ("PendingBuild",),
-        ".manager": ("SketchManager",),
-        ".monitor": ("Monitor", "MonitorEvent"),
+        "..core.manager": ("SketchManager",),
+        "..core.monitor": ("Monitor", "MonitorEvent"),
         ".template_service": (
             "TemplateResult",
             "TemplateSeries",

@@ -64,8 +64,9 @@ from typing import Sequence
 
 from ..errors import FeaturizationError, ReproError, SketchError
 from ..metrics import LatencySummary
+from ..core.manager import SketchManager, SketchTables
 from ..db.query import Query
-from ..demo.manager import SketchManager
+from ..db.sql import as_query
 from .executor import EXECUTOR_NAMES, make_executor
 from .feature_cache import FeatureCache
 
@@ -264,35 +265,34 @@ class ServerStats:
 
 
 def prepare_request(
-    manager: SketchManager, request: Query | str, pinned: str | None
+    sketches: SketchManager | SketchTables, request: Query | str, pinned: str | None
 ) -> EstimateResponse:
     """Parse and route one request (no model work yet).
 
+    ``sketches`` is the engine's store, or a gateway's fleet table in
+    its place; both route by
+    :meth:`~repro.core.manager.SketchTables.route_name`.
     Returns a response with ``query`` and ``sketch`` resolved, or with
-    ``error`` set when the SQL is malformed, no registered sketch covers
-    the tables, or the pinned sketch name is unknown.  A ``code="route"``
-    outcome here is *provisional*: the engine's intake converts it into
-    a deferred, unrouted pending and retries routing at flush time.
+    ``error`` set: ``code="parse"`` when the SQL is malformed,
+    ``code="route"`` when nothing covers the tables or the pinned sketch
+    name is unknown.  In the engine a ``code="route"`` outcome is
+    *provisional*: intake converts it into a deferred, unrouted pending
+    and retries routing at flush time.
     """
     response = EstimateResponse(
         request=request, query=None, sketch=pinned, estimate=None
     )
     try:
-        if isinstance(request, str):
-            from ..db.sql import parse_sql
-
-            response.query = parse_sql(request)
-        else:
-            response.query = request
+        response.query = as_query(request)
     except ReproError as exc:
         response.error = str(exc)
         response.code = CODE_PARSE
         return response
     try:
         if pinned is None:
-            response.sketch = manager.route_name(response.query)
+            response.sketch = sketches.route_name(response.query)
         else:
-            manager.get_sketch(pinned)  # raise early if unknown
+            sketches.get_sketch(pinned)  # raise early if unknown
     except ReproError as exc:
         response.error = str(exc)
         response.code = CODE_ROUTE
@@ -527,11 +527,6 @@ class EstimationEngine:
     # ------------------------------------------------------------------
     # intake
     # ------------------------------------------------------------------
-    def prepare(
-        self, request: Query | str, pinned: str | None = None
-    ) -> EstimateResponse:
-        return prepare_request(self.manager, request, pinned)
-
     def _fast_hit(self, response: EstimateResponse) -> tuple[float, int] | None:
         """Submit-time result-cache lookup (a plain ``get``, so a hit
         refreshes the entry's recency right here).
@@ -570,35 +565,20 @@ class EstimationEngine:
         admission-control sheds.  A parseable request with no covering
         sketch is *deferred*, not failed: it buffers unrouted and is
         re-routed when its flush fires, so a sketch registered before
-        the flush serves it (route-at-flush).
+        the flush serves it (route-at-flush).  One request is a batch of
+        one through :meth:`submit_many`.
         """
-        response = self.prepare(request, sketch)
-        hit = self._fast_hit(response)
-        gather: dict = {"resolved": [], "notify": False}
-        with self._cond:
-            if self._closed:
-                raise SketchError("server is closed")
-            future = self._intake_one_locked(
-                response, hit, time.monotonic(), gather
-            )
-            if gather["notify"]:
-                self._cond.notify_all()
-            round_id = self._begin_round_locked(gather)
-        try:
-            self._settle_intake(gather)
-        finally:
-            self._end_round(round_id)
-        return future
+        return self.submit_many([request], sketch)[0]
 
     def submit_many(
         self,
         requests: Sequence[Query | str],
         sketch: str | None = None,
     ) -> "list[Future[EstimateResponse]]":
-        """Amortized intake: enqueue a whole batch under one lock.
+        """The one intake: enqueue a batch under one lock.
 
-        Per-request semantics match :meth:`submit` — parsing, routing,
-        and cache lookups happen before the lock is taken, all
+        Parsing, routing and cache lookups happen before the lock is
+        taken (:func:`prepare_request`, :meth:`_fast_hit`), all
         buffer/dedup/admission bookkeeping happens inside a single
         critical section, and the flush loop is notified at most once.
         One deliberate difference under ``max_queue_depth``: the batch
@@ -610,7 +590,7 @@ class EstimationEngine:
         """
         prepared = []
         for request in requests:
-            response = self.prepare(request, sketch)
+            response = prepare_request(self.manager, request, sketch)
             prepared.append((response, self._fast_hit(response)))
         futures: list[Future[EstimateResponse]] = []
         gather: dict = {"resolved": [], "notify": False}

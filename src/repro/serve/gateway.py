@@ -12,14 +12,15 @@ free.
 
 Responsibilities, in fleet terms:
 
-* **Parse + route at the gateway.**  Requests are parsed locally;
-  routing uses the fleet-wide sketch map discovered from each
+* **Parse + route at the gateway.**  Requests go through the engine's
+  own :func:`~repro.serve.engine.prepare_request`, with the fleet
+  table in place of a sketch store: a
+  :class:`~repro.core.manager.SketchTables` built from each live
   backend's ``GET /v1/healthz`` (the additive ``tables`` field maps
-  every sketch to the tables it covers), picking the narrowest
-  covering sketch exactly like
-  :meth:`~repro.demo.manager.SketchManager.route_name` — without
-  holding any model.  Dispatch pins the request to the routed name so
-  backends never re-route.
+  every sketch to the tables it covers).  So a query routes to the
+  sketch a single node's store would pick, parse and route failures
+  read the same, and no model is held.  Dispatch pins the request to
+  the routed name so backends never re-route.
 * **Sharding + replication.**  A sketch registered on one backend is a
   shard; the same sketch name on several backends makes those backends
   replicas.  Requests round-robin across a sketch's *live* replicas,
@@ -76,9 +77,9 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, Sequence
 
+from ..core.manager import SketchTables
 from ..errors import (
     ProtocolError,
-    ReproError,
     RemoteConnectionError,
     RemoteHTTPError,
     RemoteServerError,
@@ -87,7 +88,7 @@ from ..errors import (
 from ..metrics import Counter, Gauge, LatencySummary
 from ..db.query import Query
 from .client import RemoteSketchServer
-from .engine import CODE_PARSE, CODE_ROUTE, CODE_SHED, EstimateResponse
+from .engine import CODE_SHED, EstimateResponse, prepare_request
 
 #: Upper bound on one failover backoff sleep (seconds); the growth is
 #: exponential below it.
@@ -191,8 +192,8 @@ class SketchGateway:
         self._state_lock = threading.Lock()
         #: sketch name -> backends currently advertising it (replicas).
         self._routes: dict[str, list[_Backend]] = {}
-        #: sketch name -> covered tables (for narrowest-cover routing).
-        self._tables: dict[str, tuple[str, ...]] = {}
+        #: sketch name -> covered tables: what requests route on.
+        self._fleet = SketchTables()
         self._rr: dict[str, int] = {}  # round-robin cursors per sketch
 
         # Gateway-own telemetry (the backends keep their own engines').
@@ -266,17 +267,19 @@ class SketchGateway:
 
     def _rebuild_routes(self) -> None:
         routes: dict[str, list[_Backend]] = {}
-        table_map: dict[str, tuple[str, ...]] = {}
+        fleet = SketchTables()
         for backend in self._backends:
             if not backend.alive:
                 continue
             for name, tables in backend.sketches.items():
                 routes.setdefault(name, []).append(backend)
-                if tables:  # an older backend may not advertise tables
-                    table_map[name] = tables
+                # An older backend may not advertise tables: its sketch
+                # still takes pins, but covers nothing.
+                if tables or name not in fleet:
+                    fleet[name] = frozenset(tables)
         with self._state_lock:
             self._routes = routes
-            self._tables = table_map
+            self._fleet = fleet
 
     def _health_loop(self, interval_s: float) -> None:
         while not self._stop.wait(interval_s):
@@ -292,11 +295,7 @@ class SketchGateway:
     # ------------------------------------------------------------------
     def describe_sketches(self) -> dict[str, tuple[str, ...]]:
         """Fleet-wide sketch -> covered-tables map (for healthz)."""
-        with self._state_lock:
-            merged = dict(self._tables)
-            for name in self._routes:
-                merged.setdefault(name, ())
-            return merged
+        return {name: tuple(sorted(t)) for name, t in self._fleet.items()}
 
     def describe_versions(self) -> dict[str, dict]:
         """Fleet-wide version view per sketch (for healthz/operators).
@@ -346,56 +345,6 @@ class SketchGateway:
     def pending(self) -> int:
         """Round trips currently in flight through this gateway."""
         return int(self.inflight.value)
-
-    def _prepare(
-        self, request: Query | str, pinned: str | None
-    ) -> EstimateResponse:
-        """Parse and route one request against the fleet map.
-
-        Mirrors :func:`~repro.serve.engine.prepare_request`, with the
-        manager's registry replaced by the discovered routing table.
-        Returns an ok response with ``query``/``sketch`` resolved, or a
-        structured parse/route failure.
-        """
-        response = EstimateResponse(
-            request=request, query=None, sketch=pinned, estimate=None
-        )
-        try:
-            if isinstance(request, str):
-                from ..db.sql import parse_sql
-
-                response.query = parse_sql(request)
-            else:
-                response.query = request
-        except ReproError as exc:
-            response.error = str(exc)
-            response.code = CODE_PARSE
-            return response
-        with self._state_lock:
-            if pinned is not None:
-                if pinned not in self._routes:
-                    known = ", ".join(sorted(self._routes)) or "(none)"
-                    response.error = (
-                        f"no sketch named {pinned!r} on any live backend; "
-                        f"have: {known}"
-                    )
-                    response.code = CODE_ROUTE
-                return response
-            needed = {t.table for t in response.query.tables}
-            candidates = [
-                (len(tables), name)
-                for name, tables in self._tables.items()
-                if needed <= set(tables) and name in self._routes
-            ]
-        if not candidates:
-            response.error = (
-                f"no registered sketch covers tables {sorted(needed)} "
-                "on any live backend"
-            )
-            response.code = CODE_ROUTE
-            return response
-        _, response.sketch = min(candidates)
-        return response
 
     # ------------------------------------------------------------------
     # dispatch with failover
@@ -492,7 +441,7 @@ class SketchGateway:
         if self._closed:
             raise RemoteServerError("gateway is closed")
         self.n_requests.inc()
-        prepared = self._prepare(request, sketch)
+        prepared = prepare_request(self._fleet, request, sketch)
         if not prepared.ok:
             return self._finish(prepared)
         t0 = time.perf_counter()
@@ -542,7 +491,7 @@ class SketchGateway:
         groups: dict[str, list[tuple[int, EstimateResponse]]] = {}
         for i, request in enumerate(requests):
             self.n_requests.inc()
-            prepared = self._prepare(request, sketch)
+            prepared = prepare_request(self._fleet, request, sketch)
             if not prepared.ok:
                 futures[i].set_result(self._finish(prepared))
             else:
@@ -608,7 +557,7 @@ class SketchGateway:
         if self._closed:
             raise RemoteServerError("gateway is closed")
         self.n_requests.inc()
-        prepared = self._prepare(request, sketch)
+        prepared = prepare_request(self._fleet, request, sketch)
         if not prepared.ok:
             self.n_errors.inc()
             return plan_failure(

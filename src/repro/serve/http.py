@@ -62,7 +62,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ProtocolError, SketchError
-from ..demo.manager import SketchManager
+from ..core.manager import SketchManager
 from .engine import ServeConfig
 from .feature_cache import FeatureCache
 from .schema import ERROR, OPERATIONS, PROTOCOL_VERSION, from_json, to_json

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 from ..errors import QueryError, ReproError
 from ..db.query import Query
+from ..db.sql import as_query
 from ..optimizer.cost import SubplanCards
 from ..optimizer.enumerate import connected_subsets, dp_optimal_plan
 from ..optimizer.plans import PlanNode, sub_query
@@ -172,15 +173,10 @@ def plan_query(
     degradation semantics.
     """
     # -- parse ---------------------------------------------------------
-    if isinstance(request, str):
-        try:
-            from ..db.sql import parse_sql
-
-            query = parse_sql(request)
-        except ReproError as exc:
-            return plan_failure(request, str(exc), CODE_PARSE)
-    else:
-        query = request
+    try:
+        query = as_query(request)
+    except ReproError as exc:
+        return plan_failure(request, str(exc), CODE_PARSE)
 
     # -- enumerate the connected subplans (pre-round-trip guards) ------
     t0 = time.perf_counter()

@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 
 from ..errors import SketchError
 from ..db.query import Query
-from ..demo.manager import SketchManager
+from ..core.manager import SketchManager
 from .engine import (
     EstimateResponse,
     EstimationEngine,
@@ -198,19 +198,13 @@ class SketchServer:
         ``max_queue_depth`` is set — admission-control sheds resolve the
         future immediately; nothing raises through it.
         """
-        future = self.engine.submit(request, sketch)
-        if not self._started:
-            self._futures.append(future)
-        return future
+        return self.submit_many([request], sketch)[0]
 
     def submit_many(
         self, requests: Sequence[Query | str], sketch: str | None = None
     ):
-        """Amortized intake: enqueue a whole batch under one engine lock.
-
-        Semantically identical to calling :meth:`submit` per request;
-        returns the futures in submission order.
-        """
+        """Enqueue a whole batch under one engine lock; returns the
+        futures in submission order."""
         futures = self.engine.submit_many(list(requests), sketch)
         if not self._started:
             self._futures.extend(futures)

@@ -1,6 +1,6 @@
 """A build's progress events, as every observer of them sees them.
 
-The demo's monitor (:class:`~repro.demo.monitor.Monitor`), the
+The demo's monitor (:class:`~repro.core.monitor.Monitor`), the
 benchmark's ``BuildWatch`` and the traced ``core.builder.*`` spans it
 derives (``benchmarks/e2e/child.py: build_spans``) all read the
 builder's ``(stage, current, total)`` events.  The sequence below is
@@ -11,7 +11,7 @@ a small config whose 1100 queries take three label chunks.
 from pathlib import Path
 
 from repro.core import SketchConfig, SketchBuilder
-from repro.demo.monitor import Monitor
+from repro.core.monitor import Monitor
 from repro.workload import spec_for_imdb
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"

@@ -335,12 +335,12 @@ class TestManagerInvalidation:
         manager.drop_sketch(sketch.name)
         assert len(sketch.cache) == 0
 
-    def test_query_many_matches_query(self, imdb_small, sketch, workload):
+    def test_estimate_many_matches_manager_query(self, imdb_small, sketch, workload):
         from repro.demo import SketchManager
 
         manager = SketchManager(imdb_small)
         manager.register_sketch(sketch)
-        batched = manager.query_many(sketch.name, workload[:20])
+        batched = sketch.estimate_many(workload[:20])
         sketch.clear_cache()
         single = [manager.query(sketch.name, q) for q in workload[:20]]
         assert_paths_agree(single, batched)

@@ -12,7 +12,6 @@ from repro.db import (
     ForeignKey,
     Table,
     TableSchema,
-    count_factorized,
     count_hash_join,
     execute_count,
     execute_counts,
@@ -102,14 +101,12 @@ class TestJoins:
             joins=[JoinEdge("mk", "movie_id", "t", "id")],
             predicates=[Predicate("t", "year", ">", 2001)],
         )
-        assert count_factorized(tiny_db, query) == count_hash_join(tiny_db, query)
+        assert execute_counts(tiny_db, [query])[0] == count_hash_join(tiny_db, query)
 
     def test_explicit_methods(self, tiny_db):
         query = q([TableRef("title", "t")])
-        assert execute_count(tiny_db, query, method="factorized") == 6
-        assert execute_count(tiny_db, query, method="hash") == 6
-        with pytest.raises(QueryError):
-            execute_count(tiny_db, query, method="quantum")
+        assert execute_counts(tiny_db, [query]) == [6]
+        assert count_hash_join(tiny_db, query) == 6
 
     def test_counts_without_the_networkx_join_graph(self, tiny_db, monkeypatch):
         """The counting core builds the shared join graph once per join
@@ -135,7 +132,6 @@ class TestJoins:
         calls.clear()
         assert execute_counts(tiny_db, [query, filtered, query]) == [8, 3, 8]
         assert len(calls) == 1
-        assert count_factorized(tiny_db, query) == 8
         assert count_hash_join(tiny_db, query) == 8
 
     def test_trees_are_rooted_at_the_hub(self, tiny_db):
@@ -241,8 +237,6 @@ class TestCyclicJoins:
         )
         expected = brute_force_count(triangle_db, query)
         assert execute_count(triangle_db, query) == expected
-        with pytest.raises(QueryError):
-            count_factorized(triangle_db, query)
 
     def test_multi_edge_composite_join(self, triangle_db):
         query = q(
@@ -251,7 +245,7 @@ class TestCyclicJoins:
         )
         expected = brute_force_count(triangle_db, query)
         assert execute_count(triangle_db, query) == expected
-        assert count_factorized(triangle_db, query) == expected
+        assert execute_counts(triangle_db, [query])[0] == expected
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +334,7 @@ def test_executors_agree_with_brute_force(instance):
     query = Query(tables=tuple(tables), joins=tuple(joins), predicates=tuple(preds))
 
     expected = brute_force_count(db, query)
-    assert count_factorized(db, query) == expected
+    assert execute_counts(db, [query])[0] == expected
     assert count_hash_join(db, query) == expected
     assert execute_count(db, query) == expected
 
@@ -361,4 +355,4 @@ def test_imdb_query_methods_agree(seed):
 
     generator = TrainingQueryGenerator(db, spec_for_imdb(), seed=seed)
     query = generator.draw()
-    assert count_factorized(db, query) == count_hash_join(db, query)
+    assert execute_counts(db, [query])[0] == count_hash_join(db, query)

@@ -18,9 +18,9 @@ from repro.db import (
     DType,
     Table,
     TableSchema,
-    count_factorized,
     count_hash_join,
     execute_count,
+    execute_counts,
 )
 from repro.workload import JoinEdge, Predicate, Query, TableRef
 
@@ -136,7 +136,7 @@ def test_chain_executors_agree_with_brute_force(instance):
         predicates=tuple(p for p in preds if p.alias in {t.alias for t in tables}),
     )
     expected = brute_force_count(db, query)
-    assert count_factorized(db, query) == expected
+    assert execute_counts(db, [query])[0] == expected
     assert count_hash_join(db, query) == expected
 
 
@@ -158,7 +158,7 @@ class TestSnowflake:
         # Both executors agree, and the unfiltered snowflake equals |mk|
         # (both joins are FK joins with full integrity).
         expected = imdb_small.table("movie_keyword").n_rows
-        assert count_factorized(imdb_small, query) == expected
+        assert execute_counts(imdb_small, [query])[0] == expected
         assert count_hash_join(imdb_small, query) == expected
 
     def test_role_dimension_join(self, imdb_small):
@@ -207,7 +207,7 @@ class TestSnowflake:
             ),
             predicates=(Predicate("t", "production_year", ">", 2000),),
         )
-        fact = count_factorized(imdb_small, query)
+        fact = execute_counts(imdb_small, [query])[0]
         hash_count = count_hash_join(imdb_small, query)
         assert fact == hash_count
         assert fact > 0

@@ -4,7 +4,7 @@ The exact executor is the reproduction's ground-truth labeler (its
 counts train every sketch), so before any speedup work it gets pinned
 down three ways on randomized small instances:
 
-* ``count_factorized`` (acyclic only) vs the row-by-row brute force;
+* ``execute_counts`` on one acyclic query vs the row-by-row brute force;
 * ``count_hash_join`` (general) vs the brute force, on both acyclic
   *star/chain* graphs and *cyclic* (triangle) graphs;
 * ``execute_count``'s auto dispatch vs both;
@@ -20,7 +20,6 @@ filters, dangling foreign keys, and duplicate join values.
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import executor
@@ -32,12 +31,10 @@ from repro.db import (
     DType,
     Table,
     TableSchema,
-    count_factorized,
     count_hash_join,
     execute_count,
     execute_counts,
 )
-from repro.errors import QueryError
 from repro.workload import JoinEdge, Predicate, Query, TableRef
 
 from tests.helpers import brute_force_count
@@ -151,7 +148,7 @@ def chain_instances(draw, keys=_key_values):
 
 @st.composite
 def triangle_instances(draw):
-    """A cyclic 3-clique: out of count_factorized's reach by design."""
+    """A cyclic 3-clique: out of the factorized core's reach by design."""
     db = Database("tri")
     tables = []
     for name in ("x", "y", "z"):
@@ -253,7 +250,7 @@ class TestAcyclicOracle:
     def test_star_three_way_agreement(self, instance):
         db, query = instance
         truth = brute_force_count(db, query)
-        assert count_factorized(db, query) == truth
+        assert execute_counts(db, [query])[0] == truth
         assert count_hash_join(db, query) == truth
         assert execute_count(db, query) == truth
 
@@ -262,7 +259,7 @@ class TestAcyclicOracle:
     def test_chain_three_way_agreement(self, instance):
         db, query = instance
         truth = brute_force_count(db, query)
-        assert count_factorized(db, query) == truth
+        assert execute_counts(db, [query])[0] == truth
         assert count_hash_join(db, query) == truth
         assert execute_count(db, query) == truth
 
@@ -275,13 +272,6 @@ class TestCyclicOracle:
         truth = brute_force_count(db, query)
         assert count_hash_join(db, query) == truth
         assert execute_count(db, query) == truth  # auto falls back to hash
-
-    @settings(max_examples=10, deadline=None)
-    @given(instance=triangle_instances())
-    def test_factorized_refuses_cycles(self, instance):
-        db, query = instance
-        with pytest.raises(QueryError):
-            count_factorized(db, query)
 
 
 class TestDisconnectedOracle:
@@ -304,7 +294,7 @@ class TestDisconnectedOracle:
             predicates=(Predicate("a", "a", ">", 0),),
         )
         truth = brute_force_count(db, query)
-        assert count_factorized(db, query) == truth
+        assert execute_counts(db, [query])[0] == truth
         assert count_hash_join(db, query) == truth
         assert execute_count(db, query) == truth
 

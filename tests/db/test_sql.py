@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db import parse_sql, to_sql
+from repro.db import as_query, parse_sql, to_sql
 from repro.errors import ParseError
 from repro.workload import JoinEdge, Predicate, Query, TableRef
 
@@ -106,6 +106,23 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_sql("SELECT COUNT(*) FROM t WHERE t.x @ 5;")
         assert "offset" in str(err.value)
+
+
+class TestAsQuery:
+    """The one coercion every ``Query | str`` entry point goes through."""
+
+    SQL = "SELECT COUNT(*) FROM title t WHERE t.production_year>2000;"
+
+    def test_parses_text(self):
+        assert as_query(self.SQL) == parse_sql(self.SQL)
+
+    def test_passes_a_query_through(self):
+        query = parse_sql(self.SQL)
+        assert as_query(query) is query
+
+    def test_bad_text_raises_parse_error(self):
+        with pytest.raises(ParseError):
+            as_query("DELETE FROM title")
 
 
 class TestIdentifierInterning:

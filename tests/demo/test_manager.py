@@ -77,15 +77,15 @@ class TestQuerying:
             "SELECT COUNT(*) FROM title t, movie_keyword mk "
             "WHERE mk.movie_id=t.id AND t.production_year>2000;"
         )
-        name, estimate = manager.route(sql)
+        name = manager.route_name(sql)
         assert name == "narrow"
-        assert estimate >= 1.0
+        assert manager.query(name, sql) >= 1.0
 
     def test_route_falls_back_to_wider_sketch(self, manager, spec, trained_sketch):
         wide, _ = trained_sketch
         manager.register_sketch(wide)
         manager.create_sketch("narrow", spec, config=FAST)
-        name, _ = manager.route(
+        name = manager.route_name(
             "SELECT COUNT(*) FROM title t, cast_info ci WHERE ci.movie_id=t.id;"
         )
         assert name == wide.name
@@ -93,13 +93,14 @@ class TestQuerying:
     def test_route_uncovered_rejected(self, manager, spec):
         manager.create_sketch("narrow", spec, config=FAST)
         with pytest.raises(SketchError):
-            manager.route("SELECT COUNT(*) FROM keyword k;")
+            manager.route_name("SELECT COUNT(*) FROM keyword k;")
 
-    def test_advise(self, manager, imdb_small):
+    def test_advise(self, imdb_small):
+        from repro.demo import recommend_sketches
         from repro.workload import TrainingQueryGenerator, spec_for_imdb
 
         generator = TrainingQueryGenerator(imdb_small, spec_for_imdb(), seed=9)
-        recommendations = manager.advise(generator.draw_many(150), max_sketches=3)
+        recommendations = recommend_sketches(generator.draw_many(150), max_sketches=3)
         assert 1 <= len(recommendations) <= 3
         assert all(r.queries_covered > 0 for r in recommendations)
 

@@ -213,12 +213,14 @@ class TestRouting:
         assert responses[0].sketch == "narrow"
         assert all(r.ok for r in responses)
 
-    def test_route_many_matches_route(self, manager, workload):
-        batch = manager.route_many(list(workload[:10]))
-        for query, (name, estimate) in zip(workload[:10], batch):
-            single_name, single_estimate = manager.route(query)
-            assert name == single_name
-            assert estimate == pytest.approx(single_estimate, rel=RTOL)
+    def test_serve_matches_route_name_and_query(self, manager, workload):
+        batch = SketchServer(manager).serve(list(workload[:10]))
+        for query, response in zip(workload[:10], batch):
+            name = manager.route_name(query)
+            assert response.sketch == name
+            assert response.estimate == pytest.approx(
+                manager.query(name, query), rel=RTOL
+            )
 
 
 class TestCoalescing:

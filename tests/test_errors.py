@@ -46,24 +46,3 @@ class TestHierarchy:
                 caught.append(type(exc).__name__)
         assert caught == ["SchemaError", "SketchError"]
 
-
-class TestEstimateSqlHelper:
-    def test_estimate_sql_parses_and_delegates(self, trained_sketch):
-        from repro.core import estimate_sql
-
-        sketch, _ = trained_sketch
-        direct = sketch.estimate(
-            "SELECT COUNT(*) FROM title t WHERE t.production_year>2000;"
-        )
-        helper = estimate_sql(
-            sketch, "SELECT COUNT(*) FROM title t WHERE t.production_year>2000;"
-        )
-        assert helper == pytest.approx(direct)
-
-    def test_estimate_sql_rejects_bad_sql(self, trained_sketch):
-        from repro.core import estimate_sql
-        from repro.errors import ParseError
-
-        sketch, _ = trained_sketch
-        with pytest.raises(ParseError):
-            estimate_sql(sketch, "DELETE FROM title")

@@ -42,6 +42,9 @@ NOT_SERVED = [
     "scipy",
     "repro.datasets",
     "repro.baselines",
+    "repro.core.builder",
+    "repro.core.training",
+    "repro.nn.training",
     "repro.workload.suite",
     "repro.workload.traffic",
     "repro.workload.joblight",
