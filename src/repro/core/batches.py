@@ -12,10 +12,13 @@ MSCN consumes whole sets per query, and queries differ in set sizes.
 * **Training** keeps the whole dataset packed (:class:`TrainingSet`):
   per set, the real rows of every query back to back plus per-query
   offsets (:class:`~repro.core.featurization.PackedSet`), as the build's
-  featurizer writes them.  A minibatch is a vector of query indices
-  (:meth:`TrainingSet.batch_indices`); the training session gathers
-  those queries' rows straight from the packed arrays, so no epoch
-  copies or pads the dataset.
+  featurizer writes them; the table set keeps its sample bitmaps as
+  booleans beside its float64 one-hots.  The dataset is never copied:
+  the train/validation split is two vectors of query indices
+  (:func:`split_rows`), a minibatch is a slice of one epoch's order over
+  them (:func:`batch_indices`), and the training session gathers those
+  queries' rows straight from the packed arrays into float64 GEMM
+  operands, so no epoch copies or pads the dataset.
 """
 
 from __future__ import annotations
@@ -141,7 +144,11 @@ def collate(
 
 
 class TrainingSet:
-    """Featurized queries, packed per set, plus normalized labels."""
+    """Featurized queries, packed per set, plus normalized labels.
+
+    Training reads it by query index (:func:`split_rows`,
+    :func:`batch_indices`) and never copies it.
+    """
 
     def __init__(
         self,
@@ -161,37 +168,34 @@ class TrainingSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def take(self, index: np.ndarray) -> "TrainingSet":
-        """Queries ``index``, in that order."""
-        return TrainingSet(
-            self.tables.take(index),
-            self.joins.take(index),
-            self.predicates.take(index),
-            self.labels[index],
+
+def split_rows(
+    n: int, validation_fraction: float, seed: SeedLike = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A shuffled train/validation split of queries ``0 .. n-1``: the
+    training queries' indices, then the validation queries'."""
+    if not 0.0 < validation_fraction < 1.0:
+        raise TrainingError(
+            f"validation fraction must be in (0, 1), got {validation_fraction}"
         )
+    order = make_rng(seed).permutation(n)
+    n_val = max(int(round(n * validation_fraction)), 1)
+    if n_val >= n:
+        raise TrainingError("training set too small to split")
+    return order[n_val:], order[:n_val]
 
-    def split(self, validation_fraction: float, seed: SeedLike = None) -> tuple["TrainingSet", "TrainingSet"]:
-        """Shuffled train/validation split."""
-        if not 0.0 < validation_fraction < 1.0:
-            raise TrainingError(
-                f"validation fraction must be in (0, 1), got {validation_fraction}"
-            )
-        rng = make_rng(seed)
-        order = rng.permutation(len(self))
-        n_val = max(int(round(len(self) * validation_fraction)), 1)
-        if n_val >= len(self):
-            raise TrainingError("training set too small to split")
-        return self.take(order[n_val:]), self.take(order[:n_val])
 
-    def batch_indices(
-        self, batch_size: int, shuffle: bool = True, seed: SeedLike = None
-    ) -> Iterator[np.ndarray]:
-        """Yield each minibatch's query indices (consecutive
-        ``batch_size`` slices of one epoch's order)."""
-        if batch_size <= 0:
-            raise TrainingError(f"batch size must be positive, got {batch_size}")
-        order = np.arange(len(self))
-        if shuffle:
-            make_rng(seed).shuffle(order)
-        for start in range(0, len(self), batch_size):
-            yield order[start : start + batch_size]
+def batch_indices(
+    rows: np.ndarray, batch_size: int, shuffle: bool = True, seed: SeedLike = None
+) -> Iterator[np.ndarray]:
+    """Yield each minibatch of the queries ``rows``: consecutive
+    ``batch_size`` slices of one epoch's order over them (a shuffle of
+    their positions, or ``rows`` as given)."""
+    if batch_size <= 0:
+        raise TrainingError(f"batch size must be positive, got {batch_size}")
+    if shuffle:
+        order = np.arange(rows.size)
+        make_rng(seed).shuffle(order)
+        rows = rows[order]
+    for start in range(0, rows.size, batch_size):
+        yield rows[start : start + batch_size]

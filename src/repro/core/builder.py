@@ -19,7 +19,8 @@ join structure and gathers each query's sample bitmaps from the same
 full-table predicate masks at the samples' row ids
 (``MaterializedSamples.row_ids``); the featurizer writes its packed
 set rows (:meth:`~repro.core.featurization.Featurizer.featurize_packed`)
-into a :class:`~repro.core.batches.TrainingSet`.
+into a :class:`~repro.core.batches.TrainingSet`, whose table set keeps
+those bitmaps boolean.  Training reads that one set by query index.
 
 The pipeline is written once, here.  :meth:`SketchBuilder.start` runs
 steps 1-3, featurizes, and sets up the model and its trainer; the
@@ -188,10 +189,11 @@ class SketchBuilder:
         the same predicate masks; queries with empty results are dropped.
 
         Returns the kept queries, their labels and their table-set rows'
-        bitmaps (:func:`~repro.db.executor.label_batch`).
+        boolean bitmaps (:func:`~repro.db.executor.label_batch`), gathered
+        once from the chunks' bitmaps into one array.
         """
         labels: list[int] = []
-        bitmaps = [np.zeros((0, samples.sample_size), dtype=bool)]
+        chunks = []
         for start in range(0, len(batch), LABEL_CHUNK_SIZE):
             stop = min(start + LABEL_CHUNK_SIZE, len(batch))
             counts, chunk_bitmaps = label_batch(
@@ -199,12 +201,20 @@ class SketchBuilder:
                 samples.sample_size,
             )
             labels += counts
-            bitmaps.append(chunk_bitmaps)
+            chunks.append(chunk_bitmaps)
             self._emit("execute", stop, len(batch), "executing training queries")
         cardinalities = np.asarray(labels, dtype=np.float64)
         kept = np.flatnonzero(cardinalities > 0)
-        rows = segment_rows(batch.table_offsets(), kept)
-        return batch.take(kept), cardinalities[kept], np.concatenate(bitmaps)[rows]
+        table_offsets = batch.table_offsets()
+        rows = segment_rows(table_offsets, kept)
+        bitmaps = np.empty((rows.size, samples.sample_size), dtype=bool)
+        # The kept rows ascend, so each chunk's are one run of ``rows``.
+        firsts = table_offsets[:-1:LABEL_CHUNK_SIZE]
+        bounds = np.searchsorted(rows, np.append(firsts, table_offsets[-1]))
+        for chunk, first, lo, hi in zip(chunks, firsts, bounds, bounds[1:]):
+            # mode="clip": the rows are in range, and "raise" buffers ``out``.
+            np.take(chunk, rows[lo:hi] - first, axis=0, out=bitmaps[lo:hi], mode="clip")
+        return batch.take(kept), cardinalities[kept], bitmaps
 
     def training_set(
         self,

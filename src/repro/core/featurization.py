@@ -29,7 +29,7 @@ demo relies on for columns like ``keyword.keyword``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -38,7 +38,9 @@ from ..db.batch import QueryBatch, offsets_of, segment_rows
 from ..db.database import Database
 from ..db.types import DType
 from ..db.query import Query
-from ..workload.generator import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the serving process never loads it
+    from ..workload.generator import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -54,24 +56,42 @@ class PackedSet:
     """One feature set of many queries, packed: only real rows, no padding.
 
     ``rows`` holds every query's rows, query after query; query ``i``'s
-    are ``rows[offsets[i]:offsets[i + 1]]``.  ``width`` is the largest
-    set, the size :func:`~repro.core.batches.collate` would pad to.
+    are ``rows[offsets[i]:offsets[i + 1]]``.  The table set keeps its
+    sample bitmaps apart, as the booleans they are: ``bitmaps`` holds
+    one per row, and row ``r``'s features are ``rows[r]`` (the table
+    one-hot) followed by ``bitmaps[r]`` as 0.0/1.0 — no float64 copy of
+    a bitmap is stored; :meth:`gather` writes the float64 rows a GEMM
+    reads.  ``width`` is the largest set, the size
+    :func:`~repro.core.batches.collate` would pad to.
     """
 
-    __slots__ = ("rows", "offsets", "width")
+    __slots__ = ("rows", "bitmaps", "offsets", "width")
 
-    def __init__(self, rows: np.ndarray, offsets: np.ndarray):
+    def __init__(
+        self, rows: np.ndarray, offsets: np.ndarray, bitmaps: np.ndarray | None = None
+    ):
         self.rows = rows
+        self.bitmaps = bitmaps
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.width = int(np.diff(self.offsets).max(initial=0))
 
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def take(self, index: np.ndarray) -> "PackedSet":
-        """Queries ``index``, in that order."""
-        counts = self.offsets[index + 1] - self.offsets[index]
-        return PackedSet(self.rows[segment_rows(self.offsets, index)], offsets_of(counts))
+    @property
+    def dim(self) -> int:
+        """Features per row: the ``rows`` columns, then the bitmap's."""
+        return self.rows.shape[1] + (0 if self.bitmaps is None else self.bitmaps.shape[1])
+
+    def gather(self, positions: np.ndarray, out: np.ndarray) -> None:
+        """Rows ``positions`` (in range) as float64 into ``out``, shape
+        ``(positions.size, dim)``: the ``rows`` block copied, the
+        bitmaps cast in place."""
+        split = self.rows.shape[1]
+        # mode="clip": the rows are in range, and "raise" buffers ``out``.
+        np.take(self.rows, positions, axis=0, out=out[:, :split], mode="clip")
+        if self.bitmaps is not None:
+            out[:, split:] = np.take(self.bitmaps, positions, axis=0, mode="clip")
 
 
 def _one_hot(index: int, size: int) -> np.ndarray:
@@ -388,18 +408,24 @@ class Featurizer:
     ) -> tuple[PackedSet, PackedSet, PackedSet]:
         """The table, join and predicate sets of a whole batch, packed.
 
-        ``bitmaps`` holds one sample bitmap per table-set row
+        ``bitmaps`` holds one boolean sample bitmap per table-set row
         (:meth:`~repro.db.batch.QueryBatch.table_offsets`), e.g. from
-        :func:`~repro.db.executor.label_batch`.  Every row is written
-        straight into its set's array and equals, bit for bit, the row
+        :func:`~repro.db.executor.label_batch`; the table set keeps it,
+        uncopied, as its ``bitmaps`` block beside the float64 table
+        one-hots (all-false when ``use_bitmaps`` is off).  Every other
+        row is written straight into its set's array.  Each row, read
+        through :meth:`PackedSet.gather`, equals bit for bit the row
         :meth:`featurize_batch` builds for it; an empty join or
         predicate set is its one all-zero row.
         """
         table_index, join_index, column_index, op_index = self._index_maps()
         n_tables, n_columns = len(self.tables), len(self.columns)
-        if bitmaps.shape[1:] != (self.sample_size,):
+        bitmaps = np.asarray(bitmaps, dtype=bool)
+        table_offsets = batch.table_offsets()
+        if bitmaps.shape != (table_offsets[-1], self.sample_size):
             raise FeaturizationError(
-                f"bitmaps have shape {bitmaps.shape}, expected (rows, {self.sample_size})"
+                f"bitmaps have shape {bitmaps.shape}, "
+                f"expected ({table_offsets[-1]}, {self.sample_size})"
             )
         # Per structure: its table ids, join ids (-1 = the empty-set row)
         # and each alias's table.
@@ -416,10 +442,10 @@ class Featurizer:
 
         structure_of = batch.structure.tolist()
         table_rows = [i for s in structure_of for i in table_ids[s]]
-        tables = np.zeros((len(table_rows), n_tables + self.sample_size))
+        tables = np.zeros((len(table_rows), n_tables))
         tables[np.arange(len(table_rows)), table_rows] = 1.0
-        if self.use_bitmaps:
-            tables[:, n_tables:] = bitmaps
+        if not self.use_bitmaps:
+            bitmaps = np.zeros_like(bitmaps)
         join_rows = np.array([i for s in structure_of for i in join_ids[s]], dtype=np.int64)
         joins = np.zeros((join_rows.size, self.join_dim))
         real = np.flatnonzero(join_rows >= 0)
@@ -471,7 +497,7 @@ class Featurizer:
         predicates[slots, n_columns + np.array(ops, dtype=np.int64)] = 1.0
         predicates[slots, -1] = values
         return (
-            PackedSet(tables, batch.table_offsets()),
+            PackedSet(tables, table_offsets, bitmaps),
             PackedSet(joins, offsets_of([len(join_ids[s]) for s in structure_of])),
             PackedSet(predicates, pred_offsets),
         )

@@ -28,7 +28,7 @@ from ..errors import TrainingError
 from ..rng import SeedLike, make_rng, spawn
 from ..metrics import QErrorSummary, qerrors, summarize_qerrors
 from ..nn.training import TrainingSession
-from .batches import TrainingSet
+from .batches import TrainingSet, batch_indices, split_rows
 from .featurization import Featurizer
 from .mscn import MSCN
 
@@ -78,15 +78,17 @@ def validation_qerrors(
     session: TrainingSession,
     featurizer: Featurizer,
     dataset: TrainingSet,
+    rows: np.ndarray,
     batch_size: int = 512,
 ) -> np.ndarray:
-    """Q-errors of the session's model on a (featurized) dataset.
+    """Q-errors of the session's model on queries ``rows`` of a
+    (featurized) dataset, in that order.
 
     The forward is the training session's own (rows gathered from the
     packed dataset, pooled buffers); label denormalization is vectorized.
     """
     errors: list[np.ndarray] = []
-    for index in dataset.batch_indices(batch_size, shuffle=False):
+    for index in batch_indices(rows, batch_size, shuffle=False):
         est = featurizer.denormalize_label(session.predict(dataset, index))
         true = featurizer.denormalize_label(dataset.labels[index])
         errors.append(np.maximum(est / true, true / est))
@@ -134,9 +136,11 @@ class Trainer:
     ) -> Iterator[EpochStats]:
         """Train one epoch per iteration, recording each into ``result``.
 
-        The dataset is split once into train/validation; validation
-        q-error statistics are computed after every epoch (the quantity
-        the paper watches to declare "25 epochs are usually enough").
+        The dataset is split once into train/validation queries, by
+        index (:func:`~repro.core.batches.split_rows`; the dataset is
+        never copied); validation q-error statistics are computed after
+        every epoch (the quantity the paper watches to declare "25
+        epochs are usually enough").
         The last epoch's validation errors fill
         ``result.validation_summary``, so that field is set exactly when
         the final epoch has been yielded.
@@ -146,15 +150,15 @@ class Trainer:
                 f"training set of {len(dataset)} queries is too small"
             )
         rng = make_rng(seed)
-        train_set, val_set = dataset.split(VALIDATION_FRACTION, seed=rng)
+        train_rows, val_rows = split_rows(len(dataset), VALIDATION_FRACTION, seed=rng)
         for epoch in range(1, self.n_epochs + 1):
             start = time.perf_counter()
             losses = []
-            for index in train_set.batch_indices(self.batch_size, seed=rng):
-                losses.append(
-                    self.session.step(train_set, train_set.labels[index], index)
-                )
-            val_errors = validation_qerrors(self.session, self.featurizer, val_set)
+            for index in batch_indices(train_rows, self.batch_size, seed=rng):
+                losses.append(self.session.step(dataset, dataset.labels[index], index))
+            val_errors = validation_qerrors(
+                self.session, self.featurizer, dataset, val_rows
+            )
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)),

@@ -6,10 +6,13 @@ updates the model's parameter arrays in place:
 
 * **forward** — each set MLP runs on the minibatch's real rows only:
   its queries' rows are gathered from the packed dataset
-  (:class:`~repro.core.featurization.PackedSet`) into one ``(n, d)``
-  operand, both layers run as 2-D GEMMs, and the outputs are scattered
-  to padded slots for the masked mean.  The activations the backward
-  needs stay in pooled buffers (:class:`~repro.pools.ArrayPool`);
+  (:class:`~repro.core.featurization.PackedSet`) into one float64
+  ``(n, d)`` operand — the table set's boolean sample bitmaps cast in
+  place beside its one-hots, the values and layout a float64 copy of
+  the dataset would give — both layers run as 2-D GEMMs, and the
+  outputs are scattered to padded slots for the masked mean.  The
+  activations the backward needs stay in pooled buffers
+  (:class:`~repro.pools.ArrayPool`);
 * **backward**, written out by hand — the loss's closed-form gradient,
   the sigmoid, the output MLP, the concat split, the masked mean
   (broadcast times mask over count) and the ReLUs; every weight
@@ -28,7 +31,8 @@ gradient to 1e-12 relative of the oracle's.
 The masked mean pads each set to the dataset's widest
 (:attr:`PackedSet.width`), the layout of the padded batches
 :func:`~repro.core.batches.collate` builds, so its sums add the same
-terms in the same order.
+terms in the same order.  A minibatch is a vector of query indices
+into the one dataset a build trains on; the session never copies it.
 """
 
 from __future__ import annotations
@@ -126,7 +130,6 @@ class TrainingSession:
         """Set MLP ``name`` on the real rows of queries ``index``; their
         masked mean into ``out``."""
         w1, b1, w2, b2 = self.model.mlp(name)
-        dim = packed.rows.shape[1]
         hidden = w1.shape[1]
         batch_size, set_size = index.size, packed.width
         starts = packed.offsets[index]
@@ -135,9 +138,8 @@ class TrainingSession:
         # slot i*S + s.
         query_of = np.repeat(np.arange(batch_size), counts)
         within = np.arange(query_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        xp = self._rows(name + ".x", query_of.size, dim)
-        # mode="clip": the rows are in range, and "raise" buffers ``out``.
-        np.take(packed.rows, starts[query_of] + within, axis=0, out=xp, mode="clip")
+        xp = self._rows(name + ".x", query_of.size, packed.dim)
+        packed.gather(starts[query_of] + within, xp)
         h1 = self._rows(name + ".h1", query_of.size, hidden)
         np.dot(xp, w1, out=h1)
         h1 += b1

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import collate
-from repro.core.batches import CollateScratch
+from repro.core.batches import CollateScratch, batch_indices, split_rows
 from repro.core.featurization import QueryFeatures
+from repro.db.batch import segment_rows
 from repro.errors import TrainingError
-from tests.helpers import training_set
+from tests.helpers import dense_rows, training_set
 
 
 def fake_features(n_tables=2, n_joins=1, n_preds=1, td=5, jd=3, pd=4, fill=1.0):
@@ -122,38 +123,51 @@ class TestTrainingSet:
             training_set([fake_features()], np.array([0.1, 0.2]))
 
     def test_split_sizes(self):
-        train, val = self.make_set(20).split(0.25, seed=0)
+        train, val = split_rows(20, 0.25, seed=0)
         assert len(val) == 5
         assert len(train) == 15
 
     def test_split_disjoint_and_complete(self):
-        ds = self.make_set(10)
-        # label values identify rows (all distinct)
-        train, val = ds.split(0.3, seed=1)
-        combined = sorted(np.concatenate([train.labels, val.labels]).tolist())
-        assert combined == sorted(ds.labels.tolist())
+        train, val = split_rows(10, 0.3, seed=1)
+        assert sorted(np.concatenate([train, val]).tolist()) == list(range(10))
+
+    def test_split_is_one_permutation(self):
+        """Validation first, then training, of one draw of the seed."""
+        train, val = split_rows(17, 0.2, seed=5)
+        order = np.random.default_rng(5).permutation(17)
+        np.testing.assert_array_equal(np.concatenate([val, train]), order)
 
     def test_split_invalid_fraction(self):
         with pytest.raises(TrainingError):
-            self.make_set().split(0.0)
+            split_rows(20, 0.0)
         with pytest.raises(TrainingError):
-            self.make_set().split(1.0)
+            split_rows(20, 1.0)
+
+    def test_split_too_small(self):
+        with pytest.raises(TrainingError, match="too small"):
+            split_rows(1, 0.5)
 
     def test_unshuffled_batch_indices_cover_everything_in_order(self):
-        ds = self.make_set(17)
-        indices = list(ds.batch_indices(5, shuffle=False))
+        indices = list(batch_indices(np.arange(17), 5, shuffle=False))
         assert [i.size for i in indices] == [5, 5, 5, 2]
         np.testing.assert_array_equal(np.concatenate(indices), np.arange(17))
 
     def test_minibatch_shuffle_deterministic(self):
-        ds = self.make_set(16)
-        a = [i.tolist() for i in ds.batch_indices(4, seed=3)]
-        b = [i.tolist() for i in ds.batch_indices(4, seed=3)]
+        a = [i.tolist() for i in batch_indices(np.arange(16), 4, seed=3)]
+        b = [i.tolist() for i in batch_indices(np.arange(16), 4, seed=3)]
         assert a == b
+
+    def test_minibatches_of_a_subset_shuffle_its_positions(self):
+        """A subset's epoch is the one its positions 0..n-1 would get,
+        mapped through the subset."""
+        rows = np.array([7, 3, 11, 0, 5, 9, 2])
+        got = list(batch_indices(rows, 3, seed=4))
+        want = list(batch_indices(np.arange(rows.size), 3, seed=4))
+        assert [g.tolist() for g in got] == [rows[w].tolist() for w in want]
 
     def test_invalid_batch_size(self):
         with pytest.raises(TrainingError):
-            list(self.make_set().batch_indices(0))
+            list(batch_indices(np.arange(20), 0))
 
 
 class TestPacking:
@@ -183,19 +197,20 @@ class TestPacking:
             assert packed.width == max(sizes)
 
     def test_packed_rows_match_legacy_collation(self):
-        """Each minibatch's packed rows, taken out of the training set,
+        """Each minibatch's packed rows, read out of the training set,
         are the real rows of collating those queries directly."""
         ds = self.ragged_set()
-        for idx in ds.batch_indices(5, seed=2):
-            subset = ds.take(idx)
+        for idx in batch_indices(np.arange(len(ds)), 5, seed=2):
             legacy = collate([self.features[i] for i in idx])
             for name, mask in (
                 ("tables", "table_mask"), ("joins", "join_mask"),
                 ("predicates", "predicate_mask"),
             ):
+                packed = getattr(ds, name)
                 real = getattr(legacy, mask).astype(bool)
                 np.testing.assert_array_equal(
-                    getattr(subset, name).rows, getattr(legacy, name)[real]
+                    dense_rows(packed, segment_rows(packed.offsets, idx)),
+                    getattr(legacy, name)[real],
                 )
 
     def test_model_outputs_unchanged_by_packing(self):
@@ -207,7 +222,7 @@ class TestPacking:
         ds = self.ragged_set()
         model = MSCN(5, 3, 4, hidden_units=8, seed=0)
         session = TrainingSession(model, loss="mse", log_max_card=1.0, learning_rate=1e-3)
-        for idx in ds.batch_indices(7, shuffle=False):
+        for idx in batch_indices(np.arange(len(ds)), 7, shuffle=False):
             legacy = collate([self.features[i] for i in idx])
             np.testing.assert_allclose(
                 session.predict(ds, idx), model.compile().run(legacy), rtol=1e-12
@@ -216,7 +231,7 @@ class TestPacking:
     def test_shuffled_epochs_cover_everything(self):
         ds = self.ragged_set()
         seen = []
-        for index in ds.batch_indices(4, shuffle=True, seed=8):
+        for index in batch_indices(np.arange(len(ds)), 4, shuffle=True, seed=8):
             assert index.size <= 4
             # fill value identifies the query each packed row came from
             first_rows = ds.tables.rows[ds.tables.offsets[index], 0]

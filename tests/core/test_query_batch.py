@@ -15,14 +15,20 @@ the same values:
 * the bitmaps: ``batch_bitmaps`` on the materialized samples, tables
   smaller than the sample included;
 * the features: the real rows of ``collate(featurize_batch(...))``, bit
-  for bit, and the same rows again per minibatch after ``split``.
+  for bit, and the same rows again per minibatch of the index split
+  (``split_rows``, ``batch_indices``);
+* the training operand: the float64 table rows the training session
+  gathers, against the dense rows the packed table set was once stored
+  as (``dense_table_rows``, kept here as the oracle).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core import Featurizer, TrainingSet, collate
+from repro.core import MSCN, Featurizer, TrainingSet, collate
+from repro.core.batches import batch_indices, split_rows
+from repro.nn import TrainingSession
 from repro.db import DType
 from repro.db.batch import QueryBatch, segment_rows
 from repro.db.executor import count_hash_join, execute_count, label_batch
@@ -44,6 +50,7 @@ from repro.workload.generator import (
     TRAINING_OPERATORS,
     decode_pool_value,
 )
+from tests.helpers import dense_rows
 
 SAMPLE_SIZE = 60
 
@@ -137,6 +144,23 @@ def per_query_bitmaps(samples, queries) -> np.ndarray:
         for ref in query.tables
     ]
     return np.array(rows, dtype=bool).reshape(len(rows), samples.sample_size)
+
+
+def dense_table_rows(featurizer, batch, bitmaps) -> np.ndarray:
+    """The table set as ``featurize_packed`` once stored it: one float64
+    row per table-set row, the table one-hot then the sample bitmap
+    (zeros with ``use_bitmaps`` off)."""
+    table_index = {table: i for i, table in enumerate(featurizer.tables)}
+    ids = [
+        table_index[ref.table]
+        for s in batch.structure.tolist()
+        for ref in batch.structures[s].tables
+    ]
+    rows = np.zeros((len(ids), featurizer.table_dim))
+    rows[np.arange(len(ids)), ids] = 1.0
+    if featurizer.use_bitmaps:
+        rows[:, len(featurizer.tables):] = bitmaps
+    return rows
 
 
 def featurizer_for(db, spec, labels) -> Featurizer:
@@ -238,7 +262,7 @@ def test_hand_written_workload_through_from_queries(imdb_small):
     )
     for rows, (data, mask) in zip(packed, SET_ARRAYS):
         real = getattr(legacy, mask).astype(bool)
-        assert rows.rows.tobytes() == getattr(legacy, data)[real].tobytes()
+        assert dense_rows(rows).tobytes() == getattr(legacy, data)[real].tobytes()
 
 
 @settings(max_examples=15, deadline=None)
@@ -251,19 +275,23 @@ def test_packed_rows_are_the_collated_rows(fixtures, name, seed, use_bitmaps):
     featurizer.use_bitmaps = use_bitmaps
     sets = featurizer.featurize_packed(batch, bitmaps, db=db)
     legacy = collate(featurizer.featurize_batch(queries, batch_bitmaps(samples, queries), db=db))
+    tables = sets[0]
+    assert tables.bitmaps.dtype == bool and tables.rows.shape[1] == len(featurizer.tables)
+    assert tables.bitmaps.any() == (use_bitmaps and bitmaps.any())
     for packed, (data, mask) in zip(sets, SET_ARRAYS):
         real = getattr(legacy, mask).astype(bool)
         want = getattr(legacy, data)[real]
-        assert packed.rows.dtype == want.dtype and packed.rows.shape == want.shape
-        assert packed.rows.tobytes() == want.tobytes()
+        got = dense_rows(packed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(np.diff(packed.offsets), real.sum(axis=1))
 
 
 @settings(max_examples=10, deadline=None)
 @given(name=specs, seed=seeds, batch_size=st.integers(1, 40))
 def test_split_minibatches_gather_the_same_rows(fixtures, name, seed, batch_size):
-    """``split`` then ``batch_indices`` pick the same queries, and their
-    rows, as the per-query features split the same way."""
+    """``split_rows`` then ``batch_indices`` pick the same queries, and
+    their rows, as the per-query features split the same way."""
     db, spec, samples, batch = drawn(fixtures, name, seed)
     counts, bitmaps = label_batch(db, batch, samples.row_ids, samples.sample_size)
     kept = np.flatnonzero(np.array(counts) > 0)
@@ -279,15 +307,47 @@ def test_split_minibatches_gather_the_same_rows(fixtures, name, seed, batch_size
     queries = batch.to_queries()
     features = featurizer.featurize_batch(queries, batch_bitmaps(samples, queries), db=db)
     order = np.random.default_rng(seed).permutation(len(queries))  # split's draw
-    train, val = dataset.split(0.2, seed=seed)
+    train, val = split_rows(len(dataset), 0.2, seed=seed)
     n_val = max(int(round(len(queries) * 0.2)), 1)
     for part, ids in ((train, order[n_val:]), (val, order[:n_val])):
-        np.testing.assert_array_equal(part.labels, dataset.labels[ids])
-        for index in part.batch_indices(batch_size, seed=seed):
-            legacy = collate([features[i] for i in ids[index]])
-            minibatch = part.take(index)
+        np.testing.assert_array_equal(part, ids)
+        positions = batch_indices(np.arange(ids.size), batch_size, seed=seed)
+        for index, position in zip(batch_indices(part, batch_size, seed=seed), positions):
+            np.testing.assert_array_equal(index, ids[position])
+            legacy = collate([features[i] for i in index])
             for name_, mask in SET_ARRAYS:
+                packed = getattr(dataset, name_)
                 real = getattr(legacy, mask).astype(bool)
-                assert getattr(minibatch, name_).rows.tobytes() == (
-                    getattr(legacy, name_)[real].tobytes()
-                )
+                got = dense_rows(packed, segment_rows(packed.offsets, index))
+                assert got.tobytes() == getattr(legacy, name_)[real].tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds, use_bitmaps=st.booleans(), batch_size=st.integers(1, 40))
+@example(seed=0, use_bitmaps=False, batch_size=7)
+def test_session_operand_is_the_dense_table_rows(fixtures, seed, use_bitmaps, batch_size):
+    """The float64 table operand the training session gathers for each
+    minibatch (one-hots copied, boolean bitmaps cast in place) is, bit
+    for bit, the dense rows of ``dense_table_rows``: one- and
+    three-table queries, the last partial minibatch included."""
+    db, spec, samples, batch = drawn(fixtures, "imdb", seed)
+    counts, bitmaps = label_batch(db, batch, samples.row_ids, samples.sample_size)
+    assert {1, 3} <= set(np.diff(batch.table_offsets()).tolist())
+    featurizer = featurizer_for(db, spec, np.array(counts))
+    featurizer.use_bitmaps = use_bitmaps
+    dataset = TrainingSet(
+        *featurizer.featurize_packed(batch, bitmaps, db=db),
+        featurizer.normalize_label(np.array(counts)),
+    )
+    want = dense_table_rows(featurizer, batch, bitmaps)
+    model = MSCN(
+        featurizer.table_dim, featurizer.join_dim, featurizer.predicate_dim,
+        hidden_units=4, seed=seed,
+    )
+    session = TrainingSession(
+        model, loss="qerror", log_max_card=featurizer.log_label_span, learning_rate=1e-3
+    )
+    for index in batch_indices(np.arange(len(dataset)), batch_size, seed=seed):
+        operand = session._forward(dataset, index)[2][0].x  # the table set's
+        assert operand.dtype == np.float64
+        assert operand.tobytes() == want[segment_rows(batch.table_offsets(), index)].tobytes()

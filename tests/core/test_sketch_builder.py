@@ -14,6 +14,7 @@ from repro.workload import (
     TrainingQueryGenerator,
     spec_for_imdb,
 )
+from tests.helpers import dense_rows
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +58,8 @@ class TestBuilder:
 
     def test_training_set_equals_per_query_featurization(self, imdb_small, monkeypatch):
         """The builder featurizes on the columnar path; the packed rows
-        it hands the trainer are byte-equal to featurizing query by
-        query."""
+        it hands the trainer (the table set's boolean bitmaps read as
+        0.0/1.0) are byte-equal to featurizing query by query."""
         seen = {}
         epochs = Trainer.epochs
 
@@ -88,7 +89,7 @@ class TestBuilder:
         for name, mask in (
             ("tables", "table_mask"), ("joins", "join_mask"), ("predicates", "predicate_mask")
         ):
-            got = getattr(built, name).rows
+            got = dense_rows(getattr(built, name))
             want = getattr(per_query, name)[getattr(per_query, mask).astype(bool)]
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name

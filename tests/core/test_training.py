@@ -125,6 +125,7 @@ class TestTrainer:
             ),
             featurizer,
             synthetic_dataset(n=30),
+            np.arange(30),
         )
         assert (errors >= 1.0).all()
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import SketchConfig, TrainingSet
+from repro.core import SketchConfig
 from repro.demo import SketchManager
 from repro.errors import SketchError
 from repro.workload import spec_for_imdb
@@ -198,13 +198,15 @@ class TestIncrementalIsTheSynchronousBuild:
         assert monitor.stages_seen() == ["define", "generate", "execute", "train"]
 
     def test_validation_split_drawn_once(self, manager, spec, monkeypatch):
+        from repro.core import training
+
         splits = []
-        split = TrainingSet.split
+        split = training.split_rows
 
-        def counting_split(dataset, *args, **kwargs):
-            splits.append(len(dataset))
-            return split(dataset, *args, **kwargs)
+        def counting_split(n, *args, **kwargs):
+            splits.append(n)
+            return split(n, *args, **kwargs)
 
-        monkeypatch.setattr(TrainingSet, "split", counting_split)
+        monkeypatch.setattr(training, "split_rows", counting_split)
         _build_incrementally(manager, "one-split", spec, FAST)
         assert len(splits) == 1

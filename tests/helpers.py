@@ -90,6 +90,18 @@ def training_set(features, labels):
     return TrainingSet(*sets, labels)
 
 
+def dense_rows(packed, positions=None) -> np.ndarray:
+    """A :class:`~repro.core.featurization.PackedSet`'s float64 feature
+    rows (all, or those at ``positions``), assembled here from its
+    blocks: ``rows``, then the boolean ``bitmaps`` as 0.0/1.0."""
+    index = slice(None) if positions is None else positions
+    if packed.bitmaps is None:
+        return packed.rows[index]
+    return np.concatenate(
+        [packed.rows[index], packed.bitmaps[index].astype(np.float64)], axis=1
+    )
+
+
 class WatchedExecutor:
     """An engine executor wrapper for concurrency tests.
 

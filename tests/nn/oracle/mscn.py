@@ -19,6 +19,7 @@ from repro.core.featurization import PackedSet
 from repro.db.batch import offsets_of
 from repro.core.mscn import MSCN
 from repro.rng import SeedLike, make_rng
+from tests.helpers import dense_rows
 from .functional import masked_mean
 from .layers import Linear, ReLU, Sequential
 from .loss import MSELoss, QErrorLoss
@@ -99,18 +100,19 @@ def rows(dataset, index: np.ndarray) -> Batch:
     """Queries ``index`` of ``dataset`` as one padded batch.
 
     ``dataset`` is a padded :class:`Batch`, or a packed training set
-    (``tables``, ``joins``, ``predicates`` :class:`PackedSet` s), whose
-    sets are padded to their width here (at least one masked slot).
+    (``tables``, ``joins``, ``predicates`` :class:`PackedSet` s, the
+    table set's bitmaps boolean), whose sets are padded to their width
+    here (at least one masked slot).
     """
     if isinstance(dataset, Batch):
         return Batch(*(getattr(dataset, f.name)[index] for f in fields(Batch)))
     arrays = []
     for name, _ in SETS:
         packed = getattr(dataset, name)
-        data = np.zeros((index.size, max(packed.width, 1), packed.rows.shape[1]))
+        data = np.zeros((index.size, max(packed.width, 1), packed.dim))
         mask = np.zeros(data.shape[:2])
         for i, q in enumerate(index):
-            real = packed.rows[packed.offsets[q] : packed.offsets[q + 1]]
+            real = dense_rows(packed, np.arange(packed.offsets[q], packed.offsets[q + 1]))
             data[i, : len(real)] = real
             mask[i, : len(real)] = 1.0
         arrays += [data, mask]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batches import TrainingSet, collate
+from repro.core.batches import TrainingSet, batch_indices, collate
 from repro.core.featurization import QueryFeatures
 from repro.core.mscn import MSCN
 from repro.errors import TrainingError
@@ -106,7 +106,7 @@ def test_indexed_minibatches_match_the_oracle(sizes, batch_size, loss, seed):
     dataset = training_set(
         features(sizes, seed), np.random.default_rng(seed).uniform(size=len(sizes))
     )
-    for index in dataset.batch_indices(batch_size, seed=seed):
+    for index in batch_indices(every(dataset), batch_size, seed=seed):
         assert_gradients_match(session, oracle, dataset, dataset.labels[index], index)
 
 
@@ -130,7 +130,7 @@ def test_edge_cases_match_the_oracle(case, loss):
         dataset = training_set(
             features(sizes * 2, seed=3), np.linspace(0.1, 0.9, 10)
         )
-        index = list(dataset.batch_indices(4, seed=0))[-1]
+        index = list(batch_indices(every(dataset), 4, seed=0))[-1]
         assert index.size == 2
         batch, labels = dataset, dataset.labels[index]
     assert_gradients_match(session, oracle, batch, labels, index)

@@ -45,11 +45,7 @@ NOT_SERVED = [
     "repro.core.builder",
     "repro.core.training",
     "repro.nn.training",
-    "repro.workload.suite",
-    "repro.workload.traffic",
-    "repro.workload.joblight",
-    "repro.workload.splits",
-    "repro.workload.templates",
+    "repro.workload",
     "repro.demo.advisor",
     "repro.demo.template_service",
     "repro.serve.client",
