@@ -21,7 +21,7 @@ Every path is parity-gated at 1e-12 against the in-process answers —
 a faster wire must not change a single number.
 
 The **shared-memory section** measures the other half of the zero-copy
-story: the same process executor once installing pickled snapshots and
+story: the same process executor once installing pickled sketch payloads and
 once installing :class:`~repro.serve.shm.SegmentDescriptor` handles —
 ``shm_snapshots`` is the only thing that differs.  Gates: the
 descriptor crossing the process boundary is a fraction of the pickle
@@ -243,11 +243,11 @@ def run(args) -> int:
     print("measuring snapshot shipping (pickle vs shm)...", file=sys.stderr)
     sketch = manager.get_sketch("bench")
     snapshot_blob_bytes = len(
-        pickle.dumps(sketch.snapshot(), protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dumps(sketch.to_payload(), protocol=pickle.HIGHEST_PROTOCOL)
     )
-    # The descriptor's size depends on the snapshot's layout only, so
+    # The descriptor's size depends on the payload's layout only, so
     # one published here stands for the one the executor ships.
-    probe = SnapshotSegment.publish(sketch.snapshot())
+    probe = SnapshotSegment.publish(sketch)
     descriptor_bytes = len(
         pickle.dumps(probe.descriptor, protocol=pickle.HIGHEST_PROTOCOL)
     )

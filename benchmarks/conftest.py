@@ -10,20 +10,34 @@ harness.  Each harness also appends its headline numbers to
 from __future__ import annotations
 
 import os
+import sys
 
-import numpy as np
-import pytest
+# One BLAS thread, as the end-to-end benchmark pins for its children
+# (``benchmarks/e2e/common.py::CHILD_ENV``): with OpenBLAS's default of
+# one thread per core, a cold process's first training epochs stall
+# now and then on a two-core machine, which the Figure 1a timing gate
+# reads as a failure.  BLAS reads these once, when numpy loads.
+if "numpy" in sys.modules:
+    raise RuntimeError(
+        "numpy was imported before benchmarks/conftest.py could pin BLAS "
+        "to one thread"
+    )
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
-from repro.baselines import (
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.baselines import (  # noqa: E402
     HyperEstimator,
     PostgresEstimator,
     SamplingEstimator,
     TruthEstimator,
 )
-from repro.core import SketchConfig, build_sketch
-from repro.datasets import ImdbConfig, generate_imdb
-from repro.db import execute_counts
-from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb
+from repro.core import SketchConfig, build_sketch  # noqa: E402
+from repro.datasets import ImdbConfig, generate_imdb  # noqa: E402
+from repro.db import execute_counts  # noqa: E402
+from repro.workload import JobLightConfig, generate_job_light, spec_for_imdb  # noqa: E402
 
 #: Paper-faithful parameters, scaled to the synthetic database: the demo
 #: recommends ~10k queries for a small number of tables and notes 25

@@ -20,12 +20,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import DeepSketch, SketchConfig, build_sketch
-from .datasets import load_dataset
+from .core import DeepSketch
 from .errors import ReproError
-from .workload import spec_for_imdb, spec_for_tpch
 
-_SPECS = {"imdb": spec_for_imdb, "tpch": spec_for_tpch}
+#: The datasets the CLI can generate.  Generation, building and the
+#: workload specs are imported by the commands that use them, so a
+#: serving process started from the CLI loads none of them.
+_DATASETS = ("imdb", "tpch")
+
+
+def _spec(dataset: str, **kwargs):
+    """The workload spec of one of :data:`_DATASETS`."""
+    from .workload import spec_for_imdb, spec_for_tpch
+
+    return {"imdb": spec_for_imdb, "tpch": spec_for_tpch}[dataset](**kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     build = commands.add_parser("build", help="train a sketch and save it")
-    build.add_argument("--dataset", choices=sorted(_SPECS), default="imdb")
+    build.add_argument("--dataset", choices=_DATASETS, default="imdb")
     build.add_argument("--scale", type=float, default=0.5)
     build.add_argument("--queries", type=int, default=5000,
                        help="number of training queries")
@@ -89,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare",
         help="estimate with the sketch AND the baselines AND the truth",
     )
-    compare.add_argument("--dataset", choices=sorted(_SPECS), default="imdb")
+    compare.add_argument("--dataset", choices=_DATASETS, default="imdb")
     compare.add_argument("--scale", type=float, default=0.5)
     compare.add_argument("sketch", help="path to a saved sketch")
     compare.add_argument("sql", help="SELECT COUNT(*) query text")
@@ -208,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="draw a seeded template suite (joins, self-joins, range/"
         "string/IN predicate slots) and write it as JSON",
     )
-    wl_gen.add_argument("--dataset", choices=sorted(_SPECS), default="imdb")
+    wl_gen.add_argument("--dataset", choices=_DATASETS, default="imdb")
     wl_gen.add_argument("--scale", type=float, default=0.2)
     wl_gen.add_argument("--templates", type=int, default=8,
                         help="distinct templates to draw")
@@ -337,8 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
+    from .core import SketchConfig, build_sketch
+    from .datasets import load_dataset
+
     db = load_dataset(args.dataset, scale=args.scale)
-    spec = _SPECS[args.dataset]()
+    spec = _spec(args.dataset)
     config = SketchConfig(
         sample_size=args.samples,
         n_training_queries=args.queries,
@@ -397,6 +408,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_plan(args) -> int:
     import json
 
+    from .serve import protocol
+
     if args.url is not None:
         from .serve import RemoteSketchServer
 
@@ -411,34 +424,13 @@ def _cmd_plan(args) -> int:
             manager.register_sketch(DeepSketch.load(path))
         with SketchServer(manager) as server:
             response = server.plan(args.sql, args.sketch)
-    payload = {
-        "ok": response.ok,
-        "join_order": response.join_order,
-        "estimated_cost": response.estimated_cost,
-        "sketch": response.sketch,
-        "degraded": response.degraded,
-        "subplans": [
-            {
-                "aliases": list(sub.aliases),
-                "estimate": sub.estimate,
-                "cached": sub.cached,
-                "degraded": sub.degraded,
-                "code": sub.code,
-                "error": sub.error,
-            }
-            for sub in response.subplans
-        ],
-        "error": response.error,
-        "code": response.code,
-        "estimate_ms": response.estimate_ms,
-        "enumerate_ms": response.enumerate_ms,
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(protocol.plan_response_to_wire(response), indent=2))
     return 0 if response.ok else 1
 
 
 def _cmd_compare(args) -> int:
     from .baselines import HyperEstimator, PostgresEstimator
+    from .datasets import load_dataset
     from .db import execute_count, parse_sql
     from .metrics import qerror
 
@@ -691,6 +683,7 @@ def _load_suite(path: str):
 
 
 def _cmd_workload_generate(args) -> int:
+    from .datasets import load_dataset
     from .workload import SuiteConfig, generate_template_suite
     from .workload.generator import spec_for_imdb_templates
 
@@ -698,7 +691,7 @@ def _cmd_workload_generate(args) -> int:
     if args.dataset == "imdb":
         spec = spec_for_imdb_templates(max_joins=args.max_joins)
     else:
-        spec = _SPECS[args.dataset](max_joins=args.max_joins)
+        spec = _spec(args.dataset, max_joins=args.max_joins)
     suite = generate_template_suite(
         db,
         spec,

@@ -31,14 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SerializationError, TrainingError
-from ..nn.inference import MLP_NAMES, InferenceSession
+from ..nn.inference import LAYER_KEYS, MLP_NAMES, InferenceSession
 from ..nn.init import kaiming_uniform
 from ..rng import SeedLike, make_rng
-
-#: Each MLP's parameters: its two linear layers sit at positions 0 and 2
-#: of the reference ``Sequential(Linear, ReLU, Linear, ...)``, whose
-#: names the state-dict keys (``table_mlp.0.weight`` ...) keep.
-LAYER_KEYS = ("0.weight", "0.bias", "2.weight", "2.bias")
 
 
 class MSCN:

@@ -39,6 +39,7 @@ from .featurization import Featurizer
 from .batches import CollateScratch, collate
 from .mscn import MSCN
 
+_MODEL_PREFIX = "model."
 _SAMPLE_PREFIX = "sample."
 
 #: Default capacity of the per-sketch estimate cache.  Entries are a
@@ -51,6 +52,15 @@ DEFAULT_ESTIMATE_CACHE_SIZE = 8192
 #: never reused — unlike ``id()``, which the process-pool executor must
 #: not key worker state on (a freed sketch's id can be recycled).
 _SNAPSHOT_TOKENS = itertools.count(1)
+
+
+def _model_weights(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A payload's MSCN parameters under the model's own state-dict keys."""
+    return {
+        k[len(_MODEL_PREFIX):]: v
+        for k, v in arrays.items()
+        if k.startswith(_MODEL_PREFIX)
+    }
 
 
 class _SampleCatalog:
@@ -69,11 +79,11 @@ class _SampleCatalog:
 class DeepSketch:
     """A trained, queryable Deep Sketch.
 
-    ``model`` may be ``None`` for an **estimation-only** sketch restored
-    from a :class:`SketchSnapshot` (the process-pool executor's worker
-    replica): such a sketch estimates through its shipped
-    :class:`~repro.nn.inference.InferenceSession` exactly like a full
-    one, but cannot be retrained, recompiled, or re-serialized.
+    ``model`` is ``None`` for an **estimation-only** :meth:`replica`
+    (what a process-pool executor's worker serves): such a sketch
+    estimates through the session compiled over its payload exactly
+    like a full one, but cannot be retrained, recompiled, or
+    re-serialized.
     """
 
     name: str
@@ -123,7 +133,7 @@ class DeepSketch:
         if self._session is None:
             if self.model is None:
                 raise SketchError(
-                    f"sketch {self.name!r} is an estimation-only snapshot "
+                    f"sketch {self.name!r} is an estimation-only replica "
                     "with no model to compile a session from"
                 )
             self._session = InferenceSession(self.model, dtype=self.inference_dtype)
@@ -264,85 +274,86 @@ class DeepSketch:
         return list(self.featurizer.tables)
 
     # ------------------------------------------------------------------
-    # estimation-only snapshots (process-pool serving workers)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "SketchSnapshot":
-        """A picklable, estimation-only replica of this sketch.
-
-        The payload is the compiled :attr:`inference_session` (weights
-        only — no model), the featurizer manifest, and the
-        materialized-sample arrays: everything :meth:`estimate_many`
-        needs and nothing it doesn't.  :meth:`SketchSnapshot.restore`
-        rehydrates it in another process without retraining, rebuilding
-        samples, or recompiling weights.  ``token`` captures
-        :attr:`snapshot_token` at snapshot time so holders can tell when
-        the replica has gone stale.
-        """
-        sample_arrays, sample_manifest = samples_to_payload(self.samples)
-        return SketchSnapshot(
-            name=self.name,
-            token=self.snapshot_token,
-            inference_dtype=self.inference_dtype,
-            featurizer_manifest=self.featurizer.to_manifest(),
-            sample_arrays=sample_arrays,
-            sample_manifest=sample_manifest,
-            session=self.inference_session,
-            metadata=dict(self.metadata),
-        )
-
-    # ------------------------------------------------------------------
     # serialization and footprint
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize the whole sketch (model + samples + featurizer)."""
+    def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The sketch as named arrays plus a JSON-able meta.
+
+        The arrays are the MSCN's parameters under ``model.`` + its
+        state-dict keys and the materialized samples' ``sample.*``
+        columns; the meta names the sketch and carries its
+        architecture, featurizer and sample manifests, metadata and
+        inference dtype.  Every carrier ships this one pair: the file
+        (:meth:`to_bytes`), the process executor's pickled install and
+        its shared-memory segment.
+        """
         if self.model is None:
             raise SketchError(
-                f"sketch {self.name!r} is an estimation-only snapshot; "
+                f"sketch {self.name!r} is an estimation-only replica; "
                 "only the original (model-bearing) sketch serializes"
             )
-        payload = {
-            f"model.{k}": v for k, v in self.model.state_dict().items()
+        arrays = {
+            _MODEL_PREFIX + k: v for k, v in self.model.state_dict().items()
         }
         sample_arrays, sample_manifest = samples_to_payload(self.samples)
-        payload.update(sample_arrays)
+        arrays.update(sample_arrays)
         meta = {
             "name": self.name,
             "architecture": self.model.architecture(),
             "featurizer": self.featurizer.to_manifest(),
             "samples": sample_manifest,
-            "metadata": self.metadata,
+            "metadata": dict(self.metadata),
             "inference_dtype": self.inference_dtype,
         }
-        return state_dict_to_bytes(payload, meta=meta)
+        return arrays, meta
+
+    @classmethod
+    def replica(cls, arrays: dict[str, np.ndarray], meta: dict) -> "DeepSketch":
+        """The estimation-only sketch of a :meth:`to_payload` pair.
+
+        ``model`` is ``None``: the session is compiled straight over
+        ``arrays`` (:meth:`InferenceSession.from_weights
+        <repro.nn.inference.InferenceSession.from_weights>`, no copy
+        at the session dtype) and the samples are rebuilt over them, so
+        a worker restoring from a mapped segment keeps mapping it.
+        """
+        sketch = cls._from_payload(arrays, meta)
+        sketch._session = InferenceSession.from_weights(
+            _model_weights(arrays), meta["architecture"], sketch.inference_dtype
+        )
+        return sketch
+
+    @classmethod
+    def _from_payload(cls, arrays: dict[str, np.ndarray], meta: dict) -> "DeepSketch":
+        """A payload's sketch with neither model nor session yet."""
+        for key in ("name", "architecture", "featurizer", "samples"):
+            if key not in meta:
+                raise SketchError(f"sketch payload is missing {key!r} metadata")
+        return cls(
+            name=str(meta["name"]),
+            featurizer=Featurizer.from_manifest(meta["featurizer"]),
+            model=None,
+            samples=samples_from_payload(
+                {k: v for k, v in arrays.items() if k.startswith(_SAMPLE_PREFIX)},
+                meta["samples"],
+            ),
+            metadata=dict(meta.get("metadata", {})),
+            # Pre-PR-3 payloads have no inference_dtype; default float64.
+            inference_dtype=str(meta.get("inference_dtype", "float64")),
+        )
+
+    def to_bytes(self) -> bytes:
+        """Serialize the whole sketch (model + samples + featurizer)."""
+        return state_dict_to_bytes(*self.to_payload())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DeepSketch":
         """Inverse of :meth:`to_bytes`."""
         arrays, meta = state_dict_from_bytes(blob)
-        for key in ("name", "architecture", "featurizer", "samples"):
-            if key not in meta:
-                raise SketchError(f"sketch payload is missing {key!r} metadata")
-        model = MSCN.from_architecture(meta["architecture"])
-        model.load_state_dict(
-            {
-                k[len("model.") :]: v
-                for k, v in arrays.items()
-                if k.startswith("model.")
-            }
-        )
-        samples = samples_from_payload(
-            {k: v for k, v in arrays.items() if k.startswith(_SAMPLE_PREFIX)},
-            meta["samples"],
-        )
-        return cls(
-            name=str(meta["name"]),
-            featurizer=Featurizer.from_manifest(meta["featurizer"]),
-            model=model,
-            samples=samples,
-            metadata=dict(meta.get("metadata", {})),
-            # Pre-PR-3 payloads have no inference_dtype; default float64.
-            inference_dtype=str(meta.get("inference_dtype", "float64")),
-        )
+        sketch = cls._from_payload(arrays, meta)
+        sketch.model = MSCN.from_architecture(meta["architecture"])
+        sketch.model.load_state_dict(_model_weights(arrays))
+        return sketch
 
     def save(self, path: str) -> int:
         """Write the sketch to ``path``; returns the footprint in bytes."""
@@ -367,39 +378,3 @@ class DeepSketch:
             f"params={params}, "
             f"sample_size={self.samples.sample_size})"
         )
-
-
-@dataclass
-class SketchSnapshot:
-    """Picklable estimation-only view of a :class:`DeepSketch`.
-
-    Produced by :meth:`DeepSketch.snapshot` and consumed by the serving
-    layer's process-pool executor: the parent pickles one of these per
-    sketch into each worker, and :meth:`restore` turns it back into an
-    estimation-only ``DeepSketch`` (``model=None``, session pre-set)
-    whose ``estimate``/``estimate_many`` run the exact same compiled
-    arithmetic as the parent's — the worker never retrains and never
-    re-materializes samples.
-    """
-
-    name: str
-    token: int
-    inference_dtype: str
-    featurizer_manifest: dict
-    sample_arrays: dict
-    sample_manifest: dict
-    session: InferenceSession
-    metadata: dict = field(default_factory=dict)
-
-    def restore(self) -> DeepSketch:
-        """Rehydrate an estimation-only sketch from this snapshot."""
-        sketch = DeepSketch(
-            name=self.name,
-            featurizer=Featurizer.from_manifest(self.featurizer_manifest),
-            model=None,
-            samples=samples_from_payload(self.sample_arrays, self.sample_manifest),
-            metadata=dict(self.metadata),
-            inference_dtype=self.inference_dtype,
-        )
-        sketch._session = self.session
-        return sketch

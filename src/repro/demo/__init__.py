@@ -6,11 +6,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".advisor": (
-            "SketchRecommendation",
-            "coverage_of",
-            "recommend_sketches",
-        ),
         "..core.builder": ("PendingBuild",),
         "..core.manager": ("SketchManager",),
         "..core.monitor": ("Monitor", "MonitorEvent"),
@@ -30,7 +25,4 @@ __all__ = [
     "run_template",
     "TemplateResult",
     "TemplateSeries",
-    "SketchRecommendation",
-    "recommend_sketches",
-    "coverage_of",
 ]

@@ -30,12 +30,11 @@ model is retrained or mutated in place; :meth:`DeepSketch.clear_cache`
 drops the sketch's session alongside its result cache so the next
 estimate recompiles from the current weights.
 
-Sessions are also **picklable**: the pickle payload is the weight
-snapshot plus the dims/dtype header, and unpickling rebuilds a fresh
-(empty) buffer pool.  This is how the serving layer's process-pool
-executor ships a trained model to worker processes — the worker gets
-the exact compiled arrays, never the model, and never retrains or
-recompiles anything (see ``repro.serve.executor``).
+A session can also be built straight over named weight arrays
+(:meth:`InferenceSession.from_weights`) without copying them: that is
+how a process-pool serving worker restores a sketch's replica from the
+sketch payload, and how a shared-memory worker computes over read-only
+views of the parent's segment (see ``repro.serve.executor``).
 
 The numerical contract, against the autograd forward kept as the
 oracle under ``tests/nn/oracle/``: a float64 session matches it to a
@@ -63,13 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: batch-shape churn, far above anything steady-state serving produces.
 MAX_POOLED_SHAPES = DEFAULT_MAX_SHAPES
 
-#: The four compiled MLPs and their parameters, in export order.  The
-#: flat ``{mlp}.{param}`` key space is the contract between
-#: :meth:`InferenceSession.export_weights` and
-#: :meth:`InferenceSession.from_weights` (and therefore the
-#: shared-memory snapshot layout in :mod:`repro.serve.shm`).
+#: The four MLPs of an MSCN.
 MLP_NAMES = ("table", "join", "predicate", "out")
-PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+#: Each MLP's parameters: its two linear layers sit at positions 0 and 2
+#: of the reference ``Sequential(Linear, ReLU, Linear, ...)``, whose
+#: names the state-dict keys (``table_mlp.0.weight`` ...) keep.
+LAYER_KEYS = ("0.weight", "0.bias", "2.weight", "2.bias")
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -107,121 +106,62 @@ class _MLP:
 class InferenceSession:
     """A compiled forward pass over a snapshot of an MSCN's weights.
 
-    Construct once per trained model (cheap: four small weight copies),
-    then call :meth:`run` per batch.  See the module docstring for the
+    Construct once per trained model (cheap: four small weight copies)
+    or over a payload's arrays (:meth:`from_weights`, no copy), then
+    call :meth:`run` per batch.  See the module docstring for the
     execution model, threading contract, and numerical guarantees.
     """
 
     SUPPORTED_DTYPES = (np.float64, np.float32)
 
     def __init__(self, model: "MSCN", dtype=np.float64):
+        # A copy even when a parameter is already contiguous at the
+        # session dtype, or training's in-place updates would write
+        # through into a "compiled" session.
+        self._adopt(model.params, model.architecture(), dtype, np.array)
+
+    @classmethod
+    def from_weights(
+        cls, weights: dict[str, np.ndarray], architecture: dict, dtype=np.float64
+    ) -> "InferenceSession":
+        """A session over ``weights`` that copies none already at ``dtype``.
+
+        ``weights`` is keyed like :meth:`MSCN.state_dict
+        <repro.core.mscn.MSCN.state_dict>` (``table_mlp.0.weight`` ...)
+        and ``architecture`` is :meth:`MSCN.architecture
+        <repro.core.mscn.MSCN.architecture>`'s dims.  This is how a
+        process-pool worker compiles a session directly over a mapped
+        shared-memory segment: the weight arrays stay wherever the
+        caller put them (typically read-only views over ``/dev/shm``),
+        and only the empty buffer pool is process-private.  A missing
+        key or malformed architecture is a
+        :class:`~repro.errors.ReproError`.
+        """
+        session = cls.__new__(cls)
+        session._adopt(weights, architecture, dtype, np.asarray)
+        return session
+
+    def _adopt(self, weights, architecture, dtype, convert) -> None:
         dtype = np.dtype(dtype)
         if dtype not in [np.dtype(d) for d in self.SUPPORTED_DTYPES]:
             raise ReproError(
                 f"InferenceSession supports float64/float32, got {dtype}"
             )
         self.dtype = dtype
-        self.hidden_units = model.hidden_units
-        self.table_dim = model.table_dim
-        self.join_dim = model.join_dim
-        self.predicate_dim = model.predicate_dim
-        for name in MLP_NAMES:
-            # np.array (not ascontiguousarray): the snapshot must be a COPY
-            # even when the parameter is already contiguous at the session
-            # dtype, or training's in-place updates would write through
-            # into a "compiled" session.
-            arrays = [np.array(a, dtype=dtype, order="C") for a in model.mlp(name)]
-            setattr(self, f"_{name}_mlp", _MLP(*arrays))
-        self._pools = ArrayPool(zeroed=False, max_shapes=MAX_POOLED_SHAPES)
-
-    # ------------------------------------------------------------------
-    # pickling (process-pool executors ship sessions to workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Everything but the buffer pools (thread-locals don't pickle).
-
-        The weight arrays are the session's whole identity; pools are
-        scratch that every process/thread regrows on first use.
-        """
-        state = dict(self.__dict__)
-        del state["_pools"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pools = ArrayPool(zeroed=False, max_shapes=MAX_POOLED_SHAPES)
-
-    # ------------------------------------------------------------------
-    # zero-copy export/import (shared-memory snapshots map, not pickle)
-    # ------------------------------------------------------------------
-    def export_weights(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The compiled weights as named arrays plus a dims header.
-
-        Keys are ``weights.{mlp}.{param}`` over :data:`MLP_NAMES` ×
-        :data:`PARAM_NAMES`; the arrays are the session's *own* weight
-        snapshots (views, not copies — treat them as read-only).  The
-        header carries everything else a session needs, JSON-able so it
-        can ride in a shared-memory segment manifest.
-        """
-        arrays: dict[str, np.ndarray] = {}
-        for mlp_name in MLP_NAMES:
-            mlp = getattr(self, f"_{mlp_name}_mlp")
-            for param in PARAM_NAMES:
-                arrays[f"weights.{mlp_name}.{param}"] = getattr(mlp, param)
-        header = {
-            "dtype": self.dtype.name,
-            "hidden_units": int(self.hidden_units),
-            "table_dim": int(self.table_dim),
-            "join_dim": int(self.join_dim),
-            "predicate_dim": int(self.predicate_dim),
-        }
-        return arrays, header
-
-    @classmethod
-    def from_weights(
-        cls, arrays: dict[str, np.ndarray], header: dict
-    ) -> "InferenceSession":
-        """Rebuild a session around ``arrays`` **without copying them**.
-
-        Inverse of :meth:`export_weights`.  This is how a process-pool
-        worker compiles a session directly over a mapped shared-memory
-        segment: the weight arrays stay wherever the caller put them
-        (typically read-only views over ``/dev/shm``), and only the
-        empty buffer pool is process-private.  Runs the same dtype
-        validation as ``__init__``; a missing key or malformed header
-        is a :class:`~repro.errors.ReproError`.
-        """
         try:
-            dtype = np.dtype(str(header["dtype"]))
-            hidden_units = int(header["hidden_units"])
-            table_dim = int(header["table_dim"])
-            join_dim = int(header["join_dim"])
-            predicate_dim = int(header["predicate_dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"malformed session weights header: {exc}") from exc
-        if dtype not in [np.dtype(d) for d in cls.SUPPORTED_DTYPES]:
-            raise ReproError(
-                f"InferenceSession supports float64/float32, got {dtype}"
-            )
-        session = cls.__new__(cls)
-        session.dtype = dtype
-        session.hidden_units = hidden_units
-        session.table_dim = table_dim
-        session.join_dim = join_dim
-        session.predicate_dim = predicate_dim
-        for mlp_name in MLP_NAMES:
-            try:
-                params = [
-                    arrays[f"weights.{mlp_name}.{param}"]
-                    for param in PARAM_NAMES
+            self.hidden_units = int(architecture["hidden_units"])
+            self.table_dim = int(architecture["table_dim"])
+            self.join_dim = int(architecture["join_dim"])
+            self.predicate_dim = int(architecture["predicate_dim"])
+            for name in MLP_NAMES:
+                arrays = [
+                    convert(weights[f"{name}_mlp.{key}"], dtype=dtype, order="C")
+                    for key in LAYER_KEYS
                 ]
-            except KeyError as exc:
-                raise ReproError(
-                    f"session weights payload missing array {exc}"
-                ) from exc
-            setattr(session, f"_{mlp_name}_mlp", _MLP(*params))
-        session._pools = ArrayPool(zeroed=False, max_shapes=MAX_POOLED_SHAPES)
-        return session
+                setattr(self, f"_{name}_mlp", _MLP(*arrays))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(f"malformed session weights: {exc!r}") from exc
+        self._pools = ArrayPool(zeroed=False, max_shapes=MAX_POOLED_SHAPES)
 
     # ------------------------------------------------------------------
     # buffer pool
@@ -327,7 +267,7 @@ class InferenceSession:
 __all__ = [
     "InferenceSession",
     "MAX_POOLED_SHAPES",
+    "LAYER_KEYS",
     "MLP_NAMES",
-    "PARAM_NAMES",
     "stable_sigmoid",
 ]

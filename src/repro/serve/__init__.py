@@ -32,8 +32,8 @@ responses and per-request deadlines), per-sketch micro-batching,
 execution, scatter — and pluggable executors
 (:mod:`repro.serve.executor`): ``inline`` (calling thread;
 bit-identical to the pre-engine paths) or ``process``
-(true multi-core scale-out over shipped
-:class:`~repro.core.sketch.SketchSnapshot` weight replicas).  The HTTP
+(true multi-core scale-out over estimation-only
+:meth:`~repro.core.sketch.DeepSketch.replica` sketches).  The HTTP
 front door (:mod:`repro.serve.http`) is pure request/response
 marshalling over that engine, so concurrent HTTP clients batch, dedup,
 and cache-hit together exactly like in-process submitters.

@@ -122,10 +122,10 @@ class ServeConfig:
     Execution: ``executor`` picks how micro-batches run — ``"inline"``
     (calling thread, the bit-identical default) or ``"process"``
     (``executor_workers`` long-lived worker processes holding installed
-    weight snapshots).
+    sketch replicas).
     ``shm_snapshots`` (requires ``executor="process"``) publishes
-    snapshots as shared-memory segments that workers map instead of
-    unpickle-copy (zero per-worker copies; see ``docs/performance.md``).
+    sketch payloads as shared-memory segments that workers map instead
+    of unpickle-copy (zero per-worker copies; see ``docs/performance.md``).
 
     Admission: ``max_queue_depth`` bounds buffered computations
     (``None`` = unbounded); on overflow the newcomer is shed.

@@ -15,14 +15,14 @@ implementations cover the scale spectrum:
   load; the default.
 * :class:`ProcessExecutor` — true multi-core scale-out.  ``workers``
   *slots*, each one long-lived worker process.  A worker holds an
-  estimation-only replica per sketch it serves, restored from a
-  :class:`~repro.core.sketch.SketchSnapshot` — the compiled
-  :class:`~repro.nn.inference.InferenceSession` weight arrays plus the
-  materialized sample tables; workers never retrain or rebuild samples.  The parent keeps the caches: it collapses
-  duplicates before shipping the distinct queries (every one of them
-  missed the result cache at submit), and it writes the results back
-  into the shared cache so later requests hit without crossing a
-  process boundary.
+  estimation-only replica per sketch it serves, restored by
+  :meth:`DeepSketch.replica <repro.core.sketch.DeepSketch.replica>`
+  from the sketch's payload — the arrays and meta its file holds;
+  workers never retrain or rebuild samples.  The parent keeps the
+  caches: it collapses duplicates before shipping the distinct queries
+  (every one of them missed the result cache at submit), and it writes
+  the results back into the shared cache so later requests hit without
+  crossing a process boundary.
   A sketch generation reaches a worker through a submitted *install
   task* when its ``snapshot_token`` moved — never by restarting the
   worker — so a retrained or re-registered sketch can never be served
@@ -122,15 +122,18 @@ def _worker_init() -> None:
 def _worker_install(name: str, payload) -> int:
     """Install task: (re)place one sketch in this worker; returns its pid.
 
-    ``payload`` is a pickled :class:`~repro.core.sketch.SketchSnapshot`
-    blob (the copy path) or a :class:`~repro.serve.shm.SegmentDescriptor`
+    ``payload`` is the pickled ``(arrays, meta)`` pair of
+    :meth:`DeepSketch.to_payload <repro.core.sketch.DeepSketch.to_payload>`
+    (the copy path) or a :class:`~repro.serve.shm.SegmentDescriptor`
     (the zero-copy path: attach the parent's segment and restore over
     read-only views).  The previous generation goes first, so a retired
     segment's memory is actually released.
     """
     _worker_uninstall(name)
     if isinstance(payload, bytes):
-        _WORKER_SKETCHES[name] = pickle.loads(payload).restore()
+        from ..core.sketch import DeepSketch
+
+        _WORKER_SKETCHES[name] = DeepSketch.replica(*pickle.loads(payload))
     else:
         from .shm import AttachedSnapshot
 
@@ -226,7 +229,7 @@ class ProcessExecutor(ChunkExecutor):
         self.use_shm = bool(use_shm)
         self._slots = [_Slot() for _ in range(self.workers)]
         #: sketch name -> (token, payload, segment) of its live
-        #: generation: the pickled snapshot, or (shm mode) the
+        #: generation: the pickled sketch payload, or (shm mode) the
         #: descriptor of the parent-owned SnapshotSegment.  Built once
         #: per generation, shared by every slot that installs it.
         self._shipments: dict[str, tuple] = {}
@@ -255,23 +258,24 @@ class ProcessExecutor(ChunkExecutor):
     def _payload(self, name: str, sketch, token: int):
         """What an install task ships for the live generation of ``name``.
 
-        Snapshots the *exact* sketch object the round is answering with
-        (not re-fetched from the manager — a hot swap racing the round
-        could otherwise ship the new version recorded under the old
-        version's token, producing a mixed-version batch).  The round
+        Takes the payload of the *exact* sketch object the round is
+        answering with (not re-fetched from the manager — a hot swap
+        racing the round could otherwise ship the new version recorded
+        under the old version's token, producing a mixed-version batch).  The round
         has already retired every superseded shipment
         (:meth:`_release_retired`), so one found here is ``token``'s.
         """
         shipment = self._shipments.get(name)
         if shipment is None:
-            snapshot = sketch.snapshot()
             if self.use_shm:
                 from .shm import SnapshotSegment
 
-                segment = SnapshotSegment.publish(snapshot)
+                segment = SnapshotSegment.publish(sketch)
                 shipment = (token, segment.descriptor, segment)
             else:
-                blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+                blob = pickle.dumps(
+                    sketch.to_payload(), protocol=pickle.HIGHEST_PROTOCOL
+                )
                 shipment = (token, blob, None)
             self._shipments[name] = shipment
         return shipment[1]

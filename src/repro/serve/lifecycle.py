@@ -57,6 +57,13 @@ PHASES = ("idle", "drift_check", "shadow_training", "swapping", "failed")
 #: Upper bound on the hot-swap barrier wait (refresh swaps and rollbacks).
 SWAP_TIMEOUT_S = 30.0
 
+#: Retryable refresh failures back off exponentially from BACKOFF_S,
+#: doubling per consecutive failure and capped at BACKOFF_CAP_S; after
+#: MAX_RETRIES consecutive failures the sketch parks as ``failed``.
+MAX_RETRIES = 3
+BACKOFF_S = 1.0
+BACKOFF_CAP_S = 60.0
+
 
 @dataclass(frozen=True)
 class LifecycleConfig:
@@ -64,18 +71,15 @@ class LifecycleConfig:
 
     ``check_interval_s`` paces the watcher thread.  Refresh attempts
     use ``refresh_queries``/``refresh_epochs``; failures retry with
-    exponential backoff from ``backoff_s`` capped at ``backoff_cap_s``,
-    giving up after ``max_retries`` consecutive failures (the sketch
-    parks as ``failed`` until :meth:`LifecycleManager.reset` or a
-    rollback).
+    exponential backoff (:data:`BACKOFF_S` .. :data:`BACKOFF_CAP_S`),
+    giving up after :data:`MAX_RETRIES` consecutive failures (the
+    sketch parks as ``failed`` until :meth:`LifecycleManager.reset` or
+    a rollback).
     """
 
     check_interval_s: float = 30.0
     refresh_queries: int = 2000
     refresh_epochs: int = 5
-    max_retries: int = 3
-    backoff_s: float = 1.0
-    backoff_cap_s: float = 60.0
 
     def __post_init__(self):
         if self.check_interval_s <= 0:
@@ -89,15 +93,6 @@ class LifecycleConfig:
         if self.refresh_epochs <= 0:
             raise SketchError(
                 f"refresh_epochs must be positive, got {self.refresh_epochs}"
-            )
-        if self.max_retries < 0:
-            raise SketchError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_s <= 0 or self.backoff_cap_s < self.backoff_s:
-            raise SketchError(
-                "backoff_s must be positive and backoff_cap_s >= backoff_s, "
-                f"got {self.backoff_s}/{self.backoff_cap_s}"
             )
 
 
@@ -340,14 +335,13 @@ class LifecycleManager:
             state.failures += 1
             state.last_error = error
             state.last_code = code
-            if not retryable or state.failures > self.config.max_retries:
+            if not retryable or state.failures > MAX_RETRIES:
                 state.phase = "failed"
                 state.next_attempt_at = None  # parked until reset()/rollback
             else:
                 state.phase = "failed"
                 backoff = min(
-                    self.config.backoff_s * (2.0 ** (state.failures - 1)),
-                    self.config.backoff_cap_s,
+                    BACKOFF_S * (2.0 ** (state.failures - 1)), BACKOFF_CAP_S
                 )
                 state.next_attempt_at = now + backoff
 

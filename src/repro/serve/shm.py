@@ -1,23 +1,23 @@
 """Shared-memory sketch snapshots: workers map weights, never copy them.
 
-The pickle path ships every :class:`~repro.core.sketch.SketchSnapshot`
-into every process-pool worker as a private copy — N workers hold N
-full replicas of every weight matrix and sample column.  This module
-replaces the copy with a mapping: the parent packs all of a snapshot's
-arrays into **one** :class:`multiprocessing.shared_memory.SharedMemory`
-segment, and each worker reconstructs the snapshot as read-only numpy
-views over the mapped buffer.  The arrays workers compute with *are*
-the parent's bytes — per-worker snapshot cost drops to page tables, and
-estimates are bit-identical to the pickle path because the arithmetic
-runs over the very same values.
+The pickle path ships every sketch payload (:meth:`DeepSketch.to_payload
+<repro.core.sketch.DeepSketch.to_payload>`) into every process-pool
+worker as a private copy — N workers hold N full replicas of every
+weight matrix and sample column.  This module replaces the copy with a
+mapping: the parent packs all of the payload's arrays into **one**
+:class:`multiprocessing.shared_memory.SharedMemory` segment, and each
+worker restores the sketch (:meth:`DeepSketch.replica
+<repro.core.sketch.DeepSketch.replica>`) over read-only numpy views of
+the mapped buffer.  The arrays workers compute with *are* the parent's
+bytes — per-worker snapshot cost drops to page tables, and estimates
+are bit-identical to the pickle path because the arithmetic runs over
+the very same values.
 
-Layout: one segment per snapshot.  Arrays (session weights via
-:meth:`InferenceSession.export_weights` plus the sample columns from
-``samples_to_payload``) are packed back-to-back at 64-byte-aligned
-offsets; everything non-array (name, token, dtype header, featurizer
-and sample manifests, metadata, the offset/dtype/shape table) travels
-in a small picklable :class:`SegmentDescriptor` — a few KB, vs the
-megabytes it replaces.
+Layout: one segment per sketch generation.  The payload's arrays (the
+MSCN parameters and the sample columns, under the keys the sketch file
+uses) are packed back-to-back at 64-byte-aligned offsets; the payload's
+meta and the offset/dtype/shape table travel in a small picklable
+:class:`SegmentDescriptor` — a few KB, vs the megabytes it replaces.
 
 Lifecycle — the part that has to be exact (see ``docs/performance.md``):
 
@@ -52,11 +52,8 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-from ..core.sketch import DeepSketch, SketchSnapshot
+from ..core.sketch import DeepSketch
 from ..errors import SketchError
-from ..core.featurization import Featurizer
-from ..nn.inference import InferenceSession
-from ..sampling.sampler import samples_from_payload
 
 #: Prefix for every segment this module creates — lets tests (and
 #: operators) pick our entries out of ``/dev/shm`` unambiguously.
@@ -131,22 +128,17 @@ def _aligned(offset: int) -> int:
 class SegmentDescriptor:
     """The picklable half of a published segment.
 
-    Everything a worker needs to rebuild the snapshot: the ``/dev/shm``
-    name, the array table (key -> ``{"offset", "dtype", "shape"}``),
-    and the snapshot's non-array fields.  A few KB regardless of model
-    or sample size — this is what crosses the process boundary instead
-    of the arrays.
+    Everything a worker needs to restore the sketch: the ``/dev/shm``
+    name, the generation's ``token``, the array table (key ->
+    ``{"offset", "dtype", "shape"}``) and the payload's ``meta``.  A
+    few KB regardless of model or sample size — this is what crosses
+    the process boundary instead of the arrays.
     """
 
     shm_name: str
-    arrays: dict
-    session_header: dict
-    name: str
     token: int
-    inference_dtype: str
-    featurizer_manifest: dict
-    sample_manifest: dict
-    metadata: dict
+    arrays: dict
+    meta: dict
 
     def nbytes(self) -> int:
         """Total payload bytes the mapped arrays cover."""
@@ -160,7 +152,7 @@ class SegmentDescriptor:
 
 
 class SnapshotSegment:
-    """A parent-owned shared-memory segment holding one snapshot."""
+    """A parent-owned shared-memory segment holding one sketch payload."""
 
     def __init__(self, shm: SharedMemory, descriptor: SegmentDescriptor):
         self._shm = shm
@@ -171,24 +163,17 @@ class SnapshotSegment:
     # parent side
     # ------------------------------------------------------------------
     @classmethod
-    def publish(cls, snapshot: SketchSnapshot) -> "SnapshotSegment":
-        """Pack ``snapshot``'s arrays into a fresh segment (one copy, here).
+    def publish(cls, sketch: DeepSketch) -> "SnapshotSegment":
+        """Pack ``sketch``'s payload arrays into a fresh segment.
 
         This is the *only* copy on the shared-memory path; every worker
         attach after this is a mapping.
         """
-        weight_arrays, session_header = snapshot.session.export_weights()
-        all_arrays: dict[str, np.ndarray] = dict(weight_arrays)
-        for key, array in snapshot.sample_arrays.items():
-            if key in all_arrays:
-                raise SketchError(
-                    f"snapshot {snapshot.name!r} array key collision: {key!r}"
-                )
-            all_arrays[key] = np.asarray(array)
-
+        arrays, meta = sketch.to_payload()
+        token = sketch.snapshot_token
         table: dict[str, dict] = {}
         offset = 0
-        for key, array in all_arrays.items():
+        for key, array in arrays.items():
             offset = _aligned(offset)
             table[key] = {
                 "offset": offset,
@@ -197,14 +182,11 @@ class SnapshotSegment:
             }
             offset += array.nbytes
 
-        shm_name = (
-            f"{SEGMENT_PREFIX}_{os.getpid()}_{snapshot.token}_"
-            f"{uuid.uuid4().hex[:8]}"
-        )
+        shm_name = f"{SEGMENT_PREFIX}_{os.getpid()}_{token}_{uuid.uuid4().hex[:8]}"
         shm = SharedMemory(name=shm_name, create=True, size=max(offset, 1))
         _untrack(shm)
         try:
-            for key, array in all_arrays.items():
+            for key, array in arrays.items():
                 spec = table[key]
                 dest = np.ndarray(
                     array.shape,
@@ -221,18 +203,7 @@ class SnapshotSegment:
                 pass
             raise
 
-        descriptor = SegmentDescriptor(
-            shm_name=shm_name,
-            arrays=table,
-            session_header=session_header,
-            name=snapshot.name,
-            token=snapshot.token,
-            inference_dtype=snapshot.inference_dtype,
-            featurizer_manifest=snapshot.featurizer_manifest,
-            sample_manifest=snapshot.sample_manifest,
-            metadata=dict(snapshot.metadata),
-        )
-        segment = cls(shm, descriptor)
+        segment = cls(shm, SegmentDescriptor(shm_name, token, table, meta))
         with _registry_lock:
             _live_segments[shm_name] = segment
         return segment
@@ -270,7 +241,8 @@ class SnapshotSegment:
         state = "unlinked" if self._unlinked else "live"
         return (
             f"SnapshotSegment({self.descriptor.shm_name!r}, "
-            f"sketch={self.descriptor.name!r}, token={self.token}, {state})"
+            f"sketch={self.descriptor.meta['name']!r}, "
+            f"token={self.token}, {state})"
         )
 
 
@@ -278,7 +250,7 @@ class SnapshotSegment:
 # worker side
 # ----------------------------------------------------------------------
 class AttachedSnapshot:
-    """A worker's zero-copy view of a published snapshot.
+    """A worker's zero-copy view of a published segment.
 
     Holds the mapped :class:`SharedMemory` handle alive for as long as
     the restored sketch is in service; :meth:`detach` drops the views
@@ -291,13 +263,13 @@ class AttachedSnapshot:
         except FileNotFoundError as exc:
             raise SketchError(
                 f"shared-memory segment {descriptor.shm_name!r} for sketch "
-                f"{descriptor.name!r} is gone (retired before attach?)"
+                f"{descriptor.meta['name']!r} is gone (retired before attach?)"
             ) from exc
         _untrack(shm)
         self._shm = shm
         self.descriptor = descriptor
-
-        arrays: dict[str, np.ndarray] = {}
+        self.token = descriptor.token
+        self.views: dict[str, np.ndarray] = {}
         for key, spec in descriptor.arrays.items():
             view = np.ndarray(
                 tuple(spec["shape"]),
@@ -306,38 +278,13 @@ class AttachedSnapshot:
                 offset=int(spec["offset"]),
             )
             view.flags.writeable = False
-            arrays[key] = view
-
-        weights = {
-            key: view
-            for key, view in arrays.items()
-            if key.startswith("weights.")
-        }
-        session = InferenceSession.from_weights(
-            weights, descriptor.session_header
-        )
-        sample_arrays = {
-            key: view
-            for key, view in arrays.items()
-            if key.startswith("sample.")
-        }
-        sketch = DeepSketch(
-            name=descriptor.name,
-            featurizer=Featurizer.from_manifest(descriptor.featurizer_manifest),
-            model=None,
-            samples=samples_from_payload(
-                sample_arrays, descriptor.sample_manifest
-            ),
-            metadata=dict(descriptor.metadata),
-            inference_dtype=descriptor.inference_dtype,
-        )
-        sketch._session = session
-        self.sketch = sketch
-        self.token = descriptor.token
+            self.views[key] = view
+        self.sketch = DeepSketch.replica(self.views, descriptor.meta)
 
     def detach(self) -> None:
         """Drop the mapping (best-effort; views may pin it until GC)."""
         self.sketch = None
+        self.views = {}
         try:
             self._shm.close()
         except BufferError:

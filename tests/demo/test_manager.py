@@ -95,15 +95,6 @@ class TestQuerying:
         with pytest.raises(SketchError):
             manager.route_name("SELECT COUNT(*) FROM keyword k;")
 
-    def test_advise(self, imdb_small):
-        from repro.demo import recommend_sketches
-        from repro.workload import TrainingQueryGenerator, spec_for_imdb
-
-        generator = TrainingQueryGenerator(imdb_small, spec_for_imdb(), seed=9)
-        recommendations = recommend_sketches(generator.draw_many(150), max_sketches=3)
-        assert 1 <= len(recommendations) <= 3
-        assert all(r.queries_covered > 0 for r in recommendations)
-
 
 class TestIncrementalBuild:
     def test_train_while_querying(self, manager, spec, trained_sketch):

@@ -221,52 +221,70 @@ class TestSnapshotSemantics:
             InferenceSession(model, dtype=np.int32)
 
 
-class TestPickling:
-    """Sessions ship to process-pool serving workers via pickle."""
+class TestFromWeights:
+    """Workers compile their session over a payload's arrays."""
 
-    def test_roundtrip_preserves_forward_exactly(self, model):
-        import pickle
-
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_equals_the_compiled_model(self, model, dtype):
         rng = np.random.default_rng(11)
         batch = random_batch(rng, 9)
-        session = InferenceSession(model)
-        expected = session.run(batch)
-        restored = pickle.loads(pickle.dumps(session))
-        np.testing.assert_array_equal(restored.run(batch), expected)
-        assert restored.dtype == session.dtype
-        assert restored.hidden_units == session.hidden_units
+        session = InferenceSession.from_weights(
+            model.state_dict(), model.architecture(), dtype
+        )
+        assert session.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(
+            session.run(batch), InferenceSession(model, dtype=dtype).run(batch)
+        )
 
-    def test_roundtrip_preserves_dtype_mode(self, model):
-        import pickle
+    def test_arrays_at_the_session_dtype_are_adopted_not_copied(self, model):
+        weights = model.state_dict()
+        session = InferenceSession.from_weights(weights, model.architecture())
+        assert session._table_mlp.w1 is weights["table_mlp.0.weight"]
+        assert session._out_mlp.b2 is weights["out_mlp.2.bias"]
 
-        session = InferenceSession(model, dtype=np.float32)
-        restored = pickle.loads(pickle.dumps(session))
-        assert restored.dtype == np.dtype(np.float32)
-        rng = np.random.default_rng(12)
-        batch = random_batch(rng, 3)
-        np.testing.assert_array_equal(restored.run(batch), session.run(batch))
-
-    def test_restored_session_has_fresh_private_pools(self, model):
-        import pickle
-
-        session = InferenceSession(model)
-        rng = np.random.default_rng(13)
-        session.run(random_batch(rng, 2))  # populate this thread's pool
-        restored = pickle.loads(pickle.dumps(session))
-        assert restored._pool() == {}  # pools never travel in the pickle
-        assert restored._pools is not session._pools
-
-    def test_pickle_is_a_weight_copy(self, model):
-        import pickle
-
+    def test_a_cast_session_holds_its_own_copy(self, model):
+        """At another dtype the session casts once and never aliases."""
         rng = np.random.default_rng(14)
         batch = random_batch(rng, 4)
-        session = InferenceSession(model)
+        weights = {k: v.copy() for k, v in model.state_dict().items()}
+        session = InferenceSession.from_weights(
+            weights, model.architecture(), np.float32
+        )
         expected = session.run(batch)
-        blob = pickle.dumps(session)
-        # Mutating the original's snapshot must not reach the replica
-        # restored afterwards (the pickle captured the bytes already).
-        session._table_mlp.w1 += 1.0
-        restored = pickle.loads(blob)
-        np.testing.assert_array_equal(restored.run(batch), expected)
-        session._table_mlp.w1 -= 1.0
+        assert session._table_mlp.w1.dtype == np.float32
+        assert not np.shares_memory(session._table_mlp.w1, weights["table_mlp.0.weight"])
+        for array in weights.values():
+            array += 1.0
+        np.testing.assert_array_equal(session.run(batch), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_read_only_weights_serve(self, model, dtype):
+        """Mapped segment views are read-only; the forward never writes them."""
+        rng = np.random.default_rng(15)
+        batch = random_batch(rng, 7)
+        weights = {k: v.copy() for k, v in model.state_dict().items()}
+        for array in weights.values():
+            array.setflags(write=False)
+        session = InferenceSession.from_weights(weights, model.architecture(), dtype)
+        np.testing.assert_array_equal(
+            session.run(batch), InferenceSession(model, dtype=dtype).run(batch)
+        )
+        for key, array in model.state_dict().items():
+            np.testing.assert_array_equal(weights[key], array)
+
+    def test_sessions_over_one_payload_have_private_pools(self, model):
+        weights = model.state_dict()
+        first = InferenceSession.from_weights(weights, model.architecture())
+        rng = np.random.default_rng(13)
+        first.run(random_batch(rng, 2))  # populate this thread's pool
+        second = InferenceSession.from_weights(weights, model.architecture())
+        assert second._pool() == {}
+        assert second._pools is not first._pools
+
+    def test_missing_weight_or_dim_is_a_repro_error(self, model):
+        weights = model.state_dict()
+        del weights["join_mlp.2.weight"]
+        with pytest.raises(ReproError, match="join_mlp.2.weight"):
+            InferenceSession.from_weights(weights, model.architecture())
+        with pytest.raises(ReproError, match="hidden_units"):
+            InferenceSession.from_weights(model.state_dict(), {"table_dim": 1})

@@ -574,8 +574,8 @@ class TestSnapshotShipping:
         sketch, _ = trained_sketch
         sketch.clear_cache()
         reference = sketch.estimate_many(list(workload[:10]), use_cache=False)
-        blob = pickle.dumps(sketch.snapshot())
-        replica = pickle.loads(blob).restore()
+        blob = pickle.dumps(sketch.to_payload())
+        replica = DeepSketch.replica(*pickle.loads(blob))
         values = replica.estimate_many(list(workload[:10]), use_cache=False)
         np.testing.assert_allclose(values, reference, rtol=PARITY_RTOL, atol=0.0)
         assert replica.model is None
@@ -587,7 +587,7 @@ class TestSnapshotShipping:
         from repro.errors import SketchError
 
         sketch, _ = trained_sketch
-        replica = pickle.loads(pickle.dumps(sketch.snapshot())).restore()
+        replica = DeepSketch.replica(*pickle.loads(pickle.dumps(sketch.to_payload())))
         with pytest.raises(SketchError):
             replica.to_bytes()
         # clear_cache keeps the shipped session (nothing to recompile

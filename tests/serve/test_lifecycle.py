@@ -25,6 +25,7 @@ import pytest
 from repro.core import DeepSketch, DriftReport, RefreshResult
 from repro.demo import SketchManager
 from repro.errors import RegistryError, SketchError
+from repro.serve import lifecycle as lifecycle_module
 from repro.serve import (
     LifecycleConfig,
     LifecycleManager,
@@ -235,8 +236,9 @@ class TestLifecyclePasses:
         assert stats["versions"]["test-sketch"]["registry_version"] == 1
 
     def test_refresh_failure_backs_off_and_keeps_serving(
-        self, manager, imdb_small
+        self, manager, imdb_small, monkeypatch
     ):
+        monkeypatch.setattr(lifecycle_module, "BACKOFF_S", 30.0)
         original = manager.get_sketch("test-sketch")
         token = original.snapshot_token
         refresh = _refresh_returning(
@@ -250,7 +252,7 @@ class TestLifecyclePasses:
             lifecycle = self._lifecycle(
                 server,
                 imdb_small,
-                config=LifecycleConfig(check_interval_s=0.01, backoff_s=30.0),
+                config=LifecycleConfig(check_interval_s=0.01),
                 drift_fn=_stale_drift,
                 refresh_fn=refresh,
             )
@@ -267,7 +269,12 @@ class TestLifecyclePasses:
         assert "non-empty" in state["last_error"]
         assert state["next_attempt_at"] is not None
 
-    def test_backoff_doubles_per_consecutive_failure(self, manager, imdb_small):
+    def test_backoff_doubles_per_consecutive_failure(
+        self, manager, imdb_small, monkeypatch
+    ):
+        monkeypatch.setattr(lifecycle_module, "BACKOFF_S", 1.0)
+        monkeypatch.setattr(lifecycle_module, "BACKOFF_CAP_S", 60.0)
+        monkeypatch.setattr(lifecycle_module, "MAX_RETRIES", 10)
         refresh = _refresh_returning(
             RefreshResult(ok=False, error="x", code="internal")
         )
@@ -275,12 +282,7 @@ class TestLifecyclePasses:
             lifecycle = self._lifecycle(
                 server,
                 imdb_small,
-                config=LifecycleConfig(
-                    check_interval_s=0.01,
-                    backoff_s=1.0,
-                    backoff_cap_s=60.0,
-                    max_retries=10,
-                ),
+                config=LifecycleConfig(check_interval_s=0.01),
                 drift_fn=_stale_drift,
                 refresh_fn=refresh,
             )
@@ -325,7 +327,9 @@ class TestLifecyclePasses:
             lifecycle.run_once()
             assert len(drift_calls) == checks_before + 1
 
-    def test_retries_exhausted_parks(self, manager, imdb_small):
+    def test_retries_exhausted_parks(self, manager, imdb_small, monkeypatch):
+        monkeypatch.setattr(lifecycle_module, "BACKOFF_S", 0.001)
+        monkeypatch.setattr(lifecycle_module, "MAX_RETRIES", 1)
         refresh = _refresh_returning(
             RefreshResult(ok=False, error="x", code="internal")
         )
@@ -333,9 +337,7 @@ class TestLifecyclePasses:
             lifecycle = self._lifecycle(
                 server,
                 imdb_small,
-                config=LifecycleConfig(
-                    check_interval_s=0.01, backoff_s=0.001, max_retries=1
-                ),
+                config=LifecycleConfig(check_interval_s=0.01),
                 drift_fn=_stale_drift,
                 refresh_fn=refresh,
             )

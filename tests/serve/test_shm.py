@@ -73,7 +73,7 @@ class TestSnapshotSegment:
         sketch, _ = trained_sketch
         sketch.clear_cache()
         reference = sketch.estimate_many(list(workload[:10]), use_cache=False)
-        segment = SnapshotSegment.publish(sketch.snapshot())
+        segment = SnapshotSegment.publish(sketch)
         try:
             assert segment.name in live_segment_names()
             assert _dev_shm_entries() == [segment.name]
@@ -84,9 +84,7 @@ class TestSnapshotSegment:
             # mapped views run the very same bytes: exact equality,
             # not just 1e-12 closeness
             assert np.array_equal(np.asarray(values), np.asarray(reference))
-            session = attached.sketch.inference_session
-            weights, _ = session.export_weights()
-            for array in weights.values():
+            for array in attached.views.values():
                 assert not array.flags.writeable
                 with pytest.raises((ValueError, RuntimeError)):
                     array[...] = 0.0
@@ -97,14 +95,13 @@ class TestSnapshotSegment:
 
     def test_descriptor_is_small_and_picklable(self, trained_sketch):
         sketch, _ = trained_sketch
-        snapshot = sketch.snapshot()
-        blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        segment = SnapshotSegment.publish(snapshot)
+        blob = pickle.dumps(sketch.to_payload(), protocol=pickle.HIGHEST_PROTOCOL)
+        segment = SnapshotSegment.publish(sketch)
         try:
             wire = pickle.dumps(
                 segment.descriptor, protocol=pickle.HIGHEST_PROTOCOL
             )
-            # the descriptor replaces the multi-hundred-KB snapshot blob
+            # the descriptor replaces the multi-hundred-KB payload blob
             # with a table of offsets: it must be dramatically smaller
             assert len(wire) < len(blob) / 4
             back = pickle.loads(wire)
@@ -115,7 +112,7 @@ class TestSnapshotSegment:
 
     def test_attach_after_unlink_is_a_sketch_error(self, trained_sketch):
         sketch, _ = trained_sketch
-        segment = SnapshotSegment.publish(sketch.snapshot())
+        segment = SnapshotSegment.publish(sketch)
         descriptor = segment.descriptor
         segment.unlink()
         with pytest.raises(SketchError, match="gone"):
@@ -130,7 +127,7 @@ class TestSnapshotSegment:
         sketch, _ = trained_sketch
         sketch.clear_cache()
         reference = sketch.estimate_many(list(workload[:4]), use_cache=False)
-        segment = SnapshotSegment.publish(sketch.snapshot())
+        segment = SnapshotSegment.publish(sketch)
         attached = AttachedSnapshot(segment.descriptor)
         segment.unlink()
         assert _dev_shm_entries() == []

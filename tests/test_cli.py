@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import clear_dataset_cache
+from repro.serve import protocol
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,11 @@ class TestCompare:
         assert "PostgreSQL" in out
 
 
+def leaves(tree) -> list[str]:
+    """The aliases of a wire join tree (an alias, or [left, right])."""
+    return [tree] if isinstance(tree, str) else leaves(tree[0]) + leaves(tree[1])
+
+
 class TestPlan:
     JOIN_SQL = (
         "SELECT COUNT(*) FROM title t,movie_keyword mk,movie_info mi "
@@ -108,10 +114,12 @@ class TestPlan:
         assert main(["plan", self.JOIN_SQL, sketch_path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["error"] is None
-        assert payload["join_order"].count("⨝") == 2  # 3 relations
+        assert sorted(leaves(payload["plan"])) == ["mi", "mk", "t"]
         assert len(payload["subplans"]) == 6  # connected subsets of a star
         assert payload["estimated_cost"] > 0
         assert payload["estimate_ms"] is not None
+        # the wire's own envelope, not a CLI-only shape
+        assert protocol.plan_response_from_wire(payload).ok
 
     def test_plan_failure_is_structured_and_exit_1(self, sketch_path, capsys):
         import json
@@ -120,7 +128,7 @@ class TestPlan:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["code"] == "parse"
-        assert payload["join_order"] is None
+        assert payload["plan"] is None
 
     def test_remote_plan_matches_local(self, sketch_path, capsys, monkeypatch):
         """`repro plan --url` against `repro serve --http` chooses the
@@ -142,7 +150,7 @@ class TestPlan:
         assert main(["serve", sketch_path, "--http", "--port", "0"]) == 0
         capsys.readouterr()
         assert remote["code"] == 0
-        assert remote["payload"]["join_order"] == local["join_order"]
+        assert remote["payload"]["plan"] == local["plan"]
         assert remote["payload"]["estimated_cost"] == pytest.approx(
             local["estimated_cost"]
         )

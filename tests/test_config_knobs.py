@@ -42,6 +42,9 @@ REMOVED_FIELDS = [
     (LifecycleConfig, "drift_threshold"),
     (LifecycleConfig, "qerror_threshold"),
     (LifecycleConfig, "swap_timeout_s"),
+    (LifecycleConfig, "max_retries"),
+    (LifecycleConfig, "backoff_s"),
+    (LifecycleConfig, "backoff_cap_s"),
     (TrainingResult, "stopped_early"),
 ]
 

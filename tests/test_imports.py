@@ -46,7 +46,6 @@ NOT_SERVED = [
     "repro.core.training",
     "repro.nn.training",
     "repro.workload",
-    "repro.demo.advisor",
     "repro.demo.template_service",
     "repro.serve.client",
     "repro.serve.gateway",
@@ -75,6 +74,12 @@ def loaded_under(prefixes: list[str]) -> str:
 
 def test_server_import_set_loads_only_what_serving_runs():
     assert run_python(SERVER_IMPORTS + loaded_under(NOT_SERVED)) == []
+
+
+def test_cli_imports_only_what_serving_runs():
+    # `repro serve --http` starts from this module: building, dataset
+    # generation and the workload specs load inside their own commands.
+    assert run_python("import repro.cli" + loaded_under(NOT_SERVED)) == []
 
 
 def test_db_layer_imports_nothing_from_the_workload_package():
